@@ -15,15 +15,15 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .contfrac import (ContinuedFraction, InvalidCF, chain, convergents,
-                       orthogonality_residual, quotient, seidel_stern_check,
-                       tangency_residual)
+from .contfrac import (ARRANGEMENTS, ContinuedFraction, InvalidCF, chain,
+                       convergents, orthogonality_residual, quotient,
+                       seidel_stern_check, tangency_residual)
 from .cycle import Cycle, Metric, parse_metric
-from .figure import (Degenerate, DuplicateLabel, Figure, NotEvaluated,
-                     TooManyInstances, UnknownNode, nine_point_figure)
+from .figure import (Degenerate, Figure, NotEvaluated, TooManyInstances,
+                     nine_point_figure)
 from .numerics import (RadicalClash, format_scalar, is_exact, parse_scalar,
                        to_float)
-from .poincare import NotAligned, classify_intervals, extension_from_triple
+from .poincare import classify_intervals, extension_from_triple
 from .relations import BranchOverflow, IsTangent, solve
 from .render import Viewport, render_chain, render_figure
 
@@ -71,13 +71,9 @@ def _build_figure(args) -> tuple:
               "measures": obj.pop("measures", [])}
     try:
         fig = Figure.from_obj(obj)
-    except (UnknownNode, DuplicateLabel, KeyError) as err:
-        raise CliError(f"script error: {err}")
     except TooManyInstances as err:
         raise CliError(str(err), OVERFLOW)
-    except NotEvaluated as err:
-        raise CliError(f"script error: {err}")
-    except ValueError as err:
+    except (KeyError, NotEvaluated, ValueError) as err:
         raise CliError(f"script error: {err}")
     return fig, extras
 
@@ -139,9 +135,7 @@ def cmd_figure_check(args) -> int:
     for spec in checks:
         try:
             results = fig.check_rel(spec["a"], spec["b"], spec["kind"])
-        except (UnknownNode, KeyError) as err:
-            raise CliError(f"check error: {err}")
-        except NotEvaluated as err:
+        except (KeyError, NotEvaluated) as err:
             raise CliError(f"check error: {err}")
         verdict = bool(results) and all(ok for _, ok, _ in results)
         verdicts.append(verdict)
@@ -189,7 +183,7 @@ def cmd_figure_render(args) -> int:
 def cmd_contfrac(args) -> int:
     try:
         cf = ContinuedFraction.parse(args.cf)
-    except (InvalidCF, ValueError) as err:
+    except ValueError as err:
         raise CliError(f"bad continued fraction: {err}")
     steps = args.steps if args.steps is not None else len(cf.terms)
     try:
@@ -251,7 +245,7 @@ def cmd_poincare(args) -> int:
     try:
         kind, disc = classify_intervals(pairs)
         tau, form = extension_from_triple(pairs)
-    except (NotAligned, ValueError) as err:
+    except ValueError as err:
         raise CliError(f"bad triple: {err}", DEGENERATE)
     point = form.point()
     payload = {
@@ -430,7 +424,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--cf", required=True, help='like "3;7,15,1,292"')
     p.add_argument("--steps", type=int)
     p.add_argument("--arrangement", default="tangent",
-                   choices=("tangent", "orthogonal", "ortho45"))
+                   choices=ARRANGEMENTS)
     p.add_argument("--svg", help="also write the chain as SVG here")
     shared(p, svg=True)
     p.set_defaults(func=cmd_contfrac)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple, Union
 
-from .numerics import Scalar
+from .numerics import Scalar, lift
 
 Blade = Tuple[int, ...]
 
@@ -111,9 +111,6 @@ class Mv:
     def grade(self, k: int) -> "Mv":
         return Mv(self.sig, {b: c for b, c in self.terms.items() if len(b) == k})
 
-    def max_grade(self) -> int:
-        return max((len(b) for b in self.terms), default=0)
-
     def is_scalar(self) -> bool:
         return all(len(b) == 0 for b in self.terms)
 
@@ -171,8 +168,7 @@ class Mv:
     def __truediv__(self, other):
         if isinstance(other, Mv):
             return self * other.inverse()
-        if isinstance(other, int):
-            other = Fraction(other)  # keep int/int exact
+        other = lift(other)  # keep int/int exact
         return Mv(self.sig, {b: c / other for b, c in self.terms.items()})
 
     # -- involutions --------------------------------------------------------

@@ -16,26 +16,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .numerics import (Arithmetic, Scalar, comparison_eps, is_exact, to_float)
+from .numerics import (Arithmetic, Scalar, comparison_eps, is_exact, lift,
+                       to_float)
 from .cycle import Cycle, Metric
 from .clifford import (INFINITY, Infinity, Mat2, Mv, Point, euclidean,
                        identity_map, mobius_apply)
-
-Mat = Tuple[Tuple[Scalar, Scalar], Tuple[Scalar, Scalar]]
+from .poincare import Mat, mat_mul  # noqa: F401  (mat_mul is re-exported)
 
 E2 = Metric.named("e")
 
-FAMILIES = ("first_col", "second_col", "connecting")
 ARRANGEMENTS = ("tangent", "orthogonal", "ortho45")
 
 
 class InvalidCF(ValueError):
     """Zero partial numerator, or an index past the known terms."""
-
-
-def _quot(p: Scalar, q: Scalar) -> Scalar:
-    """p/q without falling into integer true-division floats."""
-    return (Fraction(p) if isinstance(p, int) else p) / q
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +146,7 @@ def convergents(cf: ContinuedFraction, N: Optional[int] = None) -> List[Tuple[Sc
 def quotient(pair: Tuple[Scalar, Scalar]) -> Optional[Scalar]:
     """P/Q, or None for the infinite quotient."""
     p, q = pair
-    return None if q == 0 else _quot(p, q)
+    return None if q == 0 else lift(p) / q
 
 
 def moebius_of_cf(cf: ContinuedFraction, n: int) -> Mat:
@@ -167,18 +161,12 @@ def moebius_of_cf(cf: ContinuedFraction, n: int) -> Mat:
 def endpoints(mat: Mat) -> Tuple[Optional[Scalar], Optional[Scalar]]:
     """Images of 0 and infinity: the n-th and (n-1)-th quotients."""
     (a, b), (c, d) = mat
-    return (None if d == 0 else _quot(b, d),
-            None if c == 0 else _quot(a, c))
+    return (None if d == 0 else lift(b) / d,
+            None if c == 0 else lift(a) / c)
 
 
 def mat_of_step(a: Scalar, b: Scalar) -> Mat:
     return ((0, a), (1, b))
-
-
-def mat_mul(x: Mat, y: Mat) -> Mat:
-    (a, b), (c, d) = x
-    (p, q), (r, s) = y
-    return ((a * p + b * r, a * q + b * s), (c * p + d * r, c * q + d * s))
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +227,6 @@ class HorocycleChain:
     @property
     def cycles(self) -> List[Cycle]:
         return self.horocycles + self.connecting
-
-    def connecting_mirror(self, i: int) -> Cycle:
-        """The reflected twin; in the 45-degree arrangement it passes the
-        other intersection point of the horocycle pair."""
-        return self.connecting[i].mirror()
 
 
 def _arrangement_params(arrangement: str, exact: bool):
@@ -310,7 +293,7 @@ def _validate_chain(ch: HorocycleChain) -> None:
                 raise ValueError(f"step {i}: connecting cycle misses quotient {pt}")
         if ch.arrangement == "ortho45":
             # squared inclination n^2/det == 1/2 keeps the check radical-free
-            cos2 = _quot(join.l[-1] * join.l[-1], join.det())
+            cos2 = lift(join.l[-1] * join.l[-1]) / join.det()
             if not _is_zero(cos2 - Fraction(1, 2), 1.0):
                 raise ValueError(f"step {i}: connecting cycle is not at 45 degrees")
         else:
@@ -340,7 +323,7 @@ def reconstruct_horocycles(points: Sequence[Scalar], n0: Scalar,
         if relation == "orthogonal":
             if n_prev == 0:
                 raise ZeroDivisionError("previous horocycle has zero height")
-            n = _quot((p - p_prev) * (p - p_prev), 2 * n_prev)
+            n = lift((p - p_prev) * (p - p_prev)) / (2 * n_prev)
         else:
             n = abs(p - p_prev) - n_prev
         out.append(Cycle(E2, 1, (p, n), p * p))

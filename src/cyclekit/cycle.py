@@ -14,11 +14,11 @@ Both are kept as tuples of generator squares, -1/0/+1 per axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .clifford import Mat2, Mv, Signature
-from .numerics import Arithmetic, Scalar, format_scalar, is_exact, parse_scalar, to_float
+from .numerics import (Arithmetic, Scalar, format_scalar, is_exact, lift,
+                       parse_scalar, private_context, to_float)
 
 Eta = Tuple[int, ...]
 
@@ -215,7 +215,7 @@ class Cycle:
         s1, s2 = self.self_product(), other.self_product()
         if s1 == 0 or s2 == 0:
             raise ZeroDivisionError("normalized product undefined for point cycles")
-        ar = ar or Arithmetic("float")
+        ar = private_context(ar, "float")
         root = ar.sqrt(s1 * s2)  # sqrt|s1| sqrt|s2| in one radical
         if not is_exact(root) and is_exact(num):
             num = to_float(num)
@@ -237,7 +237,7 @@ class Cycle:
         if self.k == 0:
             raise ZeroDivisionError("flat cycles have no center")
         etap = self.metric.point_eta
-        return tuple(_div((-etap[i]) * self.l[i], self.k) for i in range(self.metric.n))
+        return tuple(lift((-etap[i]) * self.l[i]) / self.k for i in range(self.metric.n))
 
     def radius_sq(self) -> Scalar:
         """(sum -eta^p_i l_i^2 - k m) / k^2 in the point metric."""
@@ -247,7 +247,7 @@ class Cycle:
         acc = -(self.k * self.m)
         for i in range(self.metric.n):
             acc = acc + (-etap[i]) * self.l[i] * self.l[i]
-        return _div(acc, self.k * self.k)
+        return lift(acc) / (self.k * self.k)
 
     def value_at(self, point: Sequence[Scalar]) -> Scalar:
         """The defining polynomial k sum(-eta^p_i x_i^2) - 2 sum l_i x_i + m."""
@@ -302,7 +302,7 @@ class Cycle:
             pivot = next((c for c in row if c != 0), None)
             if pivot is None:
                 return self
-            return self.scaled(1 / pivot if not isinstance(pivot, int) else Fraction(1, 1) / pivot)
+            return self.scaled(1 / lift(pivot))
         fr = [to_float(c) for c in row]
         scale = max(abs(v) for v in fr)
         if scale == 0:
@@ -351,11 +351,6 @@ class Cycle:
         parts = ", ".join(format_scalar(c) if is_exact(c) else repr(c)
                           for c in self.row())
         return f"Cycle[{self.metric.label()}]({parts})"
-
-
-def _div(num, den):
-    """Division that keeps integer rows in the rationals."""
-    return (Fraction(num) if isinstance(num, int) else num) / den
 
 
 def _mv_peak(mv: Mv) -> float:

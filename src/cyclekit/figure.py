@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product as iproduct
 from math import acos, acosh, pi, sqrt as _fsqrt
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .clifford import Infinity, Mat2, Mv, mobius_apply
 from .cycle import Cycle, Metric, parse_metric
 from .numerics import (Arithmetic, Scalar, comparison_eps, format_scalar,
-                       is_exact, parse_scalar, to_float)
+                       is_exact, lift, parse_scalar, to_float)
 from .relations import (InversiveDistance, IsOrthogonal, IsPoint, IsTangent,
                         OnlyReals, PassesThrough, Relation, SteinerPower,
                         solve)
@@ -556,9 +555,9 @@ class Figure:
         """Numeric quantities on aligned instance pairs:
         product, normalized_product, inversive_distance, steiner_power."""
         na, nb = self._solved(label_a), self._solved(label_b)
-        ar = Arithmetic(self.arithmetic)
         out = []
         for i, j in self._pairs(na, nb):
+            ar = Arithmetic(self.arithmetic)
             a = na.instances[i].cycle
             b = nb.instances[j].cycle
             if quantity == "product":
@@ -770,13 +769,9 @@ def _steiner_power(a: Cycle, b: Cycle, ar: Arithmetic) -> Scalar:
     tangential distance for real circles."""
     if a.k == 0 or b.k == 0:
         raise ValueError("power against a flat cycle is undefined")
-    z = a.scaled(_inv(a.k))
-    r = b.scaled(_inv(b.k))
+    z = a.scaled(1 / lift(a.k))
+    r = b.scaled(1 / lift(b.k))
     return z.product(r) + ar.sqrt(z.self_product() * r.self_product())
-
-
-def _inv(x: Scalar) -> Scalar:
-    return Fraction(1) / x if isinstance(x, int) else 1 / x
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +779,7 @@ def _inv(x: Scalar) -> Scalar:
 
 
 def _rank(rows: Sequence[Sequence[Scalar]], eps: float) -> int:
-    A = [[Fraction(c) if isinstance(c, int) else c for c in row] for row in rows]
+    A = [[lift(c) for c in row] for row in rows]
     exact = all(is_exact(c) for row in A for c in row)
     if not exact:
         A = [[to_float(c) for c in row] for row in A]

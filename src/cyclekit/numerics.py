@@ -10,6 +10,13 @@ Three interoperable scalar kinds:
 Exact kinds never lose precision; a computation that would need a second
 independent radical is demoted to float explicitly (see :class:`Arithmetic`),
 never silently.
+
+Lifecycle of an :class:`Arithmetic` context: what a caller passes in is
+configuration only -- the mode, ``eps`` and an optional pre-chosen
+radicand.  Every public call that takes a context works in a private clone
+(see :func:`private_context`), so the radicand one call adopts and any
+demotion it records never leak into the next call.  Only ``Arithmetic``'s
+own methods mutate a context.
 """
 
 from __future__ import annotations
@@ -23,6 +30,12 @@ from typing import Optional, Union
 DEFAULT_EPS = 1e-9
 
 Rational = Union[int, Fraction]
+
+
+def lift(x):
+    """Ints become Fractions, so that dividing by or into them stays exact;
+    every other scalar passes through unchanged."""
+    return Fraction(x) if isinstance(x, int) else x
 
 
 def comparison_eps(override: Optional[float] = None) -> float:
@@ -98,7 +111,7 @@ class QuadExt:
             raise ValueError(f"radicand must be positive and non-square: {d}")
 
     # -- coercion ---------------------------------------------------------
-    def _lift(self, other) -> Optional["QuadExt"]:
+    def _coerce(self, other) -> Optional["QuadExt"]:
         if isinstance(other, QuadExt):
             if other.d != self.d:
                 if other.b == 0:
@@ -117,7 +130,7 @@ class QuadExt:
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
-        o = self._lift(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         if isinstance(o, QuadExt) and o.d != self.d:  # self.b == 0 case
@@ -130,7 +143,7 @@ class QuadExt:
         return QuadExt(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        o = self._lift(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self + (-o)
@@ -139,7 +152,7 @@ class QuadExt:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         if isinstance(o, QuadExt) and o.d != self.d:  # self.b == 0
@@ -156,7 +169,7 @@ class QuadExt:
         return QuadExt(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         if isinstance(o, QuadExt) and o.d != self.d:
@@ -208,7 +221,7 @@ class QuadExt:
         return hash((self.a, self.b, self.d))
 
     def _cmp(self, other) -> int:
-        o = self._lift(other)
+        o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare QuadExt with {type(other)}")
         return (self - o)._sign()
@@ -277,7 +290,14 @@ def sqrt_in_field(x, d: Optional[Fraction] = None):
 
 @dataclass
 class Arithmetic:
-    """Per-solve arithmetic context: exact or float, one radicand, demotions."""
+    """Arithmetic context: exact or float, one radicand, demotions.
+
+    A caller's context is configuration: mode, ``eps`` and an optional
+    pre-chosen radicand.  Public functions that take one work in a
+    :meth:`clone` (see :func:`private_context`), so the caller's context
+    never picks up a radicand or a demotion from a call.  The radicand,
+    ``demoted`` and ``notes`` change only through the methods below.
+    """
 
     mode: str = "exact"  # "exact" | "float"
     eps: Optional[float] = None
@@ -294,9 +314,6 @@ class Arithmetic:
 
     def tol(self) -> float:
         return self.eps if self.eps is not None else comparison_eps()
-
-    def lift(self, x: Scalar) -> Scalar:
-        return x if self.exact else to_float(x)
 
     def demote(self, why: str) -> None:
         if not self.demoted:
@@ -327,10 +344,11 @@ class Arithmetic:
             return x == 0
         return abs(to_float(x)) <= self.tol()
 
-    def eq(self, x: Scalar, y: Scalar) -> bool:
-        if is_exact(x) and is_exact(y) and self.exact:
-            return x == y
-        return abs(to_float(x) - to_float(y)) <= self.tol()
+
+def private_context(ar: Optional[Arithmetic], mode: str = "exact") -> Arithmetic:
+    """The context one public call works in: a clone of the caller's
+    configuration, or a fresh context in ``mode`` when there is none."""
+    return Arithmetic(mode) if ar is None else ar.clone()
 
 
 def parse_scalar(text: str, mode: str = "exact") -> Scalar:

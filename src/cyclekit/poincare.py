@@ -19,9 +19,8 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .numerics import (Arithmetic, Scalar, comparison_eps, is_exact,
-                       scalar_sign, to_float)
-from .numerics import QuadExt
+from .numerics import (Arithmetic, QuadExt, Scalar, comparison_eps, is_exact,
+                       lift, private_context, scalar_sign, to_float)
 from .relations import _binary_quadratic, linear_solve
 
 Mat = Tuple[Tuple[Scalar, Scalar], Tuple[Scalar, Scalar]]
@@ -39,14 +38,6 @@ class InvalidOrdering(ValueError):
 
 class NoRealPoint(ValueError):
     """The radicand is negative: the conics do not meet in real points."""
-
-
-def _lift(x):
-    return Fraction(x) if isinstance(x, int) else x
-
-
-def _half(x):
-    return _lift(x) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +66,7 @@ def proj(x: Endpoint) -> Proj:
 def proj_value(p: Proj) -> Endpoint:
     if p[1] == 0:
         return None
-    return _lift(p[0]) / p[1]
+    return lift(p[0]) / p[1]
 
 
 def mat_on_proj(A: Mat, p: Proj) -> Proj:
@@ -124,8 +115,8 @@ def interval_matrix(x: Endpoint, y: Endpoint) -> Mat:
     """
     p, q = proj(x)
     P, Q = proj(y)
-    s = _half(p * Q + P * q)
-    return ((s, -_lift(p) * P), (q * Q, -s))
+    s = lift(p * Q + P * q) / 2
+    return ((s, -lift(p) * P), (q * Q, -s))
 
 
 def interval_endpoints(C: Mat, ar: Optional[Arithmetic] = None):
@@ -135,18 +126,18 @@ def interval_endpoints(C: Mat, ar: Optional[Arithmetic] = None):
     if all(is_exact(v) for v in entries):
         if bool(a + d):
             raise ValueError("interval matrices are trace-free")
-        w = _lift(a)
+        w = lift(a)
     else:
         scale = max(abs(to_float(v)) for v in entries) or 1.0
         if abs(to_float(a) + to_float(d)) > 1e-9 * scale:
             raise ValueError("interval matrices are trace-free")
         w = (to_float(a) - to_float(d)) / 2.0  # symmetrised diagonal
         b, c = to_float(b), to_float(c)
-    ar = ar or Arithmetic(mode="exact")
+    ar = private_context(ar)
     if not bool(c):
         if not bool(w):
             return (None, None)
-        return (_lift(-b) / (2 * w), None)
+        return (lift(-b) / (2 * w), None)
     rad = w * w + b * c
     neg = scalar_sign(rad) < 0 if is_exact(rad) else rad < 0
     if neg:
@@ -194,7 +185,7 @@ class Form(NamedTuple):
     @classmethod
     def from_matrix(cls, M: Mat) -> "Form":
         (a, b), (c, d) = M
-        return cls(_half(a + d), _half(a - d), c, -b)
+        return cls(lift(a + d) / 2, lift(a - d) / 2, c, -b)
 
     def matrix(self) -> Mat:
         return ((self.l + self.n, -self.m), (self.k, self.n - self.l))
@@ -208,11 +199,11 @@ class Form(NamedTuple):
         """(u, v) for k-normalisable forms, None on the boundary k = 0."""
         if not bool(self.k):
             return None
-        k = _lift(self.k)
-        return (_lift(self.l) / k, _lift(self.n) / k)
+        k = lift(self.k)
+        return (lift(self.l) / k, lift(self.n) / k)
 
     def canonical(self) -> "Form":
-        vals = tuple(_lift(v) for v in self)
+        vals = tuple(lift(v) for v in self)
         if all(is_exact(v) for v in vals):
             lead = next((v for v in vals if v != 0), None)
             if lead is None:
@@ -285,14 +276,14 @@ def inclined_interval_form(x: Scalar, y: Scalar, tau: int) -> Form:
     hyperbolas for tau = +1; the inclination to the boundary depends only
     on the subgroup parameter t = (x-y)/(xy-tau), not on x itself.
     """
-    return Form(_half(x * y - tau), _half(x + y), 1, _lift(x) * y)
+    return Form(lift(x * y - tau) / 2, lift(x + y) / 2, 1, lift(x) * y)
 
 
 def angle_to_real_line(Q: Sequence[Scalar],
                        ar: Optional[Arithmetic] = None) -> Scalar:
     """Cosine of the intersection angle with the boundary: -n/sqrt|l^2+n^2-km|."""
-    ar = ar or Arithmetic(mode="exact")
-    n, l, k, m = (_lift(c) for c in Q)
+    ar = private_context(ar)
+    n, l, k, m = (lift(c) for c in Q)
     den = ar.sqrt(l * l + n * n - k * m)
     return -n / den
 
@@ -307,7 +298,7 @@ def rep4(g: Mat):
     whenever g is: every block entry is quadratic in the entries of g.
     """
     (a, b), (c, d) = g
-    delta = _lift(mat_det(g))
+    delta = lift(mat_det(g))
     if not bool(delta):
         raise ValueError("singular matrix has no projective action")
     return ((1, 0, 0, 0),
@@ -324,7 +315,7 @@ def jay(sigma: int):
 def sl2_act_r4(g: Mat, Q: Sequence[Scalar]) -> Form:
     """Apply rep4(g); agrees with matrix conjugation up to the determinant."""
     T = rep4(g)
-    return Form(*(sum(T[i][j] * _lift(Q[j]) for j in range(4))
+    return Form(*(sum(T[i][j] * lift(Q[j]) for j in range(4))
                   for i in range(4)))
 
 
@@ -346,7 +337,7 @@ def h_tau_parameter(x: Scalar, y: Scalar, tau: int) -> Scalar:
     den = x * y - tau
     if not bool(den):
         raise ValueError("xy = tau: the pair is not reached by this family")
-    return (_lift(x) - y) / den
+    return (lift(x) - y) / den
 
 
 def rotation(c: Scalar, s: Scalar) -> Mat:
@@ -402,9 +393,9 @@ def to_zero_one_inf(x1: Endpoint, x2: Endpoint, x3: Endpoint) -> Mat:
     p3, q3 = proj(x3)
     g = ((p3, q3), (-q3, p3)) if bool(q3) else ((1, 0), (0, 1))
     a1, b1 = mat_on_proj(g, proj(x1))
-    g = mat_mul(((1, -_lift(a1) / b1), (0, 1)), g)
+    g = mat_mul(((1, -lift(a1) / b1), (0, 1)), g)
     a2, b2 = mat_on_proj(g, proj(x2))
-    x2pp = _lift(a2) / b2
+    x2pp = lift(a2) / b2
     if not (scalar_sign(x2pp) > 0 if is_exact(x2pp) else x2pp > 0):
         raise ValueError("orientation broke during reduction")
     return mat_mul(((1, 0), (0, x2pp)), g)
@@ -444,14 +435,14 @@ def moebius_from_three_pairs(X: Sequence[Endpoint],
 
 def fixed_points(g: Mat, ar: Optional[Arithmetic] = None) -> List[Endpoint]:
     """Solutions of c s^2 + (d-a) s - b = 0, plus infinity when c = 0."""
-    ar = ar or Arithmetic(mode="exact")
+    ar = private_context(ar)
     (a, b), (c, d) = g
     if not bool(c):
         if not bool(a - d):
             if not bool(b):
                 raise ValueError("scalar matrix fixes every point")
             return [None]
-        return sorted([_lift(b) / (d - a)], key=to_float) + [None]
+        return sorted([lift(b) / (d - a)], key=to_float) + [None]
     disc = (d - a) * (d - a) + 4 * b * c
     sgn = scalar_sign(disc) if is_exact(disc) else (
         0 if abs(to_float(disc)) <= 1e-12 * max(to_float(a - d) ** 2,
@@ -461,9 +452,9 @@ def fixed_points(g: Mat, ar: Optional[Arithmetic] = None) -> List[Endpoint]:
     if sgn < 0:
         return []
     if sgn == 0:
-        return [(_lift(a) - d) / (2 * c)]
+        return [(lift(a) - d) / (2 * c)]
     r = ar.sqrt(disc)
-    roots = [(_lift(a) - d - r) / (2 * c), (_lift(a) - d + r) / (2 * c)]
+    roots = [(lift(a) - d - r) / (2 * c), (lift(a) - d + r) / (2 * c)]
     return sorted(roots, key=to_float)
 
 
@@ -545,9 +536,9 @@ def extension_point_ell(x: Scalar, y: Scalar, xp: Scalar, yp: Scalar,
     product of four negative factors and the point is always real.
     """
     _require_order((x, xp, y, yp), "x < x' < y < y'")
-    ar = ar or Arithmetic(mode="exact")
-    den = _lift(x) + y - xp - yp  # strictly negative under the ordering
-    u = (_lift(x) * y - _lift(xp) * yp) / den
+    ar = private_context(ar)
+    den = lift(x) + y - xp - yp  # strictly negative under the ordering
+    u = (lift(x) * y - lift(xp) * yp) / den
     rad = (x - yp) * (x - xp) * (xp - y) * (y - yp)
     v = ar.sqrt(rad) / -den
     return (u, v)
@@ -558,9 +549,9 @@ def extension_point_hyp(x: Scalar, y: Scalar, xp: Scalar, yp: Scalar,
     """Common point of the equilateral hyperbolas with vertices on the two
     disjoint intervals x < y < xp < yp; v > 0."""
     _require_order((x, y, xp, yp), "x < y < x' < y'")
-    ar = ar or Arithmetic(mode="exact")
-    den = _lift(x) + y - xp - yp
-    u = (_lift(x) * y - _lift(xp) * yp) / den
+    ar = private_context(ar)
+    den = lift(x) + y - xp - yp
+    u = (lift(x) * y - lift(xp) * yp) / den
     rad = (x - yp) * (x - xp) * (xp - y) * (yp - y)
     v = ar.sqrt(rad) / -den
     return (u, v)
@@ -575,12 +566,12 @@ def extension_point_par(x: Scalar, y: Scalar, xp: Scalar, yp: Scalar,
     and need not share a half-plane.
     """
     for lo, hi in ((x, y), (xp, yp)):
-        if not bool(_lift(hi) - lo):
+        if not bool(lift(hi) - lo):
             raise InvalidOrdering("intervals need distinct endpoints")
-    den = _lift(x) - y - xp + yp
+    den = lift(x) - y - xp + yp
     if not bool(den):
         raise InvalidOrdering("equal interval spreads leave no finite point")
-    ar = ar or Arithmetic(mode="exact")
+    ar = private_context(ar)
     rad = (x - xp) * (y - yp) * (y - x) * (yp - xp)
     neg = scalar_sign(rad) < 0 if is_exact(rad) else to_float(rad) < 0
     if neg:
@@ -588,16 +579,16 @@ def extension_point_par(x: Scalar, y: Scalar, xp: Scalar, yp: Scalar,
     r = ar.sqrt(rad)
     pts = []
     for D in (r, -r):
-        u = (_lift(x) * yp - _lift(y) * xp + D) / den
+        u = (lift(x) * yp - lift(y) * xp + D) / den
         v = ((xp - x) * (yp - y) * (y - x + yp - xp)
-             + (_lift(x) + y - xp - yp) * D) / (den * den)
+             + (lift(x) + y - xp - yp) * D) / (den * den)
         pts.append((u, v))
     return tuple(pts)
 
 
 def _require_order(seq, label: str):
     for a, b in zip(seq, seq[1:]):
-        if _diff_sign(_lift(a), _lift(b)) >= 0:
+        if _diff_sign(lift(a), lift(b)) >= 0:
             raise InvalidOrdering(f"need {label}, got {tuple(seq)!r}")
 
 
@@ -626,9 +617,9 @@ def extend_apply(g: Mat, u: Scalar, v: Scalar):
     den = (c * u + d) * (c * u + d) + c * c * v * v
     if not bool(den):
         raise ZeroDivisionError("point maps to infinity")
-    up = ((a * u + b) * (c * u + d) + a * c * v * v) / _lift(den)
+    up = ((a * u + b) * (c * u + d) + a * c * v * v) / lift(den)
     sgn = scalar_sign(det) if is_exact(det) else scalar_sign(to_float(det))
-    vp = sgn * det * v / _lift(den)
+    vp = sgn * det * v / lift(den)
     return (up, vp)
 
 
@@ -645,12 +636,12 @@ def extension_from_triple(pairs, ar: Optional[Arithmetic] = None):
     canonicalised; its point() is None when the subgroup fixes infinity.
     """
     kind, _ = classify_intervals(pairs)
-    ar = ar or Arithmetic(mode="exact")
+    ar = private_context(ar)
     X = [p[0] for p in pairs]
     Y = [p[1] for p in pairs]
     tm = moebius_from_three_pairs(X, Y)
     (a, b), (c, d) = tm.matrix
-    a, b, c, d = map(_lift, (a, b, c, d))
+    a, b, c, d = map(lift, (a, b, c, d))
     tau = {"elliptic": -1, "parabolic": 0, "hyperbolic": 1}[kind]
     if kind == "elliptic":
         # bring phi to a rotation: basis from the complex eigenvector
@@ -687,7 +678,7 @@ def common_point(C: Sequence[Scalar], Ct: Sequence[Scalar], tau: int,
     Two linear conditions cut the coefficient space down to a plane, on
     which tau-isotropy is a binary quadratic.
     """
-    ar = ar or Arithmetic(mode="exact")
+    ar = private_context(ar)
     exact = ar.exact and all(is_exact(v) for v in (*C, *Ct))
     rows = []
     for ref in (C, Ct):

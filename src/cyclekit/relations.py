@@ -20,7 +20,8 @@ from itertools import product as iproduct
 from typing import List, Optional, Sequence, Tuple
 
 from .cycle import Cycle, Metric
-from .numerics import (Arithmetic, Scalar, is_exact, scalar_sign, to_float)
+from .numerics import (Arithmetic, Scalar, is_exact, lift, scalar_sign,
+                       to_float)
 
 Row = Tuple[Tuple[Scalar, ...], Scalar]
 
@@ -29,10 +30,6 @@ MAX_BRANCHES = 64
 
 class BranchOverflow(RuntimeError):
     """More sign branches than the solver is willing to enumerate."""
-
-
-def _lift(x):
-    return Fraction(x) if isinstance(x, int) else x
 
 
 def row_product(metric: Metric, x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
@@ -49,9 +46,9 @@ def row_product(metric: Metric, x: Sequence[Scalar], y: Sequence[Scalar]) -> Sca
 def pairing_coeffs(metric: Metric, ref: Cycle) -> Tuple[Scalar, ...]:
     """Coefficients c with c . x = <x, ref>."""
     eta = metric.product_eta
-    return ((_lift(ref.m),)
-            + tuple(_lift(2 * eta[i] * ref.l[i]) for i in range(metric.n))
-            + (_lift(ref.k),))
+    return ((lift(ref.m),)
+            + tuple(lift(2 * eta[i] * ref.l[i]) for i in range(metric.n))
+            + (lift(ref.k),))
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +57,6 @@ def pairing_coeffs(metric: Metric, ref: Cycle) -> Tuple[Scalar, ...]:
 
 class Relation:
     """One constraint on the unknown cycle."""
-
-    flt_invariant = True
 
     def branch_signs(self, point_mode: bool) -> Tuple[Optional[int], ...]:
         return (None,)
@@ -72,9 +67,6 @@ class Relation:
 
     def satisfied_by(self, cycle: Cycle, eps: float) -> bool:
         raise NotImplementedError
-
-    def transform(self, M) -> "Relation":
-        return self
 
 
 def _near0(v: Scalar, eps: float, scale: float = 1.0) -> bool:
@@ -88,6 +80,8 @@ def _rowscale(c: Cycle) -> float:
 
 
 class IsOrthogonal(Relation):
+    """<x, ref> = 0.  The subclasses below only fix the reference."""
+
     def __init__(self, ref: Cycle):
         self.ref = ref
 
@@ -98,79 +92,36 @@ class IsOrthogonal(Relation):
         v = cycle.product(self.ref)
         return _near0(v, eps, _rowscale(cycle) * _rowscale(self.ref))
 
-    def transform(self, M):
-        return IsOrthogonal(self.ref.flt(M))
-
     def __repr__(self):
         return f"IsOrthogonal({self.ref!r})"
 
 
-class PassesThrough(Relation):
+class PassesThrough(IsOrthogonal):
     """Incidence with a point, as orthogonality to its zero-radius cycle."""
 
     def __init__(self, metric: Metric, point: Sequence[Scalar]):
-        self.metric = metric
         self.point = tuple(point)
-        self.ref = Cycle.zero_radius_at(metric, self.point)
-
-    def build(self, eps, ar, point_mode):
-        return [(pairing_coeffs(self.metric, self.ref), 0)], None
-
-    def satisfied_by(self, cycle, eps):
-        v = cycle.product(self.ref)
-        return _near0(v, eps, _rowscale(cycle) * _rowscale(self.ref))
-
-    def transform(self, M):
-        from .clifford import Infinity, Mv, mobius_apply
-        img = mobius_apply(M, Mv.vector(self.metric.product_signature(), self.point))
-        if isinstance(img, Infinity):
-            return IsOrthogonal(Cycle.infinity(self.metric))
-        return PassesThrough(self.metric, img.vector_components())
+        super().__init__(Cycle.zero_radius_at(metric, self.point))
 
     def __repr__(self):
         return f"PassesThrough{self.point}"
 
 
-class IsFlat(Relation):
+class IsFlat(IsOrthogonal):
     """k = 0: the cycle passes through infinity."""
 
-    flt_invariant = False
-
     def __init__(self, metric: Metric):
-        self.metric = metric
-        self.ref = Cycle.infinity(metric)
-
-    def build(self, eps, ar, point_mode):
-        return [(pairing_coeffs(self.metric, self.ref), 0)], None
-
-    def satisfied_by(self, cycle, eps):
-        return _near0(cycle.k, eps, _rowscale(cycle))
-
-    def transform(self, M):
-        return IsOrthogonal(self.ref.flt(M))
+        super().__init__(Cycle.infinity(metric))
 
     def __repr__(self):
         return "IsFlat"
 
 
-class IsLobachevskyLine(Relation):
+class IsLobachevskyLine(IsOrthogonal):
     """Geodesic of the upper half-space: orthogonal to the boundary."""
 
-    flt_invariant = False
-
     def __init__(self, metric: Metric):
-        self.metric = metric
-        self.ref = Cycle.real_line(metric)
-
-    def build(self, eps, ar, point_mode):
-        return [(pairing_coeffs(self.metric, self.ref), 0)], None
-
-    def satisfied_by(self, cycle, eps):
-        v = cycle.product(self.ref)
-        return _near0(v, eps, _rowscale(cycle))
-
-    def transform(self, M):
-        return IsOrthogonal(self.ref.flt(M))
+        super().__init__(Cycle.real_line(metric))
 
     def __repr__(self):
         return "IsLobachevskyLine"
@@ -247,9 +198,6 @@ class IsTangent(Relation):
         want = 1 if self.variant == "external" else -1
         return scalar_sign(p) == want if is_exact(p) else (p > 0) == (want > 0)
 
-    def transform(self, M):
-        return IsTangent(self.ref.flt(M), self.variant)
-
     def __repr__(self):
         return f"IsTangent({self.ref!r}, {self.variant})"
 
@@ -259,7 +207,7 @@ class InversiveDistance(Relation):
 
     def __init__(self, ref: Cycle, theta: Scalar):
         self.ref = ref
-        self.theta = _lift(theta)
+        self.theta = lift(theta)
 
     def branch_signs(self, point_mode):
         if point_mode or self.ref.self_product() == 0 or self.theta == 0:
@@ -291,9 +239,6 @@ class InversiveDistance(Relation):
         sp = scalar_sign(p) if is_exact(p) else (1 if p > 0 else (-1 if p < 0 else 0))
         return sp == scalar_sign(th) or sp == 0
 
-    def transform(self, M):
-        return InversiveDistance(self.ref.flt(M), self.theta)
-
     def __repr__(self):
         return f"InversiveDistance({self.ref!r}, {self.theta})"
 
@@ -302,14 +247,12 @@ class SteinerPower(Relation):
     """Power d of the unknown against a k-normalized reference:
     d k_x - <x, R_k> = eps sqrt|<R_k,R_k>| with demand <x,x> = -1."""
 
-    flt_invariant = False  # k-normalization is not a Moebius notion
-
     def __init__(self, ref: Cycle, power: Scalar):
         if ref.k == 0:
             raise ValueError("power against a flat reference is undefined")
         self.ref = ref
-        self.power = _lift(power)
-        self.ref_k = ref.scaled(1 / _lift(ref.k))
+        self.power = lift(power)
+        self.ref_k = ref.scaled(1 / lift(ref.k))
 
     def branch_signs(self, point_mode):
         if point_mode:
@@ -355,7 +298,7 @@ def linear_solve(rows: List[Row], nunk: int, exact: bool):
     rows pivot on the first nonzero entry; float rows partial-pivot and
     rank-test against EPS_RANK times the original row magnitude.
     """
-    A = [[_lift(c) for c in coeffs] + [_lift(rhs)] for coeffs, rhs in rows]
+    A = [[lift(c) for c in coeffs] + [lift(rhs)] for coeffs, rhs in rows]
     if not exact:
         A = [[to_float(c) for c in row] for row in A]
     norms = [max((abs(to_float(c)) for c in row), default=0.0) or 1.0 for row in A]
@@ -530,7 +473,7 @@ def _solve_branch(metric, rows, demand, ar: Arithmetic):
             qv = Q(basis[0], basis[0])
             if _is_zero_scalar(qv, exact, scale=_norm2(basis[0])):
                 return [], None
-            t2 = Fraction(demand, qv) if isinstance(qv, int) else demand / qv
+            t2 = lift(demand) / qv
             neg = (scalar_sign(t2) < 0) if is_exact(t2) else (t2 < 0)
             if neg:
                 return [], None

@@ -87,6 +87,14 @@ def _polyline(points, vp: Viewport, color: str, dashed: bool,
            f'{_style(color, vp, dashed)}/>'
 
 
+def _segment(p1, p2, vp: Viewport, color: str, dashed: bool,
+             cls: str = "cycle") -> str:
+    """A styled <line> element between two world points."""
+    (x1, y1), (x2, y2) = vp.to_px(*p1), vp.to_px(*p2)
+    return (f'<line class="{cls}" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
+            f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" {_style(color, vp, dashed)}/>')
+
+
 def _clip_line(u0, v0, du, dv, vp: Viewport):
     """Liang-Barsky: the parameter window where p0 + t d stays in view."""
     t0, t1 = -float("inf"), float("inf")
@@ -114,10 +122,8 @@ def _line(c: Cycle, vp: Viewport, color: str, dashed: bool,
     if window is None:
         return f'<g class="{cls} empty"/>'
     t0, t1 = window
-    (x1, y1) = vp.to_px(u0 - t0 * l2, v0 + t0 * l1)
-    (x2, y2) = vp.to_px(u0 - t1 * l2, v0 + t1 * l1)
-    return (f'<line class="{cls}" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-            f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" {_style(color, vp, dashed)}/>')
+    return _segment((u0 - t0 * l2, v0 + t0 * l1), (u0 - t1 * l2, v0 + t1 * l1),
+                    vp, color, dashed, cls)
 
 
 def _circle(c: Cycle, vp: Viewport, color: str, dashed: bool) -> str:
@@ -148,11 +154,7 @@ def _parabola(c: Cycle, vp: Viewport, color: str, dashed: bool) -> str:
         out = []
         for s in ((0,) if disc == 0 else (-1, 1)):
             u = (l1 + s * sqrt(disc)) / k
-            (x1, y1) = vp.to_px(u, vp.vmin)
-            (x2, y2) = vp.to_px(u, vp.vmax)
-            out.append(f'<line class="cycle" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-                       f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-                       f'{_style(color, vp, dashed)}/>')
+            out.append(_segment((u, vp.vmin), (u, vp.vmax), vp, color, dashed))
         return "\n".join(out)
     pts = []
     for i in range(vp.samples):
@@ -174,12 +176,9 @@ def _hyperbola(c: Cycle, vp: Viewport, color: str, dashed: bool) -> str:
     if abs(rho2) <= 1e-12 * scale:
         out = []
         for s in (-1, 1):
-            pts = [(vp.umin, v0 + s * (vp.umin - u0)),
-                   (vp.umax, v0 + s * (vp.umax - u0))]
-            (x1, y1), (x2, y2) = (vp.to_px(*p) for p in pts)
-            out.append(f'<line class="cycle" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-                       f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-                       f'{_style(color, vp, dashed)}/>')
+            out.append(_segment((vp.umin, v0 + s * (vp.umin - u0)),
+                                (vp.umax, v0 + s * (vp.umax - u0)),
+                                vp, color, dashed))
         return "\n".join(out)
     a = sqrt(abs(rho2))
     tmax = asinh(span / a) + 1e-6
