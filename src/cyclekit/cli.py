@@ -28,6 +28,7 @@ from .relations import BranchOverflow, IsTangent, solve
 from .render import Viewport, render_chain, render_figure
 
 OK, FAIL, PARSE, OVERFLOW, DEGENERATE = 0, 1, 2, 3, 4
+DRAWS_PER_TRIANGLE = 20  # --random cap: every parabolic triangle is degenerate
 
 REPORT_FORMAT = "report-v1"
 
@@ -290,8 +291,9 @@ def cmd_ninepoint(args) -> int:
         rng = random.Random(args.seed)
         runs = []
         all_true = True
-        done = 0
-        while done < args.random:
+        done = draws = 0
+        while done < args.random and draws < DRAWS_PER_TRIANGLE * args.random:
+            draws += 1
             tri = [(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
                     Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
                    for _ in range(3)]
@@ -305,6 +307,9 @@ def cmd_ninepoint(args) -> int:
                          "verdict": res.verdict, "kind": res.kind})
             all_true = all_true and res.verdict
             done += 1
+        if done < args.random:
+            raise CliError(f"degenerate configuration: {done} of {args.random}"
+                           f" random triangles usable in {draws} draws", DEGENERATE)
         payload = {"format": REPORT_FORMAT, "runs": runs,
                    "all_true": all_true}
         if args.format == "json":

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .numerics import (Arithmetic, Scalar, comparison_eps, is_exact, lift,
-                       to_float)
+                       near_zero, to_float)
 from .cycle import Cycle, Metric
 from .clifford import (INFINITY, Infinity, Mat2, Mv, Point, euclidean,
                        identity_map, mobius_apply)
@@ -240,12 +240,6 @@ def _arrangement_params(arrangement: str, exact: bool):
     raise ValueError(f"unknown arrangement {arrangement!r}")
 
 
-def _is_zero(value: Scalar, scale: float) -> bool:
-    if is_exact(value):
-        return value == 0
-    return abs(to_float(value)) <= comparison_eps() * max(scale, 1.0)
-
-
 def chain(cf: ContinuedFraction, N: int, arrangement: str) -> HorocycleChain:
     """Horocycles at the first N+1 quotients plus N connecting cycles.
 
@@ -275,32 +269,33 @@ def chain(cf: ContinuedFraction, N: int, arrangement: str) -> HorocycleChain:
 
 
 def _validate_chain(ch: HorocycleChain) -> None:
-    scale = max((abs(to_float(c)) for cyc in ch.cycles for c in cyc.row()),
-                default=1.0)
+    eps = comparison_eps()
+    rows = [c for cyc in ch.cycles for c in cyc.row()]
     tangent = ch.arrangement == "tangent"
     for i in range(1, len(ch.horocycles)):
         prev, here = ch.horocycles[i - 1], ch.horocycles[i]
         res = tangency_residual(prev, here) if tangent \
             else orthogonality_residual(prev, here)
-        if not _is_zero(res, scale * scale):
+        if not near_zero(res, eps, rows, rows):
             raise ValueError(f"step {i}: arrangement residual {res!r} is not zero")
         join = ch.connecting[i - 1]
         for pair in (ch.pairs[i - 1], ch.pairs[i]):
             pt = quotient(pair)
             if pt is None:
                 continue
-            if not _is_zero(join.value_at((pt, 0)), scale * scale):
+            if not near_zero(join.value_at((pt, 0)), eps, rows, rows):
                 raise ValueError(f"step {i}: connecting cycle misses quotient {pt}")
         if ch.arrangement == "ortho45":
-            # squared inclination n^2/det == 1/2 keeps the check radical-free
-            cos2 = lift(join.l[-1] * join.l[-1]) / join.det()
-            if not _is_zero(cos2 - Fraction(1, 2), 1.0):
+            # squared inclination n^2/det == 1/2, as a residual quadratic in
+            # the rows: radical-free and without cancellation in a quotient
+            n = join.l[-1]
+            if not near_zero(2 * n * n - join.det(), eps, rows, rows):
                 raise ValueError(f"step {i}: connecting cycle is not at 45 degrees")
         else:
-            if not _is_zero(join.l[-1], scale):
+            if not near_zero(join.l[-1], eps, rows):
                 raise ValueError(f"step {i}: connecting cycle tilts off vertical")
             for h in (prev, here):
-                if not _is_zero(orthogonality_residual(join, h), scale * scale):
+                if not near_zero(orthogonality_residual(join, h), eps, rows, rows):
                     raise ValueError(f"step {i}: connecting cycle not orthogonal")
 
 

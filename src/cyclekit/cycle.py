@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .clifford import Mat2, Mv, Signature
-from .numerics import (Arithmetic, Scalar, format_scalar, is_exact, lift,
-                       parse_scalar, private_context, to_float)
+from .numerics import (Arithmetic, Scalar, canonical_row, format_scalar,
+                       is_exact, lift, parse_scalar, private_context,
+                       row_scale, to_float)
 
 Eta = Tuple[int, ...]
 
@@ -229,7 +230,7 @@ class Cycle:
         d = self.det()
         if is_exact(d):
             return d == 0
-        scale = max(abs(to_float(c)) for c in self.row()) or 1.0
+        scale = row_scale(self.row())
         return abs(d) <= eps * scale * scale
 
     def center(self) -> Tuple[Scalar, ...]:
@@ -262,8 +263,7 @@ class Cycle:
         v = self.value_at(point)
         if is_exact(v):
             return v == 0
-        scale = max(abs(to_float(c)) for c in self.row()) or 1.0
-        return abs(v) <= eps * scale
+        return abs(v) <= eps * row_scale(self.row())
 
     # -- matrix form and Moebius action ------------------------------------------
     def matrix(self) -> Mat2:
@@ -297,21 +297,8 @@ class Cycle:
     def canonical(self, eps: float = 1e-12) -> "Cycle":
         """Scale so the first significant coefficient is 1; exact rows stay
         in their field, float rows are normalized against the largest entry."""
-        row = self.row()
-        if all(is_exact(c) for c in row):
-            pivot = next((c for c in row if c != 0), None)
-            if pivot is None:
-                return self
-            return self.scaled(1 / lift(pivot))
-        fr = [to_float(c) for c in row]
-        scale = max(abs(v) for v in fr)
-        if scale == 0:
-            return self.as_float()
-        # divide by the largest entry (bounded result), signed so the first
-        # significant coefficient comes out positive, like the exact branch
-        lead = next(v for v in fr if abs(v) > eps * scale)
-        div = scale if lead > 0 else -scale
-        return Cycle(self.metric, *_split(tuple(v / div for v in fr)))
+        row = canonical_row(self.row(), eps)
+        return Cycle(self.metric, row[0], row[1:-1], row[-1])
 
     def key(self, digits: int = 9):
         """Hashable projective key for dedup and deterministic ordering."""
@@ -363,8 +350,7 @@ def _shape_tol(out: Mat2) -> Optional[float]:
               for c in part.terms.values()]
     if all(is_exact(c) for c in coeffs):
         return None
-    scale = max([1.0] + [abs(to_float(c)) for c in coeffs])
-    return 1e-9 * scale
+    return 1e-9 * max(1.0, row_scale(coeffs))
 
 
 def _off_grade(mv: Mv, k: int, tol: Optional[float]) -> bool:
@@ -372,7 +358,3 @@ def _off_grade(mv: Mv, k: int, tol: Optional[float]) -> bool:
     if not stray.terms:
         return False
     return tol is None or _mv_peak(stray) > tol
-
-
-def _split(row):
-    return row[0], row[1:-1], row[-1]

@@ -32,7 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .clifford import Infinity, Mat2, Mv, mobius_apply
 from .cycle import Cycle, Metric, parse_metric
 from .numerics import (Arithmetic, Scalar, comparison_eps, format_scalar,
-                       is_exact, lift, parse_scalar, to_float)
+                       is_exact, lift, near_zero, parse_scalar, row_scale,
+                       to_float)
 from .relations import (InversiveDistance, IsOrthogonal, IsPoint, IsTangent,
                         OnlyReals, PassesThrough, Relation, SteinerPower,
                         solve)
@@ -783,7 +784,7 @@ def _rank(rows: Sequence[Sequence[Scalar]], eps: float) -> int:
     exact = all(is_exact(c) for row in A for c in row)
     if not exact:
         A = [[to_float(c) for c in row] for row in A]
-    scale = max((abs(to_float(c)) for row in A for c in row), default=0.0) or 1.0
+        scale = row_scale(c for row in A for c in row)
     rank = 0
     for col in range(len(A[0]) if A else 0):
         piv = None
@@ -822,10 +823,7 @@ def poincare_pair_ok(c1: Cycle, c2: Cycle, eps: Optional[float] = None) -> bool:
     lhs = c1.product(c2) ** 2
     rhs = c1.self_product() * c2.self_product()
     gap = rhs - lhs
-    if is_exact(gap):
-        return gap >= 0
-    scale = max(abs(to_float(lhs)), abs(to_float(rhs)), 1.0)
-    return to_float(gap) >= -eps * scale
+    return gap >= 0 or near_zero(gap, eps, (lhs, rhs))
 
 
 def loxodrome_triple_ok(triple, eps: Optional[float] = None) -> bool:
@@ -837,18 +835,14 @@ def loxodrome_triple_ok(triple, eps: Optional[float] = None) -> bool:
         if is_exact(v):
             if v != 0:
                 return False
-        elif abs(to_float(v)) > eps * _scale2(c1, other):
+        elif abs(to_float(v)) > eps * (row_scale(c1.row())
+                                       * row_scale(other.row())):
             return False
     gap = c2.product(c3) ** 2 - c2.self_product() * c3.self_product()
     if is_exact(gap):
         return gap >= 0
-    return to_float(gap) >= -eps * _scale2(c2, c3) ** 2
-
-
-def _scale2(a: Cycle, b: Cycle) -> float:
-    sa = max(abs(to_float(v)) for v in a.row()) or 1.0
-    sb = max(abs(to_float(v)) for v in b.row()) or 1.0
-    return sa * sb
+    scale = row_scale(c2.row()) * row_scale(c3.row())
+    return to_float(gap) >= -eps * scale ** 2
 
 
 def _abs_normalized(a: Cycle, b: Cycle) -> float:

@@ -12,11 +12,22 @@ independent radical is demoted to float explicitly (see :class:`Arithmetic`),
 never silently.
 
 Lifecycle of an :class:`Arithmetic` context: what a caller passes in is
-configuration only -- the mode, ``eps`` and an optional pre-chosen
-radicand.  Every public call that takes a context works in a private clone
-(see :func:`private_context`), so the radicand one call adopts and any
-demotion it records never leak into the next call.  Only ``Arithmetic``'s
-own methods mutate a context.
+configuration only -- the mode and an optional pre-chosen radicand.  Every
+public call that takes a context works in a private clone (see
+:func:`private_context`), so the radicand one call adopts and any demotion
+it records never leak into the next call.  Only ``Arithmetic``'s own
+methods mutate a context.
+
+Tolerance policy: exact values are compared with zero exactly, floats
+against a tolerance.  :func:`near_zero` is the one floored test: a float
+``v`` is zero when ``|v| <= eps * max(1, S)``, ``S`` the product of the
+:func:`row_scale` of the rows ``v`` came from.  Relative tests, ``|v| <=
+eps * scale`` with no floor, stay where scale invariance matters:
+``Cycle.is_zero_radius`` and ``passes_through``, ``linear_solve``'s rank
+test, ``figure._rank``, ``loxodrome_triple_ok``, ``proportional`` and
+``interval_endpoints``' trace check.  Each site keeps its own ``eps``; the
+one default a caller can override is :func:`comparison_eps`
+(``MOEBINV_EPS``).
 """
 
 from __future__ import annotations
@@ -268,6 +279,44 @@ def scalar_sign(x: Scalar) -> int:
     return -1 if x < 0 else (0 if x == 0 else 1)
 
 
+def row_scale(values) -> float:
+    """Largest magnitude in a row as a float; 1.0 for an all-zero row."""
+    return max((abs(to_float(v)) for v in values), default=0.0) or 1.0
+
+
+def near_zero(v: Scalar, eps: float, *rows) -> bool:
+    """The floored zero test: ``v == 0`` for exact ``v``; for a float,
+    ``|v| <= eps * max(1, S)`` with ``S`` the product of the rows'
+    :func:`row_scale` (1 without rows).  A value quadratic in a row passes
+    that row twice.  Scales are computed only for floats."""
+    if is_exact(v):
+        return v == 0
+    scale = 1.0
+    for row in rows:
+        scale *= row_scale(row)
+    return abs(to_float(v)) <= eps * max(1.0, scale)
+
+
+def canonical_row(values, eps: float) -> tuple:
+    """Projective representative: an exact row divided by its first nonzero
+    entry (staying in its field), else floats divided by the largest
+    magnitude, signed so the first entry above ``eps`` times it is positive.
+    All-zero rows come back unscaled."""
+    if all(is_exact(v) for v in values):
+        pivot = next((v for v in values if v != 0), None)
+        if pivot is None:
+            return tuple(values)
+        inv = 1 / lift(pivot)
+        return tuple(v * inv for v in values)
+    fv = [to_float(v) for v in values]
+    scale = max(abs(v) for v in fv)
+    if scale == 0:
+        return tuple(fv)
+    lead = next(v for v in fv if abs(v) > eps * scale)
+    div = scale if lead > 0 else -scale
+    return tuple(v / div for v in fv)
+
+
 def sqrt_in_field(x, d: Optional[Fraction] = None):
     """Exact sqrt of a non-negative exact scalar inside Q or Q(sqrt(d)).
 
@@ -292,7 +341,7 @@ def sqrt_in_field(x, d: Optional[Fraction] = None):
 class Arithmetic:
     """Arithmetic context: exact or float, one radicand, demotions.
 
-    A caller's context is configuration: mode, ``eps`` and an optional
+    A caller's context is configuration: the mode and an optional
     pre-chosen radicand.  Public functions that take one work in a
     :meth:`clone` (see :func:`private_context`), so the caller's context
     never picks up a radicand or a demotion from a call.  The radicand,
@@ -300,20 +349,16 @@ class Arithmetic:
     """
 
     mode: str = "exact"  # "exact" | "float"
-    eps: Optional[float] = None
     radicand: Optional[Fraction] = None
     demoted: bool = False
     notes: list = field(default_factory=list)
 
     def clone(self) -> "Arithmetic":
-        return Arithmetic(self.mode, self.eps, self.radicand, False, [])
+        return Arithmetic(self.mode, self.radicand, False, [])
 
     @property
     def exact(self) -> bool:
         return self.mode == "exact" and not self.demoted
-
-    def tol(self) -> float:
-        return self.eps if self.eps is not None else comparison_eps()
 
     def demote(self, why: str) -> None:
         if not self.demoted:
@@ -340,9 +385,9 @@ class Arithmetic:
         return math.sqrt(to_float(x))
 
     def is_zero(self, x: Scalar) -> bool:
-        if is_exact(x) and self.exact:
-            return x == 0
-        return abs(to_float(x)) <= self.tol()
+        """:func:`near_zero` at :func:`comparison_eps`; a float context
+        tests exact values as floats too."""
+        return near_zero(x if self.exact else to_float(x), comparison_eps())
 
 
 def private_context(ar: Optional[Arithmetic], mode: str = "exact") -> Arithmetic:

@@ -19,8 +19,9 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .numerics import (Arithmetic, QuadExt, Scalar, comparison_eps, is_exact,
-                       lift, private_context, scalar_sign, to_float)
+from .numerics import (Arithmetic, QuadExt, Scalar, canonical_row,
+                       comparison_eps, is_exact, lift, near_zero,
+                       private_context, row_scale, scalar_sign, to_float)
 from .relations import _binary_quadratic, linear_solve
 
 Mat = Tuple[Tuple[Scalar, Scalar], Tuple[Scalar, Scalar]]
@@ -93,7 +94,7 @@ def proportional(A: Mat, B: Mat, eps: Optional[float] = None) -> bool:
     fa = [to_float(v) for v in fa]
     fb = [to_float(v) for v in fb]
     tol = comparison_eps(eps)
-    scale = max(max(map(abs, fa)) * max(map(abs, fb)), 1e-300)
+    scale = max(row_scale(fa) * row_scale(fb), 1e-300)
     return all(abs(fa[i] * fb[j] - fa[j] * fb[i]) <= tol * scale
                for i in range(4) for j in range(i + 1, 4))
 
@@ -128,8 +129,7 @@ def interval_endpoints(C: Mat, ar: Optional[Arithmetic] = None):
             raise ValueError("interval matrices are trace-free")
         w = lift(a)
     else:
-        scale = max(abs(to_float(v)) for v in entries) or 1.0
-        if abs(to_float(a) + to_float(d)) > 1e-9 * scale:
+        if abs(to_float(a) + to_float(d)) > 1e-9 * row_scale(entries):
             raise ValueError("interval matrices are trace-free")
         w = (to_float(a) - to_float(d)) / 2.0  # symmetrised diagonal
         b, c = to_float(b), to_float(c)
@@ -139,8 +139,7 @@ def interval_endpoints(C: Mat, ar: Optional[Arithmetic] = None):
             return (None, None)
         return (lift(-b) / (2 * w), None)
     rad = w * w + b * c
-    neg = scalar_sign(rad) < 0 if is_exact(rad) else rad < 0
-    if neg:
+    if scalar_sign(rad) < 0:
         raise NoRealPoint(f"imaginary endpoints, radicand {rad!r}")
     r = ar.sqrt(rad)
     lo = (w - r) / c
@@ -203,21 +202,7 @@ class Form(NamedTuple):
         return (lift(self.l) / k, lift(self.n) / k)
 
     def canonical(self) -> "Form":
-        vals = tuple(lift(v) for v in self)
-        if all(is_exact(v) for v in vals):
-            lead = next((v for v in vals if v != 0), None)
-            if lead is None:
-                return Form(*vals)
-            return Form(*(v / lead for v in vals))
-        fv = [to_float(v) for v in vals]
-        lead = max(fv, key=abs)
-        if lead == 0.0:
-            return Form(*fv)
-        big = abs(lead)
-        first = next(v for v in fv if abs(v) > 1e-14 * big)
-        if first < 0:
-            big = -big
-        return Form(*(v / big for v in fv))
+        return Form(*canonical_row(tuple(lift(v) for v in self), 1e-14))
 
     def key(self, digits: int = 9):
         can = self.canonical()
@@ -233,11 +218,7 @@ def tau_pairing(Q1: Sequence[Scalar], Q2: Sequence[Scalar], tau: int) -> Scalar:
 
 def is_tau_isotropic(Q: Sequence[Scalar], tau: int,
                      eps: Optional[float] = None) -> bool:
-    v = tau_pairing(Q, Q, tau)
-    if is_exact(v):
-        return v == 0
-    scale = max(to_float(max(abs(to_float(c)) for c in Q)) ** 2, 1.0)
-    return abs(to_float(v)) <= comparison_eps(eps) * scale
+    return near_zero(tau_pairing(Q, Q, tau), comparison_eps(eps), Q, Q)
 
 
 def isotropic_form_at(u: Scalar, v: Scalar, tau: int) -> Form:
@@ -257,11 +238,10 @@ def curve_value(Q: Sequence[Scalar], u: Scalar, v: Scalar, tau: int) -> Scalar:
 def curve_membership(Q: Sequence[Scalar], u: Scalar, v: Scalar, tau: int,
                      eps: Optional[float] = None) -> bool:
     val = curve_value(Q, u, v, tau)
-    if is_exact(val) and all(is_exact(c) for c in (u, v, *Q)):
+    if is_exact(val):
         return val == 0
-    scale = max(abs(to_float(c)) for c in Q)
-    scale *= max(1.0, to_float(u) ** 2 + to_float(v) ** 2)
-    return abs(to_float(val)) <= comparison_eps(eps) * max(scale, 1.0)
+    reach = max(1.0, to_float(u) ** 2 + to_float(v) ** 2)
+    return near_zero(val, comparison_eps(eps), Q, (reach,))
 
 
 def real_line_form() -> Form:
@@ -396,7 +376,7 @@ def to_zero_one_inf(x1: Endpoint, x2: Endpoint, x3: Endpoint) -> Mat:
     g = mat_mul(((1, -lift(a1) / b1), (0, 1)), g)
     a2, b2 = mat_on_proj(g, proj(x2))
     x2pp = lift(a2) / b2
-    if not (scalar_sign(x2pp) > 0 if is_exact(x2pp) else x2pp > 0):
+    if scalar_sign(x2pp) <= 0:
         raise ValueError("orientation broke during reduction")
     return mat_mul(((1, 0), (0, x2pp)), g)
 
@@ -444,11 +424,11 @@ def fixed_points(g: Mat, ar: Optional[Arithmetic] = None) -> List[Endpoint]:
             return [None]
         return sorted([lift(b) / (d - a)], key=to_float) + [None]
     disc = (d - a) * (d - a) + 4 * b * c
-    sgn = scalar_sign(disc) if is_exact(disc) else (
-        0 if abs(to_float(disc)) <= 1e-12 * max(to_float(a - d) ** 2,
-                                                abs(4.0 * to_float(b) * to_float(c)),
-                                                1.0)
-        else scalar_sign(to_float(disc)))
+    sgn = scalar_sign(disc)
+    if not is_exact(disc):  # no float scale, which could overflow
+        spread = max(to_float(a - d) ** 2, abs(4.0 * to_float(b) * to_float(c)))
+        if near_zero(disc, 1e-12, (spread,)):
+            sgn = 0
     if sgn < 0:
         return []
     if sgn == 0:
@@ -485,12 +465,11 @@ def classify_intervals(pairs) -> Tuple[str, Scalar]:
         rowsC.append((p * Q, -p * P, P * q))
     A, B, C = (_det3(rows) for rows in (rowsA, rowsB, rowsC))
     disc = B * B - 4 * A * C
-    if is_exact(disc):
-        sgn = scalar_sign(disc)
-    else:
-        scale = max(to_float(B) ** 2, abs(4.0 * to_float(A) * to_float(C)), 1.0)
-        d = to_float(disc)
-        sgn = 0 if abs(d) <= 1e-9 * scale else scalar_sign(d)
+    sgn = scalar_sign(disc)
+    if not is_exact(disc):  # no float scale, which could overflow
+        spread = max(to_float(B) ** 2, abs(4.0 * to_float(A) * to_float(C)))
+        if near_zero(disc, 1e-9, (spread,)):
+            sgn = 0
     kind = {-1: "elliptic", 0: "parabolic", 1: "hyperbolic"}[sgn]
     return kind, disc
 
@@ -573,8 +552,7 @@ def extension_point_par(x: Scalar, y: Scalar, xp: Scalar, yp: Scalar,
         raise InvalidOrdering("equal interval spreads leave no finite point")
     ar = private_context(ar)
     rad = (x - xp) * (y - yp) * (y - x) * (yp - xp)
-    neg = scalar_sign(rad) < 0 if is_exact(rad) else to_float(rad) < 0
-    if neg:
+    if scalar_sign(rad) < 0:
         raise NoRealPoint(f"parabolas miss each other, radicand {rad!r}")
     r = ar.sqrt(rad)
     pts = []
@@ -618,8 +596,7 @@ def extend_apply(g: Mat, u: Scalar, v: Scalar):
     if not bool(den):
         raise ZeroDivisionError("point maps to infinity")
     up = ((a * u + b) * (c * u + d) + a * c * v * v) / lift(den)
-    sgn = scalar_sign(det) if is_exact(det) else scalar_sign(to_float(det))
-    vp = sgn * det * v / lift(den)
+    vp = scalar_sign(det) * det * v / lift(den)
     return (up, vp)
 
 
@@ -648,7 +625,7 @@ def extension_from_triple(pairs, ar: Optional[Arithmetic] = None):
         alpha = (a + d) / 2
         disc = (a + d) ** 2 - 4 * (a * d - b * c)
         beta = ar.sqrt(disc) / 2
-        if scalar_sign(b) < 0 if is_exact(b) else to_float(b) < 0:
+        if scalar_sign(b) < 0:
             beta = -beta  # keeps the decoded v positive
         B = ((b, 0), (alpha - a, beta))
         F = mat_mul(mat_mul(B, _P_TAU[-1]), mat_adj(B))
@@ -703,7 +680,8 @@ def common_point(C: Sequence[Scalar], Ct: Sequence[Scalar], tau: int,
         form = Form(*vec).canonical()
         if not is_tau_isotropic(form, tau, eps):
             continue
-        if any(not _pair_small(form, ref, eps) for ref in (C, Ct)):
+        if not all(near_zero(tau_pairing(form, ref, -1), comparison_eps(eps),
+                             form, ref) for ref in (C, Ct)):
             continue
         key = form.key()
         if key in seen:
@@ -712,12 +690,3 @@ def common_point(C: Sequence[Scalar], Ct: Sequence[Scalar], tau: int,
         out.append(form)
     out.sort(key=lambda f: f.key())
     return out
-
-
-def _pair_small(form: Form, ref: Sequence[Scalar], eps: Optional[float]) -> bool:
-    val = tau_pairing(form, ref, -1)
-    if is_exact(val):
-        return val == 0
-    scale = max(abs(to_float(c)) for c in form) * \
-        max(abs(to_float(c)) for c in ref)
-    return abs(to_float(val)) <= comparison_eps(eps) * max(scale, 1.0)

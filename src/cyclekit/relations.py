@@ -20,8 +20,8 @@ from itertools import product as iproduct
 from typing import List, Optional, Sequence, Tuple
 
 from .cycle import Cycle, Metric
-from .numerics import (Arithmetic, Scalar, is_exact, lift, scalar_sign,
-                       to_float)
+from .numerics import (Arithmetic, Scalar, comparison_eps, is_exact, lift,
+                       near_zero, row_scale, scalar_sign, to_float)
 
 Row = Tuple[Tuple[Scalar, ...], Scalar]
 
@@ -69,16 +69,6 @@ class Relation:
         raise NotImplementedError
 
 
-def _near0(v: Scalar, eps: float, scale: float = 1.0) -> bool:
-    if is_exact(v):
-        return v == 0
-    return abs(v) <= eps * max(1.0, scale)
-
-
-def _rowscale(c: Cycle) -> float:
-    return max(abs(to_float(v)) for v in c.row()) or 1.0
-
-
 class IsOrthogonal(Relation):
     """<x, ref> = 0.  The subclasses below only fix the reference."""
 
@@ -89,8 +79,8 @@ class IsOrthogonal(Relation):
         return [(pairing_coeffs(self.ref.metric, self.ref), 0)], None
 
     def satisfied_by(self, cycle, eps):
-        v = cycle.product(self.ref)
-        return _near0(v, eps, _rowscale(cycle) * _rowscale(self.ref))
+        return near_zero(cycle.product(self.ref), eps, cycle.row(),
+                         self.ref.row())
 
     def __repr__(self):
         return f"IsOrthogonal({self.ref!r})"
@@ -137,8 +127,8 @@ class IsPoint(Relation):
         return [], 0
 
     def satisfied_by(self, cycle, eps):
-        s = _rowscale(cycle)
-        return _near0(cycle.self_product(), eps, s * s)
+        row = cycle.row()
+        return near_zero(cycle.self_product(), eps, row, row)
 
     def __repr__(self):
         return "IsPoint"
@@ -190,8 +180,8 @@ class IsTangent(Relation):
         x = cycle.canonical()
         r = self.ref.canonical()
         p, sx, sr = x.product(r), x.self_product(), r.self_product()
-        scale = (_rowscale(x) * _rowscale(r)) ** 2
-        if not _near0(p * p - sx * sr, eps, scale):
+        rows = x.row(), r.row()
+        if not near_zero(p * p - sx * sr, eps, *rows, *rows):
             return False
         if self.variant == "both" or x.k == 0 or r.k == 0 or sx == 0 or sr == 0:
             return True
@@ -231,13 +221,12 @@ class InversiveDistance(Relation):
         th = self.theta
         lhs = p * p
         rhs = th * th * abs(sx) * abs(sr)
-        scale = (_rowscale(x) * _rowscale(r)) ** 2
-        if not _near0(lhs - rhs, eps, scale):
+        rows = x.row(), r.row()
+        if not near_zero(lhs - rhs, eps, *rows, *rows):
             return False
         if th == 0 or x.k == 0 or r.k == 0:
             return True
-        sp = scalar_sign(p) if is_exact(p) else (1 if p > 0 else (-1 if p < 0 else 0))
-        return sp == scalar_sign(th) or sp == 0
+        return scalar_sign(p) in (0, scalar_sign(th))
 
     def __repr__(self):
         return f"InversiveDistance({self.ref!r}, {self.theta})"
@@ -272,14 +261,10 @@ class SteinerPower(Relation):
         z = cycle.canonical()
         lhs = self.power * z.k - z.product(self.ref_k)
         rhs_sq = z.self_product() * self.ref_k.self_product()
-        scale = (_rowscale(z) * _rowscale(self.ref_k)) ** 2
-        if not _near0(lhs * lhs - rhs_sq, eps, scale):
+        rows = z.row(), self.ref_k.row()
+        if not near_zero(lhs * lhs - rhs_sq, eps, *rows, *rows):
             return False
-        if z.k == 0:
-            return True
-        if is_exact(lhs):
-            return scalar_sign(lhs) >= 0
-        return lhs >= -eps * max(1.0, scale)
+        return z.k == 0 or lhs >= 0 or near_zero(lhs, eps, *rows, *rows)
 
     def __repr__(self):
         return f"SteinerPower({self.ref!r}, {self.power})"
@@ -298,10 +283,10 @@ def linear_solve(rows: List[Row], nunk: int, exact: bool):
     rows pivot on the first nonzero entry; float rows partial-pivot and
     rank-test against EPS_RANK times the original row magnitude.
     """
-    A = [[lift(c) for c in coeffs] + [lift(rhs)] for coeffs, rhs in rows]
+    conv = lift if exact else to_float
+    A = [[conv(c) for c in coeffs] + [conv(rhs)] for coeffs, rhs in rows]
     if not exact:
-        A = [[to_float(c) for c in row] for row in A]
-    norms = [max((abs(to_float(c)) for c in row), default=0.0) or 1.0 for row in A]
+        norms = [row_scale(row) for row in A]
     pivots: List[Tuple[int, int]] = []
     rank = 0
     for col in range(nunk):
@@ -320,7 +305,8 @@ def linear_solve(rows: List[Row], nunk: int, exact: bool):
         if pr is None:
             continue
         A[rank], A[pr] = A[pr], A[rank]
-        norms[rank], norms[pr] = norms[pr], norms[rank]
+        if not exact:
+            norms[rank], norms[pr] = norms[pr], norms[rank]
         piv = A[rank][col]
         A[rank] = [c / piv for c in A[rank]]
         for i in range(len(A)):
@@ -387,21 +373,18 @@ class SolutionSet:
 # branch machinery
 
 
-def _is_zero_scalar(v, exact, eps=1e-12, scale=1.0):
-    return v == 0 if exact else abs(v) <= eps * max(1.0, scale)
-
-
 def _quad_roots(a, b, c, ar: Arithmetic):
     """Roots of a t^2 + 2 b t + c = 0; None = identically satisfied."""
     exact = ar.exact and all(is_exact(v) for v in (a, b, c))
     if not exact:
         a, b, c = to_float(a), to_float(b), to_float(c)
-        scale = max(abs(a), abs(b), abs(c), 1.0)
-        if abs(a) <= 1e-13 * scale:
-            if abs(b) <= 1e-13 * scale:
-                return [] if abs(c) > 1e-10 * scale else None
-            return [-c / (2 * b)]
-        disc = b * b - a * c
+    abc = (a, b, c)
+    if near_zero(a, 1e-13, abc):
+        if near_zero(b, 1e-13, abc):
+            return None if near_zero(c, 1e-10, abc) else []
+        return [-c / (2 * b)]
+    disc = b * b - a * c
+    if not exact:
         # a discriminant at rounding-noise level is a double root, not a
         # pair of spuriously split solutions
         dscale = max(b * b, abs(a * c), 1e-300)
@@ -409,11 +392,6 @@ def _quad_roots(a, b, c, ar: Arithmetic):
             return [-b / a] if disc >= -1e-10 * dscale else []
         r = disc ** 0.5
         return sorted({(-b - r) / a, (-b + r) / a})
-    if a == 0:
-        if b == 0:
-            return [] if c != 0 else None
-        return [-c / (2 * b)]
-    disc = b * b - a * c
     sgn = scalar_sign(disc)
     if sgn < 0:
         return []
@@ -435,16 +413,12 @@ def _solve_branch(metric, rows, demand, ar: Arithmetic):
 
     Returns (list of rows | None, parametric tuple | None).
     """
-    exact = ar.exact
-    if not exact:
-        rows = [(tuple(to_float(c) for c in coeffs), to_float(rhs))
-                for coeffs, rhs in rows]
     nunk = metric.n + 2
-    p, basis = linear_solve(rows, nunk, exact)
+    p, basis = linear_solve(rows, nunk, ar.exact)
     if p is None:
         return [], None
     dim = len(basis)
-    homogeneous = all(_is_zero_scalar(c, exact) for c in p)
+    homogeneous = all(near_zero(c, 1e-12) for c in p)
     Q = lambda x, y: row_product(metric, x, y)
 
     if demand is None:
@@ -459,8 +433,7 @@ def _solve_branch(metric, rows, demand, ar: Arithmetic):
             return [], None
         if demand == 0:
             if dim == 1:
-                ok = _is_zero_scalar(Q(basis[0], basis[0]), exact, eps=1e-9,
-                                     scale=_norm2(basis[0]))
+                ok = near_zero(Q(basis[0], basis[0]), 1e-9, basis[0], basis[0])
                 return ([basis[0]] if ok else []), None
             if dim == 2:
                 sols = _binary_quadratic(Q, basis[0], basis[1], ar)
@@ -471,18 +444,17 @@ def _solve_branch(metric, rows, demand, ar: Arithmetic):
         # <x,x> = s != 0 fixes the scale along the line
         if dim == 1:
             qv = Q(basis[0], basis[0])
-            if _is_zero_scalar(qv, exact, scale=_norm2(basis[0])):
+            if near_zero(qv, 1e-12, basis[0], basis[0]):
                 return [], None
             t2 = lift(demand) / qv
-            neg = (scalar_sign(t2) < 0) if is_exact(t2) else (t2 < 0)
-            if neg:
+            if scalar_sign(t2) < 0:
                 return [], None
             t = ar.sqrt(t2)
             return [tuple(t * c for c in basis[0])], None
         return None, (None, basis, demand)
 
     if dim == 0:
-        ok = _is_zero_scalar(Q(p, p) - demand, exact, eps=1e-9, scale=_norm2(p))
+        ok = near_zero(Q(p, p) - demand, 1e-9, p, p)
         return ([p] if ok else []), None
     if dim == 1:
         v = basis[0]
@@ -496,31 +468,21 @@ def _solve_branch(metric, rows, demand, ar: Arithmetic):
     return None, ((p,), basis, demand)
 
 
-def _norm2(row) -> float:
-    s = max(abs(to_float(c)) for c in row) or 1.0
-    return s * s
-
-
 def _binary_quadratic(Q, v1, v2, ar: Arithmetic):
     """Projective roots of Q(t v1 + u v2) = 0."""
     a, b, c = Q(v1, v1), Q(v1, v2), Q(v2, v2)
-    exact = ar.exact and all(is_exact(x) for x in (a, b, c))
-    scale = max(_norm2(v1), _norm2(v2))
-    if all(_is_zero_scalar(x, exact, scale=scale) for x in (a, b, c)):
+    v12 = tuple(v1) + tuple(v2)
+    if all(near_zero(x, 1e-12, v12, v12) for x in (a, b, c)):
         return None  # the whole line is isotropic; caller reports parametric
     sols = []
-    if not _is_zero_scalar(a, exact, scale=scale):
-        roots = _quad_roots(a, b, c, ar)
-        if roots is None:
-            a, b, c = to_float(a), to_float(b), to_float(c)
-            v1 = tuple(to_float(x) for x in v1)
-            v2 = tuple(to_float(x) for x in v2)
-            roots = _quad_roots(a, b, c, ar) or []
-        for t in roots:
+    if not near_zero(a, 1e-12, v12, v12):
+        # an exact a is nonzero here; a float a may still be zero at the
+        # (a, b, c) scale of _quad_roots, which then answers None: no roots
+        for t in _quad_roots(a, b, c, ar) or []:
             sols.append(_combine(v2, v1, t))
     else:
         sols.append(v1)
-        if not _is_zero_scalar(b, exact, scale=scale):
+        if not near_zero(b, 1e-12, v12, v12):
             sols.append(tuple(c * x - 2 * b * y for x, y in zip(v1, v2)))
     return sols
 
@@ -532,7 +494,6 @@ def _binary_quadratic(Q, v1, v2, ar: Arithmetic):
 def solve(relations: Sequence[Relation], metric: Metric,
           arithmetic="exact", eps: Optional[float] = None) -> SolutionSet:
     """Intersect all relations; enumerate sign branches; verify; order."""
-    from .numerics import comparison_eps
     base_ar = arithmetic if isinstance(arithmetic, Arithmetic) else Arithmetic(arithmetic)
     eps = comparison_eps() if eps is None else eps
 
@@ -609,7 +570,6 @@ def _sort_key(c: Cycle):
 def check(relations: Sequence[Relation], cycle: Cycle,
           eps: Optional[float] = None) -> bool:
     """Do the relations hold for this concrete cycle?"""
-    from .numerics import comparison_eps
     eps = comparison_eps() if eps is None else eps
     can = cycle.canonical()
     return all(rel.satisfied_by(can, eps) for rel in relations)

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cyclekit
 from cyclekit.cli import main
 from cyclekit.figure import (INFINITY, REAL_LINE, Figure, is_point,
                              only_reals, orthogonal, tangent, through)
@@ -275,6 +279,18 @@ class TestNinepoint:
         report = json.loads(out1)
         assert report["all_true"] is True
         assert len(report["runs"]) == 4
+
+    def test_random_gives_up_when_every_draw_is_degenerate(self):
+        # every parabolic-metric triangle is degenerate; the draw loop
+        # must end with exit code 4 instead of running forever
+        src = os.path.dirname(os.path.dirname(cyclekit.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclekit.cli", "ninepoint", "--random",
+             "2", "--metric", "p"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 4
+        assert "random triangles" in proc.stderr
 
     def test_svg_side_output(self, capsys, tmp_path):
         target = tmp_path / "nine.svg"

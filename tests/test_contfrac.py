@@ -302,6 +302,16 @@ class TestChains:
         ch = chain(cf, 3, "orthogonal")
         assert len(ch.horocycles) == 4
 
+    def test_float_ortho45_chain_accepted(self):
+        # from step 5 on, the float determinant of the connecting cycle is
+        # pure cancellation, so its cosine is tested as a residual
+        cf = ContinuedFraction.simple(3.0, [7.0, 15.0, 1.0, 292.0, 1.0, 1.0])
+        ch = chain(cf, 6, "ortho45")
+        exact = chain(pi_cf(), 6, "ortho45")
+        assert len(ch.connecting) == 6
+        for got, want in zip(ch.cycles, exact.cycles):
+            assert got.same_cycle(want.as_float(), digits=6)
+
     def test_chain_needs_a_step(self):
         with pytest.raises(InvalidCF):
             chain(pi_cf(), 0, "tangent")

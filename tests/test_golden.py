@@ -1,8 +1,10 @@
 """Byte-identity of report-v1 JSON and SVG output across refactors.
 
-The hashes were recorded from the CLI before the scalar-layer cleanup
-(one lift, one 2x2 matrix, one orthogonality relation).  A change that
-moves any of them changes user-visible output and must say so.
+The exact-mode hashes were recorded from the CLI before the scalar-layer
+cleanup (one lift, one 2x2 matrix, one orthogonality relation), the
+float-mode ones before the tolerance helpers were merged into
+``numerics``.  A change that moves any of them changes user-visible
+output and must say so.
 """
 
 import contextlib
@@ -54,6 +56,27 @@ RUNS = [
      None),
     (["figure-render", "SCRIPT", "--labels"],
      "4903f120f05674d91a821bc4a206fcfb5def4c44c232741955ab2b34bf6c2178",
+     None),
+    # float mode: every tolerance decision of the solver, the quadratic
+    # stage and the figure validator lies on these paths
+    (["apollonius", "--cycle", "1,0,0,-1", "1,-3,0,8", "1,0,-3,8",
+      "--arith", "float", "--format", "json"],
+     "4d9c09f63f0bdde7a1ca2cfb07c07db2b2cab62ccdddc3077143baa5e3c6c9af",
+     None),
+    (["ninepoint", "--triangle", "0,0", "4,0", "1,3", "--arith", "float",
+      "--format", "json"],
+     "53128fdec6cf6fe3d317dd66773e0d84a0cd835c3428b560da269260cc66837c",
+     None),
+    (["ninepoint", "--triangle", "0,0", "4,0", "1,2", "--metric", "h",
+      "--arith", "float", "--format", "json"],
+     "0cf986822b1be1cfbb60fa912b727b3ac5a809aaa8aec448728c1ea0ff24e6f4",
+     None),
+    (["ninepoint", "--random", "8", "--seed", "3", "--arith", "float",
+      "--format", "json"],
+     "0749a02e7fcd6a09fce3d77a22982f08e780d283973263399dae2ba7273d7121",
+     None),
+    (["figure-eval", "SCRIPT", "--arith", "float", "--format", "json"],
+     "e8c93983f1d21182105f9c5147b6fc43c809bbbf556f2899fc85a67202bf282b",
      None),
 ]
 

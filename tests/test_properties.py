@@ -1,0 +1,97 @@
+"""Property tests for the exact-or-float decision layer and the solver.
+
+The examples are drawn by hypothesis under the derandomized profile that
+``conftest.py`` loads.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cyclekit import cycle, figure, numerics, poincare, relations
+from cyclekit.cycle import Cycle, Metric
+from cyclekit.numerics import QuadExt, near_zero
+from cyclekit.poincare import Form
+from cyclekit.relations import (IsFlat, IsLobachevskyLine, IsOrthogonal,
+                                IsPoint, PassesThrough, check, solve)
+
+METRICS = [Metric.named(name) for name in "eph"]
+
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=9)
+nonzero_rationals = rationals.filter(lambda q: q != 0)
+exact_scalars = st.one_of(
+    st.integers(-10**6, 10**6), rationals,
+    st.builds(lambda a, b: QuadExt(a, b, 2), rationals, rationals))
+exact_rows = st.tuples(exact_scalars, exact_scalars, exact_scalars,
+                       exact_scalars)
+any_rows = st.lists(st.lists(st.one_of(exact_scalars, st.floats(
+    allow_nan=False, allow_infinity=False)), max_size=5), max_size=3)
+
+
+@given(st.sampled_from(METRICS), exact_rows, nonzero_rationals)
+def test_key_is_unchanged_by_rational_row_scaling(metric, row, factor):
+    c = Cycle.from_row(metric, row)
+    assert c.scaled(factor).key() == c.key()
+
+
+@given(exact_rows, nonzero_rationals)
+def test_form_canonical_is_unchanged_by_rational_row_scaling(row, factor):
+    scaled = Form(*(v * factor for v in row))
+    assert scaled.canonical() == Form(*row).canonical()
+
+
+@given(exact_scalars, st.floats(min_value=0.0, allow_nan=False), any_rows)
+def test_near_zero_is_strict_on_exact_values(v, eps, rows):
+    assert near_zero(v, eps, *rows) == (v == 0)
+
+
+@st.composite
+def linear_systems(draw):
+    """Three orthogonality or incidence relations against random rational
+    data, or two plus the zero-radius demand: one sign branch, at most one
+    radicand, and most systems finite."""
+    metric = draw(st.sampled_from(METRICS))
+    point = st.tuples(rationals, rationals)
+    ref = st.builds(lambda k, l1, l2, m: Cycle(metric, k, (l1, l2), m),
+                    st.sampled_from([0, 1]), rationals, rationals,
+                    rationals).filter(lambda c: any(c.row()))
+    one = st.one_of(
+        st.builds(IsOrthogonal, ref),
+        st.builds(lambda p: PassesThrough(metric, p), point),
+        st.just(IsFlat(metric)),
+        st.just(IsLobachevskyLine(metric)))
+    rels = draw(st.lists(one, min_size=2, max_size=3, unique_by=repr))
+    if len(rels) == 2:
+        rels.append(IsPoint(metric))
+    return metric, rels
+
+
+@given(linear_systems())
+def test_exact_solve_never_computes_a_float_scale(system):
+    metric, rels = system
+    calls, row_scale = [], numerics.row_scale
+
+    def counted(values):
+        calls.append(values)
+        return row_scale(values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (numerics, relations, cycle, poincare, figure):
+            mp.setattr(mod, "row_scale", counted)
+        sol = solve(rels, metric)
+        for c in sol.cycles:
+            check(rels, c)
+    assert not sol.demoted
+    assert calls == []
+
+
+@given(linear_systems())
+def test_every_exact_solution_passes_check(system):
+    metric, rels = system
+    sol = solve(rels, metric)
+    for c in sol.cycles:
+        assert all(numerics.is_exact(v) for v in c.row())
+        assert check(rels, c)
+        assert check(rels, c.scaled(Fraction(-3, 7)))
