@@ -21,8 +21,7 @@ from .contfrac import (ARRANGEMENTS, ContinuedFraction, InvalidCF, chain,
 from .cycle import Cycle, Metric, parse_metric
 from .figure import (Degenerate, Figure, NotEvaluated, TooManyInstances,
                      nine_point_figure)
-from .numerics import (RadicalClash, format_scalar, is_exact, parse_scalar,
-                       to_float)
+from .numerics import RadicalClash, format_scalar, parse_scalar
 from .poincare import classify_intervals, extension_from_triple
 from .relations import BranchOverflow, IsTangent, solve
 from .render import Viewport, render_chain, render_figure
@@ -37,10 +36,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = PARSE):
         super().__init__(message)
         self.code = code
-
-
-def _fmt_scalar(v) -> str:
-    return format_scalar(v) if is_exact(v) else repr(to_float(v))
 
 
 def _emit(text: str, out: Optional[str]):
@@ -88,7 +83,7 @@ def _figure_report(fig: Figure) -> dict:
             "kind": node.kind,
             "generation": node.generation,
             "status": node.status,
-            "instances": [[_fmt_scalar(v) for v in inst.cycle.row()]
+            "instances": [[format_scalar(v) for v in inst.cycle.row()]
                           for inst in node.instances],
         }
         if node.reason:
@@ -144,14 +139,14 @@ def cmd_figure_check(args) -> int:
             "a": spec["a"], "b": spec["b"], "kind": spec["kind"],
             "verdict": verdict,
             "pairs": [{"instances": list(pair), "holds": ok,
-                       "residual": _fmt_scalar(res)}
+                       "residual": format_scalar(res)}
                       for pair, ok, res in results]})
     measured = []
     for spec in extras["measures"]:
         values = fig.measure(spec["a"], spec["b"], spec["quantity"])
         measured.append({
             "a": spec["a"], "b": spec["b"], "quantity": spec["quantity"],
-            "values": [{"instances": list(pair), "value": _fmt_scalar(v)}
+            "values": [{"instances": list(pair), "value": format_scalar(v)}
                        for pair, v in values]})
     if args.format == "json":
         _emit(json.dumps({"format": REPORT_FORMAT, "checks": details,
@@ -203,8 +198,8 @@ def cmd_contfrac(args) -> int:
         "format": REPORT_FORMAT,
         "cf": args.cf,
         "arrangement": args.arrangement,
-        "convergents": [[_fmt_scalar(p), _fmt_scalar(q)] for p, q in pairs],
-        "residuals": [_fmt_scalar(r) for r in residuals],
+        "convergents": [[format_scalar(p), format_scalar(q)] for p, q in pairs],
+        "residuals": [format_scalar(r) for r in residuals],
         "nested": report.nested,
         "converges": report.converges,
     }
@@ -216,10 +211,10 @@ def cmd_contfrac(args) -> int:
         lines = [f"{args.cf} [{args.arrangement}]"]
         for p, q in pairs:
             value = quotient((p, q))
-            shown = "oo" if value is None else _fmt_scalar(value)
-            lines.append(f"  {_fmt_scalar(p)}/{_fmt_scalar(q)} = {shown}")
+            shown = "oo" if value is None else format_scalar(value)
+            lines.append(f"  {format_scalar(p)}/{format_scalar(q)} = {shown}")
         lines.append("step residuals: "
-                     + ", ".join(_fmt_scalar(r) for r in residuals))
+                     + ", ".join(format_scalar(r) for r in residuals))
         lines.append(f"nested: {report.nested}  converges: {report.converges}")
         _emit("\n".join(lines) + "\n", args.out)
     return OK
@@ -253,15 +248,15 @@ def cmd_poincare(args) -> int:
         "format": REPORT_FORMAT,
         "kind": kind,
         "tau": tau,
-        "discriminant": _fmt_scalar(disc),
-        "form": [_fmt_scalar(v) for v in form],
-        "point": None if point is None else [_fmt_scalar(c) for c in point],
+        "discriminant": format_scalar(disc),
+        "form": [format_scalar(v) for v in form],
+        "point": None if point is None else [format_scalar(c) for c in point],
     }
     if args.format == "json":
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
         at = "boundary (infinity)" if point is None else \
-            "(" + ", ".join(_fmt_scalar(c) for c in point) + ")"
+            "(" + ", ".join(format_scalar(c) for c in point) + ")"
         _emit(f"{kind} (tau {tau}), extension point {at}\n", args.out)
     return OK
 
@@ -278,9 +273,9 @@ def _ninepoint_payload(result) -> dict:
     return {
         "verdict": result.verdict,
         "kind": result.kind,
-        "conic": [_fmt_scalar(v) for v in result.conic.canonical().row()],
+        "conic": [format_scalar(v) for v in result.conic.canonical().row()],
         "points": {lab: None if pt is None else
-                   [_fmt_scalar(c) for c in pt]
+                   [format_scalar(c) for c in pt]
                    for lab, pt in sorted(result.points.items())},
     }
 
@@ -302,7 +297,7 @@ def cmd_ninepoint(args) -> int:
                                         arithmetic=args.arith or "exact")
             except Degenerate:
                 continue
-            runs.append({"triangle": [[_fmt_scalar(c) for c in p]
+            runs.append({"triangle": [[format_scalar(c) for c in p]
                                       for p in tri],
                          "verdict": res.verdict, "kind": res.kind})
             all_true = all_true and res.verdict
@@ -373,8 +368,8 @@ def cmd_apollonius(args) -> int:
             row = sol.canonical().row()
             residuals = [tangency_residual(sol, ref) for ref in refs]
             entry["solutions"].append({
-                "row": [_fmt_scalar(v) for v in row],
-                "residuals": [_fmt_scalar(r) for r in residuals]})
+                "row": [format_scalar(v) for v in row],
+                "residuals": [format_scalar(r) for r in residuals]})
         branches.append(entry)
     payload = {"format": REPORT_FORMAT, "branches": branches}
     if args.format == "json":

@@ -294,10 +294,10 @@ class Cycle:
                      m2.scalar_part())
 
     # -- canonical representative ---------------------------------------------
-    def canonical(self, eps: float = 1e-12) -> "Cycle":
+    def canonical(self) -> "Cycle":
         """Scale so the first significant coefficient is 1; exact rows stay
         in their field, float rows are normalized against the largest entry."""
-        row = canonical_row(self.row(), eps)
+        row = canonical_row(self.row(), 1e-12)
         return Cycle(self.metric, row[0], row[1:-1], row[-1])
 
     def key(self, digits: int = 9):
@@ -314,12 +314,12 @@ class Cycle:
 
     # -- serialization -----------------------------------------------------------
     def to_obj(self) -> dict:
-        enc = lambda c: format_scalar(c) if is_exact(c) else float(c)
+        enc = encode_scalar
         return {"k": enc(self.k), "l": [enc(c) for c in self.l], "m": enc(self.m)}
 
     @staticmethod
     def from_obj(metric: Metric, obj: dict) -> "Cycle":
-        dec = lambda c: parse_scalar(c, "exact") if isinstance(c, str) else c
+        dec = decode_scalar
         return Cycle(metric, dec(obj["k"]), [dec(c) for c in obj["l"]], dec(obj["m"]))
 
     # -- misc ---------------------------------------------------------------------
@@ -335,9 +335,18 @@ class Cycle:
         return self.metric == other.metric and self.key(digits) == other.key(digits)
 
     def __repr__(self):
-        parts = ", ".join(format_scalar(c) if is_exact(c) else repr(c)
-                          for c in self.row())
+        parts = ", ".join(format_scalar(c) for c in self.row())
         return f"Cycle[{self.metric.label()}]({parts})"
+
+
+def encode_scalar(c):
+    """JSON form of a scalar: exact values as strings, floats as numbers."""
+    return format_scalar(c) if is_exact(c) else float(c)
+
+
+def decode_scalar(c):
+    """Inverse of :func:`encode_scalar`."""
+    return parse_scalar(c, "exact") if isinstance(c, str) else c
 
 
 def _mv_peak(mv: Mv) -> float:

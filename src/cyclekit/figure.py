@@ -5,8 +5,7 @@ generation 0, a relation-defined node lands one generation above its
 newest parent, and two predefined nodes exist from the start: the
 boundary line at generation REAL_LINE_GEN and the zero-radius cycle at
 infinity at INFINITY_GEN.  Point nodes keep their coordinates and
-re-derive the row from the metric, which is marked by a ghost parent
-generation GHOST_GEN.
+re-derive the row from the metric.
 
 Quadratic relations produce solution pairs, so a node may carry several
 instances.  Children are solved once per combination of parent
@@ -30,17 +29,15 @@ from math import acos, acosh, pi, sqrt as _fsqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import Infinity, Mat2, Mv, mobius_apply
-from .cycle import Cycle, Metric, parse_metric
-from .numerics import (Arithmetic, Scalar, comparison_eps, format_scalar,
-                       is_exact, lift, near_zero, parse_scalar, row_scale,
-                       to_float)
+from .cycle import Cycle, Metric, decode_scalar, encode_scalar, parse_metric
+from .numerics import (Arithmetic, Scalar, comparison_eps, is_exact, lift,
+                       near_zero, row_scale, to_float)
 from .relations import (InversiveDistance, IsOrthogonal, IsPoint, IsTangent,
                         OnlyReals, PassesThrough, Relation, SteinerPower,
-                        solve)
+                        linear_solve, solve)
 
 REAL_LINE_GEN = -2
 INFINITY_GEN = -1
-GHOST_GEN = -3
 
 REAL_LINE = "real_line"
 INFINITY = "infinity"
@@ -214,13 +211,12 @@ class Figure:
     """Single-writer ensemble of cycles; reads are safe without a writer."""
 
     def __init__(self, metric: Optional[Metric] = None, arithmetic: str = "exact",
-                 max_instances: int = 64, eps: Optional[float] = None):
+                 max_instances: int = 64):
         if arithmetic not in ("exact", "float"):
             raise ValueError(f"unknown arithmetic mode {arithmetic!r}")
         self.metric = metric or Metric.named("e")
         self.arithmetic = arithmetic
         self.max_instances = max_instances
-        self.eps = eps
         self.mode = "unfreeze"
         self._nodes: Dict[str, FigureNode] = {}
         self._install_predefined()
@@ -257,8 +253,7 @@ class Figure:
         return label
 
     def add_point(self, point: Sequence[Scalar], label: str) -> str:
-        """Zero-radius node at the point; the row follows the metric, which
-        is what the ghost parent generation stands for."""
+        """Zero-radius node at the point; the row follows the metric."""
         self._claim(label)
         pt = tuple(point)
         row = Cycle.zero_radius_at(self.metric, pt)
@@ -389,7 +384,7 @@ class Figure:
             if node.kind == "rel":
                 rels = [self._concrete(s, by_label)
                         for s in node.relations + node.pins]
-                sols = solve(rels, self.metric, self.arithmetic, self.eps)
+                sols = solve(rels, self.metric, self.arithmetic)
                 if sols.status == "parametric":
                     parametric = True
                     continue
@@ -462,7 +457,8 @@ class Figure:
                 self._solve_node(node)
 
     def set_data(self, label: str, data):
-        """Replace a generation-0 row (or point) and re-solve descendants."""
+        """Replace a generation-0 row (or point); an unfrozen figure then
+        re-solves every node, not only the descendants."""
         node = self._node(label)
         if node.kind == "point" and not isinstance(data, Cycle) \
                 and len(tuple(data)) == self.metric.n:
@@ -536,7 +532,7 @@ class Figure:
         "tangent", both on canonical representatives.
         """
         na, nb = self._solved(label_a), self._solved(label_b)
-        eps = comparison_eps(self.eps)
+        eps = comparison_eps()
         out = []
         for i, j in self._pairs(na, nb):
             a = na.instances[i].cycle.canonical()
@@ -574,7 +570,7 @@ class Figure:
 
     def validate(self) -> List[str]:
         """Residual sweep: instances must satisfy their defining relations."""
-        eps = comparison_eps(self.eps)
+        eps = comparison_eps()
         bad = []
         for node in self._nodes.values():
             if node.kind != "rel" or node.status != "solved":
@@ -597,7 +593,7 @@ class Figure:
         them stay covariant.  Fixed points of ``through`` pins must keep a
         finite image.  Subfigure inner constants are part of the macro and
         do not transform."""
-        out = Figure(self.metric, self.arithmetic, self.max_instances, self.eps)
+        out = Figure(self.metric, self.arithmetic, self.max_instances)
         out.freeze()
         sig = M.sig
         for node in self._nodes.values():
@@ -643,7 +639,7 @@ class Figure:
             if node.kind == "cycle":
                 entry["row"] = node.row.to_obj()
             elif node.kind == "point":
-                entry["point"] = [_enc(c) for c in node.point]
+                entry["point"] = [encode_scalar(c) for c in node.point]
             elif node.kind == "rel":
                 entry["relations"] = [_spec_obj(s) for s in node.relations]
                 if node.pins:
@@ -680,7 +676,7 @@ class Figure:
             if kind == "cycle":
                 fig.add_cycle(Cycle.from_obj(fig.metric, entry["row"]), label)
             elif kind == "point":
-                fig.add_point([_dec(c) for c in entry["point"]], label)
+                fig.add_point([decode_scalar(c) for c in entry["point"]], label)
             elif kind == "rel":
                 fig.add_cycle_rel(
                     [_spec_from_obj(o) for o in entry["relations"]], label,
@@ -711,13 +707,6 @@ class Figure:
 # scalar and spec encoding
 
 
-def _enc(c):
-    return format_scalar(c) if is_exact(c) else to_float(c)
-
-
-def _dec(c):
-    return parse_scalar(c, "exact") if isinstance(c, str) else c
-
 
 def _encode_metric(metric: Metric):
     name = metric.label()
@@ -738,24 +727,24 @@ def _spec_obj(spec: RelSpec) -> dict:
         out["parent"] = spec.parent
     for key, value in spec.params:
         if key == "point":
-            out[key] = [_enc(c) for c in value]
+            out[key] = [encode_scalar(c) for c in value]
         elif key == "variant":
             out[key] = value
         else:
-            out[key] = _enc(value)
+            out[key] = encode_scalar(value)
     return out
 
 
 def _spec_from_obj(obj: dict) -> RelSpec:
     kind = obj["rel"]
     if kind == "through":
-        return through(*[_dec(c) for c in obj["point"]])
+        return through(*[decode_scalar(c) for c in obj["point"]])
     if kind == "tangent":
         return tangent(obj["parent"], obj.get("variant", "both"))
     if kind == "inversive":
-        return inversive(obj["parent"], _dec(obj["theta"]))
+        return inversive(obj["parent"], decode_scalar(obj["theta"]))
     if kind == "power":
-        return power(obj["parent"], _dec(obj["value"]))
+        return power(obj["parent"], decode_scalar(obj["value"]))
     if kind == "orthogonal":
         return orthogonal(obj["parent"])
     if kind == "is_point":
@@ -779,56 +768,33 @@ def _steiner_power(a: Cycle, b: Cycle, ar: Arithmetic) -> Scalar:
 # pencils and triple ensembles
 
 
-def _rank(rows: Sequence[Sequence[Scalar]], eps: float) -> int:
-    A = [[lift(c) for c in row] for row in rows]
-    exact = all(is_exact(c) for row in A for c in row)
-    if not exact:
-        A = [[to_float(c) for c in row] for row in A]
-        scale = row_scale(c for row in A for c in row)
-    rank = 0
-    for col in range(len(A[0]) if A else 0):
-        piv = None
-        for i in range(rank, len(A)):
-            v = A[i][col]
-            if (v != 0) if exact else (abs(v) > eps * scale):
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        head = A[rank]
-        for i in range(rank + 1, len(A)):
-            if A[i][col] != 0:
-                f = A[i][col] / head[col]
-                A[i] = [x - f * y for x, y in zip(A[i], head)]
-        rank += 1
-    return rank
+def _rank(rows: Sequence[Sequence[Scalar]]) -> int:
+    _, basis = linear_solve([(row, 0) for row in rows], len(rows[0]), True)
+    return len(rows[0]) - len(basis)
 
 
-def pairs_span_same_pencil(pair, other, eps: Optional[float] = None) -> bool:
+def pairs_span_same_pencil(pair, other) -> bool:
     """Do two cycle pairs span the same two-dimensional row space?"""
-    eps = comparison_eps(eps)
     r1 = [c.row() for c in pair]
     r2 = [c.row() for c in other]
-    if _rank(r1, eps) != 2 or _rank(r2, eps) != 2:
+    if _rank(r1) != 2 or _rank(r2) != 2:
         return False
-    return (all(_rank(r1 + [r], eps) == 2 for r in r2)
-            and all(_rank(r2 + [r], eps) == 2 for r in r1))
+    return (all(_rank(r1 + [r]) == 2 for r in r2)
+            and all(_rank(r2 + [r]) == 2 for r in r1))
 
 
-def poincare_pair_ok(c1: Cycle, c2: Cycle, eps: Optional[float] = None) -> bool:
+def poincare_pair_ok(c1: Cycle, c2: Cycle) -> bool:
     """Intersecting pair test: the pairing squared must not exceed the
     product of self-pairings."""
-    eps = comparison_eps(eps)
     lhs = c1.product(c2) ** 2
     rhs = c1.self_product() * c2.self_product()
     gap = rhs - lhs
-    return gap >= 0 or near_zero(gap, eps, (lhs, rhs))
+    return gap >= 0 or near_zero(gap, comparison_eps(), (lhs, rhs))
 
 
-def loxodrome_triple_ok(triple, eps: Optional[float] = None) -> bool:
+def loxodrome_triple_ok(triple) -> bool:
     """C1 orthogonal to C2 and C3; {C2, C3} disjoint (hyperbolic pencil)."""
-    eps = comparison_eps(eps)
+    eps = comparison_eps()
     c1, c2, c3 = triple
     for other in (c2, c3):
         v = c1.product(other)
@@ -852,8 +818,7 @@ def _abs_normalized(a: Cycle, b: Cycle) -> float:
     return abs(to_float(a.product(b))) / _fsqrt(s)
 
 
-def loxodrome_triples_equivalent(triple, other,
-                                 eps: Optional[float] = None) -> bool:
+def loxodrome_triples_equivalent(triple, other) -> bool:
     """Do two orthogonal-pair triples describe the same loxodrome?
 
     True when {C2, C3} and the tilde pair span one pencil, their
@@ -861,12 +826,12 @@ def loxodrome_triples_equivalent(triple, other,
     holds mod 1 (computed for j = 2).  Projective sign freedom is folded
     away by taking absolute normalized products.
     """
-    eps = comparison_eps(eps)
+    eps = comparison_eps()
     for t in (triple, other):
-        if not loxodrome_triple_ok(t, eps):
+        if not loxodrome_triple_ok(t):
             raise InvalidTriple("triple violates the orthogonality or "
                                 "disjointness constraints")
-    if not pairs_span_same_pencil(triple[1:], other[1:], eps):
+    if not pairs_span_same_pencil(triple[1:], other[1:]):
         return False
     lam = _abs_normalized(triple[1], triple[2])
     lam2 = _abs_normalized(other[1], other[2])
@@ -900,8 +865,7 @@ _NINE = ("foot_A", "foot_B", "foot_C",
 
 
 def nine_point_figure(a, b, c, n=None, metric: Optional[Metric] = None,
-                      arithmetic: str = "exact",
-                      eps: Optional[float] = None) -> NinePointResult:
+                      arithmetic: str = "exact") -> NinePointResult:
     """Altitude feet, side midpoints and orthocenter-segment midpoints of
     the triangle abc, with the conic fitted through the three feet.
 
@@ -909,10 +873,14 @@ def nine_point_figure(a, b, c, n=None, metric: Optional[Metric] = None,
     through its two defining points and n.  Midpoints are the second
     intersection of the base cycle with the cycle orthogonal to it and to
     the one having the base pair as diameter.  The verdict reports whether
-    all nine points land on the fitted conic.
+    all nine points land on the fitted conic.  A null product axis is
+    refused before any solve: point cycles drop that coordinate.
     """
     metric = metric or Metric.named("e")
-    fig = Figure(metric, arithmetic=arithmetic, eps=eps)
+    if 0 in metric.product_eta:
+        raise Degenerate(f"product metric {metric.label()} has a null "
+                         "axis: no line through two points is determined")
+    fig = Figure(metric, arithmetic=arithmetic)
     fig.add_point(a, "A")
     fig.add_point(b, "B")
     fig.add_point(c, "C")

@@ -24,10 +24,11 @@ against a tolerance.  :func:`near_zero` is the one floored test: a float
 :func:`row_scale` of the rows ``v`` came from.  Relative tests, ``|v| <=
 eps * scale`` with no floor, stay where scale invariance matters:
 ``Cycle.is_zero_radius`` and ``passes_through``, ``linear_solve``'s rank
-test, ``figure._rank``, ``loxodrome_triple_ok``, ``proportional`` and
-``interval_endpoints``' trace check.  Each site keeps its own ``eps``; the
-one default a caller can override is :func:`comparison_eps`
-(``MOEBINV_EPS``).
+test, ``loxodrome_triple_ok``, ``proportional`` and ``interval_endpoints``'
+trace check.  Each site keeps its own ``eps``; the only settings are
+``MOEBINV_EPS``, read by :func:`comparison_eps`, and ``relations.check``'s
+``eps``.  A system's data chooses its field: ``linear_solve`` (like
+``_quad_roots``) works exactly only when asked to and every entry is exact.
 """
 
 from __future__ import annotations
@@ -49,10 +50,8 @@ def lift(x):
     return Fraction(x) if isinstance(x, int) else x
 
 
-def comparison_eps(override: Optional[float] = None) -> float:
+def comparison_eps() -> float:
     """Default comparison tolerance; the MOEBINV_EPS env var overrides it."""
-    if override is not None:
-        return override
     raw = os.environ.get("MOEBINV_EPS")
     if raw:
         try:
@@ -369,7 +368,7 @@ class Arithmetic:
         """sqrt(|x|); stays exact when one shared radicand suffices."""
         if isinstance(x, float) or not self.exact:
             return math.sqrt(abs(to_float(x)))
-        x = abs(x) if not isinstance(x, QuadExt) else abs(x)
+        x = abs(x)
         r = sqrt_in_field(x, self.radicand)
         if r is not None:
             return r

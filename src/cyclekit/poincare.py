@@ -82,7 +82,7 @@ def mat_apply(A: Mat, x: Endpoint) -> Endpoint:
     return proj_value(p)
 
 
-def proportional(A: Mat, B: Mat, eps: Optional[float] = None) -> bool:
+def proportional(A: Mat, B: Mat) -> bool:
     """Projective equality: one matrix is a nonzero multiple of the other."""
     fa = [A[0][0], A[0][1], A[1][0], A[1][1]]
     fb = [B[0][0], B[0][1], B[1][0], B[1][1]]
@@ -93,7 +93,7 @@ def proportional(A: Mat, B: Mat, eps: Optional[float] = None) -> bool:
                         for i in range(4) for j in range(i + 1, 4)))
     fa = [to_float(v) for v in fa]
     fb = [to_float(v) for v in fb]
-    tol = comparison_eps(eps)
+    tol = comparison_eps()
     scale = max(row_scale(fa) * row_scale(fb), 1e-300)
     return all(abs(fa[i] * fb[j] - fa[j] * fb[i]) <= tol * scale
                for i in range(4) for j in range(i + 1, 4))
@@ -216,9 +216,8 @@ def tau_pairing(Q1: Sequence[Scalar], Q2: Sequence[Scalar], tau: int) -> Scalar:
     return 2 * tau * n1 * n2 - 2 * l1 * l2 + k1 * m2 + m1 * k2
 
 
-def is_tau_isotropic(Q: Sequence[Scalar], tau: int,
-                     eps: Optional[float] = None) -> bool:
-    return near_zero(tau_pairing(Q, Q, tau), comparison_eps(eps), Q, Q)
+def is_tau_isotropic(Q: Sequence[Scalar], tau: int) -> bool:
+    return near_zero(tau_pairing(Q, Q, tau), comparison_eps(), Q, Q)
 
 
 def isotropic_form_at(u: Scalar, v: Scalar, tau: int) -> Form:
@@ -235,13 +234,13 @@ def curve_value(Q: Sequence[Scalar], u: Scalar, v: Scalar, tau: int) -> Scalar:
     return k * (u * u - tau * v * v) - 2 * l * u - 2 * n * v + m
 
 
-def curve_membership(Q: Sequence[Scalar], u: Scalar, v: Scalar, tau: int,
-                     eps: Optional[float] = None) -> bool:
+def curve_membership(Q: Sequence[Scalar], u: Scalar, v: Scalar,
+                     tau: int) -> bool:
     val = curve_value(Q, u, v, tau)
     if is_exact(val):
         return val == 0
     reach = max(1.0, to_float(u) ** 2 + to_float(v) ** 2)
-    return near_zero(val, comparison_eps(eps), Q, (reach,))
+    return near_zero(val, comparison_eps(), Q, (reach,))
 
 
 def real_line_form() -> Form:
@@ -648,20 +647,18 @@ def extension_from_triple(pairs, ar: Optional[Arithmetic] = None):
 # common points of two generic forms
 
 def common_point(C: Sequence[Scalar], Ct: Sequence[Scalar], tau: int,
-                 ar: Optional[Arithmetic] = None,
-                 eps: Optional[float] = None) -> List[Form]:
+                 ar: Optional[Arithmetic] = None) -> List[Form]:
     """The at most two tau-isotropic forms e-orthogonal to both C and Ct.
 
     Two linear conditions cut the coefficient space down to a plane, on
     which tau-isotropy is a binary quadratic.
     """
     ar = private_context(ar)
-    exact = ar.exact and all(is_exact(v) for v in (*C, *Ct))
     rows = []
     for ref in (C, Ct):
         n, l, k, m = ref
         rows.append(((-2 * n, -2 * l, m, k), 0))
-    part, basis = linear_solve(rows, 4, exact)
+    part, basis = linear_solve(rows, 4, ar.exact)
     if part is None or basis is None:
         return []
     if len(basis) > 2:
@@ -670,7 +667,7 @@ def common_point(C: Sequence[Scalar], Ct: Sequence[Scalar], tau: int,
         return []
     if len(basis) == 1:
         vec = basis[0]
-        return [Form(*vec).canonical()] if is_tau_isotropic(vec, tau, eps) else []
+        return [Form(*vec).canonical()] if is_tau_isotropic(vec, tau) else []
     sols = _binary_quadratic(lambda u, w: tau_pairing(u, w, tau),
                              basis[0], basis[1], ar)
     if sols is None:
@@ -678,9 +675,9 @@ def common_point(C: Sequence[Scalar], Ct: Sequence[Scalar], tau: int,
     out, seen = [], set()
     for vec in sols:
         form = Form(*vec).canonical()
-        if not is_tau_isotropic(form, tau, eps):
+        if not is_tau_isotropic(form, tau):
             continue
-        if not all(near_zero(tau_pairing(form, ref, -1), comparison_eps(eps),
+        if not all(near_zero(tau_pairing(form, ref, -1), comparison_eps(),
                              form, ref) for ref in (C, Ct)):
             continue
         key = form.key()

@@ -61,7 +61,7 @@ class Relation:
     def branch_signs(self, point_mode: bool) -> Tuple[Optional[int], ...]:
         return (None,)
 
-    def build(self, eps: Optional[int], ar: Arithmetic, point_mode: bool):
+    def build(self, sign: Optional[int], ar: Arithmetic, point_mode: bool):
         """Return (rows, demand) for one sign branch."""
         raise NotImplementedError
 
@@ -75,7 +75,7 @@ class IsOrthogonal(Relation):
     def __init__(self, ref: Cycle):
         self.ref = ref
 
-    def build(self, eps, ar, point_mode):
+    def build(self, sign, ar, point_mode):
         return [(pairing_coeffs(self.ref.metric, self.ref), 0)], None
 
     def satisfied_by(self, cycle, eps):
@@ -123,7 +123,7 @@ class IsPoint(Relation):
     def __init__(self, metric: Metric):
         self.metric = metric
 
-    def build(self, eps, ar, point_mode):
+    def build(self, sign, ar, point_mode):
         return [], 0
 
     def satisfied_by(self, cycle, eps):
@@ -140,7 +140,7 @@ class OnlyReals(Relation):
     def __init__(self, metric: Metric):
         self.metric = metric
 
-    def build(self, eps, ar, point_mode):
+    def build(self, sign, ar, point_mode):
         return [], None
 
     def satisfied_by(self, cycle, eps):
@@ -168,12 +168,12 @@ class IsTangent(Relation):
             return (None,)
         return (1, -1)
 
-    def build(self, eps, ar, point_mode):
+    def build(self, sign, ar, point_mode):
         coeffs = pairing_coeffs(self.ref.metric, self.ref)
         ss = self.ref.self_product()
         if point_mode or ss == 0:
             return [(coeffs, 0)], None
-        rhs = eps * ar.sqrt(ss)
+        rhs = sign * ar.sqrt(ss)
         return [(coeffs, rhs)], scalar_sign(ss)
 
     def satisfied_by(self, cycle, eps):
@@ -204,14 +204,14 @@ class InversiveDistance(Relation):
             return (None,)
         return (1, -1)
 
-    def build(self, eps, ar, point_mode):
+    def build(self, sign, ar, point_mode):
         coeffs = pairing_coeffs(self.ref.metric, self.ref)
         ss = self.ref.self_product()
         if point_mode or ss == 0:
             return [(coeffs, 0)], None
         if self.theta == 0:
             return [(coeffs, 0)], scalar_sign(ss)
-        rhs = eps * self.theta * ar.sqrt(ss)
+        rhs = sign * self.theta * ar.sqrt(ss)
         return [(coeffs, rhs)], scalar_sign(ss)
 
     def satisfied_by(self, cycle, eps):
@@ -234,7 +234,7 @@ class InversiveDistance(Relation):
 
 class SteinerPower(Relation):
     """Power d of the unknown against a k-normalized reference:
-    d k_x - <x, R_k> = eps sqrt|<R_k,R_k>| with demand <x,x> = -1."""
+    d k_x - <x, R_k> = sign sqrt|<R_k,R_k>| with demand <x,x> = -1."""
 
     def __init__(self, ref: Cycle, power: Scalar):
         if ref.k == 0:
@@ -248,13 +248,13 @@ class SteinerPower(Relation):
             return (None,)
         return (1, -1)
 
-    def build(self, eps, ar, point_mode):
+    def build(self, sign, ar, point_mode):
         metric = self.ref.metric
         base = pairing_coeffs(metric, self.ref_k)
         coeffs = (self.power - base[0],) + tuple(-c for c in base[1:])
         if point_mode:
             return [(coeffs, 0)], None
-        rhs = eps * ar.sqrt(self.ref_k.self_product())
+        rhs = sign * ar.sqrt(self.ref_k.self_product())
         return [(coeffs, rhs)], -1
 
     def satisfied_by(self, cycle, eps):
@@ -277,12 +277,14 @@ EPS_RANK = 1e-10
 
 
 def linear_solve(rows: List[Row], nunk: int, exact: bool):
-    """Gauss-Jordan over the scalar field.
+    """Gauss-Jordan, exact when ``exact`` is set and every entry is exact.
 
     Returns (particular, basis) or (None, None) when inconsistent.  Exact
     rows pivot on the first nonzero entry; float rows partial-pivot and
     rank-test against EPS_RANK times the original row magnitude.
     """
+    exact = exact and all(is_exact(c) for coeffs, rhs in rows
+                          for c in (*coeffs, rhs))
     conv = lift if exact else to_float
     A = [[conv(c) for c in coeffs] + [conv(rhs)] for coeffs, rhs in rows]
     if not exact:
@@ -492,10 +494,10 @@ def _binary_quadratic(Q, v1, v2, ar: Arithmetic):
 
 
 def solve(relations: Sequence[Relation], metric: Metric,
-          arithmetic="exact", eps: Optional[float] = None) -> SolutionSet:
+          arithmetic="exact") -> SolutionSet:
     """Intersect all relations; enumerate sign branches; verify; order."""
     base_ar = arithmetic if isinstance(arithmetic, Arithmetic) else Arithmetic(arithmetic)
-    eps = comparison_eps() if eps is None else eps
+    eps = comparison_eps()
 
     point_mode = any(isinstance(r, IsPoint) for r in relations)
     sign_axes = [r.branch_signs(point_mode) for r in relations]
@@ -515,8 +517,8 @@ def solve(relations: Sequence[Relation], metric: Metric,
         ar = base_ar.clone()
         rows: List[Row] = []
         demands = []
-        for rel, epsilon in zip(relations, pattern):
-            r_rows, r_demand = rel.build(epsilon, ar, point_mode)
+        for rel, sign in zip(relations, pattern):
+            r_rows, r_demand = rel.build(sign, ar, point_mode)
             rows.extend(r_rows)
             if r_demand is not None:
                 demands.append(r_demand)

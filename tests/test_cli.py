@@ -263,6 +263,12 @@ class TestNinepoint:
                            "0,0", "1,0", "2,0")
         assert code == 4
 
+    def test_null_product_axis_exits_4_with_the_reason(self, capsys):
+        code, _, err = run(capsys, "ninepoint", "--triangle",
+                           "0,0", "4,0", "1,3", "--metric", "p")
+        assert code == 4
+        assert "null axis" in err
+
     def test_finite_stand_in(self, capsys):
         code, out, _ = run(capsys, "ninepoint", "--triangle",
                            "0,0", "4,0", "1,3", "--n", "10,10")

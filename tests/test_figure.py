@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cyclekit import figure
 from cyclekit.clifford import Signature
 from cyclekit.contfrac import embed_real_moebius
 from cyclekit.cycle import Cycle, Metric
@@ -566,6 +567,14 @@ class TestNinePoint:
         r = nine_point_figure((0, 0), (4, 0), (1, 2), n=(10, 3), metric=H2)
         assert r.verdict
         assert r.kind == "equilateral-hyperbola"
+
+    def test_null_product_axis_is_refused_before_solving(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve ran for a null product axis")
+
+        monkeypatch.setattr(figure, "solve", no_solve)
+        with pytest.raises(Degenerate, match="null axis"):
+            nine_point_figure((0, 0), (4, 0), (1, 3), metric=Metric.named("p"))
 
     def test_collinear_triangle_degenerates(self):
         with pytest.raises(Degenerate):

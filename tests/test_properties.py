@@ -95,3 +95,34 @@ def test_every_exact_solution_passes_check(system):
         assert all(numerics.is_exact(v) for v in c.row())
         assert check(rels, c)
         assert check(rels, c.scaled(Fraction(-3, 7)))
+
+
+float_entries = st.floats(min_value=-10, max_value=10).filter(
+    lambda v: abs(v) > 0.5)
+
+
+@st.composite
+def float_pencils(draw):
+    """Two float cycle pairs in metric e: the second pair either spans the
+    pencil of the first (well-conditioned combinations) or swaps in a
+    random row that leaves it."""
+    metric = Metric.named("e")
+    rows = st.tuples(float_entries, float_entries, float_entries,
+                     float_entries)
+    r2, r3 = draw(rows), draw(rows)
+    a, b, c, d = draw(st.tuples(*[st.integers(-5, 5)] * 4).filter(
+        lambda t: abs(t[0] * t[3] - t[1] * t[2]) >= 1))
+    mix = lambda s, t: tuple(s * x + t * y for x, y in zip(r2, r3))
+    other = [mix(a, b), mix(c, d)]
+    if draw(st.booleans()):
+        other[1] = draw(rows)
+    cycles = [Cycle.from_row(metric, r) for r in (r2, r3, *other)]
+    return cycles, draw(st.integers(0, 3)), draw(st.integers(-12, 12))
+
+
+@given(float_pencils())
+def test_pencil_span_is_unchanged_by_scaling_one_row(case):
+    cycles, which, k = case
+    want = figure.pairs_span_same_pencil(cycles[:2], cycles[2:])
+    cycles[which] = cycles[which].scaled(10.0 ** k)
+    assert figure.pairs_span_same_pencil(cycles[:2], cycles[2:]) == want

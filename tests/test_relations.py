@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -70,6 +71,23 @@ def test_four_generic_points_infeasible():
     pts = [(0, 0), (1, 0), (0, 1), (3, 5)]
     sol = solve([PassesThrough(E, (F(u), F(v))) for u, v in pts], E)
     assert sol.status == "infeasible"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_float_points_solve_alike_in_exact_and_float_mode(seed):
+    # four float points on one circle: exact mode must not run exact
+    # elimination on float rows, where rounding noise reads as inconsistency
+    rng = random.Random(seed)
+    cx, cy, r = rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0.5, 5)
+    rels = []
+    for _ in range(4):
+        t = rng.uniform(0, 2 * math.pi)
+        rels.append(PassesThrough(E, (cx + r * math.cos(t),
+                                      cy + r * math.sin(t))))
+    want = solve(rels, E, "float")
+    got = solve(rels, E, "exact")
+    assert len(want) == 1
+    assert [c.key() for c in got] == [c.key() for c in want]
 
 
 class TestTouchCentres:
