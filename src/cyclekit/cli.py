@@ -19,8 +19,8 @@ from .contfrac import (ARRANGEMENTS, ContinuedFraction, InvalidCF, chain,
                        convergents, orthogonality_residual, quotient,
                        seidel_stern_check, tangency_residual)
 from .cycle import Cycle, Metric, parse_metric
-from .figure import (Degenerate, Figure, NotEvaluated, TooManyInstances,
-                     nine_point_figure)
+from .figure import (Degenerate, DegenerateMetric, Figure, NotEvaluated,
+                     TooManyInstances, nine_point_figure)
 from .numerics import RadicalClash, format_scalar, parse_scalar
 from .poincare import classify_intervals, extension_from_triple
 from .relations import BranchOverflow, IsTangent, solve
@@ -287,6 +287,7 @@ def cmd_ninepoint(args) -> int:
         runs = []
         all_true = True
         done = draws = 0
+        reason = ""
         while done < args.random and draws < DRAWS_PER_TRIANGLE * args.random:
             draws += 1
             tri = [(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
@@ -295,6 +296,9 @@ def cmd_ninepoint(args) -> int:
             try:
                 res = nine_point_figure(*tri, metric=metric,
                                         arithmetic=args.arith or "exact")
+            except DegenerateMetric as err:
+                reason = f": {err}"   # no triangle can succeed in this metric
+                break
             except Degenerate:
                 continue
             runs.append({"triangle": [[format_scalar(c) for c in p]
@@ -304,7 +308,8 @@ def cmd_ninepoint(args) -> int:
             done += 1
         if done < args.random:
             raise CliError(f"degenerate configuration: {done} of {args.random}"
-                           f" random triangles usable in {draws} draws", DEGENERATE)
+                           f" random triangles usable in {draws} draws"
+                           f"{reason}", DEGENERATE)
         payload = {"format": REPORT_FORMAT, "runs": runs,
                    "all_true": all_true}
         if args.format == "json":

@@ -11,7 +11,9 @@ Quadratic relations produce solution pairs, so a node may carry several
 instances.  Children are solved once per combination of parent
 instances, and every instance remembers the ancestor instances it was
 built from; checks and measurements pair instances with consistent
-ancestries instead of mixing branches.
+ancestries instead of mixing branches.  Editing a data node re-solves
+only the nodes downstream of it: every other node would get the same
+instances back.
 
 Continuous families are not enumerated.  When a solve leaves free
 parameters the node is marked parametric and blocks its children; the
@@ -63,6 +65,10 @@ class TooManyInstances(RuntimeError):
 
 class Degenerate(ValueError):
     """Input configuration collapses the construction."""
+
+
+class DegenerateMetric(Degenerate):
+    """The metric collapses the construction for every input."""
 
 
 class InvalidTriple(ValueError):
@@ -445,20 +451,47 @@ class Figure:
         self.reevaluate()
 
     def reevaluate(self):
-        """Re-solve everything in insertion order (a topological order,
-        since parents must exist before their children)."""
+        """Re-derive every data row and re-solve every derived node."""
         for node in self._nodes.values():
             if node.kind == "point":
                 node.row = Cycle.zero_radius_at(self.metric, node.point)
             if node.kind in ("predefined", "cycle", "point"):
                 node.instances = [Instance(node.row, {node.label: 0})]
                 node.status = "solved"
-            else:
+        self._resolve(None)
+
+    def _resolve(self, changed: Optional[str]):
+        """Re-solve derived nodes in insertion order (a topological order,
+        since parents must exist before their children): every one when
+        ``changed`` is None, else those downstream of ``changed`` and those
+        left pending (by an unsolved parent, or by an earlier walk that
+        raised).
+
+        A node that raises leaves itself and the rest of the walk pending
+        with no instances, so no node keeps instances built from old data.
+        """
+        cone = {changed}
+        walk = []
+        for node in self._nodes.values():
+            if node.kind in ("rel", "subfigure") and (
+                    changed is None or node.status == "pending"
+                    or cone.intersection(node.parent_labels())):
+                cone.add(node.label)
+                walk.append(node)
+        for i, node in enumerate(walk):
+            try:
                 self._solve_node(node)
+            except BaseException:
+                node.instances = []
+                for rest in walk[i + 1:]:
+                    rest.status, rest.instances = "pending", []
+                    rest.reason = f"not re-solved: {node.label!r} raised"
+                raise
 
     def set_data(self, label: str, data):
         """Replace a generation-0 row (or point); an unfrozen figure then
-        re-solves every node, not only the descendants."""
+        re-solves the downstream cone of ``label``, the only nodes whose
+        parents can have changed."""
         node = self._node(label)
         if node.kind == "point" and not isinstance(data, Cycle) \
                 and len(tuple(data)) == self.metric.n:
@@ -473,7 +506,7 @@ class Figure:
             raise ValueError(f"{label!r} is not a generation-0 data node")
         node.instances = [Instance(node.row, {label: 0})]
         if self.mode == "unfreeze":
-            self.reevaluate()
+            self._resolve(label)
 
     def set_metric(self, metric: Metric):
         """Swap the metric under a live figure and re-derive everything."""
@@ -878,8 +911,9 @@ def nine_point_figure(a, b, c, n=None, metric: Optional[Metric] = None,
     """
     metric = metric or Metric.named("e")
     if 0 in metric.product_eta:
-        raise Degenerate(f"product metric {metric.label()} has a null "
-                         "axis: no line through two points is determined")
+        raise DegenerateMetric(f"product metric {metric.label()} has a "
+                               "null axis: no line through two points is "
+                               "determined")
     fig = Figure(metric, arithmetic=arithmetic)
     fig.add_point(a, "A")
     fig.add_point(b, "B")

@@ -7,9 +7,11 @@ import sys
 import pytest
 
 import cyclekit
+from cyclekit import cli
 from cyclekit.cli import main
 from cyclekit.figure import (INFINITY, REAL_LINE, Figure, is_point,
-                             only_reals, orthogonal, tangent, through)
+                             nine_point_figure, only_reals, orthogonal,
+                             tangent, through)
 
 
 def run(capsys, *args):
@@ -297,6 +299,21 @@ class TestNinepoint:
             env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 4
         assert "random triangles" in proc.stderr
+
+    def test_random_stops_at_a_metric_wide_refusal(self, capsys, monkeypatch):
+        draws = []
+
+        def counting(*args, **kwargs):
+            draws.append(args)
+            return nine_point_figure(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "nine_point_figure", counting)
+        code, _, err = run(capsys, "ninepoint", "--random", "3",
+                           "--metric", "p")
+        assert code == 4
+        assert "random triangles" in err
+        assert "null axis" in err
+        assert len(draws) <= 1
 
     def test_svg_side_output(self, capsys, tmp_path):
         target = tmp_path / "nine.svg"

@@ -205,6 +205,45 @@ class TestEvaluationModes:
             assert [i.key() for i in fig.instances(label)] == \
                    [i.key() for i in fresh.instances(label)]
 
+    @staticmethod
+    def overflow_figure():
+        """Y (through P and Q, tangent to the unit circle C) is infeasible
+        while P sits inside C, and gets two instances, one over the cap,
+        once P moves outside; Z is the vertical line through P."""
+        fig = Figure(max_instances=1)
+        fig.add_point((0, 0), "P")
+        fig.add_point((3, 0), "Q")
+        fig.add_cycle(Cycle.circle(E2, (0, 0), 1), "C")
+        fig.add_cycle_rel([orthogonal("P"), orthogonal("Q"), tangent("C")],
+                          "Y")
+        fig.add_cycle_rel([orthogonal("P"), orthogonal(INFINITY),
+                           orthogonal(REAL_LINE)], "Z")
+        assert fig.status("Y") == "infeasible"
+        return fig
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_raising_resolve_leaves_no_stale_node(self, frozen):
+        fig = self.overflow_figure()
+        if frozen:
+            fig.freeze()
+        with pytest.raises(TooManyInstances):
+            fig.set_data("P", (1, -5))
+            fig.unfreeze()   # reached only when frozen: the full re-solve
+        assert fig.status("Z") == "pending"
+        assert fig.instances("Z") == []
+        assert "'Y' raised" in fig.node("Z").reason
+        assert fig.validate() == []
+
+    def test_edit_elsewhere_resolves_nodes_left_pending(self):
+        fig = self.overflow_figure()
+        with pytest.raises(TooManyInstances):
+            fig.set_data("P", (1, -5))
+        fig.set_data("Q", (F(1, 2), 0))   # Q inside C: Y is infeasible again
+        assert fig.status("Y") == "infeasible"
+        assert fig.status("Z") == "solved"
+        assert fig.instances("Z")[0].canonical().row() == (0, 1, 0, 2)
+        assert fig.validate() == []
+
     def test_set_metric_reflows_everything(self):
         fig = Figure()
         fig.add_point((1, 2), "P")
@@ -222,6 +261,45 @@ class TestEvaluationModes:
         fig = Figure()
         with pytest.raises(ValueError):
             fig.set_metric(Metric.from_signature(3))
+
+
+class TestConeResolve:
+    """An edit re-solves only the cone below the edited node."""
+
+    TRIANGLES = [((0, 0), (4, 0), (1, 3)), ((0, 0), (5, 0), (2, 4)),
+                 ((1, 1), (6, 2), (3, 5)), ((-2, 0), (3, -1), (0, 4))]
+
+    def test_vertex_edit_resolves_one_nine_point_subfigure(self, monkeypatch):
+        # four nine-point subfigures of 32 relation nodes each, plus one
+        # node orthogonal to three of the conics
+        fig = Figure()
+        for sub, tri in enumerate(self.TRIANGLES):
+            bindings = {corner: fig.add_point(pt, f"s{sub}_{corner}")
+                        for corner, pt in zip("ABC", tri)}
+            fig.add_subfigure(nine_point_figure(*tri).figure, bindings,
+                              "conic", f"conic{sub}")
+        fig.add_cycle_rel([orthogonal(f"conic{sub}") for sub in range(3)],
+                          "linked")
+        calls = {"solve": 0, "from_obj": 0}
+        real_solve, real_from_obj = figure.solve, Figure.from_obj
+
+        def counting_solve(*args, **kwargs):
+            calls["solve"] += 1
+            return real_solve(*args, **kwargs)
+
+        def counting_from_obj(obj):
+            calls["from_obj"] += 1
+            return real_from_obj(obj)
+
+        monkeypatch.setattr(figure, "solve", counting_solve)
+        monkeypatch.setattr(Figure, "from_obj",
+                            staticmethod(counting_from_obj))
+        fig.set_data("s0_A", (-1, -2))
+        # a full re-solve makes 4 * 32 + 1 = 129 solves and 4 from_obj calls
+        assert calls["solve"] <= 33
+        assert calls["from_obj"] == 1
+        assert all(fig.status(lab) == "solved" for lab in fig.labels())
+        assert fig.validate() == []
 
 
 class TestBranching:

@@ -1,4 +1,5 @@
-"""Property tests for the exact-or-float decision layer and the solver.
+"""Property tests for the exact-or-float decision layer, the solver and
+figure re-evaluation.
 
 The examples are drawn by hypothesis under the derandomized profile that
 ``conftest.py`` loads.
@@ -7,17 +8,20 @@ The examples are drawn by hypothesis under the derandomized profile that
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclekit import cycle, figure, numerics, poincare, relations
 from cyclekit.cycle import Cycle, Metric
+from cyclekit.figure import (INFINITY, REAL_LINE, Figure, is_point,
+                             orthogonal, tangent)
 from cyclekit.numerics import QuadExt, near_zero
 from cyclekit.poincare import Form
 from cyclekit.relations import (IsFlat, IsLobachevskyLine, IsOrthogonal,
                                 IsPoint, PassesThrough, check, solve)
 
 METRICS = [Metric.named(name) for name in "eph"]
+E2 = Metric.named("e")
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=9)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -126,3 +130,60 @@ def test_pencil_span_is_unchanged_by_scaling_one_row(case):
     want = figure.pairs_span_same_pencil(cycles[:2], cycles[2:])
     cycles[which] = cycles[which].scaled(10.0 ** k)
     assert figure.pairs_span_same_pencil(cycles[:2], cycles[2:]) == want
+
+
+def edit_figure():
+    """Points A, B, C and the unit circles K and U; T through A and B
+    tangent to K (two instances, often in Q(sqrt d)); X where T meets the
+    line L = AB again (``avoid`` drops A); W where U meets
+    the real line, less C (its only link to an edited node is ``avoid``);
+    S the line BC from a subfigure; Y the perpendicular from A to S."""
+    fig = Figure()
+    for label, pt in zip("ABC", [(-2, 1), (3, 2), (1, -3)]):
+        fig.add_point(pt, label)
+    for label in "KU":
+        fig.add_cycle(Cycle.circle(E2, (0, 0), 1), label)
+    fig.add_cycle_rel([tangent("K"), orthogonal("A"), orthogonal("B")], "T")
+    fig.add_cycle_rel([orthogonal("A"), orthogonal("B"),
+                       orthogonal(INFINITY)], "L")
+    fig.add_cycle_rel([orthogonal("T"), orthogonal("L"), is_point()], "X",
+                      avoid=("A",))
+    fig.add_cycle_rel([orthogonal("U"), orthogonal(REAL_LINE), is_point()],
+                      "W", avoid=("C",))
+    inner = Figure()
+    inner.add_point((0, 0), "p")
+    inner.add_point((1, 0), "q")
+    inner.add_cycle_rel([orthogonal("p"), orthogonal("q"),
+                         orthogonal(INFINITY)], "line")
+    fig.add_subfigure(inner, {"p": "B", "q": "C"}, "line", "S")
+    fig.add_cycle_rel([orthogonal("S"), orthogonal("A"),
+                       orthogonal(INFINITY)], "Y")
+    return fig
+
+
+def evaluation(fig):
+    return {lab: (fig.status(lab),
+                  [inst.cycle.key() for inst in fig.node(lab).instances],
+                  [inst.context for inst in fig.node(lab).instances])
+            for lab in fig.labels()}
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=2)
+# (1, 0) and (-1, 0) are the two instances of W, so moving C there drops one
+points = st.one_of(st.sampled_from([(1, 0), (-1, 0)]),
+                   st.tuples(small, small))
+edits = st.one_of(
+    st.tuples(st.sampled_from("ABC"), points),
+    st.tuples(st.just("K"), st.builds(
+        lambda x, y, r: Cycle.circle(E2, (x, y), r), small, small,
+        st.fractions(min_value=Fraction(1, 4), max_value=9,
+                     max_denominator=4))))
+
+
+@settings(max_examples=25)
+@given(st.lists(edits, min_size=1, max_size=4))
+def test_cone_resolve_equals_full_evaluation(steps):
+    fig = edit_figure()
+    for label, data in steps:
+        fig.set_data(label, data)
+        assert evaluation(fig) == evaluation(Figure.from_obj(fig.to_obj()))
