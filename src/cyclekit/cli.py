@@ -21,8 +21,9 @@ from .contfrac import (ARRANGEMENTS, ContinuedFraction, InvalidCF, chain,
 from .cycle import Cycle, Metric, parse_metric
 from .figure import (Degenerate, DegenerateMetric, Figure, NotEvaluated,
                      TooManyInstances, nine_point_figure)
-from .numerics import RadicalClash, format_scalar, parse_scalar
-from .poincare import classify_intervals, extension_from_triple
+from .numerics import RadicalClash, canonical_row, format_scalar, parse_scalar
+from .poincare import (classify_intervals, extension_from_triple,
+                       extension_point)
 from .relations import BranchOverflow, IsTangent, solve
 from .render import Viewport, render_chain, render_figure
 
@@ -240,10 +241,12 @@ def cmd_poincare(args) -> int:
         raise CliError("exactly three aligned pairs are required")
     try:
         kind, disc = classify_intervals(pairs)
-        tau, form = extension_from_triple(pairs)
+        tau, cycle = extension_from_triple(pairs)
     except ValueError as err:
         raise CliError(f"bad triple: {err}", DEGENERATE)
-    point = form.point()
+    point = extension_point(cycle)
+    # reported as (n, l, k, m) = (l_2, l_1, k, m), first nonzero entry 1
+    form = canonical_row((cycle.l[1], cycle.l[0], cycle.k, cycle.m), 1e-14)
     payload = {
         "format": REPORT_FORMAT,
         "kind": kind,
@@ -347,6 +350,8 @@ def cmd_apollonius(args) -> int:
     metric = parse_metric(args.metric) if args.metric else Metric.named("e")
     refs = [Cycle.from_row(metric, _coords(t, metric.n + 2))
             for t in args.cycle]
+    if any(not any(c.row()) for c in refs):
+        raise CliError("the zero row is not a cycle")
     if args.arith == "float":
         refs = [c.as_float() for c in refs]
     if args.signs == "all":

@@ -21,7 +21,8 @@ from .numerics import (Arithmetic, Scalar, comparison_eps, is_exact, lift,
 from .cycle import Cycle, Metric
 from .clifford import (INFINITY, Infinity, Mat2, Mv, Point, euclidean,
                        identity_map, mobius_apply)
-from .poincare import Mat, mat_mul  # noqa: F401  (mat_mul is re-exported)
+from .poincare import (Mat, embed_real_moebius,  # noqa: F401  (re-exported)
+                       mat_mul)
 
 E2 = Metric.named("e")
 
@@ -407,18 +408,6 @@ def _lift_mv(x: Mv, sig) -> Mv:
 def _lift_matrix(M: Mat2, sig) -> Mat2:
     return Mat2(sig, _lift_mv(M.a, sig), _lift_mv(M.b, sig),
                 _lift_mv(M.c, sig), _lift_mv(M.d, sig))
-
-
-def embed_real_moebius(mat: Mat, sig) -> Mat2:
-    """Real 2x2 matrix as a Clifford-entry matrix acting along the e1 axis.
-
-    [[a, b], [c, d]] becomes [[a, b e1], [-c e1, d]]: multiplicative, and
-    x1 e1 maps to ((a x1 + b)/(c x1 + d)) e1, so everything the 2D lane
-    computes is reproduced inside the algebra verbatim.
-    """
-    (a, b), (c, d) = mat
-    e1 = Mv.e(sig, 1)
-    return Mat2(sig, Mv.scalar(sig, a), e1 * b, e1 * (-c), Mv.scalar(sig, d))
 
 
 def _input_cycle(M: Mat2, family: str, value: Scalar) -> Tuple[Cycle, Mat2]:

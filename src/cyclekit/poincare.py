@@ -1,16 +1,18 @@
 """Real Moebius maps on the projective line and their half-plane extensions.
 
 An interval [x, y] is stored as the trace-free matrix that fixes both
-endpoints and swaps the interval with its complement.  Generic 2x2 forms
-carry four coefficients (n, l, k, m); the tau-pairing (tau in {-1, 0, +1})
-is the invariant product that singles out circles, parabolas or equilateral
-hyperbolas as the "distance" carriers of the extended plane.
+endpoints and swaps the interval with its complement.  The extended
+half-plane is read through cycles of the three tau-planes (tau in
+{-1, 0, +1}, point and product metric (-1, tau)): circles, parabolas or
+equilateral hyperbolas are the "distance" carriers, the cycle product is
+the invariant pairing, and a real Moebius map acts on every plane by the
+same Clifford-entry matrix.
 
-A point of the extended half-plane is a tau-isotropic form.  It can be
-reached two ways: by intersecting the conics attached to two boundary
-intervals, or from three intervals via the one-parameter subgroup their
-endpoint map generates.  Both routes are implemented and agree on the
-elliptic slice.
+A point (u, v) of the extended half-plane is an isotropic cycle of its
+tau-plane, with l = (u, v) when k = 1.  It can be reached two ways: by
+intersecting the conics attached to two boundary intervals, or from three
+intervals via the one-parameter subgroup their endpoint map generates.
+Both routes are implemented and agree on the elliptic slice.
 """
 
 from __future__ import annotations
@@ -19,10 +21,13 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .numerics import (Arithmetic, QuadExt, Scalar, canonical_row,
-                       comparison_eps, is_exact, lift, near_zero,
-                       private_context, row_scale, scalar_sign, to_float)
-from .relations import _binary_quadratic, linear_solve
+from .clifford import Mat2, Mv
+from .cycle import Cycle, Metric
+from .numerics import (Arithmetic, QuadExt, Scalar, comparison_eps, is_exact,
+                       lift, near_zero, private_context, row_scale,
+                       scalar_sign, to_float)
+from .relations import (_binary_quadratic, linear_solve, pairing_coeffs,
+                        row_product)
 
 Mat = Tuple[Tuple[Scalar, Scalar], Tuple[Scalar, Scalar]]
 Endpoint = Optional[Scalar]  # None is the point at infinity
@@ -147,11 +152,13 @@ def interval_endpoints(C: Mat, ar: Optional[Arithmetic] = None):
     return (lo, hi) if to_float(lo) <= to_float(hi) else (hi, lo)
 
 
-def cycle_from_interval(x: Endpoint, y: Endpoint) -> "Form":
-    """The level-zero form carried by an interval: coefficients (0, (x+y)/2,
-    1, xy), read as a semicircle, parabola pair or equilateral hyperbola
-    depending on tau."""
-    return Form.from_matrix(interval_matrix(x, y))
+def cycle_from_interval(x: Endpoint, y: Endpoint, tau: int) -> Cycle:
+    """The level-zero cycle carried by an interval: k = 1, l = ((x+y)/2, 0),
+    m = xy, read as a semicircle, parabola pair or equilateral hyperbola
+    depending on tau.  Minus its product with another interval's cycle is
+    tr(C1 C2) of the two interval matrices."""
+    (s, b), (k, _) = interval_matrix(x, y)
+    return Cycle(tau_plane(tau), k, (s, 0), -b)
 
 
 def interval_flt(g: Mat, C: Mat) -> Mat:
@@ -159,116 +166,76 @@ def interval_flt(g: Mat, C: Mat) -> Mat:
     return mat_mul(mat_mul(g, C), mat_adj(g))
 
 
-def interval_pairing(C1: Mat, C2: Mat) -> Scalar:
-    """tr(C1 C2); on intervals = (x+y)(x'+y')/2 - xy - x'y'.
-
-    Self-pairing is (x-y)^2/2 >= 0.  This positive-diagonal convention is
-    the negative of tau_pairing on the same trace-free data; orthogonal
-    families agree, signs of products do not.
-    """
-    M = mat_mul(C1, C2)
-    return M[0][0] + M[1][1]
-
-
 # ---------------------------------------------------------------------------
-# four-coefficient forms and the tau-pairing
+# cycles of the tau-planes
 
-class Form(NamedTuple):
-    """Bilinear form [[l+n, -m], [k, -l+n]] as the vector (n, l, k, m)."""
-
-    n: Scalar
-    l: Scalar
-    k: Scalar
-    m: Scalar
-
-    @classmethod
-    def from_matrix(cls, M: Mat) -> "Form":
-        (a, b), (c, d) = M
-        return cls(lift(a + d) / 2, lift(a - d) / 2, c, -b)
-
-    def matrix(self) -> Mat:
-        return ((self.l + self.n, -self.m), (self.k, self.n - self.l))
-
-    def tau_twist(self, tau: int) -> Mat:
-        """Matrix whose plain trace pairing realises the tau product."""
-        return ((self.l - tau * self.n, -self.m),
-                (self.k, -self.l - tau * self.n))
-
-    def point(self) -> Optional[Tuple[Scalar, Scalar]]:
-        """(u, v) for k-normalisable forms, None on the boundary k = 0."""
-        if not bool(self.k):
-            return None
-        k = lift(self.k)
-        return (lift(self.l) / k, lift(self.n) / k)
-
-    def canonical(self) -> "Form":
-        return Form(*canonical_row(tuple(lift(v) for v in self), 1e-14))
-
-    def key(self, digits: int = 9):
-        can = self.canonical()
-        return tuple(round(to_float(v), digits) + 0.0 for v in can)
+def tau_plane(tau: int) -> Metric:
+    """Point and product metric (-1, tau): the plane of circles (tau = -1),
+    parabolas (0) or equilateral hyperbolas (+1)."""
+    return Metric((-1, tau), (-1, tau))
 
 
-def tau_pairing(Q1: Sequence[Scalar], Q2: Sequence[Scalar], tau: int) -> Scalar:
-    """2 tau n n' - 2 l l' + k m' + m k': the invariant product of forms."""
-    n1, l1, k1, m1 = Q1
-    n2, l2, k2, m2 = Q2
-    return 2 * tau * n1 * n2 - 2 * l1 * l2 + k1 * m2 + m1 * k2
+def extension_point(c: Cycle) -> Optional[Tuple[Scalar, Scalar]]:
+    """(u, v) = l / k labelling a point cycle, None on the boundary k = 0.
+
+    Not ``Cycle.center()``, which reads the point metric and gives
+    (u, -tau v) off the elliptic plane."""
+    if not bool(c.k):
+        return None
+    k = lift(c.k)
+    return (lift(c.l[0]) / k, lift(c.l[1]) / k)
 
 
-def is_tau_isotropic(Q: Sequence[Scalar], tau: int) -> bool:
-    return near_zero(tau_pairing(Q, Q, tau), comparison_eps(), Q, Q)
+def is_tau_isotropic(c: Cycle) -> bool:
+    """Zero self-product in the cycle's own tau-plane."""
+    row = c.row()
+    return near_zero(c.self_product(), comparison_eps(), row, row)
 
 
-def isotropic_form_at(u: Scalar, v: Scalar, tau: int) -> Form:
-    """The normalised tau-isotropic form labelled by the point (u, v)."""
-    return Form(v, u, 1, u * u - tau * v * v)
+def isotropic_form_at(u: Scalar, v: Scalar, tau: int) -> Cycle:
+    """The normalised isotropic cycle of the tau-plane labelled by (u, v).
+
+    Not ``Cycle.zero_radius_at``, whose l is (u, -tau v) off the elliptic
+    plane; this one's e-product with a cycle is that cycle's curve value
+    at (u, v)."""
+    return Cycle(tau_plane(tau), 1, (u, v), u * u - tau * v * v)
 
 
-def curve_value(Q: Sequence[Scalar], u: Scalar, v: Scalar, tau: int) -> Scalar:
-    """k(u^2 - tau v^2) - 2lu - 2nv + m; zero iff (u, v) lies on the curve.
-
-    Equals the e-pairing of Q with the tau-isotropic form at (u, v).
-    """
-    n, l, k, m = Q
-    return k * (u * u - tau * v * v) - 2 * l * u - 2 * n * v + m
-
-
-def curve_membership(Q: Sequence[Scalar], u: Scalar, v: Scalar,
-                     tau: int) -> bool:
-    val = curve_value(Q, u, v, tau)
+def curve_membership(c: Cycle, u: Scalar, v: Scalar) -> bool:
+    """Does (u, v) lie on the curve the cycle draws in its tau-plane?"""
+    val = c.value_at((u, v))
     if is_exact(val):
         return val == 0
     reach = max(1.0, to_float(u) ** 2 + to_float(v) ** 2)
-    return near_zero(val, comparison_eps(), Q, (reach,))
+    return near_zero(val, comparison_eps(), c.row(), (reach,))
 
 
-def real_line_form() -> Form:
-    """The boundary line, scaled so its self tau-pairing equals tau."""
-    return Form(QuadExt(0, Fraction(1, 2), 2), 0, 0, 0)
+def real_line_form(tau: int) -> Cycle:
+    """The boundary line, scaled so its self-product equals tau."""
+    return Cycle(tau_plane(tau), 0, (0, QuadExt(0, Fraction(1, 2), 2)), 0)
 
 
-def inclined_interval_form(x: Scalar, y: Scalar, tau: int) -> Form:
-    """The form through x and y that is e-orthogonal to the tau-point (0,1).
+def inclined_interval_form(x: Scalar, y: Scalar, tau: int) -> Cycle:
+    """The cycle through x and y that is e-orthogonal to the tau-point (0,1).
 
     Circles for tau = -1, 45-degree parabolas for tau = 0, equilateral
     hyperbolas for tau = +1; the inclination to the boundary depends only
     on the subgroup parameter t = (x-y)/(xy-tau), not on x itself.
     """
-    return Form(lift(x * y - tau) / 2, lift(x + y) / 2, 1, lift(x) * y)
+    return Cycle(tau_plane(tau), 1, (lift(x + y) / 2, lift(x * y - tau) / 2),
+                 lift(x) * y)
 
 
-def angle_to_real_line(Q: Sequence[Scalar],
-                       ar: Optional[Arithmetic] = None) -> Scalar:
-    """Cosine of the intersection angle with the boundary: -n/sqrt|l^2+n^2-km|."""
+def angle_to_real_line(c: Cycle, ar: Optional[Arithmetic] = None) -> Scalar:
+    """Cosine of the intersection angle with the boundary:
+    -l_2 / sqrt|l_1^2 + l_2^2 - k m|."""
     ar = private_context(ar)
-    n, l, k, m = (lift(c) for c in Q)
-    den = ar.sqrt(l * l + n * n - k * m)
-    return -n / den
+    k, l1, l2, m = (lift(v) for v in c.row())
+    return -l2 / ar.sqrt(l1 * l1 + l2 * l2 - k * m)
 
 
 # ---------------------------------------------------------------------------
-# the linear action on (n, l, k, m)
+# the Moebius action on cycles
 
 def rep4(g: Mat):
     """4x4 matrix of conjugation by g on (n, l, k, m), det-normalised.
@@ -291,16 +258,22 @@ def jay(sigma: int):
     return ((2 * sigma, 0, 0, 0), (0, -2, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 
 
-def sl2_act_r4(g: Mat, Q: Sequence[Scalar]) -> Form:
-    """Apply rep4(g); agrees with matrix conjugation up to the determinant."""
-    T = rep4(g)
-    return Form(*(sum(T[i][j] * lift(Q[j]) for j in range(4))
-                  for i in range(4)))
+def embed_real_moebius(mat: Mat, sig) -> Mat2:
+    """Real 2x2 matrix as a Clifford-entry matrix acting along the e1 axis.
+
+    [[a, b], [c, d]] becomes [[a, b e1], [-c e1, d]]: multiplicative, and
+    x1 e1 maps to ((a x1 + b)/(c x1 + d)) e1, so everything the 2D lane
+    computes is reproduced inside the algebra verbatim.
+    """
+    (a, b), (c, d) = mat
+    e1 = Mv.e(sig, 1)
+    return Mat2(sig, Mv.scalar(sig, a), e1 * b, e1 * (-c), Mv.scalar(sig, d))
 
 
-def conjugate_form(g: Mat, Q: "Form") -> Form:
-    """g Q adj(g) decoded back to coefficients: det(g) times sl2_act_r4."""
-    return Form.from_matrix(mat_mul(mat_mul(g, Q.matrix()), mat_adj(g)))
+def act(g: Mat, c: Cycle) -> Cycle:
+    """The image of a cycle of any tau-plane under g, scaled by det g:
+    read as (n, l, k, m) = (l_2, l_1, k, m) it is det(g) rep4(g) c."""
+    return c.flt(embed_real_moebius(g, c.metric.product_signature()))
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +436,8 @@ def classify_intervals(pairs) -> Tuple[str, Scalar]:
         rowsB.append((q * Q, p * P, P * q - p * Q))
         rowsC.append((p * Q, -p * P, P * q))
     A, B, C = (_det3(rows) for rows in (rowsA, rowsB, rowsC))
+    if not (bool(A) or bool(B) or bool(C)):
+        raise ValueError("the endpoint map is scalar: it fixes every point")
     disc = B * B - 4 * A * C
     sgn = scalar_sign(disc)
     if not is_exact(disc):  # no float scale, which could overflow
@@ -599,17 +574,14 @@ def extend_apply(g: Mat, u: Scalar, v: Scalar):
     return (up, vp)
 
 
-_P_TAU = {tau: ((1, tau), (1, 1)) for tau in (-1, 0, 1)}
-
-
 def extension_from_triple(pairs, ar: Optional[Arithmetic] = None):
-    """(tau, Form): the isotropic form every map along the triple fixes.
+    """(tau, Cycle): the isotropic cycle every map along the triple fixes.
 
     The endpoint map phi of an aligned triple generates a one-parameter
-    subgroup conjugate to the tau-model [[a, tau b], [b, a]]; pulling
-    the model's fixed form [[1, tau], [1, 1]] back through the conjugator
-    yields the point of the extended space.  The form is returned
-    canonicalised; its point() is None when the subgroup fixes infinity.
+    subgroup conjugate to the tau-model [[a, tau b], [b, a]]; carrying the
+    model's fixed point (0, 1) back through the conjugator yields the point
+    of the extended space.  The cycle is returned canonicalised; its
+    extension_point() is None when the subgroup fixes infinity.
     """
     kind, _ = classify_intervals(pairs)
     ar = private_context(ar)
@@ -626,64 +598,47 @@ def extension_from_triple(pairs, ar: Optional[Arithmetic] = None):
         beta = ar.sqrt(disc) / 2
         if scalar_sign(b) < 0:
             beta = -beta  # keeps the decoded v positive
-        B = ((b, 0), (alpha - a, beta))
-        F = mat_mul(mat_mul(B, _P_TAU[-1]), mat_adj(B))
+        g = ((b, 0), (alpha - a, beta))
     elif kind == "parabolic":
         if bool(c):
             s = (a - d) / (2 * c)
-            gc = ((1, -s), (0, 1))
+            g = mat_adj(((1, -s), (0, 1)))
         else:
-            gc = ((0, 1), (-1, 0))  # single fixed point at infinity
-        F = mat_mul(mat_mul(mat_adj(gc), _P_TAU[0]), gc)
+            g = mat_adj(((0, 1), (-1, 0)))  # single fixed point at infinity
     else:
         pts = fixed_points(tm.matrix, ar)
         (p1, q1), (p2, q2) = proj(pts[0]), proj(pts[1])
-        gc = ((-q2 - q1, p2 + p1), (q2 - q1, p1 - p2))
-        F = mat_mul(mat_mul(mat_adj(gc), _P_TAU[1]), gc)
-    return tau, Form.from_matrix(F).canonical()
+        g = mat_adj(((-q2 - q1, p2 + p1), (q2 - q1, p1 - p2)))
+    return tau, act(g, isotropic_form_at(0, 1, tau)).canonical()
 
 
 # ---------------------------------------------------------------------------
-# common points of two generic forms
+# common points of two cycles
 
-def common_point(C: Sequence[Scalar], Ct: Sequence[Scalar], tau: int,
-                 ar: Optional[Arithmetic] = None) -> List[Form]:
-    """The at most two tau-isotropic forms e-orthogonal to both C and Ct.
+def common_point(C: Cycle, Ct: Cycle,
+                 ar: Optional[Arithmetic] = None) -> List[Cycle]:
+    """The at most two isotropic cycles of C's tau-plane e-orthogonal to
+    both C and Ct, ordered by ``Cycle.key``.
 
     Two linear conditions cut the coefficient space down to a plane, on
-    which tau-isotropy is a binary quadratic.
+    which isotropy is a binary quadratic.
     """
     ar = private_context(ar)
-    rows = []
-    for ref in (C, Ct):
-        n, l, k, m = ref
-        rows.append(((-2 * n, -2 * l, m, k), 0))
-    part, basis = linear_solve(rows, 4, ar.exact)
-    if part is None or basis is None:
-        return []
+    plane, e2 = C.metric, tau_plane(-1)
+    _, basis = linear_solve([(pairing_coeffs(e2, ref), 0) for ref in (C, Ct)],
+                            4, ar.exact)
     if len(basis) > 2:
-        raise ValueError("forms too degenerate to cut out a pencil")
-    if not basis:
-        return []
-    if len(basis) == 1:
-        vec = basis[0]
-        return [Form(*vec).canonical()] if is_tau_isotropic(vec, tau) else []
-    sols = _binary_quadratic(lambda u, w: tau_pairing(u, w, tau),
+        raise ValueError("cycles too degenerate to cut out a pencil")
+    sols = _binary_quadratic(lambda u, w: row_product(plane, u, w),
                              basis[0], basis[1], ar)
     if sols is None:
-        raise ValueError("every form of the pencil is isotropic")
-    out, seen = [], set()
+        raise ValueError("every cycle of the pencil is isotropic")
+    found = {}
     for vec in sols:
-        form = Form(*vec).canonical()
-        if not is_tau_isotropic(form, tau):
-            continue
-        if not all(near_zero(tau_pairing(form, ref, -1), comparison_eps(),
-                             form, ref) for ref in (C, Ct)):
-            continue
-        key = form.key()
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(form)
-    out.sort(key=lambda f: f.key())
-    return out
+        c = Cycle.from_row(plane, vec).canonical()
+        row = c.row()
+        if is_tau_isotropic(c) and all(
+                near_zero(row_product(e2, row, ref.row()), comparison_eps(),
+                          row, ref.row()) for ref in (C, Ct)):
+            found.setdefault(c.key(), c)
+    return [found[key] for key in sorted(found)]

@@ -241,6 +241,13 @@ class TestPoincare:
         code, _, err = run(capsys, "poincare", "--pairs", "0", "1:2", "2:3")
         assert code == 2
 
+    def test_identity_triple_exits_4(self, capsys):
+        code, out, err = run(capsys, "poincare", "--pairs",
+                             "0:0", "1:1", "2:2")
+        assert code == 4
+        assert out == ""
+        assert "bad triple:" in err and "fixes every point" in err
+
 
 class TestNinepoint:
     def test_classical(self, capsys):
@@ -362,6 +369,13 @@ class TestApollonius:
         report = json.loads(out)
         assert len(report["branches"]) == 8
         assert all(b["status"] == "infeasible" for b in report["branches"])
+
+    def test_zero_row_exits_2(self, capsys):
+        code, out, err = run(capsys, "apollonius", "--cycle",
+                             "0,0,0,0", "1,0,0,-1", "1,3,0,8")
+        assert code == 2
+        assert out == ""
+        assert "the zero row is not a cycle" in err
 
     def test_sign_selection(self, capsys):
         code, out, _ = run(capsys, "apollonius", "--cycle",

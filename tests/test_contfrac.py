@@ -261,8 +261,7 @@ class TestChains:
     def test_ortho45_cosine(self):
         ch = chain(pi_cf(), 5, "ortho45")
         for join in ch.connecting:
-            q = (join.l[1], join.l[0], join.k, join.m)
-            cos = poincare.angle_to_real_line(q)
+            cos = poincare.angle_to_real_line(join)
             assert cos * cos == F(1, 2)
 
     def test_ortho45_radius_geometric_mean(self):
@@ -275,15 +274,14 @@ class TestChains:
         ch = chain(pi_cf(), 3, "ortho45")
         ar = Arithmetic(mode="float")
         for i, join in enumerate(ch.connecting):
-            forms = []
-            for h in (ch.horocycles[i], ch.horocycles[i + 1]):
-                forms.append((float(h.l[1]), float(h.l[0]), float(h.k), float(h.m)))
-            pts = poincare.common_point(forms[0], forms[1], -1, ar)
+            pts = poincare.common_point(ch.horocycles[i].as_float(),
+                                        ch.horocycles[i + 1].as_float(), ar)
             assert len(pts) == 2
-            hits = [p.point() for p in pts
-                    if abs(join.as_float().value_at(p.point())) < 1e-9]
-            mirror_hits = [p.point() for p in pts
-                           if abs(join.mirror().as_float().value_at(p.point())) < 1e-9]
+            pts = [poincare.extension_point(p) for p in pts]
+            hits = [p for p in pts
+                    if abs(join.as_float().value_at(p)) < 1e-9]
+            mirror_hits = [p for p in pts
+                           if abs(join.mirror().as_float().value_at(p)) < 1e-9]
             assert len(hits) == 1
             assert len(mirror_hits) == 1
             assert hits[0] != mirror_hits[0]

@@ -4,24 +4,28 @@ from fractions import Fraction as F
 
 import pytest
 
+from cyclekit.cycle import Cycle
 from cyclekit.numerics import Arithmetic, QuadExt, to_float
-from cyclekit.poincare import (Form, InvalidOrdering, NoRealPoint, NotAligned,
+from cyclekit.poincare import (InvalidOrdering, NoRealPoint, NotAligned, act,
                                angle_to_real_line, classify_intervals,
-                               common_point, conjugate_form, curve_value,
-                               curve_membership, cycle_from_interval,
-                               dilation_map, extend_apply,
-                               extension_from_triple, extension_point_ell,
+                               common_point, curve_membership,
+                               cycle_from_interval, dilation_map,
+                               extend_apply, extension_from_triple,
+                               extension_point, extension_point_ell,
                                extension_point_hyp, extension_point_par,
                                fixed_points, h_tau, h_tau_parameter, half_turn,
                                imap, inclined_interval_form,
                                interval_endpoints, interval_flt,
-                               interval_matrix, interval_pairing,
-                               is_tau_isotropic, isotropic_form_at, iwasawa,
-                               jay, mat_adj, mat_apply, mat_det, mat_mul,
+                               interval_matrix, is_tau_isotropic,
+                               isotropic_form_at, iwasawa, jay, mat_adj,
+                               mat_apply, mat_det, mat_mul,
                                moebius_from_three_pairs, orientation,
-                               proportional, real_line_form, rep4,
-                               rotation, sl2_act_r4, tau_pairing,
-                               to_zero_one_inf, translation_map)
+                               proportional, real_line_form, rep4, rotation,
+                               tau_plane, to_zero_one_inf, translation_map)
+from cyclekit.relations import row_product
+
+E2 = tau_plane(-1)
+TAUS = (-1, 0, 1)
 
 
 def is_scalar_matrix(g):
@@ -38,6 +42,27 @@ def rand_mat(rng, span=5):
              (rand_frac(rng, span), rand_frac(rng, span)))
         if mat_det(g) != 0:
             return g
+
+
+def rand_nlkm(rng):
+    return tuple(rand_frac(rng) for _ in range(4))
+
+
+def cycle_nlkm(tau, n, l, k, m):
+    """The cycle with coefficients (n, l, k, m): k, l = (l, n), m."""
+    return Cycle(tau_plane(tau), k, (l, n), m)
+
+
+def real_matrix(c):
+    """The cycle as the real matrix [[l_1 + l_2, -m], [k, l_2 - l_1]]."""
+    l1, l2 = c.l
+    return ((l1 + l2, -c.m), (c.k, l2 - l1))
+
+
+def from_real_matrix(M, tau=-1):
+    """Inverse of real_matrix."""
+    (a, b), (c, d) = M
+    return cycle_nlkm(tau, F(a + d) / 2, F(a - d) / 2, c, -b)
 
 
 class TestIntervalMatrices:
@@ -80,14 +105,19 @@ class TestIntervalMatrices:
         assert set(interval_endpoints(img)) == {F(-2), F(-1)}
 
     def test_pairing_values(self):
-        C02 = interval_matrix(0, 2)
-        assert interval_pairing(C02, C02) == 2  # (x-y)^2/2
+        # minus the product of interval cycles is tr(C1 C2) of the matrices
+        C02 = cycle_from_interval(0, 2, -1)
+        assert -C02.product(C02) == 2  # (x-y)^2/2
         rng = random.Random(3)
         for _ in range(20):
             x, y, xp, yp = (rand_frac(rng) for _ in range(4))
-            val = interval_pairing(interval_matrix(x, y),
-                                   interval_matrix(xp, yp))
-            assert val == (x + y) * (xp + yp) / 2 - x * y - xp * yp
+            M = mat_mul(interval_matrix(x, y), interval_matrix(xp, yp))
+            assert M[0][0] + M[1][1] == \
+                (x + y) * (xp + yp) / 2 - x * y - xp * yp
+            for tau in TAUS:
+                val = -cycle_from_interval(x, y, tau).product(
+                    cycle_from_interval(xp, yp, tau))
+                assert val == M[0][0] + M[1][1]
 
     def test_imap_is_negated_inverse(self):
         rng = random.Random(11)
@@ -105,86 +135,85 @@ class TestIntervalMatrices:
 
 class TestForms:
     def test_matrix_roundtrip(self):
-        q = Form(F(2), F(-1), F(3), F(5))
-        assert Form.from_matrix(q.matrix()) == q
-        assert q.matrix() == ((F(1), F(-5)), (F(3), F(3)))
-
-    def test_twist_realises_pairing(self):
-        rng = random.Random(5)
-        for _ in range(15):
-            q1 = Form(*(rand_frac(rng) for _ in range(4)))
-            q2 = Form(*(rand_frac(rng) for _ in range(4)))
-            for tau in (-1, 0, 1):
-                M = mat_mul(q1.tau_twist(tau), q2.matrix())
-                assert -(M[0][0] + M[1][1]) == tau_pairing(q1, q2, tau)
+        q = cycle_nlkm(-1, F(2), F(-1), F(3), F(5))
+        assert from_real_matrix(real_matrix(q)) == q
+        assert real_matrix(q) == ((F(1), F(-5)), (F(3), F(3)))
+        for tau in TAUS:
+            c = cycle_from_interval(F(-1), F(3), tau)
+            assert real_matrix(c) == interval_matrix(F(-1), F(3))
 
     def test_isotropic_form(self):
-        for tau in (-1, 0, 1):
+        for tau in TAUS:
             iso = isotropic_form_at(F(1, 2), F(3), tau)
-            assert is_tau_isotropic(iso, tau)
-            assert iso.point() == (F(1, 2), F(3))
+            assert is_tau_isotropic(iso)
+            assert extension_point(iso) == (F(1, 2), F(3))
+            # the point-metric center is (u, -tau v): not the label
+            assert iso.center() == (F(1, 2), -tau * F(3))
 
     def test_membership_is_pairing_with_point_form(self):
         rng = random.Random(13)
         for _ in range(15):
-            q = Form(*(rand_frac(rng) for _ in range(4)))
+            nlkm = rand_nlkm(rng)
             u, v = rand_frac(rng), rand_frac(rng)
-            for tau in (-1, 0, 1):
+            for tau in TAUS:
+                q = cycle_nlkm(tau, *nlkm)
                 iso = isotropic_form_at(u, v, tau)
-                assert curve_value(q, u, v, tau) == tau_pairing(q, iso, -1)
+                assert q.value_at((u, v)) == row_product(E2, q.row(),
+                                                         iso.row())
 
     def test_real_line_self_pairing(self):
-        R = real_line_form()
-        for tau in (-1, 0, 1):
-            assert tau_pairing(R, R, tau) == tau
+        for tau in TAUS:
+            R = real_line_form(tau)
+            assert R.self_product() == tau
 
     def test_boundary_form_has_no_point(self):
-        assert Form(1, 0, 0, 1).point() is None
+        assert extension_point(cycle_nlkm(-1, 1, 0, 0, 1)) is None
 
     def test_interval_cycle_matches_e_product(self):
-        # zero-angle interval forms pair like the intervals themselves
+        # zero-angle interval cycles pair like the intervals themselves
         x, y = F(1), F(4)
-        q = Form(0, (x + y) / 2, 1, x * y)
-        assert tau_pairing(q, q, -1) == -(x - y) ** 2 / 2
+        q = cycle_nlkm(-1, 0, (x + y) / 2, 1, x * y)
+        assert q == cycle_from_interval(x, y, -1)
+        assert q.self_product() == -(x - y) ** 2 / 2
 
 
 class TestInclinedForms:
     def test_passes_through_endpoints(self):
         rng = random.Random(17)
-        for tau in (-1, 0, 1):
+        for tau in TAUS:
             for _ in range(10):
                 x, y = rand_frac(rng), rand_frac(rng)
                 if x == y:
                     continue
                 q = inclined_interval_form(x, y, tau)
-                assert curve_value(q, x, 0, tau) == 0
-                assert curve_value(q, y, 0, tau) == 0
+                assert q.value_at((x, 0)) == 0
+                assert q.value_at((y, 0)) == 0
                 iso = isotropic_form_at(0, 1, tau)
-                assert tau_pairing(q, iso, -1) == 0
+                assert row_product(E2, q.row(), iso.row()) == 0
 
     def test_inclination_depends_only_on_parameter(self):
         # cos^2 * |t^2 - tau| == tau^2 / |<Q,Q>| normalised: compare squares
         rng = random.Random(19)
-        R = real_line_form()
         for tau in (-1, 1):
+            R = real_line_form(tau)
             for _ in range(12):
                 x, y = rand_frac(rng), rand_frac(rng)
                 if x == y or x * y == tau:
                     continue
                 q = inclined_interval_form(x, y, tau)
                 t = h_tau_parameter(x, y, tau)
-                lhs = tau_pairing(q, R, tau) ** 2 * abs(t * t - tau)
-                rhs = tau * tau * abs(tau_pairing(q, q, tau))
+                lhs = q.product(R) ** 2 * abs(t * t - tau)
+                rhs = tau * tau * abs(q.self_product())
                 assert lhs == rhs
-                assert tau_pairing(q, q, tau) == \
+                assert q.self_product() == \
                     (tau * (x * y - tau) ** 2 - (x - y) ** 2) / 2
 
     def test_angle_to_real_line_on_circles(self):
         # diameter-standing circle: cosine 0; center dropped to (0, -1): 45
         # degrees, cosine^2 = 1/2
-        flat = Form(0, 0, 1, -1)
+        flat = cycle_nlkm(-1, 0, 0, 1, -1)
         assert angle_to_real_line(flat) == 0
-        tilted = Form(F(-1), 0, 1, -1)  # through (-1,0), (1,0), r^2 = 2
+        tilted = cycle_nlkm(-1, F(-1), 0, 1, -1)  # through (+-1, 0), r^2 = 2
         c = angle_to_real_line(tilted, Arithmetic("exact"))
         assert c * c == F(1, 2)
 
@@ -230,26 +259,33 @@ class TestLinearAction:
         rng = random.Random(37)
         for _ in range(15):
             g = rand_mat(rng)
-            q = Form(*(rand_frac(rng) for _ in range(4)))
+            nlkm = rand_nlkm(rng)
             det = mat_det(g)
-            acted = sl2_act_r4(g, q)
-            conj = conjugate_form(g, q)
-            assert all(det * a == c for a, c in zip(acted, conj))
+            T = rep4(g)
+            acted = tuple(det * sum(T[i][j] * nlkm[j] for j in range(4))
+                          for i in range(4))
+            for tau in TAUS:
+                q = cycle_nlkm(tau, *nlkm)
+                conj = mat_mul(mat_mul(g, real_matrix(q)), mat_adj(g))
+                assert act(g, q) == from_real_matrix(conj, tau) \
+                    == cycle_nlkm(tau, *acted)
 
     def test_pairing_invariance(self):
         rng = random.Random(41)
         for _ in range(15):
             g = rand_mat(rng)
-            q1 = Form(*(rand_frac(rng) for _ in range(4)))
-            q2 = Form(*(rand_frac(rng) for _ in range(4)))
-            for tau in (-1, 0, 1):
-                assert tau_pairing(sl2_act_r4(g, q1), sl2_act_r4(g, q2), tau) \
-                    == tau_pairing(q1, q2, tau)
+            q1, q2 = rand_nlkm(rng), rand_nlkm(rng)
+            for tau in TAUS:
+                c1, c2 = cycle_nlkm(tau, *q1), cycle_nlkm(tau, *q2)
+                assert act(g, c1).product(act(g, c2)) \
+                    == mat_det(g) ** 2 * c1.product(c2)
 
     def test_translation_action_on_coefficients(self):
-        q = Form(F(1), F(2), F(3), F(4))
-        moved = sl2_act_r4(translation_map(F(5)), q)
-        assert moved == Form(F(1), F(2) + 5 * 3, F(3), F(4) + 25 * 3 + 2 * 2 * 5)
+        for tau in TAUS:
+            q = cycle_nlkm(tau, F(1), F(2), F(3), F(4))
+            moved = act(translation_map(F(5)), q)
+            assert moved == cycle_nlkm(tau, F(1), F(2) + 5 * 3, F(3),
+                                       F(4) + 25 * 3 + 2 * 2 * 5)
 
     def test_point_transport(self):
         # conjugation carries the point form along; a negative determinant
@@ -259,14 +295,14 @@ class TestLinearAction:
             g = rand_mat(rng)
             u, v = rand_frac(rng), abs(rand_frac(rng)) + 1
             iso = isotropic_form_at(u, v, -1)
-            moved = sl2_act_r4(g, iso)
+            moved = act(g, iso)
             try:
                 up, vp = extend_apply(g, u, v)
             except ZeroDivisionError:
                 assert not bool(moved.k)
                 continue
             flip = 1 if mat_det(g) > 0 else -1
-            assert moved.point() == (up, flip * vp)
+            assert extension_point(moved) == (up, flip * vp)
 
 
 class TestOrientationAndTransitivity:
@@ -370,6 +406,15 @@ class TestClassification:
         turn = half_turn(F(0), F(1))
         kind, disc = classify_intervals(self._pairs_from(turn, [F(2), F(3), F(5)]))
         assert kind == "elliptic" and disc < 0
+
+    def test_identity_triple_is_refused(self):
+        # each x paired with itself: the endpoint map is scalar
+        for triple in ([(F(0), F(0)), (F(1), F(1)), (F(2), F(2))],
+                       [(F(0), F(0)), (F(1), F(1)), (None, None)]):
+            with pytest.raises(ValueError, match="fixes every point"):
+                classify_intervals(triple)
+            with pytest.raises(ValueError, match="fixes every point"):
+                extension_from_triple(triple)
 
     def test_not_aligned(self):
         with pytest.raises(NotAligned):
@@ -506,34 +551,34 @@ class TestExtensionFromTriple:
                 if mat_apply(g, cand) is not None and len(xs) < 3:
                     xs.append(cand)
             tau, form = extension_from_triple(self._pairs(g, xs))
-            assert tau == -1
-            assert is_tau_isotropic(form, -1)
-            assert form.point() == (u0, v0)
+            assert tau == -1 and form.metric == tau_plane(-1)
+            assert is_tau_isotropic(form)
+            assert extension_point(form) == (u0, v0)
             assert extend_apply(g, u0, v0) == (u0, v0)
             done += 1
 
     def test_parabolic_translation_hits_boundary(self):
         tau, form = extension_from_triple(
             self._pairs(translation_map(F(1)), [F(0), F(1), F(2)]))
-        assert tau == 0
-        assert is_tau_isotropic(form, 0)
-        assert form.point() is None  # fixed point is infinity
+        assert tau == 0 and form.metric == tau_plane(0)
+        assert is_tau_isotropic(form)
+        assert extension_point(form) is None  # fixed point is infinity
 
     def test_parabolic_shear(self):
         g = ((1, 0), (F(1, 2), 1))  # fixes 0 only
         tau, form = extension_from_triple(self._pairs(g, [F(1), F(2), F(3)]))
         assert tau == 0
-        assert form.point() == (0, 1)
-        assert is_tau_isotropic(form, 0)
+        assert extension_point(form) == (0, 1)
+        assert is_tau_isotropic(form)
 
     def test_hyperbolic_dilation(self):
         g = dilation_map(F(4))
         tau, form = extension_from_triple(self._pairs(g, [F(1), F(2), F(3)]))
-        assert tau == 1
-        assert is_tau_isotropic(form, 1)
+        assert tau == 1 and form.metric == tau_plane(1)
+        assert is_tau_isotropic(form)
         # the fixed form commutes with the generator
-        assert proportional(mat_mul(g, form.matrix()),
-                            mat_mul(form.matrix(), g))
+        assert proportional(mat_mul(g, real_matrix(form)),
+                            mat_mul(real_matrix(form), g))
 
     def test_fixed_form_commutes_all_kinds(self):
         rng = random.Random(83)
@@ -555,9 +600,10 @@ class TestExtensionFromTriple:
                 tau, form = extension_from_triple(pairs)
             except NotAligned:
                 continue
-            assert is_tau_isotropic(form, tau)
-            assert proportional(mat_mul(g, form.matrix()),
-                                mat_mul(form.matrix(), g))
+            assert form.metric == tau_plane(tau)
+            assert is_tau_isotropic(form)
+            assert proportional(mat_mul(g, real_matrix(form)),
+                                mat_mul(real_matrix(form), g))
             done += 1
 
     def test_remark_graph_orthogonality(self):
@@ -569,55 +615,58 @@ class TestExtensionFromTriple:
             y = mat_apply(g, x)
             if y is None:
                 continue
-            graph = Form.from_matrix(((x, -x * y), (1, -y)))
-            assert tau_pairing(Form.from_matrix(g), graph, -1) == 0
+            graph = from_real_matrix(((x, -x * y), (1, -y)))
+            assert from_real_matrix(g).product(graph) == 0
 
 
 class TestCommonPoint:
     def test_two_circles(self):
-        C = Form(0, 0, 1, -1)       # unit circle at the origin
-        Ct = Form(0, 1, 1, 0)       # unit circle at (2, 0) halved: u^2+v^2=2u
-        got = common_point(C, Ct, -1)
+        C = cycle_nlkm(-1, 0, 0, 1, -1)   # unit circle at the origin
+        Ct = cycle_nlkm(-1, 0, 1, 1, 0)   # unit circle at (1, 0): u^2+v^2=2u
+        got = common_point(C, Ct)
         assert len(got) == 2
         r3 = QuadExt(0, F(1, 2), 3)
-        assert {f.point() for f in got} == {(F(1, 2), r3), (F(1, 2), -r3)}
+        # ordered by Cycle.key: (k, l_1, l_2, m) with k = 1
+        assert [extension_point(f) for f in got] == [(F(1, 2), -r3),
+                                                     (F(1, 2), r3)]
 
     def test_two_circles_float(self):
-        C = Form(0.0, 0.0, 1.0, -1.0)
-        Ct = Form(0.0, 1.0, 1.0, 0.0)
-        got = common_point(C, Ct, -1, Arithmetic("float"))
+        C = cycle_nlkm(-1, 0.0, 0.0, 1.0, -1.0)
+        Ct = cycle_nlkm(-1, 0.0, 1.0, 1.0, 0.0)
+        got = common_point(C, Ct, Arithmetic("float"))
         assert len(got) == 2
-        pts = sorted(tuple(map(to_float, f.point())) for f in got)
+        pts = sorted(tuple(map(to_float, extension_point(f))) for f in got)
         assert pts[0][0] == pytest.approx(0.5) and pts[0][1] == pytest.approx(-math.sqrt(3) / 2)
         assert pts[1][1] == pytest.approx(math.sqrt(3) / 2)
 
     def test_tangent_circle_and_line(self):
-        C = Form(0, 0, 1, -1)
-        line = Form(0, 1, 0, 2)     # vertical line u = 1
-        got = common_point(C, line, -1)
+        C = cycle_nlkm(-1, 0, 0, 1, -1)
+        line = cycle_nlkm(-1, 0, 1, 0, 2)     # vertical line u = 1
+        got = common_point(C, line)
         assert len(got) == 1
-        assert got[0].point() == (1, 0)
+        assert extension_point(got[0]) == (1, 0)
 
     def test_disjoint_circle_and_line(self):
-        C = Form(0, 0, 1, -1)
-        line = Form(0, 1, 0, 6)     # vertical line u = 3
-        assert common_point(C, line, -1) == []
+        C = cycle_nlkm(-1, 0, 0, 1, -1)
+        line = cycle_nlkm(-1, 0, 1, 0, 6)     # vertical line u = 3
+        assert common_point(C, line) == []
 
     def test_hyperbolic_carrier(self):
         # tau = +1: equilateral hyperbolas v^2 = (u-x)(u-y) meet where the
         # closed formula says they do
         x, y, xp, yp = F(0), F(1), F(2), F(4)
         u, v = extension_point_hyp(x, y, xp, yp, Arithmetic("exact"))
-        C = cycle_from_interval(x, y)
-        Ct = cycle_from_interval(xp, yp)
-        got = common_point(C, Ct, 1)
-        pts = {f.point() for f in got}
+        C = cycle_from_interval(x, y, 1)
+        Ct = cycle_from_interval(xp, yp, 1)
+        got = common_point(C, Ct)
+        pts = {extension_point(f) for f in got}
         assert (u, v) in pts
         for f in got:
-            assert curve_membership(C, *f.point(), 1)
-            assert curve_membership(Ct, *f.point(), 1)
+            assert f.metric == tau_plane(1)
+            assert curve_membership(C, *extension_point(f))
+            assert curve_membership(Ct, *extension_point(f))
 
     def test_degenerate_pair_raises(self):
-        C = Form(0, 0, 1, -1)
+        C = cycle_nlkm(-1, 0, 0, 1, -1)
         with pytest.raises(ValueError):
-            common_point(C, C, -1)
+            common_point(C, C)

@@ -1,5 +1,5 @@
-"""Property tests for the exact-or-float decision layer, the solver and
-figure re-evaluation.
+"""Property tests for the exact-or-float decision layer, the Moebius action
+on cycles, the solver and figure re-evaluation.
 
 The examples are drawn by hypothesis under the derandomized profile that
 ``conftest.py`` loads.
@@ -15,8 +15,7 @@ from cyclekit import cycle, figure, numerics, poincare, relations
 from cyclekit.cycle import Cycle, Metric
 from cyclekit.figure import (INFINITY, REAL_LINE, Figure, is_point,
                              orthogonal, tangent)
-from cyclekit.numerics import QuadExt, near_zero
-from cyclekit.poincare import Form
+from cyclekit.numerics import QuadExt, canonical_row, near_zero
 from cyclekit.relations import (IsFlat, IsLobachevskyLine, IsOrthogonal,
                                 IsPoint, PassesThrough, check, solve)
 
@@ -42,8 +41,31 @@ def test_key_is_unchanged_by_rational_row_scaling(metric, row, factor):
 
 @given(exact_rows, nonzero_rationals)
 def test_form_canonical_is_unchanged_by_rational_row_scaling(row, factor):
-    scaled = Form(*(v * factor for v in row))
-    assert scaled.canonical() == Form(*row).canonical()
+    # the (n, l, k, m) form of a poincare report is canonical_row at 1e-14
+    scaled = tuple(v * factor for v in row)
+    assert canonical_row(scaled, 1e-14) == canonical_row(row, 1e-14)
+
+
+rational_mats = st.tuples(rationals, rationals, rationals, rationals).filter(
+    lambda t: t[0] * t[3] != t[1] * t[2]).map(
+    lambda t: ((t[0], t[1]), (t[2], t[3])))
+
+
+@given(st.sampled_from(METRICS), rational_mats, exact_rows, exact_rows)
+def test_moebius_action_scales_the_product_by_det_squared(metric, g, r1, r2):
+    c1, c2 = Cycle.from_row(metric, r1), Cycle.from_row(metric, r2)
+    moved = poincare.act(g, c1).product(poincare.act(g, c2))
+    assert moved == poincare.mat_det(g) ** 2 * c1.product(c2)
+
+
+@given(st.sampled_from(METRICS), rational_mats, exact_rows)
+def test_moebius_action_is_det_times_rep4(metric, g, row):
+    c = Cycle.from_row(metric, row)
+    moved = poincare.act(g, c)
+    T, det = poincare.rep4(g), poincare.mat_det(g)
+    nlkm = (c.l[1], c.l[0], c.k, c.m)
+    assert (moved.l[1], moved.l[0], moved.k, moved.m) == tuple(
+        det * sum(T[i][j] * nlkm[j] for j in range(4)) for i in range(4))
 
 
 @given(exact_scalars, st.floats(min_value=0.0, allow_nan=False), any_rows)
