@@ -4,6 +4,11 @@ SVG, and drive the continued-fraction, extension and triangle tools.
 Exit codes: 0 success (all checks true, nothing infeasible), 1 a check
 or verdict failed, 2 parse or validation error, 3 solve overflow,
 4 degenerate input.  MOEBINV_EPS overrides the comparison tolerance.
+
+Each subcommand takes only the options it reads: --metric and --arith
+go to figure-eval, figure-check, figure-render, ninepoint and apollonius,
+--seed only to ninepoint --random; the others refuse them with exit 2.
+A value may start with a minus sign, as in --pairs -3:1 0:2 1:5.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -47,6 +53,14 @@ def _emit(text: str, out: Optional[str]):
         sys.stdout.write(text)
 
 
+def _report(args, payload: dict, lines: List[str]):
+    """Write a report as report-v1 JSON or as its text lines."""
+    if args.format == "json":
+        lines = [json.dumps(dict(payload, format=REPORT_FORMAT),
+                            indent=2, sort_keys=True)]
+    _emit("\n".join(lines) + "\n", args.out)
+
+
 def _load_script(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -68,8 +82,6 @@ def _build_figure(args) -> tuple:
               "measures": obj.pop("measures", [])}
     try:
         fig = Figure.from_obj(obj)
-    except TooManyInstances as err:
-        raise CliError(str(err), OVERFLOW)
     except (KeyError, NotEvaluated, ValueError) as err:
         raise CliError(f"script error: {err}")
     return fig, extras
@@ -90,14 +102,13 @@ def _figure_report(fig: Figure) -> dict:
         if node.reason:
             entry["reason"] = node.reason
         nodes.append(entry)
-    return {"format": REPORT_FORMAT,
-            "metric": fig.metric.label(),
+    return {"metric": fig.metric.label(),
             "arithmetic": fig.arithmetic,
             "nodes": nodes,
             "violations": fig.validate()}
 
 
-def _report_text(report: dict) -> str:
+def _report_lines(report: dict) -> List[str]:
     lines = [f"metric {report['metric']}  arithmetic {report['arithmetic']}"]
     for node in report["nodes"]:
         head = (f"{node['label']}: gen {node['generation']} "
@@ -109,16 +120,13 @@ def _report_text(report: dict) -> str:
             lines.append("  (" + ", ".join(row) + ")")
     for v in report["violations"]:
         lines.append(f"violation: {v}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def cmd_figure_eval(args) -> int:
     fig, _ = _build_figure(args)
     report = _figure_report(fig)
-    if args.format == "json":
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(_report_text(report), args.out)
+    _report(args, report, _report_lines(report))
     bad = any(n["status"] == "infeasible" for n in report["nodes"])
     return FAIL if bad or report["violations"] else OK
 
@@ -149,16 +157,11 @@ def cmd_figure_check(args) -> int:
             "a": spec["a"], "b": spec["b"], "quantity": spec["quantity"],
             "values": [{"instances": list(pair), "value": format_scalar(v)}
                        for pair, v in values]})
-    if args.format == "json":
-        _emit(json.dumps({"format": REPORT_FORMAT, "checks": details,
-                          "measures": measured},
-                         indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        lines = [",".join("true" if v else "false" for v in verdicts)]
-        for m in measured:
-            vals = "; ".join(v["value"] for v in m["values"])
-            lines.append(f"{m['quantity']}({m['a']}, {m['b']}) = {vals}")
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = [",".join("true" if v else "false" for v in verdicts)]
+    for m in measured:
+        vals = "; ".join(v["value"] for v in m["values"])
+        lines.append(f"{m['quantity']}({m['a']}, {m['b']}) = {vals}")
+    _report(args, {"checks": details, "measures": measured}, lines)
     return OK if all(verdicts) else FAIL
 
 
@@ -196,7 +199,6 @@ def cmd_contfrac(args) -> int:
     residuals = [expected_zero(prev, here)
                  for prev, here in zip(ch.horocycles, ch.horocycles[1:])]
     payload = {
-        "format": REPORT_FORMAT,
         "cf": args.cf,
         "arrangement": args.arrangement,
         "convergents": [[format_scalar(p), format_scalar(q)] for p, q in pairs],
@@ -206,18 +208,15 @@ def cmd_contfrac(args) -> int:
     }
     if args.svg:
         _emit(render_chain(ch, _viewport(args)), args.svg)
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        lines = [f"{args.cf} [{args.arrangement}]"]
-        for p, q in pairs:
-            value = quotient((p, q))
-            shown = "oo" if value is None else format_scalar(value)
-            lines.append(f"  {format_scalar(p)}/{format_scalar(q)} = {shown}")
-        lines.append("step residuals: "
-                     + ", ".join(format_scalar(r) for r in residuals))
-        lines.append(f"nested: {report.nested}  converges: {report.converges}")
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = [f"{args.cf} [{args.arrangement}]"]
+    for p, q in pairs:
+        value = quotient((p, q))
+        shown = "oo" if value is None else format_scalar(value)
+        lines.append(f"  {format_scalar(p)}/{format_scalar(q)} = {shown}")
+    lines.append("step residuals: "
+                 + ", ".join(format_scalar(r) for r in residuals))
+    lines.append(f"nested: {report.nested}  converges: {report.converges}")
+    _report(args, payload, lines)
     return OK
 
 
@@ -237,8 +236,6 @@ def cmd_poincare(args) -> int:
             raise CliError(f"pair {spec!r} must look like x:y")
         x, y = spec.split(":", 1)
         pairs.append((_endpoint(x), _endpoint(y)))
-    if len(pairs) != 3:
-        raise CliError("exactly three aligned pairs are required")
     try:
         kind, disc = classify_intervals(pairs)
         tau, cycle = extension_from_triple(pairs)
@@ -248,19 +245,15 @@ def cmd_poincare(args) -> int:
     # reported as (n, l, k, m) = (l_2, l_1, k, m), first nonzero entry 1
     form = canonical_row((cycle.l[1], cycle.l[0], cycle.k, cycle.m), 1e-14)
     payload = {
-        "format": REPORT_FORMAT,
         "kind": kind,
         "tau": tau,
         "discriminant": format_scalar(disc),
         "form": [format_scalar(v) for v in form],
         "point": None if point is None else [format_scalar(c) for c in point],
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        at = "boundary (infinity)" if point is None else \
-            "(" + ", ".join(format_scalar(c) for c in point) + ")"
-        _emit(f"{kind} (tau {tau}), extension point {at}\n", args.out)
+    at = "boundary (infinity)" if point is None else \
+        "(" + ", ".join(payload["point"]) + ")"
+    _report(args, payload, [f"{kind} (tau {tau}), extension point {at}"])
     return OK
 
 
@@ -313,14 +306,8 @@ def cmd_ninepoint(args) -> int:
             raise CliError(f"degenerate configuration: {done} of {args.random}"
                            f" random triangles usable in {draws} draws"
                            f"{reason}", DEGENERATE)
-        payload = {"format": REPORT_FORMAT, "runs": runs,
-                   "all_true": all_true}
-        if args.format == "json":
-            _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                  args.out)
-        else:
-            _emit(f"{done} triangles, all on the conic: {all_true}\n",
-                  args.out)
+        _report(args, {"runs": runs, "all_true": all_true},
+                [f"{done} triangles, all on the conic: {all_true}"])
         return OK if all_true else FAIL
     if not args.triangle:
         raise CliError("provide --triangle or --random")
@@ -333,13 +320,10 @@ def cmd_ninepoint(args) -> int:
         raise CliError(f"degenerate configuration: {err}", DEGENERATE)
     if args.svg:
         _emit(render_figure(res.figure, _viewport(args)), args.svg)
-    payload = dict(_ninepoint_payload(res), format=REPORT_FORMAT)
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        conic = ", ".join(payload["conic"])
-        _emit(f"verdict: {res.verdict}\nkind: {res.kind}\n"
-              f"conic: ({conic})\n", args.out)
+    payload = _ninepoint_payload(res)
+    conic = ", ".join(payload["conic"])
+    _report(args, payload, [f"verdict: {res.verdict}", f"kind: {res.kind}",
+                            f"conic: ({conic})"])
     return OK if res.verdict else FAIL
 
 
@@ -381,17 +365,25 @@ def cmd_apollonius(args) -> int:
                 "row": [format_scalar(v) for v in row],
                 "residuals": [format_scalar(r) for r in residuals]})
         branches.append(entry)
-    payload = {"format": REPORT_FORMAT, "branches": branches}
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        lines = []
-        for entry in branches:
-            lines.append(f"[{entry['signs']}] {entry['status']}")
-            for sol in entry["solutions"]:
-                lines.append("  (" + ", ".join(sol["row"]) + ")")
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = []
+    for entry in branches:
+        lines.append(f"[{entry['signs']}] {entry['status']}")
+        for sol in entry["solutions"]:
+            lines.append("  (" + ", ".join(sol["row"]) + ")")
+    _report(args, {"branches": branches}, lines)
     return OK
+
+
+# options that several subcommands read; each subcommand names its own
+_COMMON = {
+    "metric": dict(help='e, p, h or "p,q,r"'),
+    "arith": dict(choices=("exact", "float")),
+    "out": dict(help="write output here instead of stdout"),
+    "format": dict(choices=("json", "text"), default="text"),
+    "viewport": dict(type=float, nargs=4,
+                     metavar=("UMIN", "UMAX", "VMIN", "VMAX")),
+    "size": dict(type=int, nargs=2, metavar=("WIDTH", "HEIGHT")),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -401,82 +393,75 @@ def _parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def shared(p, svg=False):
-        p.add_argument("--metric", help='e, p, h or "p,q,r"')
-        p.add_argument("--arith", choices=("exact", "float"))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="write output here instead of stdout")
-        p.add_argument("--format", choices=("json", "text"), default="text")
-        if svg:
-            p.add_argument("--viewport", type=float, nargs=4,
-                           metavar=("UMIN", "UMAX", "VMIN", "VMAX"))
-            p.add_argument("--size", type=int, nargs=2,
-                           metavar=("WIDTH", "HEIGHT"))
+    def command(name, func, help, *common):
+        p = sub.add_parser(name, help=help)
+        # read "-3:1" or "-1,0" as a value, not as an unknown option, on
+        # every Python: older argparse releases test only for plain numbers
+        p._negative_number_matcher = re.compile(r"-\.?\d")
+        p.set_defaults(func=func)
+        for option in common:
+            p.add_argument(f"--{option}", **_COMMON[option])
+        return p
 
-    p = sub.add_parser("figure-eval", help="evaluate a figure script")
+    p = command("figure-eval", cmd_figure_eval, "evaluate a figure script",
+                "metric", "arith", "out", "format")
     p.add_argument("script")
-    shared(p)
-    p.set_defaults(func=cmd_figure_eval)
 
-    p = sub.add_parser("figure-check", help="run a script's checks")
+    p = command("figure-check", cmd_figure_check, "run a script's checks",
+                "metric", "arith", "out", "format")
     p.add_argument("script")
-    shared(p)
-    p.set_defaults(func=cmd_figure_check)
 
-    p = sub.add_parser("figure-render", help="render a figure script to SVG")
+    p = command("figure-render", cmd_figure_render,
+                "render a figure script to SVG",
+                "metric", "arith", "out", "viewport", "size")
     p.add_argument("script")
     p.add_argument("--labels", action="store_true")
-    shared(p, svg=True)
-    p.set_defaults(func=cmd_figure_render)
 
-    p = sub.add_parser("contfrac",
-                       help="convergents and horocycle chain of a fraction")
+    p = command("contfrac", cmd_contfrac,
+                "convergents and horocycle chain of a fraction",
+                "out", "format", "viewport", "size")
     p.add_argument("--cf", required=True, help='like "3;7,15,1,292"')
     p.add_argument("--steps", type=int)
     p.add_argument("--arrangement", default="tangent",
                    choices=ARRANGEMENTS)
     p.add_argument("--svg", help="also write the chain as SVG here")
-    shared(p, svg=True)
-    p.set_defaults(func=cmd_contfrac)
 
-    p = sub.add_parser("poincare",
-                       help="classify an aligned triple and extend it")
+    p = command("poincare", cmd_poincare,
+                "classify an aligned triple and extend it", "out", "format")
     p.add_argument("--pairs", nargs=3, required=True, metavar="X:Y")
-    shared(p)
-    p.set_defaults(func=cmd_poincare)
 
-    p = sub.add_parser("ninepoint", help="nine-point conic of a triangle")
+    p = command("ninepoint", cmd_ninepoint, "nine-point conic of a triangle",
+                "metric", "arith", "out", "format", "viewport", "size")
     p.add_argument("--triangle", nargs=3, metavar="X,Y")
     p.add_argument("--n", help='finite stand-in point "u,v" or "inf"')
     p.add_argument("--random", type=int, metavar="K",
                    help="run K random rational triangles instead")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--svg", help="also write the figure as SVG here")
-    shared(p, svg=True)
-    p.set_defaults(func=cmd_ninepoint)
 
-    p = sub.add_parser("apollonius",
-                       help="cycles tangent to three given cycles")
+    p = command("apollonius", cmd_apollonius,
+                "cycles tangent to three given cycles",
+                "metric", "arith", "out", "format")
     p.add_argument("--cycle", nargs=3, required=True, metavar="K,L1,L2,M")
     p.add_argument("--signs", default="all",
                    help='comma-separated combos of e/i, or "all"')
-    shared(p)
-    p.set_defaults(func=cmd_apollonius)
     return top
+
+
+# exit code of each exception a handler may raise; a CliError names its own
+_EXIT_CODES = {TooManyInstances: OVERFLOW, Degenerate: DEGENERATE}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as err:
+    except (CliError, *_EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return err.code
-    except TooManyInstances as err:
-        print(f"error: {err}", file=sys.stderr)
-        return OVERFLOW
-    except Degenerate as err:
-        print(f"error: {err}", file=sys.stderr)
-        return DEGENERATE
+        if isinstance(err, CliError):
+            return err.code
+        return next(code for kind, code in _EXIT_CODES.items()
+                    if isinstance(err, kind))
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ pairing against a known reference is linear in x, so each relation
 contributes rows (coeffs, rhs).  Tangency-like relations also normalize the
 unknown through a demand <x,x> = s with s in {-1, 0, +1} and split into
 sign branches for the right-hand side; the demand is the single quadratic
-equation left after elimination.
+equation left after elimination.  When an IsPoint is present, ``solve``
+asks every relation for its unsigned incidence row (sign None) and fixes
+the demand to 0.
 
 Solutions are found per branch, checked back against every relation on
 canonical representatives, deduplicated projectively and returned in a
@@ -58,11 +60,12 @@ def pairing_coeffs(metric: Metric, ref: Cycle) -> Tuple[Scalar, ...]:
 class Relation:
     """One constraint on the unknown cycle."""
 
-    def branch_signs(self, point_mode: bool) -> Tuple[Optional[int], ...]:
+    def branch_signs(self) -> Tuple[Optional[int], ...]:
         return (None,)
 
-    def build(self, sign: Optional[int], ar: Arithmetic, point_mode: bool):
-        """Return (rows, demand) for one sign branch."""
+    def build(self, sign: Optional[int], ar: Arithmetic):
+        """Return (rows, demand) for one sign branch; sign None asks for
+        the unsigned incidence row."""
         raise NotImplementedError
 
     def satisfied_by(self, cycle: Cycle, eps: float) -> bool:
@@ -75,7 +78,7 @@ class IsOrthogonal(Relation):
     def __init__(self, ref: Cycle):
         self.ref = ref
 
-    def build(self, sign, ar, point_mode):
+    def build(self, sign, ar):
         return [(pairing_coeffs(self.ref.metric, self.ref), 0)], None
 
     def satisfied_by(self, cycle, eps):
@@ -123,7 +126,7 @@ class IsPoint(Relation):
     def __init__(self, metric: Metric):
         self.metric = metric
 
-    def build(self, sign, ar, point_mode):
+    def build(self, sign, ar):
         return [], 0
 
     def satisfied_by(self, cycle, eps):
@@ -140,7 +143,7 @@ class OnlyReals(Relation):
     def __init__(self, metric: Metric):
         self.metric = metric
 
-    def build(self, sign, ar, point_mode):
+    def build(self, sign, ar):
         return [], None
 
     def satisfied_by(self, cycle, eps):
@@ -150,48 +153,6 @@ class OnlyReals(Relation):
         return "OnlyReals"
 
 
-class IsTangent(Relation):
-    """|<x,R>| = sqrt(<x,x><R,R>) with both sides normalized by the demand.
-
-    variant: "both", "external" (+1 side of the pairing) or "internal".
-    A zero-radius reference degrades to plain incidence, which is noted.
-    """
-
-    def __init__(self, ref: Cycle, variant: str = "both"):
-        if variant not in ("both", "external", "internal"):
-            raise ValueError(f"unknown tangency variant {variant!r}")
-        self.ref = ref
-        self.variant = variant
-
-    def branch_signs(self, point_mode):
-        if point_mode or self.ref.self_product() == 0:
-            return (None,)
-        return (1, -1)
-
-    def build(self, sign, ar, point_mode):
-        coeffs = pairing_coeffs(self.ref.metric, self.ref)
-        ss = self.ref.self_product()
-        if point_mode or ss == 0:
-            return [(coeffs, 0)], None
-        rhs = sign * ar.sqrt(ss)
-        return [(coeffs, rhs)], scalar_sign(ss)
-
-    def satisfied_by(self, cycle, eps):
-        x = cycle.canonical()
-        r = self.ref.canonical()
-        p, sx, sr = x.product(r), x.self_product(), r.self_product()
-        rows = x.row(), r.row()
-        if not near_zero(p * p - sx * sr, eps, *rows, *rows):
-            return False
-        if self.variant == "both" or x.k == 0 or r.k == 0 or sx == 0 or sr == 0:
-            return True
-        want = 1 if self.variant == "external" else -1
-        return scalar_sign(p) == want if is_exact(p) else (p > 0) == (want > 0)
-
-    def __repr__(self):
-        return f"IsTangent({self.ref!r}, {self.variant})"
-
-
 class InversiveDistance(Relation):
     """Pinned normalized pairing <x,R> = theta sqrt|<x,x>| sqrt|<R,R>|."""
 
@@ -199,19 +160,17 @@ class InversiveDistance(Relation):
         self.ref = ref
         self.theta = lift(theta)
 
-    def branch_signs(self, point_mode):
-        if point_mode or self.ref.self_product() == 0 or self.theta == 0:
+    def branch_signs(self):
+        if self.ref.self_product() == 0 or self.theta == 0:
             return (None,)
         return (1, -1)
 
-    def build(self, sign, ar, point_mode):
+    def build(self, sign, ar):
         coeffs = pairing_coeffs(self.ref.metric, self.ref)
         ss = self.ref.self_product()
-        if point_mode or ss == 0:
+        if ss == 0:
             return [(coeffs, 0)], None
-        if self.theta == 0:
-            return [(coeffs, 0)], scalar_sign(ss)
-        rhs = sign * self.theta * ar.sqrt(ss)
+        rhs = 0 if sign is None else sign * self.theta * ar.sqrt(ss)
         return [(coeffs, rhs)], scalar_sign(ss)
 
     def satisfied_by(self, cycle, eps):
@@ -232,6 +191,36 @@ class InversiveDistance(Relation):
         return f"InversiveDistance({self.ref!r}, {self.theta})"
 
 
+class IsTangent(InversiveDistance):
+    """|<x,R>| = sqrt(<x,x><R,R>): inversive distance 1, normalized by the
+    demand.
+
+    variant: "both", "external" (+1 side of the pairing) or "internal".
+    A zero-radius reference degrades to plain incidence, which is noted.
+    """
+
+    def __init__(self, ref: Cycle, variant: str = "both"):
+        if variant not in ("both", "external", "internal"):
+            raise ValueError(f"unknown tangency variant {variant!r}")
+        super().__init__(ref, 1)
+        self.variant = variant
+
+    def satisfied_by(self, cycle, eps):
+        x = cycle.canonical()
+        r = self.ref.canonical()
+        p, sx, sr = x.product(r), x.self_product(), r.self_product()
+        rows = x.row(), r.row()
+        if not near_zero(p * p - sx * sr, eps, *rows, *rows):
+            return False
+        if self.variant == "both" or x.k == 0 or r.k == 0 or sx == 0 or sr == 0:
+            return True
+        want = 1 if self.variant == "external" else -1
+        return scalar_sign(p) == want if is_exact(p) else (p > 0) == (want > 0)
+
+    def __repr__(self):
+        return f"IsTangent({self.ref!r}, {self.variant})"
+
+
 class SteinerPower(Relation):
     """Power d of the unknown against a k-normalized reference:
     d k_x - <x, R_k> = sign sqrt|<R_k,R_k>| with demand <x,x> = -1."""
@@ -243,18 +232,14 @@ class SteinerPower(Relation):
         self.power = lift(power)
         self.ref_k = ref.scaled(1 / lift(ref.k))
 
-    def branch_signs(self, point_mode):
-        if point_mode:
-            return (None,)
+    def branch_signs(self):
         return (1, -1)
 
-    def build(self, sign, ar, point_mode):
+    def build(self, sign, ar):
         metric = self.ref.metric
         base = pairing_coeffs(metric, self.ref_k)
         coeffs = (self.power - base[0],) + tuple(-c for c in base[1:])
-        if point_mode:
-            return [(coeffs, 0)], None
-        rhs = sign * ar.sqrt(self.ref_k.self_product())
+        rhs = 0 if sign is None else sign * ar.sqrt(self.ref_k.self_product())
         return [(coeffs, rhs)], -1
 
     def satisfied_by(self, cycle, eps):
@@ -500,7 +485,8 @@ def solve(relations: Sequence[Relation], metric: Metric,
     eps = comparison_eps()
 
     point_mode = any(isinstance(r, IsPoint) for r in relations)
-    sign_axes = [r.branch_signs(point_mode) for r in relations]
+    sign_axes = [(None,) if point_mode else r.branch_signs()
+                 for r in relations]
     count = 1
     for axis in sign_axes:
         count *= len(axis)
@@ -518,11 +504,13 @@ def solve(relations: Sequence[Relation], metric: Metric,
         rows: List[Row] = []
         demands = []
         for rel, sign in zip(relations, pattern):
-            r_rows, r_demand = rel.build(sign, ar, point_mode)
+            r_rows, r_demand = rel.build(sign, ar)
             rows.extend(r_rows)
             if r_demand is not None:
                 demands.append(r_demand)
-        if demands and any(d != demands[0] for d in demands):
+        if point_mode:
+            demands = [0]
+        elif demands and any(d != demands[0] for d in demands):
             infeasible_reasons.append(
                 f"branch {pattern}: conflicting demands {sorted(set(demands))}")
             continue

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -395,3 +396,76 @@ class TestApollonius:
         code, _, err = run(capsys, "apollonius", "--cycle",
                            "1,0,0", "1,0,0,-4", "1,0,0,-9")
         assert code == 2
+
+
+class TestOptions:
+    # each subcommand declares exactly the options its handler reads
+    EXPECTED = {
+        "figure-eval": {"metric", "arith", "out", "format"},
+        "figure-check": {"metric", "arith", "out", "format"},
+        "figure-render": {"labels", "metric", "arith", "out", "viewport",
+                          "size"},
+        "contfrac": {"cf", "steps", "arrangement", "svg", "out", "format",
+                     "viewport", "size"},
+        "poincare": {"pairs", "out", "format"},
+        "ninepoint": {"triangle", "n", "random", "svg", "metric", "arith",
+                      "seed", "out", "format", "viewport", "size"},
+        "apollonius": {"cycle", "signs", "metric", "arith", "out", "format"},
+    }
+
+    @staticmethod
+    def declared():
+        sub = next(a for a in cli._parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return {name: {a.dest for a in p._actions
+                       if a.option_strings and a.dest != "help"}
+                for name, p in sub.choices.items()}
+
+    def test_each_subcommand_declares_what_it_reads(self):
+        declared = self.declared()
+        assert declared == self.EXPECTED
+        assert sum(len(opts) for opts in declared.values()) == 42
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["figure-eval", "s.json"], ["--seed", "1"]),
+        (["figure-check", "s.json"], ["--seed", "1"]),
+        (["figure-render", "s.json"], ["--seed", "1"]),
+        (["figure-render", "s.json"], ["--format", "json"]),
+        (["contfrac", "--cf", "3;7"], ["--metric", "h"]),
+        (["contfrac", "--cf", "3;7"], ["--arith", "float"]),
+        (["contfrac", "--cf", "3;7"], ["--seed", "1"]),
+        (["poincare", "--pairs", "0:1", "2:3", "5:7"], ["--metric", "h"]),
+        (["poincare", "--pairs", "0:1", "2:3", "5:7"], ["--arith", "float"]),
+        (["poincare", "--pairs", "0:1", "2:3", "5:7"], ["--seed", "1"]),
+        (["apollonius", "--cycle", "1,0,0,-1", "1,-3,0,8", "1,0,-3,8"],
+         ["--seed", "1"]),
+    ], ids=lambda v: " ".join(v))
+    def test_an_option_the_handler_ignores_exits_2(self, capsys, argv,
+                                                   extra):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(extra) in \
+            capsys.readouterr().err
+
+
+class TestNegativeValues:
+    # argparse of Python 3.10 to 3.13.0 takes "-3:1" or "-1,0" for an option
+    @pytest.mark.parametrize("argv, line", [
+        (["poincare", "--pairs", "-3:1", "0:2", "1:5"],
+         "elliptic (tau -1), extension point (1, 1*sqrt(2))"),
+        (["apollonius", "--cycle", "-1,0,0,1", "1,3,0,8", "1,0,3,8",
+          "--signs", "eee"], "  (1, 3/2, 3/2, -1+3*sqrt(2))"),
+        (["ninepoint", "--triangle", "-1,0", "3,0", "0,2"],
+         "conic: (1, 1/2, 7/8, 0)"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_a_value_may_start_with_a_minus_sign(self, capsys, argv, line):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert line in out.splitlines()
+
+    def test_an_unknown_flag_still_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["poincare", "--pairs", "-3:1", "0:2", "1:5", "-x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -x" in capsys.readouterr().err

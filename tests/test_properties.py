@@ -1,5 +1,5 @@
 """Property tests for the exact-or-float decision layer, the Moebius action
-on cycles, the solver and figure re-evaluation.
+on cycles, the solver, figure re-evaluation and the figure JSON round trip.
 
 The examples are drawn by hypothesis under the derandomized profile that
 ``conftest.py`` loads.
@@ -8,16 +8,18 @@ The examples are drawn by hypothesis under the derandomized profile that
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from cyclekit import cycle, figure, numerics, poincare, relations
 from cyclekit.cycle import Cycle, Metric
-from cyclekit.figure import (INFINITY, REAL_LINE, Figure, is_point,
-                             orthogonal, tangent)
-from cyclekit.numerics import QuadExt, canonical_row, near_zero
-from cyclekit.relations import (IsFlat, IsLobachevskyLine, IsOrthogonal,
-                                IsPoint, PassesThrough, check, solve)
+from cyclekit.figure import (INFINITY, REAL_LINE, Figure, TooManyInstances,
+                             inversive, is_point, only_reals, orthogonal,
+                             power, tangent, through)
+from cyclekit.numerics import QuadExt, RadicalClash, canonical_row, near_zero
+from cyclekit.relations import (BranchOverflow, IsFlat, IsLobachevskyLine,
+                                IsOrthogonal, IsPoint, PassesThrough, check,
+                                solve)
 
 METRICS = [Metric.named(name) for name in "eph"]
 E2 = Metric.named("e")
@@ -209,3 +211,61 @@ def test_cone_resolve_equals_full_evaluation(steps):
     for label, data in steps:
         fig.set_data(label, data)
         assert evaluation(fig) == evaluation(Figure.from_obj(fig.to_obj()))
+
+
+@st.composite
+def figures(draw):
+    """A figure over the data cycles a (k = 1) and b (k = 1, or a line) and
+    the point P: two to four relation nodes, each with at most one signed
+    relation (tangent in a drawn variant, inversive, or power against a),
+    unsigned relations, pins and avoid; then the line through two labels
+    as a subfigure."""
+    metric = draw(st.sampled_from(METRICS))
+    fig = Figure(metric, arithmetic=draw(st.sampled_from(["exact", "float"])))
+    fig.freeze()
+    fig.add_cycle((1,) + draw(st.tuples(small, small, small)), "a")
+    fig.add_cycle(draw(st.one_of(st.tuples(st.just(1), small, small, small),
+                                 st.tuples(st.just(0), st.just(1), small,
+                                           small))), "b")
+    fig.add_point(draw(st.tuples(small, small)), "P")
+    labels = ["a", "b", "P"]
+    parent = lambda: st.sampled_from(labels + [REAL_LINE, INFINITY])
+    for i in range(draw(st.integers(2, 4))):
+        signed = draw(st.one_of(
+            st.builds(tangent, parent(),
+                      st.sampled_from(["both", "external", "internal"])),
+            st.builds(inversive, parent(), small),
+            st.builds(lambda value: power("a", value), small),
+            st.none()))
+        linear = st.one_of(st.builds(orthogonal, parent()),
+                           st.builds(through, small, small))
+        rels = draw(st.lists(linear, min_size=2, max_size=3))
+        rels += draw(st.lists(st.sampled_from([is_point(), only_reals()]),
+                              max_size=1))
+        rels += [signed] if signed is not None else []
+        pins = draw(st.lists(linear, max_size=1))
+        avoid = draw(st.lists(st.sampled_from(labels), max_size=1))
+        labels.append(fig.add_cycle_rel(rels, f"n{i}", pins=pins,
+                                        avoid=avoid))
+    inner = Figure(metric)
+    inner.add_point((0, 0), "p")
+    inner.add_point((1, 0), "q")
+    inner.add_cycle_rel([orthogonal("p"), orthogonal("q"),
+                         orthogonal(INFINITY)], "line")
+    ends = draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2,
+                         unique=True))
+    fig.add_subfigure(inner, dict(zip("pq", ends)), "line", "S")
+    try:
+        fig.unfreeze()
+    except (RadicalClash, TooManyInstances, BranchOverflow):
+        reject()
+    return fig
+
+
+@settings(max_examples=40)
+@given(figures())
+def test_figure_json_round_trip(fig):
+    obj = fig.to_obj()
+    again = Figure.from_obj(obj)
+    assert again.to_obj() == obj
+    assert evaluation(again) == evaluation(fig)
