@@ -24,6 +24,18 @@ from .numerics import (Arithmetic, Scalar, canonical_row, format_scalar,
 Eta = Tuple[int, ...]
 
 
+def row_product(metric: Metric, x: Sequence[Scalar],
+                y: Sequence[Scalar]) -> Scalar:
+    """The cycle pairing on raw coefficient rows (k, l.., m)."""
+    eta = metric.product_eta
+    n = metric.n
+    acc = x[n + 1] * y[0] + y[n + 1] * x[0]
+    for i in range(n):
+        if eta[i] != 0:
+            acc = acc + 2 * eta[i] * x[1 + i] * y[1 + i]
+    return acc
+
+
 def signature_from_eta(eta: Eta) -> Signature:
     """Clifford signature whose generator squares read off as eta, in order."""
     p = sum(1 for s in eta if s == -1)
@@ -186,12 +198,7 @@ class Cycle:
         """<C, C'> = m k' + m' k + 2 sum eta_i l_i l'_i (product metric)."""
         if other.metric.product_eta != self.metric.product_eta:
             raise ValueError("product metric mismatch")
-        eta = self.metric.product_eta
-        acc = self.m * other.k + other.m * self.k
-        for i in range(self.metric.n):
-            if eta[i] != 0:
-                acc = acc + 2 * eta[i] * self.l[i] * other.l[i]
-        return acc
+        return row_product(self.metric, self.row(), other.row())
 
     def self_product(self) -> Scalar:
         return self.product(self)

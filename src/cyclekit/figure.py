@@ -20,6 +20,9 @@ parameters the node is marked parametric and blocks its children; the
 caller selects concrete representatives with ``pins`` (extra relations
 used only for selection) or discards known spurious roots with
 ``avoid`` (labels whose instances are excluded projectively).
+
+``_KINDS`` is the one list of relation kinds; spec checks, solves and the
+JSON codec all read it.
 """
 
 from __future__ import annotations
@@ -78,31 +81,28 @@ class InvalidTriple(ValueError):
 # ---------------------------------------------------------------------------
 # relation specs: relation kinds bound to parent nodes by label
 
-
-_PARENT_KINDS = ("orthogonal", "tangent", "inversive", "power")
-_FREE_KINDS = ("through", "is_point", "only_reals")
+# The one list of relation kinds: kind -> (relation class, built on a
+# parent cycle?, parameter names).  A parent-built kind is constructed as
+# cls(parent_cycle, *args), a parentless one as cls(metric, *args).
+_KINDS = {
+    "orthogonal": (IsOrthogonal, True, ()),
+    "tangent": (IsTangent, True, ("variant",)),
+    "inversive": (InversiveDistance, True, ("theta",)),
+    "power": (SteinerPower, True, ("value",)),
+    "through": (PassesThrough, False, ("point",)),
+    "is_point": (IsPoint, False, ()),
+    "only_reals": (OnlyReals, False, ()),
+}
 
 
 @dataclass(frozen=True)
 class RelSpec:
-    """One relation kind, referencing a parent node or self-applied."""
+    """One relation kind, referencing a parent node or self-applied;
+    ``args`` follow the kind's parameter names in ``_KINDS``."""
 
     kind: str
     parent: Optional[str] = None
-    params: Tuple[Tuple[str, object], ...] = ()
-
-    def param(self, key: str, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
-
-    def __repr__(self):
-        bits = [self.kind]
-        if self.parent is not None:
-            bits.append(repr(self.parent))
-        bits += [f"{k}={v!r}" for k, v in self.params]
-        return f"RelSpec({', '.join(bits)})"
+    args: tuple = ()
 
 
 def orthogonal(parent: str) -> RelSpec:
@@ -112,20 +112,20 @@ def orthogonal(parent: str) -> RelSpec:
 def tangent(parent: str, variant: str = "both") -> RelSpec:
     if variant not in ("both", "external", "internal"):
         raise ValueError(f"unknown tangency variant {variant!r}")
-    return RelSpec("tangent", parent, (("variant", variant),))
+    return RelSpec("tangent", parent, (variant,))
 
 
 def inversive(parent: str, theta: Scalar) -> RelSpec:
-    return RelSpec("inversive", parent, (("theta", theta),))
+    return RelSpec("inversive", parent, (theta,))
 
 
 def power(parent: str, value: Scalar) -> RelSpec:
-    return RelSpec("power", parent, (("value", value),))
+    return RelSpec("power", parent, (value,))
 
 
 def through(*point: Scalar) -> RelSpec:
     """Incidence with a fixed point (a constant, not a node)."""
-    return RelSpec("through", None, (("point", tuple(point)),))
+    return RelSpec("through", None, (tuple(point),))
 
 
 def is_point() -> RelSpec:
@@ -194,6 +194,14 @@ class FigureNode:
         return [inst.cycle for inst in self.instances]
 
 
+def _set_row(node: FigureNode, row: Cycle) -> FigureNode:
+    """Make ``row`` the data node's row and its one instance."""
+    node.row = row
+    node.instances = [Instance(row, {node.label: 0})]
+    node.status = "solved"
+    return node
+
+
 def _merge_contexts(contexts) -> Optional[Dict[str, int]]:
     out: Dict[str, int] = {}
     for ctx in contexts:
@@ -232,9 +240,8 @@ class Figure:
         for label, gen, row in (
                 (REAL_LINE, REAL_LINE_GEN, Cycle.real_line(self.metric)),
                 (INFINITY, INFINITY_GEN, Cycle.infinity(self.metric))):
-            node = FigureNode(label, "predefined", gen, row=row, status="solved")
-            node.instances = [Instance(row, {label: 0})]
-            self._nodes[label] = node
+            self._nodes[label] = _set_row(
+                FigureNode(label, "predefined", gen), row)
 
     def _claim(self, label: str):
         if not label or not isinstance(label, str):
@@ -252,35 +259,35 @@ class Figure:
 
     def add_cycle(self, data, label: str) -> str:
         self._claim(label)
-        row = self._as_cycle(data)
-        node = FigureNode(label, "cycle", 0, row=row, status="solved")
-        node.instances = [Instance(row, {label: 0})]
-        self._nodes[label] = node
+        self._nodes[label] = _set_row(FigureNode(label, "cycle", 0),
+                                      self._as_cycle(data))
         return label
 
     def add_point(self, point: Sequence[Scalar], label: str) -> str:
         """Zero-radius node at the point; the row follows the metric."""
         self._claim(label)
-        pt = tuple(point)
-        row = Cycle.zero_radius_at(self.metric, pt)
-        node = FigureNode(label, "point", 0, point=pt, row=row, status="solved")
-        node.instances = [Instance(row, {label: 0})]
-        self._nodes[label] = node
+        node = FigureNode(label, "point", 0, point=tuple(point))
+        self._nodes[label] = _set_row(
+            node, Cycle.zero_radius_at(self.metric, node.point))
         return label
 
     # -- relation nodes -------------------------------------------------------
     def _check_specs(self, specs: Sequence[RelSpec]):
+        """Refuse a spec whose kind, parent or parameters are wrong now,
+        not at solve time: every spec is built once, a parent-built kind
+        on the origin as a stand-in parent (k = 1 suits every kind)."""
+        stand_in = Cycle(self.metric, 1, (0,) * self.metric.n, 0)
         for spec in specs:
-            if spec.kind in _PARENT_KINDS:
-                if spec.parent is None:
-                    raise ValueError(f"{spec.kind} needs a parent label")
-                if spec.parent not in self._nodes:
-                    raise UnknownNode(spec.parent)
-            elif spec.kind in _FREE_KINDS:
-                if spec.parent is not None:
-                    raise ValueError(f"{spec.kind} takes no parent")
-            else:
+            if spec.kind not in _KINDS:
                 raise ValueError(f"unknown relation kind {spec.kind!r}")
+            cls, on_parent, _ = _KINDS[spec.kind]
+            if on_parent and spec.parent is None:
+                raise ValueError(f"{spec.kind} needs a parent label")
+            if on_parent and spec.parent not in self._nodes:
+                raise UnknownNode(spec.parent)
+            if not on_parent and spec.parent is not None:
+                raise ValueError(f"{spec.kind} takes no parent")
+            cls(stand_in if on_parent else self.metric, *spec.args)
 
     def _generation_for(self, parents: Sequence[str]) -> int:
         gens = [self._nodes[p].generation for p in parents]
@@ -295,8 +302,7 @@ class Figure:
         avoid = tuple(avoid)
         if not relations:
             raise ValueError("a relation-defined node needs relations")
-        self._check_specs(relations)
-        self._check_specs(pins)
+        self._check_specs(relations + pins)
         for lab in avoid:
             if lab not in self._nodes:
                 raise UnknownNode(lab)
@@ -333,33 +339,18 @@ class Figure:
         if self.mode == "unfreeze":
             try:
                 self._solve_node(node)
-            except TooManyInstances:
+                if node.status == "pending":
+                    raise NotEvaluated(f"{node.label}: {node.reason}")
+            except BaseException:
                 del self._nodes[node.label]
                 raise
-            if node.status == "pending":
-                del self._nodes[node.label]
-                raise NotEvaluated(f"{node.label}: {node.reason}")
         return node.label
 
     # -- evaluation ------------------------------------------------------------
     def _concrete(self, spec: RelSpec, by_label: Dict[str, Instance]) -> Relation:
-        if spec.parent is not None:
-            ref = by_label[spec.parent].cycle
-            if spec.kind == "orthogonal":
-                return IsOrthogonal(ref)
-            if spec.kind == "tangent":
-                return IsTangent(ref, spec.param("variant", "both"))
-            if spec.kind == "inversive":
-                return InversiveDistance(ref, spec.param("theta"))
-            if spec.kind == "power":
-                return SteinerPower(ref, spec.param("value"))
-        if spec.kind == "through":
-            return PassesThrough(self.metric, spec.param("point"))
-        if spec.kind == "is_point":
-            return IsPoint(self.metric)
-        if spec.kind == "only_reals":
-            return OnlyReals(self.metric)
-        raise ValueError(f"unknown relation kind {spec.kind!r}")
+        cls, on_parent, _ = _KINDS[spec.kind]
+        return cls(by_label[spec.parent].cycle if on_parent else self.metric,
+                   *spec.args)
 
     def _banned(self, node: FigureNode, ctx: Dict[str, int]) -> List[Cycle]:
         out = []
@@ -388,8 +379,12 @@ class Figure:
                 continue
             by_label = dict(zip(direct, combo))
             if node.kind == "rel":
-                rels = [self._concrete(s, by_label)
-                        for s in node.relations + node.pins]
+                try:
+                    rels = [self._concrete(s, by_label)
+                            for s in node.relations + node.pins]
+                except ValueError as err:   # e.g. power against a flat parent
+                    reasons.append(str(err))
+                    continue
                 sols = solve(rels, self.metric, self.arithmetic)
                 if sols.status == "parametric":
                     parametric = True
@@ -454,10 +449,9 @@ class Figure:
         """Re-derive every data row and re-solve every derived node."""
         for node in self._nodes.values():
             if node.kind == "point":
-                node.row = Cycle.zero_radius_at(self.metric, node.point)
-            if node.kind in ("predefined", "cycle", "point"):
-                node.instances = [Instance(node.row, {node.label: 0})]
-                node.status = "solved"
+                _set_row(node, Cycle.zero_radius_at(self.metric, node.point))
+            elif node.kind in ("predefined", "cycle"):
+                _set_row(node, node.row)
         self._resolve(None)
 
     def _resolve(self, changed: Optional[str]):
@@ -492,19 +486,18 @@ class Figure:
         """Replace a generation-0 row (or point); an unfrozen figure then
         re-solves the downstream cone of ``label``, the only nodes whose
         parents can have changed."""
-        node = self._node(label)
+        node = self.node(label)
         if node.kind == "point" and not isinstance(data, Cycle) \
                 and len(tuple(data)) == self.metric.n:
             node.point = tuple(data)
-            node.row = Cycle.zero_radius_at(self.metric, node.point)
+            _set_row(node, Cycle.zero_radius_at(self.metric, node.point))
         elif node.kind in ("cycle", "point"):
-            node.row = self._as_cycle(data)
+            _set_row(node, self._as_cycle(data))
             if node.kind == "point":
                 node.kind = "cycle"   # bound rows no longer track the metric
                 node.point = None
         else:
             raise ValueError(f"{label!r} is not a generation-0 data node")
-        node.instances = [Instance(node.row, {label: 0})]
         if self.mode == "unfreeze":
             self._resolve(label)
 
@@ -524,29 +517,26 @@ class Figure:
             self.reevaluate()
 
     # -- reads -------------------------------------------------------------------
-    def _node(self, label: str) -> FigureNode:
+    def node(self, label: str) -> FigureNode:
         node = self._nodes.get(label)
         if node is None:
             raise UnknownNode(label)
         return node
 
-    def node(self, label: str) -> FigureNode:
-        return self._node(label)
-
     def labels(self) -> List[str]:
         return list(self._nodes)
 
     def status(self, label: str) -> str:
-        return self._node(label).status
+        return self.node(label).status
 
     def generation(self, label: str) -> int:
-        return self._node(label).generation
+        return self.node(label).generation
 
     def instances(self, label: str) -> List[Cycle]:
-        return self._node(label).cycles()
+        return self.node(label).cycles()
 
     def _solved(self, label: str) -> FigureNode:
-        node = self._node(label)
+        node = self.node(label)
         if node.status != "solved":
             raise NotEvaluated(f"{label!r} is {node.status}")
         return node
@@ -560,24 +550,24 @@ class Figure:
     def check_rel(self, label_a: str, label_b: str, kind: str):
         """Evaluate a binary relation on every aligned instance pair.
 
+        ``kind`` is the orthogonality or the tangency kind of ``_KINDS``.
         Returns [((i, j), holds, residual), ...]; the residual is the
-        pairing for "orthogonal" and the tangency discriminant for
-        "tangent", both on canonical representatives.
+        pairing for orthogonality and the tangency discriminant for
+        tangency, both on canonical representatives.
         """
+        cls = _KINDS.get(kind, (None,))[0]
+        if cls not in (IsOrthogonal, IsTangent):
+            raise ValueError(f"unknown check kind {kind!r}")
         na, nb = self._solved(label_a), self._solved(label_b)
         eps = comparison_eps()
         out = []
         for i, j in self._pairs(na, nb):
             a = na.instances[i].cycle.canonical()
             b = nb.instances[j].cycle.canonical()
-            if kind == "orthogonal":
-                rel: Relation = IsOrthogonal(b)
-                residual = a.product(b)
-            elif kind == "tangent":
-                rel = IsTangent(b)
-                residual = a.product(b) ** 2 - a.self_product() * b.self_product()
-            else:
-                raise ValueError(f"unknown check kind {kind!r}")
+            rel = cls(b)
+            residual = a.product(b)
+            if cls is IsTangent:
+                residual = residual ** 2 - a.self_product() * b.self_product()
             out.append(((i, j), rel.satisfied_by(a, eps), residual))
         return out
 
@@ -631,9 +621,7 @@ class Figure:
         sig = M.sig
         for node in self._nodes.values():
             if node.kind == "predefined":
-                target = out._nodes[node.label]
-                target.row = node.row.flt(M)
-                target.instances = [Instance(target.row, {node.label: 0})]
+                _set_row(out._nodes[node.label], node.row.flt(M))
             elif node.kind == "cycle":
                 out.add_cycle(node.row.flt(M), node.label)
             elif node.kind == "point":
@@ -655,9 +643,9 @@ class Figure:
         return out
 
     def _transform_spec(self, spec: RelSpec, M: Mat2, sig) -> RelSpec:
-        if spec.kind != "through":
+        if _KINDS[spec.kind][0] is not PassesThrough:
             return spec
-        img = mobius_apply(M, Mv.vector(sig, spec.param("point")))
+        img = mobius_apply(M, Mv.vector(sig, spec.args[0]))
         if isinstance(img, Infinity):
             raise ValueError("pinned point maps to infinity under this map")
         return through(*img.vector_components())
@@ -754,37 +742,31 @@ def _decode_metric(obj) -> Metric:
     return Metric(tuple(obj["point"]), tuple(obj["product"]))
 
 
+# JSON codec of a spec parameter by name; every other parameter is a scalar
+_ARG_CODECS = {
+    "point": (lambda p: [encode_scalar(c) for c in p],
+              lambda o: tuple(decode_scalar(c) for c in o)),
+    "variant": (str, str),
+}
+_SCALAR_CODEC = (encode_scalar, decode_scalar)
+
+
 def _spec_obj(spec: RelSpec) -> dict:
     out: dict = {"rel": spec.kind}
     if spec.parent is not None:
         out["parent"] = spec.parent
-    for key, value in spec.params:
-        if key == "point":
-            out[key] = [encode_scalar(c) for c in value]
-        elif key == "variant":
-            out[key] = value
-        else:
-            out[key] = encode_scalar(value)
+    for name, value in zip(_KINDS[spec.kind][2], spec.args):
+        out[name] = _ARG_CODECS.get(name, _SCALAR_CODEC)[0](value)
     return out
 
 
 def _spec_from_obj(obj: dict) -> RelSpec:
     kind = obj["rel"]
-    if kind == "through":
-        return through(*[decode_scalar(c) for c in obj["point"]])
-    if kind == "tangent":
-        return tangent(obj["parent"], obj.get("variant", "both"))
-    if kind == "inversive":
-        return inversive(obj["parent"], decode_scalar(obj["theta"]))
-    if kind == "power":
-        return power(obj["parent"], decode_scalar(obj["value"]))
-    if kind == "orthogonal":
-        return orthogonal(obj["parent"])
-    if kind == "is_point":
-        return is_point()
-    if kind == "only_reals":
-        return only_reals()
-    raise ValueError(f"unknown relation kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown relation kind {kind!r}")
+    return RelSpec(kind, obj.get("parent"),
+                   tuple(_ARG_CODECS.get(name, _SCALAR_CODEC)[1](obj[name])
+                         for name in _KINDS[kind][2]))
 
 
 def _steiner_power(a: Cycle, b: Cycle, ar: Arithmetic) -> Scalar:
@@ -975,8 +957,9 @@ def nine_point_figure(a, b, c, n=None, metric: Optional[Metric] = None,
     except NotEvaluated as err:
         raise Degenerate(str(err)) from err
 
-    checks = [fig.check_rel(lab, "conic", "orthogonal") for lab in _NINE]
-    verdict = all(len(ch) == 1 and ch[0][1] for ch in checks)
+    on_conic, eps = IsOrthogonal(conic.canonical()), comparison_eps()
+    verdict = all(on_conic.satisfied_by(fig.instances(lab)[0].canonical(), eps)
+                  for lab in _NINE)
     points = {}
     for lab in _NINE + ("H",):
         cyc = fig.instances(lab)[0]

@@ -109,6 +109,7 @@ class QuadExt:
     ``d`` must be a positive non-square rational.  Mixed arithmetic with
     ints and Fractions lifts them; mixing two different radicands raises
     :class:`RadicalClash` (the solver catches that and demotes to float).
+    A float operand gives the float result, as it does with a Fraction.
     """
 
     __slots__ = ("a", "b", "d")
@@ -142,7 +143,8 @@ class QuadExt:
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return float(self) + other if isinstance(other, float) \
+                else NotImplemented
         if isinstance(o, QuadExt) and o.d != self.d:  # self.b == 0 case
             return QuadExt(self.a + o.a, o.b, o.d)
         return QuadExt(self.a + o.a, self.b + o.b, self.d)
@@ -155,7 +157,8 @@ class QuadExt:
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return float(self) - other if isinstance(other, float) \
+                else NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
@@ -164,7 +167,8 @@ class QuadExt:
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return float(self) * other if isinstance(other, float) \
+                else NotImplemented
         if isinstance(o, QuadExt) and o.d != self.d:  # self.b == 0
             return QuadExt(self.a * o.a, self.a * o.b, o.d)
         return QuadExt(self.a * o.a + self.b * o.b * self.d,
@@ -181,7 +185,8 @@ class QuadExt:
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return float(self) / other if isinstance(other, float) \
+                else NotImplemented
         if isinstance(o, QuadExt) and o.d != self.d:
             return QuadExt(self.a, 0, o.d) / o
         return self * o._inverse()
@@ -230,9 +235,12 @@ class QuadExt:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
-    def _cmp(self, other) -> int:
+    def _cmp(self, other):
+        """A number whose sign is that of ``self - other``."""
         o = self._coerce(other)
         if o is None:
+            if isinstance(other, float):
+                return float(self) - other
             raise TypeError(f"cannot compare QuadExt with {type(other)}")
         return (self - o)._sign()
 

@@ -22,12 +22,11 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .clifford import Mat2, Mv
-from .cycle import Cycle, Metric
+from .cycle import Cycle, Metric, row_product
 from .numerics import (Arithmetic, QuadExt, Scalar, comparison_eps, is_exact,
                        lift, near_zero, private_context, row_scale,
                        scalar_sign, to_float)
-from .relations import (_binary_quadratic, linear_solve, pairing_coeffs,
-                        row_product)
+from .relations import _binary_quadratic, linear_solve, pairing_coeffs
 
 Mat = Tuple[Tuple[Scalar, Scalar], Tuple[Scalar, Scalar]]
 Endpoint = Optional[Scalar]  # None is the point at infinity

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import List, Optional, Sequence, Tuple
 
-from .cycle import Cycle, Metric
+from .cycle import Cycle, Metric, row_product
 from .numerics import (Arithmetic, Scalar, comparison_eps, is_exact, lift,
                        near_zero, row_scale, scalar_sign, to_float)
 
@@ -32,17 +32,6 @@ MAX_BRANCHES = 64
 
 class BranchOverflow(RuntimeError):
     """More sign branches than the solver is willing to enumerate."""
-
-
-def row_product(metric: Metric, x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
-    """The cycle pairing on raw coefficient rows (k, l.., m)."""
-    eta = metric.product_eta
-    n = metric.n
-    acc = x[n + 1] * y[0] + y[n + 1] * x[0]
-    for i in range(n):
-        if eta[i] != 0:
-            acc = acc + 2 * eta[i] * x[1 + i] * y[1 + i]
-    return acc
 
 
 def pairing_coeffs(metric: Metric, ref: Cycle) -> Tuple[Scalar, ...]:

@@ -4,15 +4,16 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import cyclekit
 from cyclekit import cli
 from cyclekit.cli import main
-from cyclekit.figure import (INFINITY, REAL_LINE, Figure, is_point,
-                             nine_point_figure, only_reals, orthogonal,
-                             tangent, through)
+from cyclekit.figure import (INFINITY, REAL_LINE, Figure, inversive,
+                             is_point, nine_point_figure, only_reals,
+                             orthogonal, tangent, through)
 
 
 def run(capsys, *args):
@@ -107,6 +108,22 @@ class TestFigureEval:
         assert "(1, 1, -2, -3)" in out
 
 
+    def test_float_parameter_on_exact_data(self, capsys, tmp_path):
+        fig = Figure()
+        fig.freeze()
+        fig.add_cycle((1, 0, 0, -1), "a")
+        fig.add_cycle_rel([inversive("a", -0.5), orthogonal(REAL_LINE),
+                           through(0, 2)], "w")
+        obj = fig.to_obj()
+        obj["mode"] = "unfreeze"
+        assert obj["nodes"][1]["relations"][0]["theta"] == -0.5
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "figure-eval", str(path))
+        assert code == 0
+        assert "w: gen 1 solved" in out
+
+
 class TestFigureCheck:
     def test_touch_checks_both_true(self, capsys, tmp_path):
         code, out, _ = run(capsys, "figure-check", touch_script(tmp_path))
@@ -115,9 +132,9 @@ class TestFigureCheck:
 
     def test_failing_check_exits_1(self, capsys, tmp_path):
         path = touch_script(tmp_path, checks=False)
-        obj = json.loads(open(path).read())
+        obj = json.loads(Path(path).read_text())
         obj["checks"] = [{"a": "l", "b": "a", "kind": "orthogonal"}]
-        open(path, "w").write(json.dumps(obj))
+        Path(path).write_text(json.dumps(obj))
         code, out, _ = run(capsys, "figure-check", path)
         assert code == 1
         assert out.splitlines()[0] == "false"

@@ -1,13 +1,16 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import cyclekit
 from cyclekit import figure
 from cyclekit.clifford import Signature
 from cyclekit.contfrac import embed_real_moebius
 from cyclekit.cycle import Cycle, Metric
 from cyclekit.numerics import to_float
+from cyclekit.relations import BranchOverflow
 from cyclekit.figure import (INFINITY, REAL_LINE, Degenerate, DuplicateLabel,
                              Figure, InvalidTriple, NotEvaluated,
                              TooManyInstances, UnknownNode, inversive,
@@ -87,6 +90,17 @@ class TestDataNodes:
         fig = Figure()
         assert fig.generation(REAL_LINE) == -2
         assert fig.generation(INFINITY) == -1
+
+    def test_bad_parameters_refused_when_added(self):
+        fig = Figure()
+        fig.freeze()   # nothing is solved, so only the add-time check can fail
+        fig.add_cycle(UNIT, "a")
+        with pytest.raises(ValueError):
+            fig.add_cycle_rel([orthogonal("a"), through(1, 2, 3)], "x")
+        with pytest.raises(ValueError):
+            fig.add_cycle_rel([figure.RelSpec("tangent", "a", ("sideways",))],
+                              "y")
+        assert fig.labels() == [REAL_LINE, INFINITY, "a"]
 
 
 class TestTouchFigure:
@@ -338,6 +352,54 @@ class TestBranching:
                               pins=[orthogonal(REAL_LINE)])
         assert "l" not in fig.labels()
 
+    def test_failed_add_leaves_no_trace(self):
+        fig = Figure()
+        for i in range(7):   # seven disjoint circles: 2^7 sign branches
+            fig.add_cycle((1, 3 * i, 0, 9 * i * i - 1), f"c{i}")
+        with pytest.raises(BranchOverflow):
+            fig.add_cycle_rel([tangent(f"c{i}") for i in range(7)], "x")
+        assert "x" not in fig.labels()
+        fig.add_cycle_rel([tangent("c0")], "x")   # the label is free again
+        assert fig.status("x") == "parametric"
+
+    def test_power_against_a_flat_parent_is_infeasible(self):
+        fig = Figure()
+        fig.add_cycle(UNIT, "a")
+        fig.add_cycle_rel([power("a", 1), orthogonal("a")], "x")
+        assert fig.status("x") == "parametric"
+        fig.set_data("a", (0, 1, 0, 0))
+        assert fig.status("x") == "infeasible"
+        assert fig.node("x").reason == \
+            "power against a flat reference is undefined"
+        fig.set_data("a", (1, 0, 0, -4))   # a later edit re-solves it
+        assert fig.status("x") == "parametric"
+
+    def test_power_against_a_flat_parent_added_is_infeasible(self):
+        fig = Figure()
+        fig.add_cycle((0, 1, 0, 0), "a")
+        fig.add_cycle_rel([power("a", 1)], "y")
+        assert fig.status("y") == "infeasible"
+        assert "flat reference" in fig.node("y").reason
+
+    def test_float_parameter_on_exact_data(self):
+        got = {}
+        for arithmetic in ("exact", "float"):
+            fig = Figure(arithmetic=arithmetic)
+            fig.add_cycle(UNIT, "a")
+            fig.add_cycle_rel([inversive("a", -0.5), orthogonal(REAL_LINE),
+                               through(0, 2)], "w")
+            assert fig.status("w") == "solved"
+            assert fig.validate() == []
+            got[arithmetic] = sorted(
+                tuple(to_float(c) for c in i.canonical().row())
+                for i in fig.instances("w"))
+        assert len(got["exact"]) == 2
+        for e, f in zip(got["exact"], got["float"]):
+            assert e == pytest.approx(f)
+        k, l1, _, m = got["exact"][0]
+        assert (k, abs(l1), m) == pytest.approx((0.21822, 1, -0.87287),
+                                                abs=1e-5)
+
     def test_infeasible_is_reported_not_raised(self):
         fig = Figure()
         fig.add_cycle(UNIT, "a")
@@ -466,6 +528,27 @@ class TestSerialization:
         again = Figure.from_json(text)
         assert again.to_json() == text
         assert again.node("M").instances[0].cycle.center() == (2, 3)
+
+    # one sample per parameter name: the constructor's positional arguments
+    SAMPLES = {"variant": ("internal",), "theta": (F(-1, 2),),
+               "value": (0.75,), "point": (F(1, 3), 2)}
+
+    def test_every_kind_has_a_constructor_and_a_codec(self):
+        fig = Figure()
+        fig.freeze()
+        fig.add_cycle(UNIT, "a")
+        specs = {}
+        for kind, (_, on_parent, names) in figure._KINDS.items():
+            assert kind in cyclekit.__all__
+            args = [a for name in names for a in self.SAMPLES[name]]
+            spec = getattr(cyclekit, kind)(*(["a"] if on_parent else []),
+                                           *args)
+            assert spec.kind == kind and len(spec.args) == len(names)
+            specs["n_" + kind] = spec
+            fig.add_cycle_rel([spec], "n_" + kind)
+        again = Figure.from_obj(json.loads(json.dumps(fig.to_obj())))
+        for label, spec in specs.items():
+            assert again.node(label).relations == (spec,)
 
     def test_format_marker_is_checked(self):
         with pytest.raises(ValueError):

@@ -67,6 +67,17 @@ class TestQuadExt:
         assert math.isclose(float(s), 1 + math.sqrt(2))
 
 
+    def test_float_operand_gives_the_float_result(self):
+        q = QuadExt(1, 1, 2)
+        x = float(q)
+        assert 0.5 * q == q * 0.5 == x * 0.5
+        assert q + 0.5 == 0.5 + q == x + 0.5
+        assert q - 0.5 == x - 0.5 and 0.5 - q == 0.5 - x
+        assert q / 0.5 == x / 0.5 and 0.5 / q == pytest.approx(0.5 / x)
+        assert q < 2.5 and 2.5 > q and q > 2.4 and q >= 2.4 and q <= x
+        assert not q < x and not q < float("nan")
+
+
 def test_sqrt_in_field():
     assert sqrt_in_field(F(9, 16)) == F(3, 4)
     assert sqrt_in_field(F(2)) is None
