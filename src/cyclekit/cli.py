@@ -2,7 +2,8 @@
 SVG, and drive the continued-fraction, extension and triangle tools.
 
 Exit codes: 0 success (all checks true, nothing infeasible), 1 a check
-or verdict failed, 2 parse or validation error, 3 solve overflow,
+or verdict failed, 2 parse or validation error, 3 overflow (more figure
+instances than allowed, or more sign branches than the solver's cap),
 4 degenerate input.  MOEBINV_EPS overrides the comparison tolerance.
 
 Each subcommand takes only the options it reads: --metric and --arith
@@ -352,8 +353,6 @@ def cmd_apollonius(args) -> int:
                 for ref, s in zip(refs, combo)]
         try:
             sols = solve(rels, metric, args.arith or "exact")
-        except BranchOverflow:
-            raise CliError("branch overflow", OVERFLOW)
         except RadicalClash as err:
             raise CliError(f"mixed radicals stay out of reach of exact "
                            f"arithmetic ({err}); rerun with --arith float")
@@ -449,7 +448,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 # exit code of each exception a handler may raise; a CliError names its own
-_EXIT_CODES = {TooManyInstances: OVERFLOW, Degenerate: DEGENERATE}
+_EXIT_CODES = {TooManyInstances: OVERFLOW, BranchOverflow: OVERFLOW,
+               Degenerate: DEGENERATE}
 
 
 def main(argv: Optional[List[str]] = None) -> int:

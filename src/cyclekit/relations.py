@@ -1,15 +1,16 @@
 """Relations on an unknown cycle and the solver that intersects them.
 
-Every relation linearizes against the unknown row x = (k, l_1..l_n, m):
-pairing against a known reference is linear in x, so each relation
-contributes rows (coeffs, rhs).  Tangency-like relations also normalize the
-unknown through a demand <x,x> = s with s in {-1, 0, +1} and split into
-sign branches for the right-hand side; the demand is the single quadratic
-equation left after elimination.  When an IsPoint is present, ``solve``
-asks every relation for its unsigned incidence row (sign None) and fixes
-the demand to 0.
+Every relation linearizes against the unknown row x = (k, l_1..l_n, m): it
+is at most one row ``coeffs . x = rhs`` plus at most one demand <x,x> = s
+with s in {-1, 0, +1}, both fixed when it is constructed.  The demand is
+the single quadratic equation left after elimination.
 
-Solutions are found per branch, checked back against every relation on
+``solve`` alone owns signs and point mode.  ``build`` gives a row's +
+branch rhs, and a nonzero rhs is signed.  Negating x maps the sign pattern
+sigma to -sigma; the demand is even in x and every signed rhs is odd, so
+-sigma gives the same projective cycles and only the patterns whose first
+signed row is +1 are solved.  With an IsPoint present every rhs is 0 and
+so is the demand.  Solutions are checked back against every relation on
 canonical representatives, deduplicated projectively and returned in a
 deterministic order.
 """
@@ -35,11 +36,9 @@ class BranchOverflow(RuntimeError):
 
 
 def pairing_coeffs(metric: Metric, ref: Cycle) -> Tuple[Scalar, ...]:
-    """Coefficients c with c . x = <x, ref>."""
+    """Coefficients c with c . x = <x, ref>; ``linear_solve`` lifts them."""
     eta = metric.product_eta
-    return ((lift(ref.m),)
-            + tuple(lift(2 * eta[i] * ref.l[i]) for i in range(metric.n))
-            + (lift(ref.k),))
+    return (ref.m, *(2 * e * l for e, l in zip(eta, ref.l)), ref.k)
 
 
 # ---------------------------------------------------------------------------
@@ -47,15 +46,16 @@ def pairing_coeffs(metric: Metric, ref: Cycle) -> Tuple[Scalar, ...]:
 
 
 class Relation:
-    """One constraint on the unknown cycle."""
+    """One constraint on the unknown cycle: the row ``coeffs . x = rhs``
+    (``coeffs`` None: no row) and the demand <x,x> = ``demand`` (None: no
+    demand)."""
 
-    def branch_signs(self) -> Tuple[Optional[int], ...]:
-        return (None,)
+    coeffs: Optional[Tuple[Scalar, ...]] = None
+    demand: Optional[int] = None
 
-    def build(self, sign: Optional[int], ar: Arithmetic):
-        """Return (rows, demand) for one sign branch; sign None asks for
-        the unsigned incidence row."""
-        raise NotImplementedError
+    def build(self, ar: Arithmetic) -> Scalar:
+        """The rhs of the row's + branch; a root it takes is taken in ``ar``."""
+        return 0
 
     def satisfied_by(self, cycle: Cycle, eps: float) -> bool:
         raise NotImplementedError
@@ -66,9 +66,7 @@ class IsOrthogonal(Relation):
 
     def __init__(self, ref: Cycle):
         self.ref = ref
-
-    def build(self, sign, ar):
-        return [(pairing_coeffs(self.ref.metric, self.ref), 0)], None
+        self.coeffs = pairing_coeffs(ref.metric, ref)
 
     def satisfied_by(self, cycle, eps):
         return near_zero(cycle.product(self.ref), eps, cycle.row(),
@@ -112,11 +110,10 @@ class IsLobachevskyLine(IsOrthogonal):
 class IsPoint(Relation):
     """Zero-radius demand <x,x> = 0; turns tangency-like rows into incidence."""
 
+    demand = 0
+
     def __init__(self, metric: Metric):
         self.metric = metric
-
-    def build(self, sign, ar):
-        return [], 0
 
     def satisfied_by(self, cycle, eps):
         row = cycle.row()
@@ -132,9 +129,6 @@ class OnlyReals(Relation):
     def __init__(self, metric: Metric):
         self.metric = metric
 
-    def build(self, sign, ar):
-        return [], None
-
     def satisfied_by(self, cycle, eps):
         return True
 
@@ -148,19 +142,14 @@ class InversiveDistance(Relation):
     def __init__(self, ref: Cycle, theta: Scalar):
         self.ref = ref
         self.theta = lift(theta)
+        self.coeffs = pairing_coeffs(ref.metric, ref)
+        ss = ref.self_product()
+        self.demand = None if ss == 0 else scalar_sign(ss)
 
-    def branch_signs(self):
-        if self.ref.self_product() == 0 or self.theta == 0:
-            return (None,)
-        return (1, -1)
-
-    def build(self, sign, ar):
-        coeffs = pairing_coeffs(self.ref.metric, self.ref)
-        ss = self.ref.self_product()
-        if ss == 0:
-            return [(coeffs, 0)], None
-        rhs = 0 if sign is None else sign * self.theta * ar.sqrt(ss)
-        return [(coeffs, rhs)], scalar_sign(ss)
+    def build(self, ar):
+        if self.demand is None or self.theta == 0:
+            return 0
+        return self.theta * ar.sqrt(self.ref.self_product())
 
     def satisfied_by(self, cycle, eps):
         x = cycle.canonical()
@@ -214,22 +203,19 @@ class SteinerPower(Relation):
     """Power d of the unknown against a k-normalized reference:
     d k_x - <x, R_k> = sign sqrt|<R_k,R_k>| with demand <x,x> = -1."""
 
+    demand = -1
+
     def __init__(self, ref: Cycle, power: Scalar):
         if ref.k == 0:
             raise ValueError("power against a flat reference is undefined")
         self.ref = ref
         self.power = lift(power)
         self.ref_k = ref.scaled(1 / lift(ref.k))
+        base = pairing_coeffs(ref.metric, self.ref_k)
+        self.coeffs = (self.power - base[0],) + tuple(-c for c in base[1:])
 
-    def branch_signs(self):
-        return (1, -1)
-
-    def build(self, sign, ar):
-        metric = self.ref.metric
-        base = pairing_coeffs(metric, self.ref_k)
-        coeffs = (self.power - base[0],) + tuple(-c for c in base[1:])
-        rhs = 0 if sign is None else sign * ar.sqrt(self.ref_k.self_product())
-        return [(coeffs, rhs)], -1
+    def build(self, ar):
+        return ar.sqrt(self.ref_k.self_product())
 
     def satisfied_by(self, cycle, eps):
         z = cycle.canonical()
@@ -470,44 +456,38 @@ def _binary_quadratic(Q, v1, v2, ar: Arithmetic):
 def solve(relations: Sequence[Relation], metric: Metric,
           arithmetic="exact") -> SolutionSet:
     """Intersect all relations; enumerate sign branches; verify; order."""
-    base_ar = arithmetic if isinstance(arithmetic, Arithmetic) else Arithmetic(arithmetic)
     eps = comparison_eps()
-
     point_mode = any(isinstance(r, IsPoint) for r in relations)
-    sign_axes = [(None,) if point_mode else r.branch_signs()
-                 for r in relations]
-    count = 1
-    for axis in sign_axes:
-        count *= len(axis)
-        if count > MAX_BRANCHES:
-            raise BranchOverflow(f"{count}+ sign branches (cap {MAX_BRANCHES})")
+    demands = {r.demand for r in relations if r.demand is not None}
+    if point_mode:
+        demands = {0}
+    elif len(demands) > 1:
+        return SolutionSet("infeasible",
+                           reason=f"conflicting demands {sorted(demands)}")
+    demand = next(iter(demands), None)
+
+    ar = (arithmetic.clone() if isinstance(arithmetic, Arithmetic)
+          else Arithmetic(arithmetic))
+    rhs = [None if r.coeffs is None else 0 if point_mode else r.build(ar)
+           for r in relations]
+    axes = [(None,) if v is None or v == 0 else (1, -1) for v in rhs]
+    signed = [i for i, axis in enumerate(axes) if axis[0] is not None]
+    if 2 ** len(signed) > MAX_BRANCHES:
+        raise BranchOverflow(
+            f"{2 ** len(signed)}+ sign branches (cap {MAX_BRANCHES})")
+    if signed:
+        axes[signed[0]] = (1,)       # the twin -sigma gives the same cycles
 
     found: List[Tuple[Cycle, tuple]] = []
     parametric = None
-    notes: List[str] = []
-    demoted = False
-    infeasible_reasons: List[str] = []
-
-    for pattern in iproduct(*sign_axes):
-        ar = base_ar.clone()
-        rows: List[Row] = []
-        demands = []
-        for rel, sign in zip(relations, pattern):
-            r_rows, r_demand = rel.build(sign, ar)
-            rows.extend(r_rows)
-            if r_demand is not None:
-                demands.append(r_demand)
-        if point_mode:
-            demands = [0]
-        elif demands and any(d != demands[0] for d in demands):
-            infeasible_reasons.append(
-                f"branch {pattern}: conflicting demands {sorted(set(demands))}")
-            continue
-        demand = demands[0] if demands else None
-        sols, par = _solve_branch(metric, rows, demand, ar)
-        if ar.demoted:
-            demoted = True
-            notes.extend(ar.notes)
+    contexts = [ar]
+    for pattern in iproduct(*axes):
+        if len(signed) > 1:
+            contexts.append(ar.clone())
+        rows = [(rel.coeffs, -v if sign == -1 else v)
+                for rel, v, sign in zip(relations, rhs, pattern)
+                if v is not None]
+        sols, par = _solve_branch(metric, rows, demand, contexts[-1])
         if par is not None and parametric is None:
             pbase, pbasis, ps = par
             parametric = (
@@ -517,6 +497,8 @@ def solve(relations: Sequence[Relation], metric: Metric,
             )
         for idx, srow in enumerate(sols or []):
             found.append((Cycle.from_row(metric, srow), (pattern, idx)))
+    demoted = any(c.demoted for c in contexts)
+    notes = [note for c in contexts for note in c.notes]
 
     # verify every candidate against every relation, then dedup and order
     kept = {}
@@ -537,8 +519,8 @@ def solve(relations: Sequence[Relation], metric: Metric,
                         if resid is not None else [])
         return SolutionSet("parametric", base=base, span=span,
                            residual_demand=resid, demoted=demoted, notes=note)
-    reason = "; ".join(infeasible_reasons) or "no cycle satisfies the relations"
-    return SolutionSet("infeasible", reason=reason, demoted=demoted, notes=notes)
+    return SolutionSet("infeasible", reason="no cycle satisfies the relations",
+                       demoted=demoted, notes=notes)
 
 
 def _sort_key(c: Cycle):

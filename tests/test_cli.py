@@ -97,6 +97,21 @@ class TestFigureEval:
         code, _, err = run(capsys, "figure-eval", path)
         assert code == 3
 
+    def test_sign_branch_overflow_exits_3(self, capsys, tmp_path):
+        # tangent to seven disjoint circles: 2^7 sign branches
+        fig = Figure()
+        fig.freeze()
+        for i in range(7):
+            fig.add_cycle((1, 5 * i, 0, 25 * i * i - 1), f"c{i}")
+        fig.add_cycle_rel([tangent(f"c{i}") for i in range(7)], "x")
+        obj = fig.to_obj()
+        obj["mode"] = "unfreeze"
+        path = tmp_path / "seven.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "figure-eval", str(path))
+        assert code == 3
+        assert err == "error: 128+ sign branches (cap 64)\n"
+
     def test_metric_override(self, capsys, tmp_path):
         fig = Figure()
         fig.add_point((1, 2), "P")

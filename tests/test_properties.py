@@ -6,6 +6,7 @@ The examples are drawn by hypothesis under the derandomized profile that
 """
 
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, reject, settings
@@ -17,9 +18,10 @@ from cyclekit.figure import (INFINITY, REAL_LINE, Figure, TooManyInstances,
                              inversive, is_point, only_reals, orthogonal,
                              power, tangent, through)
 from cyclekit.numerics import QuadExt, RadicalClash, canonical_row, near_zero
-from cyclekit.relations import (BranchOverflow, IsFlat, IsLobachevskyLine,
-                                IsOrthogonal, IsPoint, PassesThrough, check,
-                                solve)
+from cyclekit.relations import (BranchOverflow, InversiveDistance, IsFlat,
+                                IsLobachevskyLine, IsOrthogonal, IsPoint,
+                                IsTangent, PassesThrough, SteinerPower, check,
+                                pairing_coeffs, solve)
 
 METRICS = [Metric.named(name) for name in "eph"]
 E2 = Metric.named("e")
@@ -269,3 +271,83 @@ def test_figure_json_round_trip(fig):
     again = Figure.from_obj(obj)
     assert again.to_obj() == obj
     assert evaluation(again) == evaluation(fig)
+
+
+@st.composite
+def signed_systems(draw):
+    """Two to four tangent, inversive, power, orthogonal and through
+    relations against random data in e or h, exact or float."""
+    metric = draw(st.sampled_from([E2, Metric.named("h")]))
+    mode = draw(st.sampled_from(["exact", "float"]))
+    data = (lambda c: c.as_float()) if mode == "float" else (lambda c: c)
+    ref = st.builds(lambda k, l1, l2, m: data(Cycle(metric, k, (l1, l2), m)),
+                    st.sampled_from([0, 1]), small, small, small).filter(
+        lambda c: any(c.row()))
+    circle = st.builds(lambda l1, l2, m: data(Cycle(metric, 1, (l1, l2), m)),
+                       small, small, small)
+    one = st.one_of(
+        st.builds(IsTangent, ref,
+                  st.sampled_from(["both", "external", "internal"])),
+        st.builds(InversiveDistance, ref, small),
+        st.builds(SteinerPower, circle, small),
+        st.builds(IsOrthogonal, ref),
+        st.builds(lambda p: PassesThrough(metric, p), st.tuples(small, small)))
+    return metric, draw(st.lists(one, min_size=2, max_size=4)), mode
+
+
+def _reference_row(rel, ar):
+    """(coeffs, + branch rhs, demand) of one relation, from its data."""
+    if isinstance(rel, SteinerPower):
+        base = pairing_coeffs(rel.ref.metric, rel.ref_k)
+        coeffs = (rel.power - base[0],) + tuple(-c for c in base[1:])
+        return coeffs, ar.sqrt(rel.ref_k.self_product()), -1
+    coeffs = pairing_coeffs(rel.ref.metric, rel.ref)
+    ss = rel.ref.self_product()
+    if not isinstance(rel, InversiveDistance) or ss == 0:
+        return coeffs, 0, None
+    rhs = rel.theta * ar.sqrt(ss) if rel.theta != 0 else 0
+    return coeffs, rhs, numerics.scalar_sign(ss)
+
+
+def _reference_solve(rels, metric, mode):
+    """Every sign pattern, sigma and -sigma alike, each in its own context;
+    then verify, dedup and order as ``solve`` does."""
+    demands = {_reference_row(r, numerics.Arithmetic(mode))[2]
+               for r in rels} - {None}
+    if len(demands) > 1:
+        return "infeasible", [], False
+    demand = next(iter(demands), None)
+    signed = [_reference_row(r, numerics.Arithmetic(mode))[1] != 0
+              for r in rels]
+    found, parametric, demoted = [], False, False
+    for pattern in iproduct(*[(1, -1) if s else (1,) for s in signed]):
+        ar = numerics.Arithmetic(mode)
+        rows = []
+        for rel, sign in zip(rels, pattern):
+            coeffs, rhs, _ = _reference_row(rel, ar)
+            rows.append((coeffs, -rhs if sign < 0 else rhs))
+        sols, par = relations._solve_branch(metric, rows, demand, ar)
+        demoted = demoted or ar.demoted
+        parametric = parametric or par is not None
+        found += [Cycle.from_row(metric, row) for row in sols or []]
+    eps = numerics.comparison_eps()
+    kept = {}
+    for cyc in found:
+        can = cyc.canonical()
+        if all(rel.satisfied_by(can, eps) for rel in rels):
+            kept.setdefault(can.key(), can)
+    ordered = sorted(kept.values(), key=relations._sort_key)
+    status = ("finite" if ordered else "parametric" if parametric
+              else "infeasible")
+    return status, [c.row() for c in ordered], demoted
+
+
+@settings(max_examples=150)
+@given(signed_systems())
+def test_solve_equals_the_all_patterns_reference(system):
+    metric, rels, mode = system
+    want = _reference_solve(rels, metric, mode)
+    sol = solve(rels, metric, mode)
+    assert (sol.status, [c.row() for c in sol.cycles], sol.demoted) == want
+    assert [c.key() for c in sol.cycles] == [
+        Cycle.from_row(metric, row).key() for row in want[1]]

@@ -1,15 +1,17 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from cyclekit import relations
 from cyclekit.cycle import Cycle, Metric
 from cyclekit.numerics import QuadExt
 from cyclekit.relations import (
     BranchOverflow, InversiveDistance, IsFlat, IsLobachevskyLine, IsOrthogonal,
-    IsPoint, IsTangent, OnlyReals, PassesThrough, SteinerPower, check,
-    linear_solve, row_product, solve,
+    IsPoint, IsTangent, OnlyReals, PassesThrough, Relation, SteinerPower,
+    check, linear_solve, row_product, solve,
 )
 
 E = Metric.named("e")
@@ -238,3 +240,65 @@ def test_row_product_matches_cycle_product():
     a = Cycle(E, F(2), (F(1), F(-3)), F(4))
     b = Cycle(E, F(-1), (F(2), F(5)), F(0))
     assert row_product(E, a.row(), b.row()) == a.product(b)
+
+
+class TestBuildOncePerSolve:
+    """Each row is built once per solve, and each pair of sign patterns
+    sigma, -sigma is solved once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        tally = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                tally[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def classes(cls):
+            return [cls] + [c for sub in cls.__subclasses__()
+                            for c in classes(sub)]
+
+        for cls in classes(Relation):
+            if "build" in vars(cls):
+                monkeypatch.setattr(cls, "build",
+                                    counted("build", vars(cls)["build"]))
+        monkeypatch.setattr(relations, "linear_solve",
+                            counted("linear_solve", relations.linear_solve))
+        return tally
+
+    def test_three_tangencies(self, calls):
+        refs = [Cycle.circle(E, c, F(1)) for c in ((0, 0), (4, 0), (2, 3))]
+        sol = solve([IsTangent(r) for r in refs], E)
+        assert len(sol.cycles) == 8
+        assert calls == {"build": 3, "linear_solve": 4}
+        assert all(pattern[0] == 1 for pattern, _ in sol.provenance)
+
+    def test_no_signed_row_is_one_branch(self, calls):
+        solve([IsOrthogonal(UNIT), IsFlat(E), IsOrthogonal(REAL)], E)
+        assert calls == {"build": 3, "linear_solve": 1}
+
+    def test_point_mode_builds_nothing(self, calls):
+        sol = solve([IsPoint(E), IsTangent(UNIT), IsOrthogonal(REAL)], E)
+        assert len(sol.cycles) == 2
+        assert calls == {"linear_solve": 1}
+
+    def test_power_against_a_point_is_unsigned(self, calls):
+        # <R_k,R_k> = 0 gives rhs 0: one pattern, not two
+        point = Cycle.zero_radius_at(E, (F(3), F(0)))
+        sol = solve([SteinerPower(point, F(1)), IsTangent(UNIT),
+                     IsOrthogonal(REAL)], E)
+        assert calls["linear_solve"] == 1
+        assert [pattern for pattern, _ in sol.provenance] == [(None, 1, None)] * 2
+
+    def test_conflicting_demands_take_no_root(self, calls):
+        # references with <R,R> = 2 and 3 would need sqrt 2 and sqrt 3,
+        # and the power's demand -1 conflicts with their +1
+        refs = [Cycle(E, 1, (0, 0), F(1)), Cycle(E, 1, (0, 0), F(3, 2))]
+        assert [r.self_product() for r in refs] == [2, 3]
+        sol = solve([IsTangent(refs[0]), IsTangent(refs[1]),
+                     SteinerPower(UNIT, 1)], E)
+        assert sol.status == "infeasible" and not sol.demoted
+        assert sol.reason == "conflicting demands [-1, 1]"
+        assert calls == {}
