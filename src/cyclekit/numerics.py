@@ -3,8 +3,12 @@
 Three interoperable scalar kinds:
 
 * exact rationals -- ``fractions.Fraction``;
-* :class:`QuadExt` -- numbers ``a + b*sqrt(d)`` with rational ``a, b`` and a
-  fixed positive non-square rational radicand ``d`` (one radicand per solve);
+* :class:`QuadExt` -- numbers ``a + b*sqrt(d)`` with rational ``a, b``,
+  held as an integer triple ``(p + q*sqrt(d))/n`` in lowest terms over the
+  squarefree integer core ``d`` of the radicand (one radicand per solve).
+  The radicand is checked and reduced to its core once, when the public
+  constructor builds the value; arithmetic works in Python ints and never
+  checks it again;
 * ``float``.
 
 Exact kinds never lose precision; a computation that would need a second
@@ -104,92 +108,117 @@ class RadicalClash(ArithmeticError):
 
 
 class QuadExt:
-    """``a + b*sqrt(d)`` with rational components and fixed radicand ``d``.
+    """``a + b*sqrt(d)`` with rational ``a, b``, held as ``(p + q*sqrt(d))/n``.
 
-    ``d`` must be a positive non-square rational.  Mixed arithmetic with
-    ints and Fractions lifts them; mixing two different radicands raises
-    :class:`RadicalClash` (the solver catches that and demotes to float).
-    A float operand gives the float result, as it does with a Fraction.
+    ``p``, ``q`` and ``n`` are Python ints in lowest terms with ``n > 0``;
+    ``d`` is the squarefree integer core of the radicand.  The public
+    constructor ``QuadExt(a, b, d)`` is the one place a radicand is
+    checked: ``d`` must be a positive non-square rational, and it is split
+    into ``coeff**2 * core`` with ``coeff`` folded into ``b``, so equal
+    radicals built from different inputs (``sqrt(8)``, ``2*sqrt(2)``) share
+    one field.  Arithmetic builds its results with :func:`_quad`, which
+    never re-checks the radicand and costs one ``gcd``.
+
+    ``a`` and ``b`` read back as Fractions.  Mixed arithmetic with ints and
+    Fractions lifts them; mixing two different radicands raises
+    :class:`RadicalClash` (the solver catches that and demotes to float),
+    unless one operand is rational.  A float operand gives the float result,
+    as it does with a Fraction.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("p", "q", "n", "d")
 
-    def __init__(self, a, b, d):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.d = Fraction(d)
-        if self.d <= 0 or fraction_sqrt(self.d) is not None:
+    def __new__(cls, a, b, d):
+        a, b, d = Fraction(a), Fraction(b), Fraction(d)
+        if d <= 0 or fraction_sqrt(d) is not None:
             raise ValueError(f"radicand must be positive and non-square: {d}")
+        coeff, core = radical_parts(d)
+        b *= coeff
+        return _quad(a.numerator * b.denominator, b.numerator * a.denominator,
+                     a.denominator * b.denominator, core.numerator)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the private constructor
+        return _quad, (self.p, self.q, self.n, self.d)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.n)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.n)
 
     # -- coercion ---------------------------------------------------------
-    def _coerce(self, other) -> Optional["QuadExt"]:
+    def _pair(self, other):
+        """``(p, q, n, P, Q, N, d)``: self and other over one radicand
+        ``d``, or None when other is not exact.  A rational operand reads
+        over the other's radicand."""
+        d = self.d
         if isinstance(other, QuadExt):
-            if other.d != self.d:
-                if other.b == 0:
-                    return QuadExt(other.a, 0, self.d)
-                if self.b == 0:
-                    return other  # handled by caller symmetry
-                raise RadicalClash(f"sqrt({self.d}) vs sqrt({other.d})")
-            return other
+            if other.d != d and other.q != 0:
+                if self.q != 0:
+                    raise RadicalClash(f"sqrt({d}) vs sqrt({other.d})")
+                d = other.d
+            return self.p, self.q, self.n, other.p, other.q, other.n, d
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
+            return (self.p, self.q, self.n,
+                    other.numerator, 0, other.denominator, d)
         return None
 
     def collapse(self) -> Union[Fraction, "QuadExt"]:
         """Return a plain Fraction when the radical part vanished."""
-        return self.a if self.b == 0 else self
+        return self.a if self.q == 0 else self
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._pair(other)
+        if t is None:
             return float(self) + other if isinstance(other, float) \
                 else NotImplemented
-        if isinstance(o, QuadExt) and o.d != self.d:  # self.b == 0 case
-            return QuadExt(self.a + o.a, o.b, o.d)
-        return QuadExt(self.a + o.a, self.b + o.b, self.d)
+        p, q, n, P, Q, N, d = t
+        return _quad(p * N + P * n, q * N + Q * n, n * N, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _quad(-self.p, -self.q, self.n, self.d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._pair(other)
+        if t is None:
             return float(self) - other if isinstance(other, float) \
                 else NotImplemented
-        return self + (-o)
+        p, q, n, P, Q, N, d = t
+        return _quad(p * N - P * n, q * N - Q * n, n * N, d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._pair(other)
+        if t is None:
             return float(self) * other if isinstance(other, float) \
                 else NotImplemented
-        if isinstance(o, QuadExt) and o.d != self.d:  # self.b == 0
-            return QuadExt(self.a * o.a, self.a * o.b, o.d)
-        return QuadExt(self.a * o.a + self.b * o.b * self.d,
-                       self.a * o.b + self.b * o.a, self.d)
+        p, q, n, P, Q, N, d = t
+        return _quad(p * P + q * Q * d, p * Q + q * P, n * N, d)
 
     __rmul__ = __mul__
 
     def _inverse(self) -> "QuadExt":
-        norm = self.a * self.a - self.b * self.b * self.d
+        p, q, n = self.p, self.q, self.n
+        norm = p * p - q * q * self.d
         if norm == 0:
             raise ZeroDivisionError("division by zero QuadExt")
-        return QuadExt(self.a / norm, -self.b / norm, self.d)
+        return _quad(n * p, -n * q, norm, self.d)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._pair(other)
+        if t is None:
             return float(self) / other if isinstance(other, float) \
                 else NotImplemented
-        if isinstance(o, QuadExt) and o.d != self.d:
-            return QuadExt(self.a, 0, o.d) / o
-        return self * o._inverse()
+        P, Q, N, d = t[3:]
+        return self * _quad(P, Q, N, d)._inverse()
 
     def __rtruediv__(self, other):
         return self._inverse() * other
@@ -197,52 +226,48 @@ class QuadExt:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = QuadExt(1, 0, self.d)
+        out = _quad(1, 0, 1, self.d)
         for _ in range(n):
             out = out * self
         return out
 
     # -- comparisons ------------------------------------------------------
     def _sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (0 if a == 0 else 1)
-        if a == 0:
-            return -1 if b < 0 else 1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d
-        lhs, rhs = a * a, b * b * self.d
-        if a > 0:
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+        p, q = self.p, self.q
+        sp = (p > 0) - (p < 0)
+        sq = (q > 0) - (q < 0)
+        if sp == sq or sq == 0:
+            return sp
+        if sp == 0:
+            return sq
+        # opposite signs: compare p^2 with q^2 d
+        lhs, rhs = p * p, q * q * self.d
+        return sp if lhs > rhs else (-sp if lhs < rhs else 0)
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            if other.d == self.d:
-                return self.a == other.a and self.b == other.b
-            return self.b == 0 and other.b == 0 and self.a == other.a
+            return (self.p == other.p and self.q == other.q
+                    and self.n == other.n
+                    and (self.q == 0 or self.d == other.d))
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return (self.q == 0 and self.p == other.numerator
+                    and self.n == other.denominator)
         if isinstance(other, float):
             return float(self) == other
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
+        if self.q == 0:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def _cmp(self, other):
         """A number whose sign is that of ``self - other``."""
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, float):
-                return float(self) - other
+        if isinstance(other, float):
+            return float(self) - other
+        if not isinstance(other, (int, Fraction, QuadExt)):
             raise TypeError(f"cannot compare QuadExt with {type(other)}")
-        return (self - o)._sign()
+        return (self - other)._sign()
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -257,16 +282,33 @@ class QuadExt:
         return self._cmp(other) >= 0
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.p != 0 or self.q != 0
 
     def __abs__(self):
         return -self if self._sign() < 0 else self
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(float(self.d))
+        # int / int rounds as float(Fraction) does: this is float(a) +
+        # float(b) * sqrt(d) bit for bit
+        return self.p / self.n + self.q / self.n * math.sqrt(self.d)
 
     def __repr__(self):
         return f"QuadExt({self.a}, {self.b}, sqrt={self.d})"
+
+
+_new_object = object.__new__
+
+
+def _quad(p: int, q: int, n: int, d: int) -> QuadExt:
+    """The private constructor: ``(p + q*sqrt(d))/n`` over a core ``d``
+    the public constructor already checked, reduced to lowest terms with
+    ``n > 0`` (``n`` nonzero)."""
+    g = math.gcd(p, q, n)
+    if n < 0:
+        g = -g
+    x = _new_object(QuadExt)
+    x.p, x.q, x.n, x.d = p // g, q // g, n // g, d
+    return x
 
 
 Scalar = Union[int, Fraction, QuadExt, float]
@@ -306,7 +348,8 @@ def near_zero(v: Scalar, eps: float, *rows) -> bool:
 
 def canonical_row(values, eps: float) -> tuple:
     """Projective representative: an exact row divided by its first nonzero
-    entry (staying in its field), else floats divided by the largest
+    entry (staying in its field; an entry with no radical part comes back
+    as a Fraction), else floats divided by the largest
     magnitude, signed so the first entry above ``eps`` times it is positive.
     All-zero rows come back unscaled."""
     if all(is_exact(v) for v in values):
@@ -314,7 +357,9 @@ def canonical_row(values, eps: float) -> tuple:
         if pivot is None:
             return tuple(values)
         inv = 1 / lift(pivot)
-        return tuple(v * inv for v in values)
+        row = [v * inv for v in values]
+        return tuple([v.collapse() if isinstance(v, QuadExt) else v
+                      for v in row])
     fv = [to_float(v) for v in values]
     scale = max(abs(v) for v in fv)
     if scale == 0:
@@ -330,7 +375,7 @@ def sqrt_in_field(x, d: Optional[Fraction] = None):
     Returns the root, or None when it does not exist in that field.
     """
     if isinstance(x, QuadExt):
-        if x.b != 0:
+        if x.q != 0:
             return None  # nested radical
         x = x.a
     x = Fraction(x)
@@ -380,14 +425,14 @@ class Arithmetic:
         r = sqrt_in_field(x, self.radicand)
         if r is not None:
             return r
-        if isinstance(x, QuadExt) and x.b != 0:
+        if isinstance(x, QuadExt) and x.q != 0:
             self.demote(f"nested radical sqrt({x!r})")
             return math.sqrt(abs(to_float(x)))
         x = Fraction(x) if not isinstance(x, QuadExt) else x.a
         if self.radicand is None:
-            coeff, core = radical_parts(x)
-            self.radicand = core
-            return QuadExt(0, coeff, core)
+            root = QuadExt(0, 1, x)  # the constructor splits off the core
+            self.radicand = Fraction(root.d)
+            return root
         self.demote(f"second radicand {x} incompatible with {self.radicand}")
         return math.sqrt(to_float(x))
 

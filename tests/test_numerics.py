@@ -1,8 +1,13 @@
+import copy
 import math
+import pickle
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from cyclekit import numerics
+from cyclekit.contfrac import ContinuedFraction, chain
 from cyclekit.numerics import (
     Arithmetic, QuadExt, RadicalClash, comparison_eps, format_scalar,
     fraction_sqrt, parse_scalar, scalar_sign, sqrt_in_field, to_float,
@@ -60,6 +65,35 @@ class TestQuadExt:
             QuadExt(F(1), F(1), 4)
         with pytest.raises(ValueError):
             QuadExt(F(1), F(1), -2)
+
+    def test_equal_radicals_share_one_field(self):
+        # the constructor reduces a radicand to its squarefree core
+        r8, r2 = parse_scalar("sqrt(8)"), Arithmetic().sqrt(2)
+        assert r8 + r2 == QuadExt(0, 3, 2)
+        assert r8 == 2 * r2 and hash(r8) == hash(2 * r2)
+        assert format_scalar(r8) == "2*sqrt(2)"
+        assert format_scalar(parse_scalar("sqrt(3/2)")) == "1/2*sqrt(6)"
+
+    def test_arithmetic_checks_the_radicand_once(self, monkeypatch):
+        # a longer chain does more Q(sqrt 2) arithmetic, but no more checks
+        calls = Counter()
+        for name in ("fraction_sqrt", "radical_parts"):
+            def counted(x, _check=getattr(numerics, name), _name=name):
+                calls[_name] += 1
+                return _check(x)
+            monkeypatch.setattr(numerics, name, counted)
+        cf = ContinuedFraction.simple(1, [2] * 24)
+        seen = []
+        for n in (4, 24):
+            calls.clear()
+            chain(cf, n, "orthogonal")
+            seen.append(dict(calls))
+        assert seen[0] == seen[1]
+
+    def test_copy_and_pickle_round_trip(self):
+        x = QuadExt(F(1, 3), F(-2, 5), 8)
+        assert copy.deepcopy(x) == x == pickle.loads(pickle.dumps(x))
+        assert copy.copy(x).d == 2
 
     def test_pow_and_float(self):
         s = QuadExt(F(1), F(1), 2)

@@ -1,10 +1,13 @@
-"""Property tests for the exact-or-float decision layer, the Moebius action
-on cycles, the solver, figure re-evaluation and the figure JSON round trip.
+"""Property tests for the exact-or-float decision layer, the ``QuadExt``
+kernel against its Fraction-pair reference, the Moebius action on cycles,
+the solver, figure re-evaluation and the figure JSON round trip.
 
 The examples are drawn by hypothesis under the derandomized profile that
 ``conftest.py`` loads.
 """
 
+import math
+import operator
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -17,7 +20,9 @@ from cyclekit.cycle import Cycle, Metric
 from cyclekit.figure import (INFINITY, REAL_LINE, Figure, TooManyInstances,
                              inversive, is_point, only_reals, orthogonal,
                              power, tangent, through)
-from cyclekit.numerics import QuadExt, RadicalClash, canonical_row, near_zero
+from cyclekit.numerics import (QuadExt, RadicalClash, canonical_row,
+                               format_scalar, fraction_sqrt, near_zero,
+                               parse_scalar)
 from cyclekit.relations import (BranchOverflow, InversiveDistance, IsFlat,
                                 IsLobachevskyLine, IsOrthogonal, IsPoint,
                                 IsTangent, PassesThrough, SteinerPower, check,
@@ -351,3 +356,225 @@ def test_solve_equals_the_all_patterns_reference(system):
     assert (sol.status, [c.row() for c in sol.cycles], sol.demoted) == want
     assert [c.key() for c in sol.cycles] == [
         Cycle.from_row(metric, row).key() for row in want[1]]
+
+
+class _RefQuadExt:
+    """The Fraction-pair ``QuadExt`` the integer triple replaced, kept as the
+    reference: ``a + b*sqrt(d)`` with Fraction ``a``, ``b`` and ``d``, every
+    result rebuilt (and its radicand re-checked) through the constructor."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = Fraction(a), Fraction(b), Fraction(d)
+        if self.d <= 0 or fraction_sqrt(self.d) is not None:
+            raise ValueError(f"radicand must be positive and non-square: {d}")
+
+    def _coerce(self, other):
+        if isinstance(other, _RefQuadExt):
+            if other.d != self.d:
+                if other.b == 0:
+                    return _RefQuadExt(other.a, 0, self.d)
+                if self.b == 0:
+                    return other
+                raise RadicalClash(f"sqrt({self.d}) vs sqrt({other.d})")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return _RefQuadExt(other, 0, self.d)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return float(self) + other if isinstance(other, float) \
+                else NotImplemented
+        if o.d != self.d:
+            return _RefQuadExt(self.a + o.a, o.b, o.d)
+        return _RefQuadExt(self.a + o.a, self.b + o.b, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _RefQuadExt(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return float(self) - other if isinstance(other, float) \
+                else NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return float(self) * other if isinstance(other, float) \
+                else NotImplemented
+        if o.d != self.d:
+            return _RefQuadExt(self.a * o.a, self.a * o.b, o.d)
+        return _RefQuadExt(self.a * o.a + self.b * o.b * self.d,
+                           self.a * o.b + self.b * o.a, self.d)
+
+    __rmul__ = __mul__
+
+    def _inverse(self):
+        norm = self.a * self.a - self.b * self.b * self.d
+        if norm == 0:
+            raise ZeroDivisionError("division by zero QuadExt")
+        return _RefQuadExt(self.a / norm, -self.b / norm, self.d)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return float(self) / other if isinstance(other, float) \
+                else NotImplemented
+        if o.d != self.d:
+            return _RefQuadExt(self.a, 0, o.d) / o
+        return self * o._inverse()
+
+    def __rtruediv__(self, other):
+        return self._inverse() * other
+
+    def __pow__(self, n):
+        out = _RefQuadExt(1, 0, self.d)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def _sign(self):
+        a, b = self.a, self.b
+        if b == 0:
+            return -1 if a < 0 else (0 if a == 0 else 1)
+        if a == 0:
+            return -1 if b < 0 else 1
+        if a > 0 and b > 0:
+            return 1
+        if a < 0 and b < 0:
+            return -1
+        lhs, rhs = a * a, b * b * self.d
+        if a > 0:
+            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+
+    def __eq__(self, other):
+        if isinstance(other, _RefQuadExt):
+            if other.d == self.d:
+                return self.a == other.a and self.b == other.b
+            return self.b == 0 and other.b == 0 and self.a == other.a
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        if isinstance(other, float):
+            return float(self) == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
+
+    def _cmp(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return float(self) - other
+        return (self - o)._sign()
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def __abs__(self):
+        return -self if self._sign() < 0 else self
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * math.sqrt(float(self.d))
+
+    def format(self):
+        if self.b == 0:
+            return str(self.a)
+        if self.a == 0:
+            return f"{self.b}*sqrt({self.d})"
+        op = "+" if self.b > 0 else "-"
+        return f"{self.a}{op}{abs(self.b)}*sqrt({self.d})"
+
+
+# radicand -> (coeff, squarefree core) with radicand = coeff^2 * core
+RADICANDS = {2: (1, 2), 3: (1, 3), 5: (1, 5), 6: (1, 6),
+             Fraction(1, 2): (Fraction(1, 2), 2),
+             Fraction(3, 2): (Fraction(1, 2), 6), 8: (2, 2), 12: (2, 3)}
+quad_parts = st.tuples(rationals, st.one_of(st.just(Fraction(0)), rationals),
+                       st.sampled_from(list(RADICANDS)))
+
+
+def _quad_and_reference(parts):
+    """QuadExt(a, b, d) and the reference over d's squarefree core."""
+    a, b, d = parts
+    coeff, core = RADICANDS[d]
+    return QuadExt(a, b, d), _RefQuadExt(a, b * coeff, core)
+
+
+operands = st.one_of(
+    quad_parts.map(_quad_and_reference),
+    st.one_of(rationals, st.integers(-5, 5),
+              st.floats(-50, 50)).map(lambda v: (v, v)))
+
+
+def _outcome(op, *args):
+    """A comparable digest of ``op(*args)``: floats bit for bit, quadratic
+    values as (a, b, d), raised arithmetic errors by type."""
+    try:
+        v = op(*args)
+    except (RadicalClash, ZeroDivisionError) as exc:
+        return type(exc)
+    if isinstance(v, (QuadExt, _RefQuadExt)):
+        return ("quad", v.a, v.b, v.d)
+    if isinstance(v, float):
+        return ("float", v.hex())
+    return (type(v), v)
+
+
+BINARY_OPS = (operator.add, operator.sub, operator.mul, operator.truediv,
+              operator.lt, operator.le, operator.gt, operator.ge,
+              operator.eq, operator.ne)
+
+
+@settings(max_examples=300)
+@given(quad_parts.map(_quad_and_reference), operands)
+def test_quadext_agrees_with_the_fraction_pair_reference(x, y):
+    (new, ref), (other, ref_other) = x, y
+    for op in BINARY_OPS:
+        assert _outcome(op, new, other) == _outcome(op, ref, ref_other), op
+        assert _outcome(op, other, new) == _outcome(op, ref_other, ref), op
+
+
+def test_radical_clash_raises_on_both_sides():
+    for a, b in (((1, 1, 2), (0, 1, 3)), ((0, 1, 8), (1, 1, 12))):
+        (x, rx), (y, ry) = map(_quad_and_reference, (a, b))
+        for op in (operator.add, operator.mul, operator.truediv, operator.lt):
+            assert _outcome(op, x, y) == _outcome(op, rx, ry) == RadicalClash
+
+
+@given(quad_parts, st.integers(0, 4))
+def test_quadext_unary_ops_agree_with_the_reference(parts, k):
+    new, ref = _quad_and_reference(parts)
+    for op in (operator.neg, abs, lambda v: v ** k):
+        assert _outcome(op, new) == _outcome(op, ref)
+    assert hash(new) == hash(ref) and bool(new) == bool(ref)
+    # bit-equal to the reference both over the core and over the radicand
+    # as given: every coeff above is a power of two, so scaling by it is
+    # exact and sqrt(coeff^2 * core) == coeff * sqrt(core) in floats too
+    assert float(new).hex() == float(ref).hex() == float(_RefQuadExt(*parts)).hex()
+    assert format_scalar(new) == ref.format()
+    assert parse_scalar(format_scalar(new)) == new

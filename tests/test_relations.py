@@ -164,6 +164,15 @@ def test_steiner_power_oracle():
         assert check([SteinerPower(big, F(8))], c)
 
 
+def test_rational_answers_after_a_root_come_back_as_fractions():
+    # the tangency takes sqrt(2) on the way; both answers are rational
+    pin = SteinerPower(Cycle.zero_radius_at(E, (3, 0)), 1)
+    sol = solve([pin, IsTangent(UNIT), IsOrthogonal(REAL)], E)
+    assert sol.status == "finite" and not sol.demoted
+    assert rows_of(sol) == [(1, F(7, 8), 0, F(-11, 4)), (1, F(7, 4), 0, F(5, 2))]
+    assert all(type(v) is F for row in rows_of(sol) for v in row)
+
+
 def test_steiner_point_mode():
     # points of power 8 against the circle: distance sqrt(12) from its center
     big = Cycle.circle(E, (F(3), F(0)), F(4))
