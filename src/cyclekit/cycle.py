@@ -13,7 +13,9 @@ Both are kept as tuples of generator squares, -1/0/+1 per axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .clifford import Mat2, Mv, Signature
@@ -28,11 +30,49 @@ def row_product(metric: Metric, x: Sequence[Scalar],
                 y: Sequence[Scalar]) -> Scalar:
     """The cycle pairing on raw coefficient rows (k, l.., m)."""
     eta = metric.product_eta
-    n = metric.n
-    acc = x[n + 1] * y[0] + y[n + 1] * x[0]
-    for i in range(n):
-        if eta[i] != 0:
-            acc = acc + 2 * eta[i] * x[1 + i] * y[1 + i]
+    xk, xl, xm, yk, yl, ym = x[0], x[1:-1], x[-1], y[0], y[1:-1], y[-1]
+    fx = _rational_form(eta, xk, xl, xm)
+    fy = fx and _rational_form(eta, yk, yl, ym)
+    if fy:
+        return _integer_pair(eta, fx, fy)
+    return _sum_pair(eta, xk, xl, xm, yk, yl, ym)
+
+
+_RATIONAL = {int, Fraction}
+
+
+def _rational_form(eta: Eta, k: Scalar, l: Sequence[Scalar], m: Scalar):
+    """The entries of a row the pairing reads -- k, each l_i with
+    eta_i != 0, and m -- as ``(nums, den)``: ints over one common
+    denominator.  ``()`` unless k or m is a Fraction and every entry is an
+    int or a Fraction; any other row costs two type checks."""
+    if type(k) is not Fraction and type(m) is not Fraction:
+        return ()
+    row = (k, *l, m)
+    if not set(map(type, row)) <= _RATIONAL:
+        return ()
+    if 0 in eta:
+        row = [v for v, e in zip(row, (1, *eta, 1)) if e]
+    den = math.lcm(*[v.denominator for v in row])
+    return [v.numerator * (den // v.denominator) for v in row], den
+
+
+def _integer_pair(eta: Eta, fx, fy) -> Fraction:
+    """The pairing of two rows from their :func:`_rational_form`, summed in
+    ints: the one Fraction the sum over their entries gives."""
+    (a, da), (b, db) = fx, fy
+    acc = a[-1] * b[0] + b[-1] * a[0]
+    for w, ai, bi in zip([2 * e for e in eta if e], a[1:-1], b[1:-1]):
+        acc += w * ai * bi
+    return Fraction(acc, da * db)
+
+
+def _sum_pair(eta: Eta, xk, xl, xm, yk, yl, ym) -> Scalar:
+    """The pairing summed over the entries (k, l, m) as they are."""
+    acc = xm * yk + ym * xk
+    for e, a, b in zip(eta, xl, yl):
+        if e:
+            acc = acc + 2 * e * a * b
     return acc
 
 
@@ -116,9 +156,10 @@ def parse_metric(text: str) -> Metric:
 
 
 class Cycle:
-    """One coefficient row (k, l_1..l_n, m) over a fixed metric."""
+    """One coefficient row (k, l_1..l_n, m) over a fixed metric; never
+    changed after construction."""
 
-    __slots__ = ("metric", "k", "l", "m")
+    __slots__ = ("metric", "k", "l", "m", "_form")
 
     def __init__(self, metric: Metric, k: Scalar, l: Sequence[Scalar], m: Scalar):
         lt = tuple(l)
@@ -128,6 +169,7 @@ class Cycle:
         self.k = k
         self.l = lt
         self.m = m
+        self._form = None
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -196,9 +238,21 @@ class Cycle:
     # -- invariant pairing ------------------------------------------------------
     def product(self, other: "Cycle") -> Scalar:
         """<C, C'> = m k' + m' k + 2 sum eta_i l_i l'_i (product metric)."""
-        if other.metric.product_eta != self.metric.product_eta:
+        eta = self.metric.product_eta
+        if other.metric.product_eta != eta:
             raise ValueError("product metric mismatch")
-        return row_product(self.metric, self.row(), other.row())
+        fx = self._rational_form()
+        fy = fx and other._rational_form()
+        if fy:
+            return _integer_pair(eta, fx, fy)
+        return _sum_pair(eta, self.k, self.l, self.m, other.k, other.l, other.m)
+
+    def _rational_form(self):
+        """:func:`_rational_form` of the row, computed on first use."""
+        if self._form is None:
+            self._form = _rational_form(self.metric.product_eta, self.k,
+                                        self.l, self.m)
+        return self._form
 
     def self_product(self) -> Scalar:
         return self.product(self)

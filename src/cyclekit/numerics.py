@@ -33,6 +33,9 @@ trace check.  Each site keeps its own ``eps``; the only settings are
 ``MOEBINV_EPS``, read by :func:`comparison_eps`, and ``relations.check``'s
 ``eps``.  A system's data chooses its field: ``linear_solve`` (like
 ``_quad_roots``) works exactly only when asked to and every entry is exact.
+An exact system of ints and Fractions is eliminated over the ints and read
+back as Fractions; the cycle pairing and :func:`canonical_row` likewise
+work on a rational row's integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -83,14 +86,18 @@ def radical_parts(x: Rational):
     """Split positive x into (coeff, core) with x = coeff^2 * core.
 
     core is a squarefree integer, so equal radicals built from different
-    inputs agree representation-wise.  Square factors hiding behind primes
-    above the trial-division bound stay in core; that only leaves the
-    result less reduced, never wrong.
+    inputs agree representation-wise.  Trial division runs while the cube
+    of the divisor is at most the cofactor left, and to 100,000 at most;
+    a cofactor left over is then 1, a prime, a product of two primes or a
+    prime squared, and a square one goes into coeff.  So below 10**15 the
+    core is exactly squarefree.  Above, a square factor of primes past the
+    bound may stay in core; that only leaves the result less reduced,
+    never wrong.
     """
     x = Fraction(x)
     n = x.numerator * x.denominator
     s, core, m, f = 1, 1, n, 2
-    while f * f <= m and f <= 100_000:
+    while f * f * f <= m and f <= 100_000:
         if m % f == 0:
             e = 0
             while m % f == 0:
@@ -100,7 +107,12 @@ def radical_parts(x: Rational):
             if e % 2:
                 core *= f
         f += 1 if f == 2 else 2
-    return Fraction(s, x.denominator), Fraction(core * m)
+    r = math.isqrt(m)
+    if r * r == m:
+        s *= r
+    else:
+        core *= m
+    return Fraction(s, x.denominator), Fraction(core)
 
 
 class RadicalClash(ArithmeticError):
@@ -351,7 +363,18 @@ def canonical_row(values, eps: float) -> tuple:
     entry (staying in its field; an entry with no radical part comes back
     as a Fraction), else floats divided by the largest
     magnitude, signed so the first entry above ``eps`` times it is positive.
-    All-zero rows come back unscaled."""
+    All-zero rows come back unscaled.  A rational row builds each entry
+    with one ``Fraction``, and a row of Fractions led by 1 is returned as
+    it is."""
+    if all(type(v) is Fraction or type(v) is int for v in values):
+        pivot = next((v for v in values if v), None)
+        if pivot is None:
+            return tuple(values)
+        if pivot == 1 and all(type(v) is Fraction for v in values):
+            return tuple(values)
+        pn, pd = pivot.numerator, pivot.denominator
+        return tuple([Fraction(v.numerator * pd, v.denominator * pn)
+                      for v in values])
     if all(is_exact(v) for v in values):
         pivot = next((v for v in values if v != 0), None)
         if pivot is None:

@@ -17,6 +17,7 @@ deterministic order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
@@ -242,7 +243,20 @@ def linear_solve(rows: List[Row], nunk: int, exact: bool):
     Returns (particular, basis) or (None, None) when inconsistent.  Exact
     rows pivot on the first nonzero entry; float rows partial-pivot and
     rank-test against EPS_RANK times the original row magnitude.
+
+    An exact system whose entries are all ints and Fractions is eliminated
+    over the ints (:func:`_integer_rref`) and read back as the Fractions of
+    its reduced row echelon form, which is unique, so the answer is the one
+    Fraction elimination gives.  A system with a ``QuadExt`` entry is
+    eliminated in its field, a float system in floats.
     """
+    if exact and all(isinstance(c, (int, Fraction)) for coeffs, rhs in rows
+                     for c in (*coeffs, rhs)):
+        A, pivots, rank = _integer_rref(rows, nunk)
+        if any(row[nunk] for row in A[rank:]):
+            return None, None
+        return _solution(pivots, nunk, lambda r, col, j:
+                         Fraction(A[r][j], A[r][col]), Fraction(0), Fraction(1))
     exact = exact and all(is_exact(c) for coeffs, rhs in rows
                           for c in (*coeffs, rhs))
     conv = lift if exact else to_float
@@ -282,11 +296,58 @@ def linear_solve(rows: List[Row], nunk: int, exact: bool):
         ok = resid == 0 if exact else abs(resid) <= EPS_RANK * norms[i]
         if not ok:
             return None, None
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    return _solution(pivots, nunk, lambda r, col, j: A[r][j], zero, one)
+
+
+def _primitive(row: List[int]) -> List[int]:
+    """An integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [c // g for c in row] if g > 1 else row
+
+
+def _integer_rref(rows: List[Row], nunk: int):
+    """Fraction-free Gauss-Jordan of a system of ints and Fractions.
+
+    Each row ``(coeffs, rhs)`` is scaled by the lcm of its denominators to
+    a primitive integer row.  Each column pivots on its first nonzero row at
+    or below the rank, as the Fraction elimination does, and every other
+    row with an entry there becomes ``piv*row - f*prow`` divided by its gcd.
+    Returns ``(A, pivots, rank)``: pivot row ``r`` of ``A`` holds the
+    reduced row echelon row ``A[r][j] / A[r][col]``; rows from ``rank`` on
+    are zero up to their rhs.
+    """
+    A = []
+    for coeffs, rhs in rows:
+        row = (*coeffs, rhs)
+        den = math.lcm(*[c.denominator for c in row])
+        A.append(_primitive([c.numerator * (den // c.denominator)
+                             for c in row]))
+    pivots: List[Tuple[int, int]] = []
+    rank = 0
+    for col in range(nunk):
+        pr = next((i for i in range(rank, len(A)) if A[i][col]), None)
+        if pr is None:
+            continue
+        A[rank], A[pr] = A[pr], A[rank]
+        prow = A[rank]
+        piv = prow[col]
+        for i, row in enumerate(A):
+            f = row[col]
+            if f and i != rank:
+                A[i] = _primitive([piv * a - f * b for a, b in zip(row, prow)])
+        pivots.append((rank, col))
+        rank += 1
+    return A, pivots, rank
+
+
+def _solution(pivots, nunk: int, entry, zero, one):
+    """``(particular, basis)`` of a system in reduced row echelon form with
+    the given ``(row, col)`` pivots; ``entry(r, col, j)`` is entry ``j`` of
+    pivot row ``r`` over a unit pivot."""
     particular = [zero] * nunk
     for r, col in pivots:
-        particular[col] = A[r][nunk]
+        particular[col] = entry(r, col, nunk)
     pivot_cols = {col for _, col in pivots}
     basis = []
     for free in range(nunk):
@@ -295,7 +356,7 @@ def linear_solve(rows: List[Row], nunk: int, exact: bool):
         v = [zero] * nunk
         v[free] = one
         for r, col in pivots:
-            v[col] = -A[r][free]
+            v[col] = -entry(r, col, free)
         basis.append(tuple(v))
     return tuple(particular), basis
 
@@ -505,7 +566,9 @@ def solve(relations: Sequence[Relation], metric: Metric,
     for cyc, prov in found:
         can = cyc.canonical()
         if all(rel.satisfied_by(can, eps) for rel in relations):
-            key = can.key()
+            # an exact canonical row is its own key
+            row = can.row()
+            key = row if all(is_exact(c) for c in row) else can.key()
             if key not in kept:
                 kept[key] = (can, prov)
     ordered = sorted(kept.values(), key=lambda cp: _sort_key(cp[0]))

@@ -74,6 +74,14 @@ class TestQuadExt:
         assert format_scalar(r8) == "2*sqrt(2)"
         assert format_scalar(parse_scalar("sqrt(3/2)")) == "1/2*sqrt(6)"
 
+    def test_square_factor_past_the_trial_bound_shares_the_field(self):
+        # 2000012000018 = 2 * 1000003**2: the square factor lies past the
+        # trial-division bound, in the cofactor left over
+        x = parse_scalar("sqrt(2000012000018)")
+        y = parse_scalar("1000003*sqrt(2)")
+        assert x + y == QuadExt(0, 2000006, 2)
+        assert x == y and hash(x) == hash(y)
+
     def test_arithmetic_checks_the_radicand_once(self, monkeypatch):
         # a longer chain does more Q(sqrt 2) arithmetic, but no more checks
         calls = Counter()
@@ -110,6 +118,28 @@ class TestQuadExt:
         assert q / 0.5 == x / 0.5 and 0.5 / q == pytest.approx(0.5 / x)
         assert q < 2.5 and 2.5 > q and q > 2.4 and q >= 2.4 and q <= x
         assert not q < x and not q < float("nan")
+
+
+# primes past the trial-division bound of radical_parts
+P, Q = 100_003, 100_019
+
+
+@pytest.mark.parametrize("x, coeff, core", [
+    (P * Q, 1, P * Q),
+    (P ** 2, P, 1),
+    (3 * P ** 2, P, 3),
+    (F(P * Q, P ** 2), F(1, P), P * Q),
+    (2 * 1_000_003 ** 2, 1_000_003, 2),
+])
+def test_radical_parts_core_is_squarefree_below_1e15(x, coeff, core):
+    assert numerics.radical_parts(x) == (coeff, core)
+
+
+def test_radical_parts_past_1e15_is_never_wrong():
+    # P**2 * Q > 10**15 has three prime factors past the bound; its square
+    # factor may stay in core, but coeff**2 * core is still the input
+    coeff, core = numerics.radical_parts(P ** 2 * Q)
+    assert coeff ** 2 * core == P ** 2 * Q and core.denominator == 1
 
 
 def test_sqrt_in_field():

@@ -578,3 +578,178 @@ def test_quadext_unary_ops_agree_with_the_reference(parts, k):
     assert float(new).hex() == float(ref).hex() == float(_RefQuadExt(*parts)).hex()
     assert format_scalar(new) == ref.format()
     assert parse_scalar(format_scalar(new)) == new
+
+
+def _ref_linear_solve(rows, nunk):
+    """The Fraction Gauss-Jordan that rational systems ran on before the
+    integer elimination, kept as the reference: pivot on the first nonzero
+    entry of each column, scale the pivot row, clear the column."""
+    A = [[Fraction(c) for c in coeffs] + [Fraction(rhs)]
+         for coeffs, rhs in rows]
+    pivots = []
+    rank = 0
+    for col in range(nunk):
+        pr = next((i for i in range(rank, len(A)) if A[i][col] != 0), None)
+        if pr is None:
+            continue
+        A[rank], A[pr] = A[pr], A[rank]
+        piv = A[rank][col]
+        A[rank] = [c / piv for c in A[rank]]
+        for i in range(len(A)):
+            if i != rank and A[i][col] != 0:
+                f = A[i][col]
+                A[i] = [a - f * b for a, b in zip(A[i], A[rank])]
+        pivots.append((rank, col))
+        rank += 1
+    if any(A[i][nunk] != 0 for i in range(rank, len(A))):
+        return None, None
+    particular = [Fraction(0)] * nunk
+    for r, col in pivots:
+        particular[col] = A[r][nunk]
+    pivot_cols = {col for _, col in pivots}
+    basis = []
+    for free in range(nunk):
+        if free in pivot_cols:
+            continue
+        v = [Fraction(0)] * nunk
+        v[free] = Fraction(1)
+        for r, col in pivots:
+            v[col] = -A[r][free]
+        basis.append(tuple(v))
+    return tuple(particular), basis
+
+
+def _typed(value):
+    """A value with the type of every scalar in it, so that an int where a
+    Fraction was expected (or the reverse) compares unequal."""
+    if value is None:
+        return None
+    if isinstance(value, (list, tuple)):
+        return type(value), tuple(_typed(v) for v in value)
+    return type(value), value
+
+
+rational_entries = st.one_of(st.integers(-6, 6), rationals)
+
+
+@st.composite
+def rational_systems(draw):
+    """1-4 rows over 3-5 unknowns of ints and Fractions; a row after the
+    first may be zero, a combination of earlier rows (dependent), or such a
+    combination with its rhs moved (inconsistent)."""
+    nunk = draw(st.integers(3, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(
+            ["free", "zero", "dependent", "inconsistent"] if rows else ["free"]))
+        if kind == "free":
+            rows.append((tuple(draw(st.lists(rational_entries, min_size=nunk,
+                                             max_size=nunk))),
+                         draw(rational_entries)))
+            continue
+        if kind == "zero":
+            rows.append(((0,) * nunk, 0))
+            continue
+        coeffs, rhs = [0] * nunk, 0
+        for c, r in rows:
+            t = draw(st.one_of(st.integers(-3, 3), rationals))
+            coeffs = [a + t * b for a, b in zip(coeffs, c)]
+            rhs += t * r
+        if kind == "inconsistent":
+            rhs += draw(nonzero_rationals)
+        rows.append((tuple(coeffs), rhs))
+    return rows, nunk
+
+
+@settings(max_examples=300)
+@given(rational_systems())
+def test_integer_linear_solve_equals_the_fraction_reference(system):
+    rows, nunk = system
+    p, basis = relations.linear_solve(rows, nunk, True)
+    want_p, want_basis = _ref_linear_solve(rows, nunk)
+    assert _typed(p) == _typed(want_p)
+    assert _typed(basis) == _typed(want_basis)
+
+
+def _ref_row_product(metric, x, y):
+    """The pairing summed over the rows' own scalars."""
+    eta, n = metric.product_eta, metric.n
+    acc = x[n + 1] * y[0] + y[n + 1] * x[0]
+    for i in range(n):
+        if eta[i] != 0:
+            acc = acc + 2 * eta[i] * x[1 + i] * y[1 + i]
+    return acc
+
+
+PAIRING_METRICS = METRICS + [Metric.from_signature(3),
+                             Metric.from_signature(1, 1, 1)]
+
+
+@st.composite
+def rational_row_pairs(draw):
+    metric = draw(st.sampled_from(PAIRING_METRICS))
+    entries = st.one_of(st.just(0), st.integers(-6, 6), rationals,
+                        st.builds(Fraction, st.integers(-6, 6)))
+    row = st.lists(entries, min_size=metric.n + 2, max_size=metric.n + 2)
+    return metric, tuple(draw(row)), tuple(draw(row))
+
+
+@settings(max_examples=300)
+@given(rational_row_pairs())
+def test_integer_row_product_equals_the_fraction_sum(case):
+    metric, x, y = case
+    want = _typed(_ref_row_product(metric, x, y))
+    assert _typed(cycle.row_product(metric, x, y)) == want
+    cx, cy = Cycle.from_row(metric, x), Cycle.from_row(metric, y)
+    assert _typed(cx.product(cy)) == want
+    assert _typed(cx.product(cy)) == want      # the cached integer form
+
+
+@pytest.mark.parametrize("metric, x, y", [
+    (E2, (1, 2, 3, 4), (5, 6, 7, 8)),                       # ints give an int
+    (E2, (Fraction(1, 2), 2, 3, 4), (5, 6, 7, 8)),
+    (E2, (0, 0, 0, 0), (Fraction(1, 3), 1, 1, 1)),
+    # the parabolic pairing skips l_2: a Fraction there leaves an int sum
+    (Metric.named("p"), (1, 2, Fraction(1, 3), 4), (5, 6, Fraction(1, 7), 8)),
+    (Metric.named("p"), (Fraction(2), 2, Fraction(1, 3), 4), (5, 6, 7, 8)),
+    # rows that are not all rational sum as they are, floats bit for bit
+    (E2, (Fraction(1, 2), QuadExt(1, 1, 2), 3, 4), (5, Fraction(6, 7), 7, 8)),
+    (E2, (0.1, 1.25, -3.0, Fraction(1, 3)), (1.5, 0.7, 0.3, 7.0)),
+])
+def test_row_product_keeps_the_sum_type(metric, x, y):
+    want = _typed(_ref_row_product(metric, x, y))
+    assert _typed(cycle.row_product(metric, x, y)) == want
+    assert _typed(Cycle.from_row(metric, x).product(
+        Cycle.from_row(metric, y))) == want
+
+
+def _ref_canonical_row(values):
+    """A rational row times the inverse of its first nonzero entry."""
+    pivot = next((v for v in values if v != 0), None)
+    if pivot is None:
+        return tuple(values)
+    inv = 1 / Fraction(pivot)
+    return tuple(v * inv for v in values)
+
+
+rational_rows = st.lists(st.one_of(st.just(0), st.integers(-6, 6), rationals),
+                         min_size=1, max_size=5)
+
+
+@given(rational_rows)
+def test_rational_canonical_row_equals_the_fraction_reference(row):
+    assert _typed(canonical_row(row, 1e-12)) == _typed(_ref_canonical_row(row))
+
+
+@pytest.mark.parametrize("row", [
+    (2, 4, -6),                                  # ints only
+    (1, 2, 3),                                   # ints led by 1 become Fractions
+    (0, -3, Fraction(3, 2), 6),                  # negative pivot
+    (0, 0, 0),                                   # all zero: unchanged
+    (Fraction(0), Fraction(0)),
+    (Fraction(1), 2, Fraction(1, 3)),            # mixed, led by 1
+    (Fraction(1), Fraction(-2), Fraction(1, 3)),  # already canonical
+    (Fraction(-2, 3), 4, Fraction(5, 7)),
+])
+def test_rational_canonical_row_keeps_the_reference_types(row):
+    assert _typed(canonical_row(row, 1e-12)) == _typed(_ref_canonical_row(row))
