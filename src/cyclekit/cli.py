@@ -351,11 +351,7 @@ def cmd_apollonius(args) -> int:
     for combo in combos:
         rels = [IsTangent(ref, _SIGN_NAMES[s])
                 for ref, s in zip(refs, combo)]
-        try:
-            sols = solve(rels, metric, args.arith or "exact")
-        except RadicalClash as err:
-            raise CliError(f"mixed radicals stay out of reach of exact "
-                           f"arithmetic ({err}); rerun with --arith float")
+        sols = solve(rels, metric, args.arith or "exact")
         entry = {"signs": combo, "status": sols.status, "solutions": []}
         for sol in sols:
             row = sol.canonical().row()
@@ -449,7 +445,7 @@ def _parser() -> argparse.ArgumentParser:
 
 # exit code of each exception a handler may raise; a CliError names its own
 _EXIT_CODES = {TooManyInstances: OVERFLOW, BranchOverflow: OVERFLOW,
-               Degenerate: DEGENERATE}
+               Degenerate: DEGENERATE, RadicalClash: PARSE}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -457,6 +453,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (CliError, *_EXIT_CODES) as err:
+        if isinstance(err, RadicalClash):
+            err = CliError(f"mixed radicals stay out of reach of exact "
+                           f"arithmetic ({err}); rerun with --arith float")
         print(f"error: {err}", file=sys.stderr)
         if isinstance(err, CliError):
             return err.code

@@ -274,20 +274,21 @@ class Figure:
     # -- relation nodes -------------------------------------------------------
     def _check_specs(self, specs: Sequence[RelSpec]):
         """Refuse a spec whose kind, parent or parameters are wrong now,
-        not at solve time: every spec is built once, a parent-built kind
-        on the origin as a stand-in parent (k = 1 suits every kind)."""
+        not at solve time: a kind with parameters is built once, on the
+        origin as a stand-in parent if it takes one (k = 1 suits all)."""
         stand_in = Cycle(self.metric, 1, (0,) * self.metric.n, 0)
         for spec in specs:
             if spec.kind not in _KINDS:
                 raise ValueError(f"unknown relation kind {spec.kind!r}")
-            cls, on_parent, _ = _KINDS[spec.kind]
+            cls, on_parent, params = _KINDS[spec.kind]
             if on_parent and spec.parent is None:
                 raise ValueError(f"{spec.kind} needs a parent label")
             if on_parent and spec.parent not in self._nodes:
                 raise UnknownNode(spec.parent)
             if not on_parent and spec.parent is not None:
                 raise ValueError(f"{spec.kind} takes no parent")
-            cls(stand_in if on_parent else self.metric, *spec.args)
+            if params:
+                cls(stand_in if on_parent else self.metric, *spec.args)
 
     def _generation_for(self, parents: Sequence[str]) -> int:
         gens = [self._nodes[p].generation for p in parents]
@@ -352,14 +353,6 @@ class Figure:
         return cls(by_label[spec.parent].cycle if on_parent else self.metric,
                    *spec.args)
 
-    def _banned(self, node: FigureNode, ctx: Dict[str, int]) -> List[Cycle]:
-        out = []
-        for lab in node.avoid:
-            for inst in self._nodes[lab].instances:
-                if _consistent(inst.context, ctx):
-                    out.append(inst.cycle)
-        return out
-
     def _solve_node(self, node: FigureNode):
         node.instances = []
         node.status = "pending"
@@ -420,9 +413,10 @@ class Figure:
     def _filter_avoid(self, node, cycles, ctx):
         if not node.avoid:
             return cycles
-        banned = self._banned(node, ctx)
-        return [c for c in cycles
-                if not any(c.same_cycle(b) for b in banned)]
+        banned = {inst.cycle.key() for lab in node.avoid
+                  for inst in self._nodes[lab].instances
+                  if _consistent(inst.context, ctx)}
+        return [c for c in cycles if c.key() not in banned]
 
     def _run_subfigure(self, node, by_label) -> Optional[List[Cycle]]:
         obj = dict(node.inner)

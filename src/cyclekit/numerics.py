@@ -33,9 +33,10 @@ trace check.  Each site keeps its own ``eps``; the only settings are
 ``MOEBINV_EPS``, read by :func:`comparison_eps`, and ``relations.check``'s
 ``eps``.  A system's data chooses its field: ``linear_solve`` (like
 ``_quad_roots``) works exactly only when asked to and every entry is exact.
-An exact system of ints and Fractions is eliminated over the ints and read
-back as Fractions; the cycle pairing and :func:`canonical_row` likewise
-work on a rational row's integer numerators over one denominator.
+Every exact system is eliminated fraction-free over the ints or Z[sqrt d]
+and read back as Fractions, or QuadExts where a radical part is left; the
+pairing and :func:`canonical_row` work on a rational row's integer
+numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -133,9 +134,8 @@ class QuadExt:
 
     ``a`` and ``b`` read back as Fractions.  Mixed arithmetic with ints and
     Fractions lifts them; mixing two different radicands raises
-    :class:`RadicalClash` (the solver catches that and demotes to float),
-    unless one operand is rational.  A float operand gives the float result,
-    as it does with a Fraction.
+    :class:`RadicalClash` unless one operand is rational (the CLI exits 2
+    on it).  A float operand gives the float result, as with a Fraction.
     """
 
     __slots__ = ("p", "q", "n", "d")

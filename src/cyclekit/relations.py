@@ -24,8 +24,9 @@ from itertools import product as iproduct
 from typing import List, Optional, Sequence, Tuple
 
 from .cycle import Cycle, Metric, row_product
-from .numerics import (Arithmetic, Scalar, comparison_eps, is_exact, lift,
-                       near_zero, row_scale, scalar_sign, to_float)
+from .numerics import (Arithmetic, QuadExt, Scalar, _quad, comparison_eps,
+                       is_exact, lift, near_zero, row_scale, scalar_sign,
+                       to_float)
 
 Row = Tuple[Tuple[Scalar, ...], Scalar]
 
@@ -37,7 +38,7 @@ class BranchOverflow(RuntimeError):
 
 
 def pairing_coeffs(metric: Metric, ref: Cycle) -> Tuple[Scalar, ...]:
-    """Coefficients c with c . x = <x, ref>; ``linear_solve`` lifts them."""
+    """Coefficients c with c . x = <x, ref>."""
     eta = metric.product_eta
     return (ref.m, *(2 * e * l for e, l in zip(eta, ref.l)), ref.k)
 
@@ -59,6 +60,7 @@ class Relation:
         return 0
 
     def satisfied_by(self, cycle: Cycle, eps: float) -> bool:
+        """Does ``cycle``, canonical as every caller passes it, hold?"""
         raise NotImplementedError
 
 
@@ -142,6 +144,7 @@ class InversiveDistance(Relation):
 
     def __init__(self, ref: Cycle, theta: Scalar):
         self.ref = ref
+        self.ref_canonical = ref.canonical()
         self.theta = lift(theta)
         self.coeffs = pairing_coeffs(ref.metric, ref)
         ss = ref.self_product()
@@ -153,8 +156,7 @@ class InversiveDistance(Relation):
         return self.theta * ar.sqrt(self.ref.self_product())
 
     def satisfied_by(self, cycle, eps):
-        x = cycle.canonical()
-        r = self.ref.canonical()
+        x, r = cycle, self.ref_canonical
         p, sx, sr = x.product(r), x.self_product(), r.self_product()
         th = self.theta
         lhs = p * p
@@ -185,8 +187,7 @@ class IsTangent(InversiveDistance):
         self.variant = variant
 
     def satisfied_by(self, cycle, eps):
-        x = cycle.canonical()
-        r = self.ref.canonical()
+        x, r = cycle, self.ref_canonical
         p, sx, sr = x.product(r), x.self_product(), r.self_product()
         rows = x.row(), r.row()
         if not near_zero(p * p - sx * sr, eps, *rows, *rows):
@@ -219,13 +220,12 @@ class SteinerPower(Relation):
         return ar.sqrt(self.ref_k.self_product())
 
     def satisfied_by(self, cycle, eps):
-        z = cycle.canonical()
-        lhs = self.power * z.k - z.product(self.ref_k)
-        rhs_sq = z.self_product() * self.ref_k.self_product()
-        rows = z.row(), self.ref_k.row()
+        lhs = self.power * cycle.k - cycle.product(self.ref_k)
+        rhs_sq = cycle.self_product() * self.ref_k.self_product()
+        rows = cycle.row(), self.ref_k.row()
         if not near_zero(lhs * lhs - rhs_sq, eps, *rows, *rows):
             return False
-        return z.k == 0 or lhs >= 0 or near_zero(lhs, eps, *rows, *rows)
+        return cycle.k == 0 or lhs >= 0 or near_zero(lhs, eps, *rows, *rows)
 
     def __repr__(self):
         return f"SteinerPower({self.ref!r}, {self.power})"
@@ -240,49 +240,32 @@ EPS_RANK = 1e-10
 def linear_solve(rows: List[Row], nunk: int, exact: bool):
     """Gauss-Jordan, exact when ``exact`` is set and every entry is exact.
 
-    Returns (particular, basis) or (None, None) when inconsistent.  Exact
-    rows pivot on the first nonzero entry; float rows partial-pivot and
-    rank-test against EPS_RANK times the original row magnitude.
-
-    An exact system whose entries are all ints and Fractions is eliminated
-    over the ints (:func:`_integer_rref`) and read back as the Fractions of
-    its reduced row echelon form, which is unique, so the answer is the one
-    Fraction elimination gives.  A system with a ``QuadExt`` entry is
-    eliminated in its field, a float system in floats.
+    Returns (particular, basis) or (None, None) when inconsistent.  An
+    exact system is eliminated fraction-free (:func:`_fraction_free`), over
+    Z[sqrt d] when an entry is a ``QuadExt`` and over the ints otherwise;
+    float rows partial-pivot and rank-test against EPS_RANK times the
+    original row magnitude.
     """
-    if exact and all(isinstance(c, (int, Fraction)) for coeffs, rhs in rows
-                     for c in (*coeffs, rhs)):
-        A, pivots, rank = _integer_rref(rows, nunk)
-        if any(row[nunk] for row in A[rank:]):
-            return None, None
-        return _solution(pivots, nunk, lambda r, col, j:
-                         Fraction(A[r][j], A[r][col]), Fraction(0), Fraction(1))
-    exact = exact and all(is_exact(c) for coeffs, rhs in rows
-                          for c in (*coeffs, rhs))
-    conv = lift if exact else to_float
-    A = [[conv(c) for c in coeffs] + [conv(rhs)] for coeffs, rhs in rows]
-    if not exact:
-        norms = [row_scale(row) for row in A]
+    if exact:
+        kinds = {type(c) for coeffs, rhs in rows for c in (*coeffs, rhs)}
+        if kinds <= {int, Fraction}:
+            return _fraction_free(rows, nunk, _integer_row, _primitive)
+        if all(issubclass(t, (int, Fraction, QuadExt)) for t in kinds):
+            return _fraction_free(rows, nunk, _radical_row, _primitive_radical)
+    A = [[float(c) for c in coeffs] + [float(rhs)] for coeffs, rhs in rows]
+    norms = [row_scale(row) for row in A]
     pivots: List[Tuple[int, int]] = []
     rank = 0
     for col in range(nunk):
-        pr = None
-        if exact:
-            for i in range(rank, len(A)):
-                if A[i][col] != 0:
-                    pr = i
-                    break
-        else:
-            best = 0.0
-            for i in range(rank, len(A)):
-                mag = abs(A[i][col])
-                if mag > best and mag > EPS_RANK * norms[i]:
-                    best, pr = mag, i
+        pr, best = None, 0.0
+        for i in range(rank, len(A)):
+            mag = abs(A[i][col])
+            if mag > best and mag > EPS_RANK * norms[i]:
+                best, pr = mag, i
         if pr is None:
             continue
         A[rank], A[pr] = A[pr], A[rank]
-        if not exact:
-            norms[rank], norms[pr] = norms[pr], norms[rank]
+        norms[rank], norms[pr] = norms[pr], norms[rank]
         piv = A[rank][col]
         A[rank] = [c / piv for c in A[rank]]
         for i in range(len(A)):
@@ -291,38 +274,23 @@ def linear_solve(rows: List[Row], nunk: int, exact: bool):
                 A[i] = [a - f * b for a, b in zip(A[i], A[rank])]
         pivots.append((rank, col))
         rank += 1
-    for i in range(rank, len(A)):
-        resid = A[i][nunk]
-        ok = resid == 0 if exact else abs(resid) <= EPS_RANK * norms[i]
-        if not ok:
-            return None, None
-    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-    return _solution(pivots, nunk, lambda r, col, j: A[r][j], zero, one)
+    if not all(abs(A[i][nunk]) <= EPS_RANK * norms[i]
+               for i in range(rank, len(A))):
+        return None, None
+    return _solution(pivots, nunk, lambda r, col, j: A[r][j], 0.0, 1.0)
 
 
-def _primitive(row: List[int]) -> List[int]:
-    """An integer row divided by the gcd of its entries."""
-    g = math.gcd(*row)
-    return [c // g for c in row] if g > 1 else row
+def _fraction_free(rows: List[Row], nunk: int, cleared, primitive):
+    """Fraction-free Gauss-Jordan (Bareiss 1968) of an exact system.
 
-
-def _integer_rref(rows: List[Row], nunk: int):
-    """Fraction-free Gauss-Jordan of a system of ints and Fractions.
-
-    Each row ``(coeffs, rhs)`` is scaled by the lcm of its denominators to
-    a primitive integer row.  Each column pivots on its first nonzero row at
-    or below the rank, as the Fraction elimination does, and every other
-    row with an entry there becomes ``piv*row - f*prow`` divided by its gcd.
-    Returns ``(A, pivots, rank)``: pivot row ``r`` of ``A`` holds the
-    reduced row echelon row ``A[r][j] / A[r][col]``; rows from ``rank`` on
-    are zero up to their rhs.
+    ``cleared`` scales each row by the lcm of its denominators to a
+    primitive row over the ints or Z[sqrt d].  Each column pivots on its
+    first nonzero row at or below the rank, and every other row with an
+    entry there becomes ``piv*row - f*prow``, made ``primitive``: divided
+    by the gcd of its integer parts.  The reduced row echelon form is
+    unique, so its entries read back as a field elimination gives them.
     """
-    A = []
-    for coeffs, rhs in rows:
-        row = (*coeffs, rhs)
-        den = math.lcm(*[c.denominator for c in row])
-        A.append(_primitive([c.numerator * (den // c.denominator)
-                             for c in row]))
+    A = [cleared((*coeffs, rhs)) for coeffs, rhs in rows]
     pivots: List[Tuple[int, int]] = []
     rank = 0
     for col in range(nunk):
@@ -335,10 +303,46 @@ def _integer_rref(rows: List[Row], nunk: int):
         for i, row in enumerate(A):
             f = row[col]
             if f and i != rank:
-                A[i] = _primitive([piv * a - f * b for a, b in zip(row, prow)])
+                A[i] = primitive([piv * a - f * b for a, b in zip(row, prow)])
         pivots.append((rank, col))
         rank += 1
-    return A, pivots, rank
+    if any(row[nunk] for row in A[rank:]):
+        return None, None
+    return _solution(pivots, nunk, lambda r, col, j:
+                     _quotient(A[r][j], A[r][col]), Fraction(0), Fraction(1))
+
+
+def _integer_row(row) -> List[int]:
+    den = math.lcm(*[c.denominator for c in row])
+    return _primitive([c.numerator * (den // c.denominator) for c in row])
+
+
+def _primitive(row: List[int]) -> List[int]:
+    """An integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [c // g for c in row] if g > 1 else row
+
+
+def _radical_row(row) -> list:
+    """A primitive row of ints and QuadExts with ``n == 1``."""
+    den = math.lcm(*[c.n if isinstance(c, QuadExt) else c.denominator
+                     for c in row])
+    return _primitive_radical([c * den if isinstance(c, QuadExt)
+                               else c.numerator * (den // c.denominator)
+                               for c in row])
+
+
+def _primitive_radical(row: list) -> list:
+    g = math.gcd(*[x for c in row
+                   for x in ((c.p, c.q) if isinstance(c, QuadExt) else (c,))])
+    return [_quad(c.p // g, c.q // g, 1, c.d) if isinstance(c, QuadExt)
+            else c // g for c in row] if g > 1 else row
+
+
+def _quotient(a, b):
+    """A Fraction, or a QuadExt when the quotient has a radical part."""
+    return (Fraction(a, b) if type(a) is int and type(b) is int
+            else (a / b).collapse())
 
 
 def _solution(pivots, nunk: int, entry, zero, one):

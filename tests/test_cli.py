@@ -92,6 +92,25 @@ class TestFigureEval:
                            str(tmp_path / "nope.json"))
         assert code == 2
 
+    def test_radical_clash_exits_2(self, capsys, tmp_path):
+        # b's row holds sqrt(3) and the tangency rows take sqrt(2)
+        rows = {"a": ("1", "0", "0", "-1"), "b": ("1", "1", "0+1*sqrt(3)", "2"),
+                "c": ("1", "5", "0", "23")}
+        nodes = [{"label": lab, "kind": "cycle",
+                  "row": {"k": k, "l": [l1, l2], "m": m}}
+                 for lab, (k, l1, l2, m) in rows.items()]
+        nodes.append({"label": "x", "kind": "rel", "relations": [
+            {"rel": "tangent", "parent": lab, "variant": "both"}
+            for lab in rows]})
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps({"format": "figure-v1", "metric": "e",
+                                    "arithmetic": "exact", "nodes": nodes}))
+        code, _, err = run(capsys, "figure-eval", str(path))
+        assert code == 2
+        assert "--arith float" in err and "Traceback" not in err
+        code, _, _ = run(capsys, "figure-eval", str(path), "--arith", "float")
+        assert code == 0
+
     def test_overflow_exits_3(self, capsys, tmp_path):
         path = touch_script(tmp_path, max_instances=1)
         code, _, err = run(capsys, "figure-eval", path)

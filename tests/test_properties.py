@@ -21,7 +21,7 @@ from cyclekit.figure import (INFINITY, REAL_LINE, Figure, TooManyInstances,
                              inversive, is_point, only_reals, orthogonal,
                              power, tangent, through)
 from cyclekit.numerics import (QuadExt, RadicalClash, canonical_row,
-                               format_scalar, fraction_sqrt, near_zero,
+                               format_scalar, fraction_sqrt, lift, near_zero,
                                parse_scalar)
 from cyclekit.relations import (BranchOverflow, InversiveDistance, IsFlat,
                                 IsLobachevskyLine, IsOrthogonal, IsPoint,
@@ -581,11 +581,11 @@ def test_quadext_unary_ops_agree_with_the_reference(parts, k):
 
 
 def _ref_linear_solve(rows, nunk):
-    """The Fraction Gauss-Jordan that rational systems ran on before the
-    integer elimination, kept as the reference: pivot on the first nonzero
-    entry of each column, scale the pivot row, clear the column."""
-    A = [[Fraction(c) for c in coeffs] + [Fraction(rhs)]
-         for coeffs, rhs in rows]
+    """The Fraction and QuadExt Gauss-Jordan that exact systems ran on
+    before the fraction-free elimination, kept as the reference: pivot on
+    the first nonzero entry of each column, scale the pivot row, clear the
+    column."""
+    A = [[lift(c) for c in coeffs] + [lift(rhs)] for coeffs, rhs in rows]
     pivots = []
     rank = 0
     for col in range(nunk):
@@ -633,30 +633,33 @@ rational_entries = st.one_of(st.integers(-6, 6), rationals)
 
 
 @st.composite
-def rational_systems(draw):
-    """1-4 rows over 3-5 unknowns of ints and Fractions; a row after the
-    first may be zero, a combination of earlier rows (dependent), or such a
-    combination with its rhs moved (inconsistent)."""
+def rational_systems(draw, entries=rational_entries,
+                     factors=st.one_of(st.integers(-3, 3), rationals),
+                     shifts=nonzero_rationals):
+    """1-4 rows over 3-5 unknowns of ``entries``, by default ints and
+    Fractions; a row after the first may be zero, a combination of earlier
+    rows (dependent), or such a combination with its rhs moved
+    (inconsistent)."""
     nunk = draw(st.integers(3, 5))
     rows = []
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(
             ["free", "zero", "dependent", "inconsistent"] if rows else ["free"]))
         if kind == "free":
-            rows.append((tuple(draw(st.lists(rational_entries, min_size=nunk,
+            rows.append((tuple(draw(st.lists(entries, min_size=nunk,
                                              max_size=nunk))),
-                         draw(rational_entries)))
+                         draw(entries)))
             continue
         if kind == "zero":
             rows.append(((0,) * nunk, 0))
             continue
         coeffs, rhs = [0] * nunk, 0
         for c, r in rows:
-            t = draw(st.one_of(st.integers(-3, 3), rationals))
+            t = draw(factors)
             coeffs = [a + t * b for a, b in zip(coeffs, c)]
             rhs += t * r
         if kind == "inconsistent":
-            rhs += draw(nonzero_rationals)
+            rhs += draw(shifts)
         rows.append((tuple(coeffs), rhs))
     return rows, nunk
 
@@ -669,6 +672,38 @@ def test_integer_linear_solve_equals_the_fraction_reference(system):
     want_p, want_basis = _ref_linear_solve(rows, nunk)
     assert _typed(p) == _typed(want_p)
     assert _typed(basis) == _typed(want_basis)
+
+
+@st.composite
+def radical_systems(draw):
+    """Systems as above whose entries mix 0, ints, Fractions and QuadExts
+    over one radicand, some with no radical part."""
+    d = draw(st.sampled_from([2, 3, 5, 6]))
+    quads = st.builds(lambda a, b: QuadExt(a, b, d), rationals, rationals)
+    return draw(rational_systems(
+        st.one_of(st.just(0), st.integers(-6, 6), rationals, quads),
+        st.one_of(st.integers(-3, 3), rationals, quads),
+        st.one_of(nonzero_rationals, quads.filter(bool))))
+
+
+@settings(max_examples=300)
+@given(radical_systems())
+def test_radical_linear_solve_equals_the_field_reference(system):
+    rows, nunk = system
+    p, basis = relations.linear_solve(rows, nunk, True)
+    assert (p, basis) == _ref_linear_solve(rows, nunk)
+    # a value without a radical part reads back as a Fraction
+    for value in [] if p is None else [*p, *(c for v in basis for c in v)]:
+        assert type(value) is Fraction or (type(value) is QuadExt and value.q)
+
+
+def test_two_radicands_in_one_system_clash():
+    r2, r3 = QuadExt(0, 1, 2), QuadExt(0, 1, 3)
+    rows = [((r2, 1, 0), 1), ((1, r3, 1), 2)]
+    with pytest.raises(RadicalClash):
+        relations.linear_solve(rows, 3, True)
+    with pytest.raises(RadicalClash):
+        _ref_linear_solve(rows, 3)
 
 
 def _ref_row_product(metric, x, y):

@@ -311,3 +311,35 @@ class TestBuildOncePerSolve:
         assert sol.status == "infeasible" and not sol.demoted
         assert sol.reason == "conflicting demands [-1, 1]"
         assert calls == {}
+
+
+class TestVerificationReadsCanonicalRows:
+    """``satisfied_by`` takes the canonical cycle its caller made and
+    canonicalises nothing itself; a reference is canonicalised once, when
+    its relation is constructed."""
+
+    RELATIONS = [
+        IsOrthogonal(REAL), PassesThrough(E, (F(1), F(2))), IsFlat(E),
+        IsPoint(E), OnlyReals(E),
+        InversiveDistance(Cycle(E, 2, (1, 0), -6), 3),
+        IsTangent(Cycle(E, 3, (0, 1), -5), "external"),
+        IsTangent(Cycle(E, 1, (0, 0), F(-1, 4)), "internal"),
+        SteinerPower(Cycle(E, 2, (2, 0), -4), F(1, 2)),
+    ]
+
+    @pytest.mark.parametrize("rel", RELATIONS, ids=repr)
+    def test_satisfied_by_makes_no_canonical_call(self, rel, monkeypatch):
+        cycles = [c.canonical() for c in
+                  (UNIT, VAXIS, Cycle(E, 2, (F(1, 2), 1), 0),
+                   Cycle(E, 0.5, (0.25, -1.0), 0.125))]
+        calls = Counter()
+        canonical = Cycle.canonical
+
+        def counted(cycle):
+            calls["canonical"] += 1
+            return canonical(cycle)
+
+        monkeypatch.setattr(Cycle, "canonical", counted)
+        for c in cycles:
+            rel.satisfied_by(c, 1e-9)
+        assert calls == {}
