@@ -57,14 +57,23 @@ def _rational_form(eta: Eta, k: Scalar, l: Sequence[Scalar], m: Scalar):
     return [v.numerator * (den // v.denominator) for v in row], den
 
 
+def integer_pairing(w: Sequence[int], a: Sequence[int],
+                    b: Sequence[int]) -> int:
+    """m k' + m' k + sum w_i l_i l'_i on two int rows (k, l.., m), with
+    weights w_i = 2 eta_i for the l_i the rows hold (those with eta_i !=
+    0): the one pairing sum over ints."""
+    acc = a[-1] * b[0] + b[-1] * a[0]
+    for i, wi in enumerate(w, 1):
+        acc += wi * a[i] * b[i]
+    return acc
+
+
 def _integer_pair(eta: Eta, fx, fy) -> Fraction:
     """The pairing of two rows from their :func:`_rational_form`, summed in
     ints: the one Fraction the sum over their entries gives."""
     (a, da), (b, db) = fx, fy
-    acc = a[-1] * b[0] + b[-1] * a[0]
-    for w, ai, bi in zip([2 * e for e in eta if e], a[1:-1], b[1:-1]):
-        acc += w * ai * bi
-    return Fraction(acc, da * db)
+    return Fraction(integer_pairing([2 * e for e in eta if e], a, b),
+                    da * db)
 
 
 def _sum_pair(eta: Eta, xk, xl, xm, yk, yl, ym) -> Scalar:

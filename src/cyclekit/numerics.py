@@ -36,7 +36,8 @@ trace check.  Each site keeps its own ``eps``; the only settings are
 Every exact system is eliminated fraction-free over the ints or Z[sqrt d]
 and read back as Fractions, or QuadExts where a radical part is left; the
 pairing and :func:`canonical_row` work on a rational row's integer
-numerators over one denominator.
+numerators over one denominator, and chain validation pairs each cycle's
+row as ints over Z[sqrt d].
 """
 
 from __future__ import annotations
@@ -349,12 +350,17 @@ def near_zero(v: Scalar, eps: float, *rows) -> bool:
     """The floored zero test: ``v == 0`` for exact ``v``; for a float,
     ``|v| <= eps * max(1, S)`` with ``S`` the product of the rows'
     :func:`row_scale` (1 without rows).  A value quadratic in a row passes
-    that row twice.  Scales are computed only for floats."""
+    that row twice.  Scales are computed only for floats, once per
+    distinct row object, and multiplied in the order given."""
     if is_exact(v):
         return v == 0
     scale = 1.0
+    scales = {}
     for row in rows:
-        scale *= row_scale(row)
+        s = scales.get(id(row))
+        if s is None:
+            s = scales[id(row)] = row_scale(row)
+        scale *= s
     return abs(to_float(v)) <= eps * max(1.0, scale)
 
 

@@ -575,7 +575,9 @@ def solve(relations: Sequence[Relation], metric: Metric,
             key = row if all(is_exact(c) for c in row) else can.key()
             if key not in kept:
                 kept[key] = (can, prov)
-    ordered = sorted(kept.values(), key=lambda cp: _sort_key(cp[0]))
+    ordered = list(kept.values())
+    if len(ordered) > 1:
+        ordered.sort(key=lambda cp: _sort_key(cp[0]))
 
     if ordered:
         return SolutionSet("finite", [c for c, _ in ordered],

@@ -256,6 +256,14 @@ class TestContfrac:
         code, _, err = run(capsys, "contfrac", "--cf", "not a fraction")
         assert code == 2
 
+    def test_refused_chain_exits_2(self, capsys):
+        # the arrangement residual of step 2 does not vanish: |a_2| != 1
+        code, out, err = run(capsys, "contfrac", "--cf", "2/1 3/1 1/2")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: step 2: arrangement residual "
+                       "Fraction(-80, 1) is not zero\n")
+
 
 class TestPoincare:
     def test_elliptic_triple(self, capsys):

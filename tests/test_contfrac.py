@@ -15,7 +15,7 @@ from cyclekit.contfrac import (ContinuedFraction, InvalidCF, advance, chain,
                                quotient, reconstruct_horocycles,
                                seidel_stern_check, tangency_residual)
 from cyclekit.cycle import Cycle, Metric
-from cyclekit.numerics import Arithmetic
+from cyclekit.numerics import Arithmetic, QuadExt, scalar_sign
 
 E2 = Metric.named("e")
 
@@ -313,6 +313,29 @@ class TestChains:
     def test_chain_needs_a_step(self):
         with pytest.raises(InvalidCF):
             chain(pi_cf(), 0, "tangent")
+
+    @pytest.mark.parametrize("arrangement", ["tangent", "orthogonal", "ortho45"])
+    def test_mirror_sign_is_exact(self, arrangement):
+        # a_1 = -(1 - sqrt 2)^40 is negative, but its float is 0.125
+        a1 = -(QuadExt(1, -1, 2) ** 40)
+        assert a1 < 0 < float(a1)
+        cf = ContinuedFraction(None, [(a1, 1), (1, 2), (1, 3), (1, 1)])
+        ch = chain(cf, 4, arrangement)
+        assert all(scalar_sign(h.l[-1]) > 0 for h in ch.horocycles)
+
+    @pytest.mark.parametrize("arrangement", ["tangent", "orthogonal", "ortho45"])
+    def test_refused_chain_raises_invalid_cf(self, arrangement):
+        # consecutive radii agree only when |a_j| = 1 for j >= 2
+        cf = ContinuedFraction.parse("2/1 3/1 1/2")
+        with pytest.raises(InvalidCF, match="^step 2: arrangement residual"):
+            chain(cf, 3, arrangement)
+
+    def test_refusal_message_names_the_residual(self):
+        cf = ContinuedFraction.parse("2/1 3/1 1/2")
+        with pytest.raises(InvalidCF) as err:
+            chain(cf, 3, "tangent")
+        assert str(err.value) == \
+            "step 2: arrangement residual Fraction(-80, 1) is not zero"
 
 
 class TestReconstruction:

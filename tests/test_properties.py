@@ -1,6 +1,7 @@
 """Property tests for the exact-or-float decision layer, the ``QuadExt``
 kernel against its Fraction-pair reference, the Moebius action on cycles,
-the solver, figure re-evaluation and the figure JSON round trip.
+the solver, figure re-evaluation, the figure JSON round trip and chain
+validation against its scalar reference.
 
 The examples are drawn by hypothesis under the derandomized profile that
 ``conftest.py`` loads.
@@ -12,17 +13,20 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from cyclekit import cycle, figure, numerics, poincare, relations
+from cyclekit import contfrac, cycle, figure, numerics, poincare, relations
+from cyclekit.contfrac import (ContinuedFraction, HorocycleChain, InvalidCF,
+                               orthogonality_residual, quotient,
+                               tangency_residual)
 from cyclekit.cycle import Cycle, Metric
 from cyclekit.figure import (INFINITY, REAL_LINE, Figure, TooManyInstances,
                              inversive, is_point, only_reals, orthogonal,
                              power, tangent, through)
 from cyclekit.numerics import (QuadExt, RadicalClash, canonical_row,
-                               format_scalar, fraction_sqrt, lift, near_zero,
-                               parse_scalar)
+                               comparison_eps, format_scalar, fraction_sqrt,
+                               lift, near_zero, parse_scalar, to_float)
 from cyclekit.relations import (BranchOverflow, InversiveDistance, IsFlat,
                                 IsLobachevskyLine, IsOrthogonal, IsPoint,
                                 IsTangent, PassesThrough, SteinerPower, check,
@@ -788,3 +792,119 @@ def test_rational_canonical_row_equals_the_fraction_reference(row):
 ])
 def test_rational_canonical_row_keeps_the_reference_types(row):
     assert _typed(canonical_row(row, 1e-12)) == _typed(_ref_canonical_row(row))
+
+
+def _ref_validate_chain(ch):
+    """The scalar loop that checked every chain before exact chains were
+    checked in ints, kept as the reference: each residual through
+    ``Cycle.product``, ``value_at`` at the quotient or ``det``, tested with
+    :func:`near_zero` against the scale of all rows.  It raises InvalidCF
+    where it raised ValueError."""
+    eps = comparison_eps()
+    rows = [c for cyc in ch.cycles for c in cyc.row()]
+    tangent = ch.arrangement == "tangent"
+    for i in range(1, len(ch.horocycles)):
+        prev, here = ch.horocycles[i - 1], ch.horocycles[i]
+        res = tangency_residual(prev, here) if tangent \
+            else orthogonality_residual(prev, here)
+        if not near_zero(res, eps, rows, rows):
+            raise InvalidCF(f"step {i}: arrangement residual {res!r} is not zero")
+        join = ch.connecting[i - 1]
+        for pair in (ch.pairs[i - 1], ch.pairs[i]):
+            pt = quotient(pair)
+            if pt is None:
+                continue
+            if not near_zero(join.value_at((pt, 0)), eps, rows, rows):
+                raise InvalidCF(f"step {i}: connecting cycle misses quotient {pt}")
+        if ch.arrangement == "ortho45":
+            n = join.l[-1]
+            if not near_zero(2 * n * n - join.det(), eps, rows, rows):
+                raise InvalidCF(f"step {i}: connecting cycle is not at 45 degrees")
+        else:
+            if not near_zero(join.l[-1], eps, rows):
+                raise InvalidCF(f"step {i}: connecting cycle tilts off vertical")
+            for h in (prev, here):
+                if not near_zero(orthogonality_residual(join, h), eps, rows, rows):
+                    raise InvalidCF(f"step {i}: connecting cycle not orthogonal")
+
+
+CHAIN_TERMS = {
+    "int": st.integers(-9, 9),
+    "fraction": st.one_of(st.integers(-9, 9),
+                          st.fractions(-9, 9, max_denominator=6)),
+    # three decimals keep a float term 0 or at least 1e-3 in size
+    "float": st.one_of(st.integers(-9, 9),
+                       st.floats(-9, 9).map(lambda x: round(x, 3))),
+}
+
+
+@st.composite
+def chain_cases(draw):
+    """A fraction of 1-12 steps whose terms are ints, ints and Fractions, or
+    ints and floats; a_1 is any nonzero term and a_j = +-1 after it, which
+    the three arrangements need.  With it an arrangement and one entry of
+    one cycle to perturb, ``(cycle, entry, by_sqrt2)``, counting the
+    horocycles and then the connecting cycles."""
+    kind = draw(st.sampled_from(sorted(CHAIN_TERMS)))
+    term = CHAIN_TERMS[kind]
+    n = draw(st.integers(1, 12))
+    a1 = draw(term.filter(bool))
+    terms = [(a1, draw(term))]
+    terms += [(draw(st.sampled_from([1, -1])), draw(term)) for _ in range(n - 1)]
+    b0 = draw(st.one_of(st.none(), term))
+    arrangement = draw(st.sampled_from(contfrac.ARRANGEMENTS))
+    mutation = draw(st.tuples(st.integers(0, 2 * n), st.integers(0, 3),
+                              st.booleans()))
+    return ContinuedFraction(b0, terms), n, arrangement, mutation
+
+
+def _perturbed(ch, mutation):
+    """The chain with one entry moved: by 1 or sqrt(2) in an exact chain
+    (sqrt(2) only in Q(sqrt 2) chains), relatively by 1e-3 in a float
+    one."""
+    index, entry, by_sqrt2 = mutation
+    cycles = ch.cycles
+    values = [v for cyc in cycles for v in cyc.row()]
+    row = list(cycles[index].row())
+    if not all(map(numerics.is_exact, values)):
+        row[entry] = to_float(row[entry]) * (1 + 1e-3)
+    elif by_sqrt2 and any(isinstance(v, QuadExt) for v in values):
+        row[entry] = row[entry] + QuadExt(0, 1, 2)
+    else:
+        row[entry] = row[entry] + 1
+    cycles[index] = Cycle.from_row(E2, row)
+    n = len(ch.horocycles)
+    return HorocycleChain(ch.arrangement, cycles[:n], cycles[n:], ch.pairs,
+                          ch.flat_steps)
+
+
+def _verdict(validate, ch):
+    try:
+        validate(ch)
+    except ValueError as err:
+        return type(err), str(err)
+    return None
+
+
+@settings(max_examples=300)
+@given(chain_cases())
+# a quotient 0 next to the moved horocycle keeps the arrangement residual
+# when l_1 moves, so only the connecting cycle's right angle fails: with
+# the horocycle after it (quotients 0, 1/2, 3/7), and before it (1, 0, 1/3)
+@example((ContinuedFraction(None, [(1, 2), (1, 3)]), 2, "orthogonal",
+          (1, 1, False)))
+@example((ContinuedFraction(1, [(-1, 1), (1, 2)]), 2, "orthogonal",
+          (0, 1, False)))
+def test_chain_validation_equals_the_scalar_reference(case):
+    cf, n, arrangement, mutation = case
+    try:
+        ch = contfrac.chain(cf, n, arrangement)
+    except ValueError as err:
+        # float rounding can cancel the determinant of a long product
+        if str(err) != "matrix is degenerate":
+            raise
+        reject()
+    assert _verdict(_ref_validate_chain, ch) is None
+    moved = _perturbed(ch, mutation)
+    assert _verdict(contfrac._validate_chain, moved) == \
+        _verdict(_ref_validate_chain, moved)

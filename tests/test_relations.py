@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cyclekit import relations
+from cyclekit import numerics, relations
 from cyclekit.cycle import Cycle, Metric
 from cyclekit.numerics import QuadExt
 from cyclekit.relations import (
@@ -343,3 +343,42 @@ class TestVerificationReadsCanonicalRows:
         for c in cycles:
             rel.satisfied_by(c, 1e-9)
         assert calls == {}
+
+
+class TestVerificationCountsItsWork:
+    """The floored test scales each row once per call, and a single
+    solution is not keyed for sorting."""
+
+    def test_float_tangency_scales_each_row_once(self, monkeypatch):
+        calls = Counter()
+        row_scale = numerics.row_scale
+
+        def counted(row):
+            calls["row_scale"] += 1
+            return row_scale(row)
+
+        monkeypatch.setattr(numerics, "row_scale", counted)
+        # the circle about (2, 0) of radius 1 touches the unit circle; its
+        # float row makes the residual a float, tested against the rows
+        # (x, ref, x, ref)
+        rel = IsTangent(UNIT)
+        assert rel.satisfied_by(Cycle(E, 1.0, (2.0, 0.0), 3.0), 1e-9)
+        assert calls == {"row_scale": 2}
+
+    def test_one_solution_is_not_sort_keyed(self, monkeypatch):
+        calls = Counter()
+        sort_key = relations._sort_key
+
+        def counted(cycle):
+            calls["_sort_key"] += 1
+            return sort_key(cycle)
+
+        monkeypatch.setattr(relations, "_sort_key", counted)
+        rels = [PassesThrough(E, (F(i), F(0))) for i in (0, 1, 2)]
+        assert rows_of(solve(rels, E)) == [(0, 0, 1, 0)]
+        assert calls == {}
+        # two circles through (2, 0) touch the unit circle and meet the
+        # real line at right angles: both are keyed
+        sol = solve([IsTangent(UNIT), IsOrthogonal(REAL),
+                     PassesThrough(E, (F(2), F(0)))], E)
+        assert len(sol.cycles) == calls["_sort_key"] == 2
