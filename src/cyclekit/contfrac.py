@@ -254,7 +254,8 @@ def chain(cf: ContinuedFraction, N: int, arrangement: str) -> HorocycleChain:
     if N < 1:
         raise InvalidCF("a chain needs at least one step")
     states = list(convergent_states(cf, N))
-    exact = all(is_exact(a) and is_exact(b) for a, b in cf.terms) and \
+    # the field is that of the terms the chain uses
+    exact = all(is_exact(a) and is_exact(b) for a, b in cf.terms[:N]) and \
         (cf.b0 is None or is_exact(cf.b0))
     mpar, kpar, npar = _arrangement_params(arrangement, exact)
 
@@ -345,8 +346,8 @@ def _float_failure(ch: HorocycleChain, entries):
     return None
 
 
-# pairing weights 2 eta_i of E2, the metric of every cycle in a chain
-_WEIGHTS = tuple(2 * e for e in E2.product_eta)
+# the pairing weights of E2, the metric of every cycle in a chain
+_WEIGHTS = E2.weights
 
 
 def _radicand(values) -> int:

@@ -14,7 +14,7 @@ Both are kept as tuples of generator squares, -1/0/+1 per axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -60,8 +60,8 @@ def _rational_form(eta: Eta, k: Scalar, l: Sequence[Scalar], m: Scalar):
 def integer_pairing(w: Sequence[int], a: Sequence[int],
                     b: Sequence[int]) -> int:
     """m k' + m' k + sum w_i l_i l'_i on two int rows (k, l.., m), with
-    weights w_i = 2 eta_i for the l_i the rows hold (those with eta_i !=
-    0): the one pairing sum over ints."""
+    weights w_i = 2 eta_i for the l_i the rows hold (a null axis has weight
+    0, or its column left out): the one pairing sum over ints."""
     acc = a[-1] * b[0] + b[-1] * a[0]
     for i, wi in enumerate(w, 1):
         acc += wi * a[i] * b[i]
@@ -74,6 +74,31 @@ def _integer_pair(eta: Eta, fx, fy) -> Fraction:
     (a, da), (b, db) = fx, fy
     return Fraction(integer_pairing([2 * e for e in eta if e], a, b),
                     da * db)
+
+
+def integer_form(row: Sequence[Scalar]):
+    """A rational row as ``(prim, scale)`` with ``row == scale * prim``:
+    ``prim`` the primitive int row (gcd 1, first nonzero entry positive)
+    and ``scale`` an int when every entry is an int, else a Fraction.
+    ``()`` for a zero row or one with an entry that is not an int or a
+    Fraction."""
+    kinds = set(map(type, row))
+    if not kinds <= _RATIONAL:
+        return ()
+    den = math.lcm(*[v.denominator for v in row])
+    nums = [v.numerator * (den // v.denominator) for v in row]
+    g = math.gcd(*nums)
+    if not g:
+        return ()
+    if next(v for v in nums if v) < 0:
+        g = -g
+    return (tuple([v // g for v in nums]),
+            Fraction(g, den) if Fraction in kinds else g)
+
+
+def _reads_fraction(eta: Eta, row) -> bool:
+    """Is an entry the pairing reads a Fraction?"""
+    return any(type(v) is Fraction and e for v, e in zip(row, (1, *eta, 1)))
 
 
 def _sum_pair(eta: Eta, xk, xl, xm, yk, yl, ym) -> Scalar:
@@ -103,11 +128,15 @@ _NAMED = {"e": -1, "p": 0, "h": 1}
 class Metric:
     point_eta: Eta
     product_eta: Eta
+    # 2 eta_i per axis of the product metric: integer_pairing's weights
+    weights: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.point_eta) != len(self.product_eta):
             raise ValueError("point and product metrics must share the dimension")
         signature_from_eta(self.product_eta)  # validates ordering
+        object.__setattr__(self, "weights",
+                           tuple(2 * e for e in self.product_eta))
 
     @staticmethod
     def named(name: str) -> "Metric":
@@ -166,7 +195,17 @@ def parse_metric(text: str) -> Metric:
 
 class Cycle:
     """One coefficient row (k, l_1..l_n, m) over a fixed metric; never
-    changed after construction."""
+    changed after construction.
+
+    A row of ints and Fractions also has one integer form, cached on first
+    use: its primitive int row (gcd 1, first nonzero entry positive) and
+    the rational scale back to :meth:`row` (:func:`integer_form`).  Two
+    rows are projectively equal exactly when their primitive rows are, so
+    the pairing, the exact rows of orthogonality relations, their
+    verification and the solver's dedup all read this form; exact solves
+    of homogeneous rational systems build their answers from it
+    (:meth:`from_integers`).
+    """
 
     __slots__ = ("metric", "k", "l", "m", "_form")
 
@@ -187,6 +226,22 @@ class Cycle:
         if len(row) != metric.n + 2:
             raise ValueError(f"row of length {metric.n + 2} expected")
         return Cycle(metric, row[0], row[1:-1], row[-1])
+
+    @staticmethod
+    def from_integers(metric: Metric, row: Sequence[int]) -> "Cycle":
+        """The canonical cycle of a nonzero int row: each entry one
+        Fraction over the first nonzero entry, and its integer form known
+        from the row."""
+        g = math.gcd(*row)
+        if next(v for v in row if v) < 0:
+            g = -g
+        prim = tuple([v // g for v in row])
+        lead = next(v for v in prim if v)
+        c = Cycle(metric, Fraction(prim[0], lead),
+                  [Fraction(v, lead) for v in prim[1:-1]],
+                  Fraction(prim[-1], lead))
+        c._form = prim, Fraction(1, lead)
+        return c
 
     @staticmethod
     def zero_radius_at(metric: Metric, point: Sequence[Scalar]) -> "Cycle":
@@ -250,17 +305,28 @@ class Cycle:
         eta = self.metric.product_eta
         if other.metric.product_eta != eta:
             raise ValueError("product metric mismatch")
-        fx = self._rational_form()
-        fy = fx and other._rational_form()
-        if fy:
-            return _integer_pair(eta, fx, fy)
-        return _sum_pair(eta, self.k, self.l, self.m, other.k, other.l, other.m)
+        fx = self.integer_form()
+        fy = fx and other.integer_form()
+        if not fy:
+            return _sum_pair(eta, self.k, self.l, self.m,
+                             other.k, other.l, other.m)
+        # summed in ints and typed as the sum over the entries: an int when
+        # every entry the pairing reads is an int, else a Fraction
+        (a, sa), (b, sb) = fx, fy
+        num = (integer_pairing(self.metric.weights, a, b)
+               * sa.numerator * sb.numerator)
+        if type(sa) is int and type(sb) is int:
+            return num
+        value = Fraction(num, sa.denominator * sb.denominator)
+        if 0 in eta and not (_reads_fraction(eta, self.row())
+                             or _reads_fraction(eta, other.row())):
+            return int(value)       # a Fraction only on a null axis
+        return value
 
-    def _rational_form(self):
-        """:func:`_rational_form` of the row, computed on first use."""
+    def integer_form(self):
+        """:func:`integer_form` of the row, computed on first use."""
         if self._form is None:
-            self._form = _rational_form(self.metric.product_eta, self.k,
-                                        self.l, self.m)
+            self._form = integer_form(self.row())
         return self._form
 
     def self_product(self) -> Scalar:

@@ -13,6 +13,19 @@ signed row is +1 are solved.  With an IsPoint present every rhs is 0 and
 so is the demand.  Solutions are checked back against every relation on
 canonical representatives, deduplicated projectively and returned in a
 deterministic order.
+
+Homogeneous rational systems run in Python ints, on each cycle's integer
+form (:meth:`Cycle.integer_form`).  In a build that stays exact, an
+orthogonality row (``IsOrthogonal``, ``PassesThrough``, ``IsFlat``,
+``IsLobachevskyLine``) is read off the reference's primitive int row, a
+rational multiple of its pairing coefficients; once a build demotes or the
+data has a float, every row is the one its data gives, so float
+eliminations see the numbers they always did.  With no demand or a point
+demand, the Fraction basis ``linear_solve`` returns is cleared to primitive
+int rows, and the point-mode binary quadratic runs in ints whenever its
+discriminant is a perfect square.  Each such candidate becomes its
+canonical cycle directly from its int row; orthogonality and ``IsPoint``
+verify it with one int pairing, and dedup keys it by its primitive row.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import List, Optional, Sequence, Tuple
 
-from .cycle import Cycle, Metric, row_product
+from .cycle import Cycle, Metric, integer_pairing, row_product
 from .numerics import (Arithmetic, QuadExt, Scalar, _quad, comparison_eps,
                        is_exact, lift, near_zero, row_scale, scalar_sign,
                        to_float)
@@ -55,6 +68,11 @@ class Relation:
     coeffs: Optional[Tuple[Scalar, ...]] = None
     demand: Optional[int] = None
 
+    def row(self, exact: bool) -> Optional[Tuple[Scalar, ...]]:
+        """The row's coefficients for a build that stays exact (``exact``)
+        or not; None: no row."""
+        return self.coeffs
+
     def build(self, ar: Arithmetic) -> Scalar:
         """The rhs of the row's + branch; a root it takes is taken in ``ar``."""
         return 0
@@ -69,9 +87,27 @@ class IsOrthogonal(Relation):
 
     def __init__(self, ref: Cycle):
         self.ref = ref
-        self.coeffs = pairing_coeffs(ref.metric, ref)
+
+    @property
+    def coeffs(self):
+        """The reference's pairing coefficients, built when asked for."""
+        return pairing_coeffs(self.ref.metric, self.ref)
+
+    def row(self, exact):
+        """An exact build takes the row from the reference's primitive
+        int row: a rational multiple of :attr:`coeffs`, and the rhs is 0."""
+        form = exact and self.ref.integer_form()
+        if not form:
+            return self.coeffs
+        prim = form[0]
+        return (prim[-1], *[w * l for w, l in zip(self.ref.metric.weights,
+                                                  prim[1:-1])], prim[0])
 
     def satisfied_by(self, cycle, eps):
+        fx = cycle.integer_form()
+        fr = fx and self.ref.integer_form()
+        if fr:
+            return integer_pairing(cycle.metric.weights, fx[0], fr[0]) == 0
         return near_zero(cycle.product(self.ref), eps, cycle.row(),
                          self.ref.row())
 
@@ -119,6 +155,10 @@ class IsPoint(Relation):
         self.metric = metric
 
     def satisfied_by(self, cycle, eps):
+        form = cycle.integer_form()
+        if form:
+            prim = form[0]
+            return integer_pairing(cycle.metric.weights, prim, prim) == 0
         row = cycle.row()
         return near_zero(cycle.self_product(), eps, row, row)
 
@@ -438,7 +478,8 @@ def _combine(p, v, t):
 def _solve_branch(metric, rows, demand, ar: Arithmetic):
     """One sign branch: linear stage plus at most one quadratic demand.
 
-    Returns (list of rows | None, parametric tuple | None).
+    Returns (list of rows | None, parametric tuple | None); the rows of a
+    homogeneous rational system come back as int rows.
     """
     nunk = metric.n + 2
     p, basis = linear_solve(rows, nunk, ar.exact)
@@ -447,12 +488,19 @@ def _solve_branch(metric, rows, demand, ar: Arithmetic):
     dim = len(basis)
     homogeneous = all(near_zero(c, 1e-12) for c in p)
     Q = lambda x, y: row_product(metric, x, y)
+    # a homogeneous rational system with no demand or a point demand (an
+    # exact build: the basis is all Fractions) answers in primitive int
+    # rows, from which solve() builds its canonical cycles
+    ints = None
+    if (homogeneous and demand in (None, 0) and dim in (1, 2)
+            and all(type(c) is Fraction for v in basis for c in v)):
+        ints = [tuple(_integer_row(v)) for v in basis]
 
     if demand is None:
         if dim == 0:
             return [], None          # only the trivial row
         if dim == 1:
-            return [basis[0]], None
+            return [ints[0] if ints else basis[0]], None
         return None, (None, basis, None)
 
     if homogeneous:
@@ -460,10 +508,17 @@ def _solve_branch(metric, rows, demand, ar: Arithmetic):
             return [], None
         if demand == 0:
             if dim == 1:
+                if ints:
+                    v = ints[0]
+                    ok = integer_pairing(metric.weights, v, v) == 0
+                    return ([v] if ok else []), None
                 ok = near_zero(Q(basis[0], basis[0]), 1e-9, basis[0], basis[0])
                 return ([basis[0]] if ok else []), None
             if dim == 2:
-                sols = _binary_quadratic(Q, basis[0], basis[1], ar)
+                sols = (_integer_binary_quadratic(metric.weights, *ints)
+                        if ints else None)
+                if sols is None:
+                    sols = _binary_quadratic(Q, basis[0], basis[1], ar)
                 if sols is None:
                     return None, (None, basis, None)  # whole line isotropic
                 return sols, None
@@ -493,6 +548,30 @@ def _solve_branch(metric, rows, demand, ar: Arithmetic):
             v = tuple(to_float(c) for c in v)
         return [_combine(p, v, t) for t in roots], None
     return None, ((p,), basis, demand)
+
+
+def _integer_binary_quadratic(w, v1, v2):
+    """:func:`_binary_quadratic` on two int rows whose roots are rational,
+    in ints: the pairing with weights ``w`` gives a, b, c, and each root t
+    = (-b -+ r)/a, r = isqrt(disc), is the projective row a*v2 + (-b -+
+    r)*v1, in that order.  None when the roots are irrational or the whole
+    line is isotropic."""
+    a = integer_pairing(w, v1, v1)
+    b = integer_pairing(w, v1, v2)
+    c = integer_pairing(w, v2, v2)
+    if not a:
+        if not (b or c):
+            return None
+        return [v1] + ([tuple([c * x - 2 * b * y for x, y in zip(v1, v2)])]
+                       if b else [])
+    disc = b * b - a * c
+    if disc < 0:
+        return []
+    r = math.isqrt(disc)
+    if r * r != disc:
+        return None
+    return [tuple([a * y + t * x for x, y in zip(v1, v2)])
+            for t in ((-b - r, -b + r) if r else (-b,))]
 
 
 def _binary_quadratic(Q, v1, v2, ar: Arithmetic):
@@ -533,8 +612,14 @@ def solve(relations: Sequence[Relation], metric: Metric,
 
     ar = (arithmetic.clone() if isinstance(arithmetic, Arithmetic)
           else Arithmetic(arithmetic))
-    rhs = [None if r.coeffs is None else 0 if point_mode else r.build(ar)
-           for r in relations]
+    exact = ar.exact
+    coeffs = [r.row(exact) for r in relations]
+    rhs = [None if c is None else 0 if point_mode else r.build(ar)
+           for r, c in zip(relations, coeffs)]
+    if exact and not (ar.exact and _exact_system(coeffs, rhs)):
+        # a build demoted or the data has a float: the elimination runs
+        # in floats on every row as its data gives it
+        coeffs = [r.row(False) for r in relations]
     axes = [(None,) if v is None or v == 0 else (1, -1) for v in rhs]
     signed = [i for i, axis in enumerate(axes) if axis[0] is not None]
     if 2 ** len(signed) > MAX_BRANCHES:
@@ -549,8 +634,8 @@ def solve(relations: Sequence[Relation], metric: Metric,
     for pattern in iproduct(*axes):
         if len(signed) > 1:
             contexts.append(ar.clone())
-        rows = [(rel.coeffs, -v if sign == -1 else v)
-                for rel, v, sign in zip(relations, rhs, pattern)
+        rows = [(c, -v if sign == -1 else v)
+                for c, v, sign in zip(coeffs, rhs, pattern)
                 if v is not None]
         sols, par = _solve_branch(metric, rows, demand, contexts[-1])
         if par is not None and parametric is None:
@@ -561,20 +646,30 @@ def solve(relations: Sequence[Relation], metric: Metric,
                 ps,
             )
         for idx, srow in enumerate(sols or []):
-            found.append((Cycle.from_row(metric, srow), (pattern, idx)))
+            found.append((srow, (pattern, idx)))
     demoted = any(c.demoted for c in contexts)
     notes = [note for c in contexts for note in c.notes]
 
-    # verify every candidate against every relation, then dedup and order
-    kept = {}
-    for cyc, prov in found:
-        can = cyc.canonical()
+    # verify every candidate on its canonical cycle, then dedup and order
+    verified = []
+    for srow, prov in found:
+        int_row = all(type(c) is int for c in srow)
+        can = (Cycle.from_integers(metric, srow) if int_row
+               else Cycle.from_row(metric, srow).canonical())
         if all(rel.satisfied_by(can, eps) for rel in relations):
-            # an exact canonical row is its own key
-            row = can.row()
-            key = row if all(is_exact(c) for c in row) else can.key()
-            if key not in kept:
-                kept[key] = (can, prov)
+            verified.append((can, int_row or all(map(is_exact, can.row())),
+                             prov))
+    # a rational candidate is keyed by its primitive row, another exact
+    # one by its canonical row, a float one by its rounded key(); that key
+    # may equal an exact canonical row, so beside a float candidate every
+    # exact one is keyed by its canonical row
+    by_form = all(exact_row for _, exact_row, _ in verified)
+    kept = {}
+    for can, exact_row, prov in verified:
+        form = by_form and can.integer_form()
+        key = form[0] if form else can.row() if exact_row else can.key()
+        if key not in kept:
+            kept[key] = (can, prov)
     ordered = list(kept.values())
     if len(ordered) > 1:
         ordered.sort(key=lambda cp: _sort_key(cp[0]))
@@ -590,6 +685,13 @@ def solve(relations: Sequence[Relation], metric: Metric,
                            residual_demand=resid, demoted=demoted, notes=note)
     return SolutionSet("infeasible", reason="no cycle satisfies the relations",
                        demoted=demoted, notes=notes)
+
+
+def _exact_system(coeffs, rhs) -> bool:
+    """Is every entry of every row and rhs exact?"""
+    kinds = {type(v) for c, b in zip(coeffs, rhs) if c is not None
+             for v in (*c, b)}
+    return all(issubclass(t, (int, Fraction, QuadExt)) for t in kinds)
 
 
 def _sort_key(c: Cycle):

@@ -15,7 +15,7 @@ from cyclekit.contfrac import (ContinuedFraction, InvalidCF, advance, chain,
                                quotient, reconstruct_horocycles,
                                seidel_stern_check, tangency_residual)
 from cyclekit.cycle import Cycle, Metric
-from cyclekit.numerics import Arithmetic, QuadExt, scalar_sign
+from cyclekit.numerics import Arithmetic, QuadExt, is_exact, scalar_sign
 
 E2 = Metric.named("e")
 
@@ -309,6 +309,14 @@ class TestChains:
         assert len(ch.connecting) == 6
         for got, want in zip(ch.cycles, exact.cycles):
             assert got.same_cycle(want.as_float(), digits=6)
+
+    @pytest.mark.parametrize("arrangement", ["tangent", "orthogonal", "ortho45"])
+    def test_field_comes_from_the_terms_used(self, arrangement):
+        # a float term past step N leaves the chain exact
+        got = chain(ContinuedFraction.simple(3, [7, 15, 1.5]), 2, arrangement)
+        want = chain(ContinuedFraction.simple(3, [7, 15, 1]), 2, arrangement)
+        assert [c.row() for c in got.cycles] == [c.row() for c in want.cycles]
+        assert all(is_exact(v) for c in got.cycles for v in c.row())
 
     def test_chain_needs_a_step(self):
         with pytest.raises(InvalidCF):

@@ -284,14 +284,24 @@ def test_figure_json_round_trip(fig):
 
 @st.composite
 def signed_systems(draw):
-    """Two to four tangent, inversive, power, orthogonal and through
-    relations against random data in e or h, exact or float."""
-    metric = draw(st.sampled_from([E2, Metric.named("h")]))
+    """Two to four tangent, inversive, power, orthogonal, through, point,
+    flat and Lobachevsky-line relations against random data in e, p or h,
+    exact or float."""
+    metric = draw(st.sampled_from(METRICS))
     mode = draw(st.sampled_from(["exact", "float"]))
     data = (lambda c: c.as_float()) if mode == "float" else (lambda c: c)
-    ref = st.builds(lambda k, l1, l2, m: data(Cycle(metric, k, (l1, l2), m)),
-                    st.sampled_from([0, 1]), small, small, small).filter(
-        lambda c: any(c.row()))
+    # cycles through one shared point meet there, so a point-mode solve
+    # on two of them has rational roots
+    shared = draw(st.tuples(small, small))
+    m_through = lambda k, l: sum(2 * li * x + k * e * x * x for li, e, x in
+                                 zip(l, metric.point_eta, shared))
+    ref = st.one_of(
+        st.builds(lambda k, l1, l2, m: Cycle(metric, k, (l1, l2), m),
+                  st.sampled_from([0, 1]), small, small, small),
+        st.builds(lambda k, l1, l2: Cycle(metric, k, (l1, l2),
+                                          m_through(k, (l1, l2))),
+                  st.sampled_from([0, 1]), small, small)).filter(
+        lambda c: any(c.row())).map(data)
     circle = st.builds(lambda l1, l2, m: data(Cycle(metric, 1, (l1, l2), m)),
                        small, small, small)
     one = st.one_of(
@@ -300,17 +310,28 @@ def signed_systems(draw):
         st.builds(InversiveDistance, ref, small),
         st.builds(SteinerPower, circle, small),
         st.builds(IsOrthogonal, ref),
-        st.builds(lambda p: PassesThrough(metric, p), st.tuples(small, small)))
+        st.builds(lambda p: PassesThrough(metric, p), st.tuples(small, small)),
+        st.just(IsPoint(metric)),
+        st.sampled_from([IsFlat(metric), IsLobachevskyLine(metric)]))
     return metric, draw(st.lists(one, min_size=2, max_size=4)), mode
+
+
+def _reference_coeffs(rel):
+    """The coefficients of one relation's row, from its data through
+    ``pairing_coeffs``; None for ``IsPoint``, which has no row."""
+    if isinstance(rel, IsPoint):
+        return None
+    if isinstance(rel, SteinerPower):
+        base = pairing_coeffs(rel.ref.metric, rel.ref_k)
+        return (rel.power - base[0],) + tuple(-c for c in base[1:])
+    return pairing_coeffs(rel.ref.metric, rel.ref)
 
 
 def _reference_row(rel, ar):
     """(coeffs, + branch rhs, demand) of one relation, from its data."""
+    coeffs = _reference_coeffs(rel)
     if isinstance(rel, SteinerPower):
-        base = pairing_coeffs(rel.ref.metric, rel.ref_k)
-        coeffs = (rel.power - base[0],) + tuple(-c for c in base[1:])
         return coeffs, ar.sqrt(rel.ref_k.self_product()), -1
-    coeffs = pairing_coeffs(rel.ref.metric, rel.ref)
     ss = rel.ref.self_product()
     if not isinstance(rel, InversiveDistance) or ss == 0:
         return coeffs, 0, None
@@ -320,21 +341,25 @@ def _reference_row(rel, ar):
 
 def _reference_solve(rels, metric, mode):
     """Every sign pattern, sigma and -sigma alike, each in its own context;
-    then verify, dedup and order as ``solve`` does."""
-    demands = {_reference_row(r, numerics.Arithmetic(mode))[2]
-               for r in rels} - {None}
+    then verify, dedup and order as ``solve`` does.  An ``IsPoint`` sets
+    the demand to 0 and every rhs to 0."""
+    point = any(isinstance(r, IsPoint) for r in rels)
+    demands = {0} if point else {_reference_row(r, numerics.Arithmetic(
+        mode))[2] for r in rels} - {None}
     if len(demands) > 1:
         return "infeasible", [], False
     demand = next(iter(demands), None)
-    signed = [_reference_row(r, numerics.Arithmetic(mode))[1] != 0
-              for r in rels]
+    signed = [not point and _reference_row(r, numerics.Arithmetic(mode))[1]
+              != 0 for r in rels]
     found, parametric, demoted = [], False, False
     for pattern in iproduct(*[(1, -1) if s else (1,) for s in signed]):
         ar = numerics.Arithmetic(mode)
         rows = []
         for rel, sign in zip(rels, pattern):
-            coeffs, rhs, _ = _reference_row(rel, ar)
-            rows.append((coeffs, -rhs if sign < 0 else rhs))
+            coeffs, rhs, _ = ((_reference_coeffs(rel), 0, None) if point
+                              else _reference_row(rel, ar))
+            if coeffs is not None:
+                rows.append((coeffs, -rhs if sign < 0 else rhs))
         sols, par = relations._solve_branch(metric, rows, demand, ar)
         demoted = demoted or ar.demoted
         parametric = parametric or par is not None
@@ -353,6 +378,14 @@ def _reference_solve(rels, metric, mode):
 
 @settings(max_examples=150)
 @given(signed_systems())
+# the second tangency needs a second radicand, so its build demotes: the
+# elimination runs in floats, on the rows as their data gives them
+@example((E2, [IsTangent(Cycle(E2, 0, (0, 1), 0)),
+               IsTangent(Cycle(E2, 1, (0, 3), 3)),
+               IsOrthogonal(Cycle(E2, 0, (0, 0), 2))], "exact"))
+# the unit circle meets the real line in two rational points
+@example((E2, [IsPoint(E2), IsOrthogonal(Cycle(E2, 1, (0, 0), -1)),
+               IsOrthogonal(Cycle(E2, 0, (0, 1), 0))], "exact"))
 def test_solve_equals_the_all_patterns_reference(system):
     metric, rels, mode = system
     want = _reference_solve(rels, metric, mode)
@@ -360,6 +393,39 @@ def test_solve_equals_the_all_patterns_reference(system):
     assert (sol.status, [c.row() for c in sol.cycles], sol.demoted) == want
     assert [c.key() for c in sol.cycles] == [
         Cycle.from_row(metric, row).key() for row in want[1]]
+
+
+@st.composite
+def pencils(draw):
+    """Two rational rows spanning a pencil: random, or through two point
+    cycles, whose isotropic members are then rational."""
+    metric = draw(st.sampled_from(METRICS))
+    row = st.tuples(small, small, small, small)
+    if draw(st.booleans()):
+        return metric, draw(row), draw(row)
+    p, q = (Cycle.zero_radius_at(metric, draw(st.tuples(small, small))).row()
+            for _ in range(2))
+    a, b, c, d = (draw(small) for _ in range(4))
+    return (metric, tuple(a * x + b * y for x, y in zip(p, q)),
+            tuple(c * x + d * y for x, y in zip(p, q)))
+
+
+@settings(max_examples=200)
+@given(pencils())
+def test_integer_binary_quadratic_equals_the_fraction_roots(case):
+    metric, v1, v2 = case
+    want = relations._binary_quadratic(
+        lambda x, y: cycle.row_product(metric, x, y), v1, v2,
+        numerics.Arithmetic("exact"))
+    got = relations._integer_binary_quadratic(
+        metric.weights, *(tuple(relations._integer_row(v)) for v in (v1, v2)))
+    if got is None:
+        # the whole line is isotropic, or its roots are irrational
+        assert want is None or any(isinstance(v, QuadExt)
+                                   for row in want for v in row)
+    else:
+        assert [canonical_row(r, 0) for r in got] == \
+            [canonical_row(r, 0) for r in want]
 
 
 class _RefQuadExt:
@@ -742,6 +808,37 @@ def test_integer_row_product_equals_the_fraction_sum(case):
     cx, cy = Cycle.from_row(metric, x), Cycle.from_row(metric, y)
     assert _typed(cx.product(cy)) == want
     assert _typed(cx.product(cy)) == want      # the cached integer form
+
+
+@settings(max_examples=150)
+@given(rational_row_pairs(), nonzero_rationals)
+def test_integer_form_is_unchanged_by_rational_scaling(case, t):
+    # dedup reads the primitive row, so it cannot see a projective scale
+    metric, x, _ = case
+    c = Cycle.from_row(metric, x)
+    form, scaled = c.integer_form(), c.scaled(t).integer_form()
+    if not any(x):
+        assert form == scaled == ()
+        return
+    prim, scale = form
+    assert math.gcd(*prim) == 1 and next(v for v in prim if v) > 0
+    assert tuple(scale * v for v in prim) == c.row()
+    assert scaled == (prim, scale * t)
+
+
+@settings(max_examples=150)
+@given(rational_row_pairs())
+def test_integer_form_pairing_equals_the_fraction_sum(case):
+    metric, x, y = case
+    fx = Cycle.from_row(metric, x).integer_form()
+    fy = Cycle.from_row(metric, y).integer_form()
+    if not (fx and fy):
+        return
+    (a, sa), (b, sb) = fx, fy
+    fr = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    want = cycle._sum_pair(metric.product_eta, *(
+        part for row in fr for part in (row[0], row[1:-1], row[-1])))
+    assert sa * sb * cycle.integer_pairing(metric.weights, a, b) == want
 
 
 @pytest.mark.parametrize("metric, x, y", [
