@@ -29,32 +29,41 @@ Eta = Tuple[int, ...]
 def row_product(metric: Metric, x: Sequence[Scalar],
                 y: Sequence[Scalar]) -> Scalar:
     """The cycle pairing on raw coefficient rows (k, l.., m)."""
-    eta = metric.product_eta
-    xk, xl, xm, yk, yl, ym = x[0], x[1:-1], x[-1], y[0], y[1:-1], y[-1]
-    fx = _rational_form(eta, xk, xl, xm)
-    fy = fx and _rational_form(eta, yk, yl, ym)
+    parts = x[0], x[1:-1], x[-1], y[0], y[1:-1], y[-1]
+    fx = integer_form(x)
+    fy = fx and integer_form(y)
     if fy:
-        return _integer_pair(eta, fx, fy)
-    return _sum_pair(eta, xk, xl, xm, yk, yl, ym)
+        return _form_pair(metric, fx, fy, *parts)
+    return _sum_pair(metric.product_eta, *parts)
 
 
 _RATIONAL = {int, Fraction}
 
 
-def _rational_form(eta: Eta, k: Scalar, l: Sequence[Scalar], m: Scalar):
-    """The entries of a row the pairing reads -- k, each l_i with
-    eta_i != 0, and m -- as ``(nums, den)``: ints over one common
-    denominator.  ``()`` unless k or m is a Fraction and every entry is an
-    int or a Fraction; any other row costs two type checks."""
-    if type(k) is not Fraction and type(m) is not Fraction:
+def integer_form(row: Sequence[Scalar]):
+    """A rational row as ``(prim, scale)`` with ``row == scale * prim``:
+    ``prim`` the primitive int row (gcd 1, first nonzero entry positive)
+    and ``scale`` an int when every entry is an int, else a Fraction.
+    ``()`` for a zero row or one with an entry that is not an int or a
+    Fraction."""
+    kinds = set(map(type, row))
+    if not kinds <= _RATIONAL:
         return ()
-    row = (k, *l, m)
-    if not set(map(type, row)) <= _RATIONAL:
+    if Fraction in kinds:
+        den = math.lcm(*[v.denominator for v in row])
+        nums = [v.numerator * (den // v.denominator) for v in row]
+    else:
+        den, nums = 1, row
+    g = math.gcd(*nums)
+    if not g:
         return ()
-    if 0 in eta:
-        row = [v for v, e in zip(row, (1, *eta, 1)) if e]
-    den = math.lcm(*[v.denominator for v in row])
-    return [v.numerator * (den // v.denominator) for v in row], den
+    for v in nums:
+        if v:
+            if v < 0:
+                g = -g
+            break
+    return (tuple(nums) if g == 1 else tuple([v // g for v in nums]),
+            Fraction(g, den) if Fraction in kinds else g)
 
 
 def integer_pairing(w: Sequence[int], a: Sequence[int],
@@ -68,37 +77,31 @@ def integer_pairing(w: Sequence[int], a: Sequence[int],
     return acc
 
 
-def _integer_pair(eta: Eta, fx, fy) -> Fraction:
-    """The pairing of two rows from their :func:`_rational_form`, summed in
-    ints: the one Fraction the sum over their entries gives."""
-    (a, da), (b, db) = fx, fy
-    return Fraction(integer_pairing([2 * e for e in eta if e], a, b),
-                    da * db)
+_ZERO = Fraction(0)
 
 
-def integer_form(row: Sequence[Scalar]):
-    """A rational row as ``(prim, scale)`` with ``row == scale * prim``:
-    ``prim`` the primitive int row (gcd 1, first nonzero entry positive)
-    and ``scale`` an int when every entry is an int, else a Fraction.
-    ``()`` for a zero row or one with an entry that is not an int or a
-    Fraction."""
-    kinds = set(map(type, row))
-    if not kinds <= _RATIONAL:
-        return ()
-    den = math.lcm(*[v.denominator for v in row])
-    nums = [v.numerator * (den // v.denominator) for v in row]
-    g = math.gcd(*nums)
-    if not g:
-        return ()
-    if next(v for v in nums if v) < 0:
-        g = -g
-    return (tuple([v // g for v in nums]),
-            Fraction(g, den) if Fraction in kinds else g)
+def _form_pair(metric: Metric, fx, fy, xk, xl, xm, yk, yl, ym) -> Scalar:
+    """The pairing of two rational rows (k, l, m) from their integer forms
+    ``fx``, ``fy``, summed in ints and typed as the sum over the entries
+    (:func:`_sum_pair`) would be: an int when every entry the pairing reads
+    is an int, else a Fraction."""
+    (a, sa), (b, sb) = fx, fy
+    num = (integer_pairing(metric.weights, a, b)
+           * sa.numerator * sb.numerator)
+    if type(sa) is int and type(sb) is int:
+        return num
+    den = sa.denominator * sb.denominator
+    eta = metric.product_eta
+    if 0 in eta and not (_reads_fraction(eta, xk, xl, xm)
+                         or _reads_fraction(eta, yk, yl, ym)):
+        return num // den       # a Fraction only on a null axis
+    return Fraction(num, den) if num else _ZERO
 
 
-def _reads_fraction(eta: Eta, row) -> bool:
+def _reads_fraction(eta: Eta, k, l, m) -> bool:
     """Is an entry the pairing reads a Fraction?"""
-    return any(type(v) is Fraction and e for v, e in zip(row, (1, *eta, 1)))
+    return (type(k) is Fraction or type(m) is Fraction
+            or any(type(v) is Fraction and e for v, e in zip(l, eta)))
 
 
 def _sum_pair(eta: Eta, xk, xl, xm, yk, yl, ym) -> Scalar:
@@ -228,14 +231,11 @@ class Cycle:
         return Cycle(metric, row[0], row[1:-1], row[-1])
 
     @staticmethod
-    def from_integers(metric: Metric, row: Sequence[int]) -> "Cycle":
-        """The canonical cycle of a nonzero int row: each entry one
-        Fraction over the first nonzero entry, and its integer form known
-        from the row."""
-        g = math.gcd(*row)
-        if next(v for v in row if v) < 0:
-            g = -g
-        prim = tuple([v // g for v in row])
+    def from_integers(metric: Metric, prim: Sequence[int]) -> "Cycle":
+        """The canonical cycle of a primitive int row, as
+        :func:`integer_form` gives it: each entry one Fraction over the
+        first nonzero entry, and the integer form known from the row."""
+        prim = tuple(prim)
         lead = next(v for v in prim if v)
         c = Cycle(metric, Fraction(prim[0], lead),
                   [Fraction(v, lead) for v in prim[1:-1]],
@@ -307,21 +307,10 @@ class Cycle:
             raise ValueError("product metric mismatch")
         fx = self.integer_form()
         fy = fx and other.integer_form()
-        if not fy:
-            return _sum_pair(eta, self.k, self.l, self.m,
-                             other.k, other.l, other.m)
-        # summed in ints and typed as the sum over the entries: an int when
-        # every entry the pairing reads is an int, else a Fraction
-        (a, sa), (b, sb) = fx, fy
-        num = (integer_pairing(self.metric.weights, a, b)
-               * sa.numerator * sb.numerator)
-        if type(sa) is int and type(sb) is int:
-            return num
-        value = Fraction(num, sa.denominator * sb.denominator)
-        if 0 in eta and not (_reads_fraction(eta, self.row())
-                             or _reads_fraction(eta, other.row())):
-            return int(value)       # a Fraction only on a null axis
-        return value
+        parts = self.k, self.l, self.m, other.k, other.l, other.m
+        if fy:
+            return _form_pair(self.metric, fx, fy, *parts)
+        return _sum_pair(eta, *parts)
 
     def integer_form(self):
         """:func:`integer_form` of the row, computed on first use."""

@@ -24,8 +24,10 @@ eliminations see the numbers they always did.  With no demand or a point
 demand, the Fraction basis ``linear_solve`` returns is cleared to primitive
 int rows, and the point-mode binary quadratic runs in ints whenever its
 discriminant is a perfect square.  Each such candidate becomes its
-canonical cycle directly from its int row; orthogonality and ``IsPoint``
-verify it with one int pairing, and dedup keys it by its primitive row.
+canonical cycle directly from its primitive int row and keeps it as its
+integer form: orthogonality verifies it with one int pairing against the
+reference's primitive row, ``IsPoint`` through ``Cycle.product`` on that
+form, and dedup keys it by its primitive row.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import List, Optional, Sequence, Tuple
 
-from .cycle import Cycle, Metric, integer_pairing, row_product
+from .cycle import Cycle, Metric, integer_form, integer_pairing, row_product
 from .numerics import (Arithmetic, QuadExt, Scalar, _quad, comparison_eps,
                        is_exact, lift, near_zero, row_scale, scalar_sign,
                        to_float)
@@ -104,9 +106,11 @@ class IsOrthogonal(Relation):
                                                   prim[1:-1])], prim[0])
 
     def satisfied_by(self, cycle, eps):
+        # two rational rows in one product metric: the int pairing of their
+        # primitive rows, which Cycle.product scales, is zero or not
         fx = cycle.integer_form()
         fr = fx and self.ref.integer_form()
-        if fr:
+        if fr and cycle.metric.product_eta == self.ref.metric.product_eta:
             return integer_pairing(cycle.metric.weights, fx[0], fr[0]) == 0
         return near_zero(cycle.product(self.ref), eps, cycle.row(),
                          self.ref.row())
@@ -155,10 +159,6 @@ class IsPoint(Relation):
         self.metric = metric
 
     def satisfied_by(self, cycle, eps):
-        form = cycle.integer_form()
-        if form:
-            prim = form[0]
-            return integer_pairing(cycle.metric.weights, prim, prim) == 0
         row = cycle.row()
         return near_zero(cycle.self_product(), eps, row, row)
 
@@ -352,9 +352,16 @@ def _fraction_free(rows: List[Row], nunk: int, cleared, primitive):
                      _quotient(A[r][j], A[r][col]), Fraction(0), Fraction(1))
 
 
-def _integer_row(row) -> List[int]:
-    den = math.lcm(*[c.denominator for c in row])
-    return _primitive([c.numerator * (den // c.denominator) for c in row])
+def _integer_row(row):
+    """A rational row as its primitive int row (:func:`integer_form`) with
+    the row's own sign, a positive multiple of the row, so the binary
+    quadratic's roots come in the order the Fraction rows give them; zeros
+    for a zero row."""
+    form = integer_form(row)
+    if not form:
+        return [0] * len(row)
+    prim, scale = form
+    return prim if scale > 0 else tuple([-v for v in prim])
 
 
 def _primitive(row: List[int]) -> List[int]:
@@ -490,17 +497,16 @@ def _solve_branch(metric, rows, demand, ar: Arithmetic):
     Q = lambda x, y: row_product(metric, x, y)
     # a homogeneous rational system with no demand or a point demand (an
     # exact build: the basis is all Fractions) answers in primitive int
-    # rows, from which solve() builds its canonical cycles
-    ints = None
-    if (homogeneous and demand in (None, 0) and dim in (1, 2)
-            and all(type(c) is Fraction for v in basis for c in v)):
-        ints = [tuple(_integer_row(v)) for v in basis]
+    # rows as integer_form gives them, from which solve() builds its
+    # canonical cycles
+    rational = (homogeneous and demand in (None, 0)
+                and all(type(c) is Fraction for v in basis for c in v))
 
     if demand is None:
         if dim == 0:
             return [], None          # only the trivial row
         if dim == 1:
-            return [ints[0] if ints else basis[0]], None
+            return [integer_form(basis[0])[0] if rational else basis[0]], None
         return None, (None, basis, None)
 
     if homogeneous:
@@ -508,16 +514,16 @@ def _solve_branch(metric, rows, demand, ar: Arithmetic):
             return [], None
         if demand == 0:
             if dim == 1:
-                if ints:
-                    v = ints[0]
-                    ok = integer_pairing(metric.weights, v, v) == 0
-                    return ([v] if ok else []), None
-                ok = near_zero(Q(basis[0], basis[0]), 1e-9, basis[0], basis[0])
-                return ([basis[0]] if ok else []), None
+                v = integer_form(basis[0])[0] if rational else basis[0]
+                ok = near_zero(Q(v, v), 1e-9, v, v)
+                return ([v] if ok else []), None
             if dim == 2:
-                sols = (_integer_binary_quadratic(metric.weights, *ints)
-                        if ints else None)
-                if sols is None:
+                sols = (_integer_binary_quadratic(
+                    metric.weights, *map(_integer_row, basis))
+                    if rational else None)
+                if sols is not None:
+                    sols = [integer_form(v)[0] for v in sols]
+                else:
                     sols = _binary_quadratic(Q, basis[0], basis[1], ar)
                 if sols is None:
                     return None, (None, basis, None)  # whole line isotropic

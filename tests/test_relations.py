@@ -251,6 +251,14 @@ def test_row_product_matches_cycle_product():
     assert row_product(E, a.row(), b.row()) == a.product(b)
 
 
+@pytest.mark.parametrize("ref", [UNIT, Cycle(Metric.from_signature(3), 1,
+                                             (0, 0, 0), -1)])
+def test_check_refuses_a_reference_in_another_metric(ref):
+    # exact rational rows on both sides: the pairing still checks metrics
+    with pytest.raises(ValueError, match="product metric mismatch"):
+        check([IsOrthogonal(ref)], Cycle(Metric.named("h"), 1, (0, 0), -1))
+
+
 class TestBuildOncePerSolve:
     """Each row is built once per solve, and each pair of sign patterns
     sigma, -sigma is solved once."""
