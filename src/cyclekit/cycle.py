@@ -31,7 +31,7 @@ def row_product(metric: Metric, x: Sequence[Scalar],
     """The cycle pairing on raw coefficient rows (k, l.., m)."""
     parts = x[0], x[1:-1], x[-1], y[0], y[1:-1], y[-1]
     fx = integer_form(x)
-    fy = fx and integer_form(y)
+    fy = fx if y is x else fx and integer_form(y)
     if fy:
         return _form_pair(metric, fx, fy, *parts)
     return _sum_pair(metric.product_eta, *parts)

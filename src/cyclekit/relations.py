@@ -361,7 +361,7 @@ def _integer_row(row):
     if not form:
         return [0] * len(row)
     prim, scale = form
-    return prim if scale > 0 else tuple([-v for v in prim])
+    return prim if scale.numerator > 0 else tuple([-v for v in prim])
 
 
 def _primitive(row: List[int]) -> List[int]:
