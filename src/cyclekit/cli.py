@@ -4,7 +4,8 @@ SVG, and drive the continued-fraction, extension and triangle tools.
 Exit codes: 0 success (all checks true, nothing infeasible), 1 a check
 or verdict failed, 2 parse or validation error, 3 overflow (more figure
 instances than allowed, or more sign branches than the solver's cap),
-4 degenerate input.  MOEBINV_EPS overrides the comparison tolerance.
+4 degenerate input.  MOEBINV_EPS overrides the comparison tolerance; a
+value that is not a finite number > 0 exits 2 before any work.
 
 Each subcommand takes only the options it reads: --metric and --arith
 go to figure-eval, figure-check, figure-render, ninepoint and apollonius,
@@ -28,7 +29,8 @@ from .contfrac import (ARRANGEMENTS, ContinuedFraction, InvalidCF, chain,
 from .cycle import Cycle, Metric, parse_metric
 from .figure import (Degenerate, DegenerateMetric, Figure, NotEvaluated,
                      TooManyInstances, nine_point_figure)
-from .numerics import RadicalClash, canonical_row, format_scalar, parse_scalar
+from .numerics import (RadicalClash, canonical_row, comparison_eps,
+                       format_scalar, parse_scalar)
 from .poincare import (classify_intervals, extension_from_triple,
                        extension_point)
 from .relations import BranchOverflow, IsTangent, solve
@@ -451,6 +453,10 @@ _EXIT_CODES = {TooManyInstances: OVERFLOW, BranchOverflow: OVERFLOW,
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        try:
+            comparison_eps()
+        except ValueError as err:
+            raise CliError(str(err))
         return args.func(args)
     except (CliError, *_EXIT_CODES) as err:
         if isinstance(err, RadicalClash):

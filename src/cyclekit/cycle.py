@@ -204,10 +204,11 @@ class Cycle:
     use: its primitive int row (gcd 1, first nonzero entry positive) and
     the rational scale back to :meth:`row` (:func:`integer_form`).  Two
     rows are projectively equal exactly when their primitive rows are, so
-    the pairing, the exact rows of orthogonality relations, their
-    verification and the solver's dedup all read this form; exact solves
-    of homogeneous rational systems build their answers from it
-    (:meth:`from_integers`).
+    this form is the one representative of a rational cycle:
+    :meth:`canonical` builds its row from it and keeps it, :meth:`key` is
+    it (also for a ``QuadExt`` row whose canonical row is rational), and
+    the pairing, the exact rows of orthogonality relations and their
+    verification read it.
     """
 
     __slots__ = ("metric", "k", "l", "m", "_form")
@@ -229,19 +230,6 @@ class Cycle:
         if len(row) != metric.n + 2:
             raise ValueError(f"row of length {metric.n + 2} expected")
         return Cycle(metric, row[0], row[1:-1], row[-1])
-
-    @staticmethod
-    def from_integers(metric: Metric, prim: Sequence[int]) -> "Cycle":
-        """The canonical cycle of a primitive int row, as
-        :func:`integer_form` gives it: each entry one Fraction over the
-        first nonzero entry, and the integer form known from the row."""
-        prim = tuple(prim)
-        lead = next(v for v in prim if v)
-        c = Cycle(metric, Fraction(prim[0], lead),
-                  [Fraction(v, lead) for v in prim[1:-1]],
-                  Fraction(prim[-1], lead))
-        c._form = prim, Fraction(1, lead)
-        return c
 
     @staticmethod
     def zero_radius_at(metric: Metric, point: Sequence[Scalar]) -> "Cycle":
@@ -421,13 +409,38 @@ class Cycle:
     # -- canonical representative ---------------------------------------------
     def canonical(self) -> "Cycle":
         """Scale so the first significant coefficient is 1; exact rows stay
-        in their field, float rows are normalized against the largest entry."""
-        row = canonical_row(self.row(), 1e-12)
-        return Cycle(self.metric, row[0], row[1:-1], row[-1])
+        in their field, float rows are normalized against the largest entry.
+        A rational row's canonical cycle is built from its primitive int
+        row, one Fraction per entry, and keeps that row as its integer
+        form; a row of Fractions led by 1 is canonical already."""
+        form = self.integer_form()
+        if not form:
+            row = canonical_row(self.row(), 1e-12)
+            return Cycle(self.metric, row[0], row[1:-1], row[-1])
+        row = self.row()
+        if (next(v for v in row if v) == 1
+                and all(type(v) is Fraction for v in row)):
+            return self
+        prim = form[0]
+        lead = next(v for v in prim if v)
+        c = Cycle(self.metric, Fraction(prim[0], lead),
+                  [Fraction(v, lead) for v in prim[1:-1]],
+                  Fraction(prim[-1], lead))
+        c._form = prim, Fraction(1, lead)
+        return c
 
     def key(self, digits: int = 9):
-        """Hashable projective key for dedup and deterministic ordering."""
+        """Hashable projective key for dedup: the primitive int row of a
+        cycle whose canonical row is rational (a ``QuadExt`` row with no
+        radical part left included), else the canonical row with float
+        entries rounded to ``digits``."""
+        form = self.integer_form()
+        if form:
+            return form[0]
         can = self.canonical()
+        form = can.integer_form()
+        if form:
+            return form[0]
         out = []
         for c in can.row():
             if is_exact(c):

@@ -416,13 +416,6 @@ class Figure:
         avoided = [inst.cycle for lab in node.avoid
                    for inst in self._nodes[lab].instances
                    if _consistent(inst.context, ctx)]
-        forms = [c.integer_form() for c in avoided + cycles]
-        if all(forms):
-            # rational rows on both sides: projectively equal exactly when
-            # their primitive rows are, as their keys would say
-            banned = {form[0] for form in forms[:len(avoided)]}
-            return [c for c, form in zip(cycles, forms[len(avoided):])
-                    if form[0] not in banned]
         banned = {c.key() for c in avoided}
         return [c for c in cycles if c.key() not in banned]
 

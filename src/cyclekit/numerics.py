@@ -34,10 +34,10 @@ trace check.  Each site keeps its own ``eps``; the only settings are
 ``eps``.  A system's data chooses its field: ``linear_solve`` (like
 ``_quad_roots``) works exactly only when asked to and every entry is exact.
 Every exact system is eliminated fraction-free over the ints or Z[sqrt d]
-and read back as Fractions, or QuadExts where a radical part is left; the
-pairing and :func:`canonical_row` work on a rational row's integer
-numerators over one denominator, and chain validation pairs each cycle's
-row as ints over Z[sqrt d].
+and read back as Fractions, or QuadExts where a radical part is left; a
+rational cycle's pairing, canonical row and key read its primitive int row
+(``cycle.integer_form``), and chain validation pairs each cycle's row as
+ints over Z[sqrt d].
 """
 
 from __future__ import annotations
@@ -60,14 +60,22 @@ def lift(x):
 
 
 def comparison_eps() -> float:
-    """Default comparison tolerance; the MOEBINV_EPS env var overrides it."""
+    """Default comparison tolerance; the MOEBINV_EPS env var overrides it.
+
+    Raises ValueError when MOEBINV_EPS is set to anything but a finite
+    float > 0: a negative or NaN tolerance would make every float zero
+    test fail."""
     raw = os.environ.get("MOEBINV_EPS")
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            pass
-    return DEFAULT_EPS
+    if not raw:
+        return DEFAULT_EPS
+    try:
+        eps = float(raw)
+    except ValueError:
+        eps = math.nan
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"MOEBINV_EPS must be a finite number > 0, "
+                         f"got {raw!r}")
+    return eps
 
 
 def fraction_sqrt(x: Rational) -> Optional[Fraction]:
@@ -369,18 +377,7 @@ def canonical_row(values, eps: float) -> tuple:
     entry (staying in its field; an entry with no radical part comes back
     as a Fraction), else floats divided by the largest
     magnitude, signed so the first entry above ``eps`` times it is positive.
-    All-zero rows come back unscaled.  A rational row builds each entry
-    with one ``Fraction``, and a row of Fractions led by 1 is returned as
-    it is."""
-    if all(type(v) is Fraction or type(v) is int for v in values):
-        pivot = next((v for v in values if v), None)
-        if pivot is None:
-            return tuple(values)
-        if pivot == 1 and all(type(v) is Fraction for v in values):
-            return tuple(values)
-        pn, pd = pivot.numerator, pivot.denominator
-        return tuple([Fraction(v.numerator * pd, v.denominator * pn)
-                      for v in values])
+    All-zero rows come back unscaled."""
     if all(is_exact(v) for v in values):
         pivot = next((v for v in values if v != 0), None)
         if pivot is None:

@@ -617,7 +617,8 @@ def extension_from_triple(pairs, ar: Optional[Arithmetic] = None):
 def common_point(C: Cycle, Ct: Cycle,
                  ar: Optional[Arithmetic] = None) -> List[Cycle]:
     """The at most two isotropic cycles of C's tau-plane e-orthogonal to
-    both C and Ct, ordered by ``Cycle.key``.
+    both C and Ct, ordered by canonical row (float entries rounded to 9
+    digits).
 
     Two linear conditions cut the coefficient space down to a plane, on
     which isotropy is a binary quadratic.
@@ -640,4 +641,5 @@ def common_point(C: Cycle, Ct: Cycle,
                 near_zero(row_product(e2, row, ref.row()), comparison_eps(),
                           row, ref.row()) for ref in (C, Ct)):
             found.setdefault(c.key(), c)
-    return [found[key] for key in sorted(found)]
+    return sorted(found.values(), key=lambda c: tuple(
+        v if is_exact(v) else round(v, 9) + 0 for v in c.row()))

@@ -20,14 +20,13 @@ orthogonality row (``IsOrthogonal``, ``PassesThrough``, ``IsFlat``,
 ``IsLobachevskyLine``) is read off the reference's primitive int row, a
 rational multiple of its pairing coefficients; once a build demotes or the
 data has a float, every row is the one its data gives, so float
-eliminations see the numbers they always did.  With no demand or a point
-demand, the Fraction basis ``linear_solve`` returns is cleared to primitive
-int rows, and the point-mode binary quadratic runs in ints whenever its
-discriminant is a perfect square.  Each such candidate becomes its
-canonical cycle directly from its primitive int row and keeps it as its
-integer form: orthogonality verifies it with one int pairing against the
-reference's primitive row, ``IsPoint`` through ``Cycle.product`` on that
-form, and dedup keys it by its primitive row.
+eliminations see the numbers they always did.  The point-mode binary
+quadratic on a rational basis runs in ints whenever its discriminant is a
+perfect square.  Every candidate is verified on its canonical cycle and
+deduplicated by its :meth:`Cycle.key`; a rational candidate's canonical
+cycle keeps its primitive int row, so orthogonality verifies it with one
+int pairing against the reference's primitive row, ``IsPoint`` through
+``Cycle.product`` on that form, and its key is that row.
 """
 
 from __future__ import annotations
@@ -356,7 +355,8 @@ def _integer_row(row):
     """A rational row as its primitive int row (:func:`integer_form`) with
     the row's own sign, a positive multiple of the row, so the binary
     quadratic's roots come in the order the Fraction rows give them; zeros
-    for a zero row."""
+    for a zero row or one with an entry that is not an int or a
+    Fraction."""
     form = integer_form(row)
     if not form:
         return [0] * len(row)
@@ -485,8 +485,8 @@ def _combine(p, v, t):
 def _solve_branch(metric, rows, demand, ar: Arithmetic):
     """One sign branch: linear stage plus at most one quadratic demand.
 
-    Returns (list of rows | None, parametric tuple | None); the rows of a
-    homogeneous rational system come back as int rows.
+    Returns (list of rows | None, parametric tuple | None); the point-mode
+    roots of a rational basis come back as int rows.
     """
     nunk = metric.n + 2
     p, basis = linear_solve(rows, nunk, ar.exact)
@@ -495,18 +495,12 @@ def _solve_branch(metric, rows, demand, ar: Arithmetic):
     dim = len(basis)
     homogeneous = all(near_zero(c, 1e-12) for c in p)
     Q = lambda x, y: row_product(metric, x, y)
-    # a homogeneous rational system with no demand or a point demand (an
-    # exact build: the basis is all Fractions) answers in primitive int
-    # rows as integer_form gives them, from which solve() builds its
-    # canonical cycles
-    rational = (homogeneous and demand in (None, 0)
-                and all(type(c) is Fraction for v in basis for c in v))
 
     if demand is None:
         if dim == 0:
             return [], None          # only the trivial row
         if dim == 1:
-            return [integer_form(basis[0])[0] if rational else basis[0]], None
+            return [basis[0]], None
         return None, (None, basis, None)
 
     if homogeneous:
@@ -514,16 +508,16 @@ def _solve_branch(metric, rows, demand, ar: Arithmetic):
             return [], None
         if demand == 0:
             if dim == 1:
-                v = integer_form(basis[0])[0] if rational else basis[0]
+                v = basis[0]
                 ok = near_zero(Q(v, v), 1e-9, v, v)
                 return ([v] if ok else []), None
             if dim == 2:
-                sols = (_integer_binary_quadratic(
-                    metric.weights, *map(_integer_row, basis))
-                    if rational else None)
-                if sols is not None:
-                    sols = [integer_form(v)[0] for v in sols]
-                else:
+                # a basis row is never zero, so a zero int row is one
+                # that has no integer form
+                ints = [_integer_row(v) for v in basis]
+                sols = (_integer_binary_quadratic(metric.weights, *ints)
+                        if all(map(any, ints)) else None)
+                if sols is None:
                     sols = _binary_quadratic(Q, basis[0], basis[1], ar)
                 if sols is None:
                     return None, (None, basis, None)  # whole line isotropic
@@ -657,25 +651,11 @@ def solve(relations: Sequence[Relation], metric: Metric,
     notes = [note for c in contexts for note in c.notes]
 
     # verify every candidate on its canonical cycle, then dedup and order
-    verified = []
-    for srow, prov in found:
-        int_row = all(type(c) is int for c in srow)
-        can = (Cycle.from_integers(metric, srow) if int_row
-               else Cycle.from_row(metric, srow).canonical())
-        if all(rel.satisfied_by(can, eps) for rel in relations):
-            verified.append((can, int_row or all(map(is_exact, can.row())),
-                             prov))
-    # a rational candidate is keyed by its primitive row, another exact
-    # one by its canonical row, a float one by its rounded key(); that key
-    # may equal an exact canonical row, so beside a float candidate every
-    # exact one is keyed by its canonical row
-    by_form = all(exact_row for _, exact_row, _ in verified)
     kept = {}
-    for can, exact_row, prov in verified:
-        form = by_form and can.integer_form()
-        key = form[0] if form else can.row() if exact_row else can.key()
-        if key not in kept:
-            kept[key] = (can, prov)
+    for srow, prov in found:
+        can = Cycle.from_row(metric, srow).canonical()
+        if all(rel.satisfied_by(can, eps) for rel in relations):
+            kept.setdefault(can.key(), (can, prov))
     ordered = list(kept.values())
     if len(ordered) > 1:
         ordered.sort(key=lambda cp: _sort_key(cp[0]))

@@ -457,6 +457,16 @@ class TestApollonius:
         assert code == 2
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "abc"])
+def test_bad_eps_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("MOEBINV_EPS", value)
+    code, out, err = run(capsys, "poincare", "--pairs", "0:1", "2:3", "5:7")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "MOEBINV_EPS" in lines[0]
+
+
 class TestOptions:
     # each subcommand declares exactly the options its handler reads
     EXPECTED = {

@@ -196,6 +196,33 @@ def test_canonical_and_key():
     assert f.same_cycle(Cycle(E, 2.0 + 1e-13, (4.0, -2.0), 6.0))
 
 
+def test_key_is_the_primitive_int_row_of_a_rational_cycle():
+    from cyclekit.numerics import QuadExt
+    c = Cycle(E, F(1, 2), (F(-1, 3), 0), 1)
+    for scaled in (c, c.scaled(F(-7, 3)), c.scaled(-6)):
+        key = scaled.key()
+        assert key == (3, -2, 0, 6)
+        assert all(type(v) is int for v in key)
+    # a QuadExt row's key is its canonical row, entries as they are
+    q = Cycle(E, 2, (QuadExt(0, 2, 2), F(0)), 4)
+    assert q.key() == q.canonical().row() == (1, QuadExt(0, 1, 2), 0, 2)
+    assert q.scaled(QuadExt(1, 1, 2)).key() == q.key()
+    # a float row's key rounds its canonical row, as before
+    f = Cycle(E, 0.5, (-1 / 3, 0.0), 1.0)
+    assert f.key() == (0.5, round(-1 / 3, 9), 0.0, 1.0)
+
+
+def test_radical_free_quadext_row_keys_like_its_rational_twin():
+    from cyclekit.numerics import QuadExt
+    twin = Cycle(E, 2, (F(1), F(0)), 3)
+    q = Cycle(E, QuadExt(2, 0, 2), (F(1), F(0)), 3)
+    assert q.key() == twin.key() == (2, 1, 0, 3)
+    assert q.same_cycle(twin)
+    # radicals that cancel on canonicalisation key as the rational row too
+    r2 = QuadExt(0, 1, 2)
+    assert Cycle(E, r2, (2 * r2, F(0)), r2).key() == (1, 2, 0, 1)
+
+
 def test_serialization_round_trip():
     from cyclekit.numerics import QuadExt
     c = Cycle(E, F(1, 3), (QuadExt(F(0), F(1), 2), F(-2)), F(5))

@@ -421,6 +421,19 @@ class TestBranching:
         # the two bases coincide, so everything is spurious
         assert fig.status("cross") == "parametric"
 
+    def test_avoid_matches_a_radical_free_quadext_datum(self):
+        from cyclekit.numerics import QuadExt
+        E = Metric.named("e")
+        fig = Figure()
+        # the point (1/2, 0), its k a QuadExt with no radical part
+        fig.add_cycle(Cycle(E, QuadExt(2, 0, 2), (1, 0), F(1, 2)), "O")
+        fig.add_cycle(Cycle(E, 0, (1, 0), 1), "X")
+        fig.add_cycle(Cycle(E, 0, (0, 1), 0), "Y")
+        fig.add_cycle_rel([orthogonal("X"), orthogonal("Y"), is_point()],
+                          "cross", avoid=("O",))
+        assert [i.cycle.row() for i in fig.node("cross").instances] == [
+            (0, 0, 0, 1)]
+
 
 class TestSubfigures:
     @staticmethod

@@ -214,6 +214,12 @@ def test_eps_env_override(monkeypatch):
     assert comparison_eps() == 1e-6
     monkeypatch.delenv("MOEBINV_EPS")
     assert comparison_eps() == 1e-9
+    # a tolerance that is not a finite float > 0 is refused, not used or
+    # replaced by the default
+    for bad in ("-1", "0", "nan", "inf", "abc"):
+        monkeypatch.setenv("MOEBINV_EPS", bad)
+        with pytest.raises(ValueError, match="MOEBINV_EPS"):
+            comparison_eps()
 
 
 def test_to_float():

@@ -626,9 +626,17 @@ class TestCommonPoint:
         got = common_point(C, Ct)
         assert len(got) == 2
         r3 = QuadExt(0, F(1, 2), 3)
-        # ordered by Cycle.key: (k, l_1, l_2, m) with k = 1
+        # ordered as solve orders its answers: (k, l_1, l_2, m) with k = 1
         assert [extension_point(f) for f in got] == [(F(1, 2), -r3),
                                                      (F(1, 2), r3)]
+
+    def test_rational_points_keep_the_canonical_row_order(self):
+        # the primitive int keys, (5, -3, 2, 1) and (1, 3, -2, 5), would
+        # sort the other way round
+        C = cycle_nlkm(1, 2, 2, 1, -1)
+        Ct = cycle_nlkm(1, 0, 2, 3, -3)
+        assert [c.row() for c in common_point(C, Ct)] == [
+            (1, F(-3, 5), F(2, 5), F(1, 5)), (1, 3, -2, 5)]
 
     def test_two_circles_float(self):
         C = cycle_nlkm(-1, 0.0, 0.0, 1.0, -1.0)

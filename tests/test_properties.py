@@ -52,6 +52,13 @@ def test_key_is_unchanged_by_rational_row_scaling(metric, row, factor):
     assert c.scaled(factor).key() == c.key()
 
 
+@given(st.sampled_from(METRICS), exact_rows)
+@example(E2, (QuadExt(2, 0, 2), 1, 0, 3))
+def test_key_is_the_key_of_the_canonical_cycle(metric, row):
+    c = Cycle.from_row(metric, row)
+    assert c.key() == c.canonical().key()
+
+
 @given(exact_rows, nonzero_rationals)
 def test_form_canonical_is_unchanged_by_rational_row_scaling(row, factor):
     # the (n, l, k, m) form of a poincare report is canonical_row at 1e-14
@@ -872,9 +879,19 @@ rational_rows = st.lists(st.one_of(st.just(0), st.integers(-6, 6), rationals),
                          min_size=1, max_size=5)
 
 
+def _assert_canonical_like_the_reference(row):
+    """canonical_row, and for a cycle row (length 3 or more)
+    ``Cycle.canonical``, give the reference's values and types."""
+    want = _typed(_ref_canonical_row(row))
+    assert _typed(canonical_row(row, 1e-12)) == want
+    if len(row) >= 3:
+        metric = Metric.from_signature(len(row) - 2)
+        assert _typed(Cycle.from_row(metric, row).canonical().row()) == want
+
+
 @given(rational_rows)
 def test_rational_canonical_row_equals_the_fraction_reference(row):
-    assert _typed(canonical_row(row, 1e-12)) == _typed(_ref_canonical_row(row))
+    _assert_canonical_like_the_reference(row)
 
 
 @pytest.mark.parametrize("row", [
@@ -888,7 +905,7 @@ def test_rational_canonical_row_equals_the_fraction_reference(row):
     (Fraction(-2, 3), 4, Fraction(5, 7)),
 ])
 def test_rational_canonical_row_keeps_the_reference_types(row):
-    assert _typed(canonical_row(row, 1e-12)) == _typed(_ref_canonical_row(row))
+    _assert_canonical_like_the_reference(row)
 
 
 def _ref_validate_chain(ch):
