@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .clifford import Mat2, Mv, Signature
-from .numerics import (Arithmetic, Scalar, canonical_row, format_scalar,
-                       is_exact, lift, parse_scalar, private_context,
-                       row_scale, to_float)
+from .numerics import (Arithmetic, QuadExt, Scalar, canonical_row,
+                       format_scalar, is_exact, lift, parse_scalar,
+                       private_context, row_scale, to_float)
 
 Eta = Tuple[int, ...]
 
@@ -412,15 +412,16 @@ class Cycle:
         in their field, float rows are normalized against the largest entry.
         A rational row's canonical cycle is built from its primitive int
         row, one Fraction per entry, and keeps that row as its integer
-        form; a row of Fractions led by 1 is canonical already."""
+        form.  An exact row as :func:`canonical_row` leaves it -- led by 1,
+        every entry a Fraction or a ``QuadExt`` with a radical part -- is
+        canonical already."""
+        row = self.row()
+        if _is_canonical(row):
+            return self
         form = self.integer_form()
         if not form:
-            row = canonical_row(self.row(), 1e-12)
+            row = canonical_row(row, 1e-12)
             return Cycle(self.metric, row[0], row[1:-1], row[-1])
-        row = self.row()
-        if (next(v for v in row if v) == 1
-                and all(type(v) is Fraction for v in row)):
-            return self
         prim = form[0]
         lead = next(v for v in prim if v)
         c = Cycle(self.metric, Fraction(prim[0], lead),
@@ -475,6 +476,13 @@ class Cycle:
     def __repr__(self):
         parts = ", ".join(format_scalar(c) for c in self.row())
         return f"Cycle[{self.metric.label()}]({parts})"
+
+
+def _is_canonical(row) -> bool:
+    """Is ``row`` exact and its own :func:`canonical_row`?"""
+    return (next((v for v in row if v), None) == 1
+            and all(type(v) is Fraction or type(v) is QuadExt and v.q
+                    for v in row))
 
 
 def encode_scalar(c):

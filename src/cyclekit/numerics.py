@@ -34,7 +34,9 @@ trace check.  Each site keeps its own ``eps``; the only settings are
 ``eps``.  A system's data chooses its field: ``linear_solve`` (like
 ``_quad_roots``) works exactly only when asked to and every entry is exact.
 Every exact system is eliminated fraction-free over the ints or Z[sqrt d]
-and read back as Fractions, or QuadExts where a radical part is left; a
+and read back by its caller as Fractions, or QuadExts where a radical
+part is left, except that a homogeneous rational branch of ``solve``
+keeps its basis as int rows; a
 rational cycle's pairing, canonical row and key read its primitive int row
 (``cycle.integer_form``), and chain validation pairs each cycle's row as
 ints over Z[sqrt d].

@@ -14,19 +14,23 @@ so is the demand.  Solutions are checked back against every relation on
 canonical representatives, deduplicated projectively and returned in a
 deterministic order.
 
-Homogeneous rational systems run in Python ints, on each cycle's integer
-form (:meth:`Cycle.integer_form`).  In a build that stays exact, an
-orthogonality row (``IsOrthogonal``, ``PassesThrough``, ``IsFlat``,
-``IsLobachevskyLine``) is read off the reference's primitive int row, a
-rational multiple of its pairing coefficients; once a build demotes or the
-data has a float, every row is the one its data gives, so float
-eliminations see the numbers they always did.  The point-mode binary
-quadratic on a rational basis runs in ints whenever its discriminant is a
-perfect square.  Every candidate is verified on its canonical cycle and
-deduplicated by its :meth:`Cycle.key`; a rational candidate's canonical
-cycle keeps its primitive int row, so orthogonality verifies it with one
-int pairing against the reference's primitive row, ``IsPoint`` through
-``Cycle.product`` on that form, and its key is that row.
+Homogeneous rational systems run in Python ints from the rows to the
+candidates, on each cycle's integer form (:meth:`Cycle.integer_form`).  In
+a build that stays exact, an orthogonality row (``IsOrthogonal``,
+``PassesThrough``, ``IsFlat``, ``IsLobachevskyLine``) is read off the
+reference's primitive int row, a rational multiple of its pairing
+coefficients; once a build demotes or the data has a float, every row is
+the one its data gives, so float eliminations see the numbers they always
+did.  ``linear_solve`` hands back the reduced system (:class:`Reduced`),
+and its callers read it back: a branch with every rhs 0 and no demand or a
+point demand takes its basis as primitive int rows, whose point-mode
+binary quadratic runs in ints whenever its discriminant is a perfect
+square; every other result reads back Fractions.  Every candidate is
+verified on its canonical cycle, where its row first becomes Fractions,
+and deduplicated by its :meth:`Cycle.key`; a rational candidate's
+canonical cycle keeps its primitive int row, so orthogonality verifies it
+with one int pairing against the reference's primitive row, ``IsPoint``
+through ``Cycle.product`` on that form, and its key is that row.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .cycle import Cycle, Metric, integer_form, integer_pairing, row_product
 from .numerics import (Arithmetic, QuadExt, Scalar, _quad, comparison_eps,
@@ -184,6 +189,7 @@ class InversiveDistance(Relation):
     def __init__(self, ref: Cycle, theta: Scalar):
         self.ref = ref
         self.ref_canonical = ref.canonical()
+        self.ref_self = self.ref_canonical.self_product()
         self.theta = lift(theta)
         self.coeffs = pairing_coeffs(ref.metric, ref)
         ss = ref.self_product()
@@ -195,8 +201,8 @@ class InversiveDistance(Relation):
         return self.theta * ar.sqrt(self.ref.self_product())
 
     def satisfied_by(self, cycle, eps):
-        x, r = cycle, self.ref_canonical
-        p, sx, sr = x.product(r), x.self_product(), r.self_product()
+        x, r, sr = cycle, self.ref_canonical, self.ref_self
+        p, sx = x.product(r), x.self_product()
         th = self.theta
         lhs = p * p
         rhs = th * th * abs(sx) * abs(sr)
@@ -226,8 +232,8 @@ class IsTangent(InversiveDistance):
         self.variant = variant
 
     def satisfied_by(self, cycle, eps):
-        x, r = cycle, self.ref_canonical
-        p, sx, sr = x.product(r), x.self_product(), r.self_product()
+        x, r, sr = cycle, self.ref_canonical, self.ref_self
+        p, sx = x.product(r), x.self_product()
         rows = x.row(), r.row()
         if not near_zero(p * p - sx * sr, eps, *rows, *rows):
             return False
@@ -276,21 +282,97 @@ class SteinerPower(Relation):
 EPS_RANK = 1e-10
 
 
-def linear_solve(rows: List[Row], nunk: int, exact: bool):
-    """Gauss-Jordan, exact when ``exact`` is set and every entry is exact.
+class Reduced(NamedTuple):
+    """A linear system in reduced row echelon form, as :func:`linear_solve`
+    hands it back; its callers read it back.
 
-    Returns (particular, basis) or (None, None) when inconsistent.  An
-    exact system is eliminated fraction-free (:func:`_fraction_free`), over
-    Z[sqrt d] when an entry is a ``QuadExt`` and over the ints otherwise;
-    float rows partial-pivot and rank-test against EPS_RANK times the
-    original row magnitude.
+    ``rows`` holds the reduced rows with the rhs last (None: the system is
+    inconsistent) and ``pivots`` their ``(row, col)`` pairs.  ``ring`` is
+    the type the rows are kept in: ``int`` or ``QuadExt`` for a primitive
+    row over the ints or Z[sqrt d] with its pivot as the elimination left
+    it, ``float`` for a row scaled to a unit pivot.
+    """
+
+    rows: Optional[list]
+    pivots: List[Tuple[int, int]]
+    nunk: int
+    ring: type
+
+    def solution(self):
+        """``(particular, basis)`` over the field: an exact entry is the
+        quotient of a row's entry by its pivot, a Fraction (a QuadExt when
+        it has a radical part); ``(None, None)`` when inconsistent."""
+        A = self.rows
+        if A is None:
+            return None, None
+        if self.ring is float:
+            entry, zero, one = (lambda r, col, j: A[r][j]), 0.0, 1.0
+        else:
+            zero, one = Fraction(0), Fraction(1)
+
+            def entry(r, col, j):
+                return _quotient(A[r][j], A[r][col])
+        nunk = self.nunk
+        particular = [zero] * nunk
+        for r, col in self.pivots:
+            particular[col] = entry(r, col, nunk)
+        pivot_cols = {col for _, col in self.pivots}
+        basis = []
+        for free in range(nunk):
+            if free in pivot_cols:
+                continue
+            v = [zero] * nunk
+            v[free] = one
+            for r, col in self.pivots:
+                v[col] = -entry(r, col, free)
+            basis.append(tuple(v))
+        return tuple(particular), basis
+
+    def integer_basis(self):
+        """The basis of a consistent homogeneous system over the ints as
+        primitive int rows, read straight off the int rows: free column
+        ``free`` gets ``L``, the lcm of ``|pivot|`` over the pivot rows
+        with an entry there, and the pivot column ``col`` of row ``r`` gets
+        ``-A[r][free] * (L // A[r][col])``.  Each is the primitive positive
+        multiple of its :meth:`solution` row, so roots taken on the pencil
+        come in the order the Fraction rows give them.  None when the rows
+        are not ints or a rhs is nonzero."""
+        A, nunk = self.rows, self.nunk
+        if self.ring is not int or any(row[nunk] for row in A):
+            return None
+        pivot_cols = {col for _, col in self.pivots}
+        basis = []
+        for free in range(nunk):
+            if free in pivot_cols:
+                continue
+            hits = [(r, col) for r, col in self.pivots if A[r][free]]
+            lcm = math.lcm(*[A[r][col] for r, col in hits])
+            v = [0] * nunk
+            v[free] = lcm
+            for r, col in hits:
+                v[col] = -A[r][free] * (lcm // A[r][col])
+            basis.append(tuple(_primitive(v)))
+        return basis
+
+
+def linear_solve(rows: List[Row], nunk: int, exact: bool) -> Reduced:
+    """Gauss-Jordan, exact when ``exact`` is set and every entry is exact:
+    the system's :class:`Reduced` form, which its callers read back.
+
+    An exact system is eliminated fraction-free (:func:`_fraction_free`)
+    and kept in the ring it ran in: Z[sqrt d] when an entry is a
+    ``QuadExt``, the ints otherwise.  Float rows partial-pivot, rank-test
+    against EPS_RANK times the original row magnitude and are scaled to
+    unit pivots.
     """
     if exact:
         kinds = {type(c) for coeffs, rhs in rows for c in (*coeffs, rhs)}
         if kinds <= {int, Fraction}:
-            return _fraction_free(rows, nunk, _integer_row, _primitive)
+            return Reduced(*_fraction_free(rows, nunk, _integer_row,
+                                           _primitive), nunk, int)
         if all(issubclass(t, (int, Fraction, QuadExt)) for t in kinds):
-            return _fraction_free(rows, nunk, _radical_row, _primitive_radical)
+            return Reduced(*_fraction_free(rows, nunk, _radical_row,
+                                           _primitive_radical), nunk, QuadExt)
     A = [[float(c) for c in coeffs] + [float(rhs)] for coeffs, rhs in rows]
     norms = [row_scale(row) for row in A]
     pivots: List[Tuple[int, int]] = []
@@ -313,21 +395,24 @@ def linear_solve(rows: List[Row], nunk: int, exact: bool):
                 A[i] = [a - f * b for a, b in zip(A[i], A[rank])]
         pivots.append((rank, col))
         rank += 1
-    if not all(abs(A[i][nunk]) <= EPS_RANK * norms[i]
-               for i in range(rank, len(A))):
-        return None, None
-    return _solution(pivots, nunk, lambda r, col, j: A[r][j], 0.0, 1.0)
+    consistent = all(abs(A[i][nunk]) <= EPS_RANK * norms[i]
+                     for i in range(rank, len(A)))
+    return Reduced(A if consistent else None, pivots, nunk, float)
 
 
 def _fraction_free(rows: List[Row], nunk: int, cleared, primitive):
-    """Fraction-free Gauss-Jordan (Bareiss 1968) of an exact system.
+    """Fraction-free Gauss-Jordan (Bareiss 1968) of an exact system:
+    ``(rows, pivots)`` of its reduced row echelon form over the ints or
+    Z[sqrt d], rows None when the system is inconsistent.
 
     ``cleared`` scales each row by the lcm of its denominators to a
-    primitive row over the ints or Z[sqrt d].  Each column pivots on its
-    first nonzero row at or below the rank, and every other row with an
-    entry there becomes ``piv*row - f*prow``, made ``primitive``: divided
-    by the gcd of its integer parts.  The reduced row echelon form is
-    unique, so its entries read back as a field elimination gives them.
+    primitive row over the ring.  Each column pivots on its first nonzero
+    row at or below the rank, and every other row with an entry there
+    becomes ``piv*row - f*prow``, made ``primitive``: divided by the gcd of
+    its integer parts.  No row is divided by its pivot, so the rows stay in
+    the ring; the reduced row echelon form is unique up to the scale of
+    each row, so an entry over its row's pivot reads back as a field
+    elimination gives it (:meth:`Reduced.solution`).
     """
     A = [cleared((*coeffs, rhs)) for coeffs, rhs in rows]
     pivots: List[Tuple[int, int]] = []
@@ -346,17 +431,14 @@ def _fraction_free(rows: List[Row], nunk: int, cleared, primitive):
         pivots.append((rank, col))
         rank += 1
     if any(row[nunk] for row in A[rank:]):
-        return None, None
-    return _solution(pivots, nunk, lambda r, col, j:
-                     _quotient(A[r][j], A[r][col]), Fraction(0), Fraction(1))
+        return None, pivots
+    return A, pivots
 
 
 def _integer_row(row):
     """A rational row as its primitive int row (:func:`integer_form`) with
-    the row's own sign, a positive multiple of the row, so the binary
-    quadratic's roots come in the order the Fraction rows give them; zeros
-    for a zero row or one with an entry that is not an int or a
-    Fraction."""
+    the row's own sign, a positive multiple of the row; zeros for a zero
+    row or one with an entry that is not an int or a Fraction."""
     form = integer_form(row)
     if not form:
         return [0] * len(row)
@@ -390,26 +472,6 @@ def _quotient(a, b):
     """A Fraction, or a QuadExt when the quotient has a radical part."""
     return (Fraction(a, b) if type(a) is int and type(b) is int
             else (a / b).collapse())
-
-
-def _solution(pivots, nunk: int, entry, zero, one):
-    """``(particular, basis)`` of a system in reduced row echelon form with
-    the given ``(row, col)`` pivots; ``entry(r, col, j)`` is entry ``j`` of
-    pivot row ``r`` over a unit pivot."""
-    particular = [zero] * nunk
-    for r, col in pivots:
-        particular[col] = entry(r, col, nunk)
-    pivot_cols = {col for _, col in pivots}
-    basis = []
-    for free in range(nunk):
-        if free in pivot_cols:
-            continue
-        v = [zero] * nunk
-        v[free] = one
-        for r, col in pivots:
-            v[col] = -entry(r, col, free)
-        basis.append(tuple(v))
-    return tuple(particular), basis
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +547,33 @@ def _combine(p, v, t):
 def _solve_branch(metric, rows, demand, ar: Arithmetic):
     """One sign branch: linear stage plus at most one quadratic demand.
 
-    Returns (list of rows | None, parametric tuple | None); the point-mode
-    roots of a rational basis come back as int rows.
+    Returns (list of rows | None, parametric tuple | None).  The one
+    :func:`linear_solve` of the branch hands back the reduced system, read
+    back here.  A homogeneous rational system with no demand or a point
+    demand stays in ints from the elimination to the candidate rows
+    (:meth:`Reduced.integer_basis`): a single basis row is the candidate as
+    it is, and a pencil's isotropic rows come from
+    :func:`_integer_binary_quadratic`.  A nonzero rhs or demand, a radical
+    or float system, a parametric result and a pencil with irrational
+    roots read back the field rows (:meth:`Reduced.solution`).
     """
     nunk = metric.n + 2
-    p, basis = linear_solve(rows, nunk, ar.exact)
-    if p is None:
+    red = linear_solve(rows, nunk, ar.exact)
+    if red.rows is None:
         return [], None
+    ints = red.integer_basis() if demand in (None, 0) else None
+    if ints is not None and len(ints) < 3:
+        if not ints:
+            return [], None          # only the trivial row
+        if len(ints) == 1:
+            v = ints[0]
+            ok = demand is None or not integer_pairing(metric.weights, v, v)
+            return ([v] if ok else []), None
+        if demand == 0:
+            sols = _integer_binary_quadratic(metric.weights, *ints)
+            if sols is not None:
+                return sols, None
+    p, basis = red.solution()
     dim = len(basis)
     homogeneous = all(near_zero(c, 1e-12) for c in p)
     Q = lambda x, y: row_product(metric, x, y)
@@ -512,13 +594,7 @@ def _solve_branch(metric, rows, demand, ar: Arithmetic):
                 ok = near_zero(Q(v, v), 1e-9, v, v)
                 return ([v] if ok else []), None
             if dim == 2:
-                # a basis row is never zero, so a zero int row is one
-                # that has no integer form
-                ints = [_integer_row(v) for v in basis]
-                sols = (_integer_binary_quadratic(metric.weights, *ints)
-                        if all(map(any, ints)) else None)
-                if sols is None:
-                    sols = _binary_quadratic(Q, basis[0], basis[1], ar)
+                sols = _binary_quadratic(Q, basis[0], basis[1], ar)
                 if sols is None:
                     return None, (None, basis, None)  # whole line isotropic
                 return sols, None
@@ -658,7 +734,11 @@ def solve(relations: Sequence[Relation], metric: Metric,
             kept.setdefault(can.key(), (can, prov))
     ordered = list(kept.values())
     if len(ordered) > 1:
-        ordered.sort(key=lambda cp: _sort_key(cp[0]))
+        keys = [_sort_key(c) for c, _ in ordered]
+        if len(set(keys)) < len(keys):
+            keys = [(k, _tie_key(c)) for k, (c, _) in zip(keys, ordered)]
+        ordered = [cp for _, cp in sorted(zip(keys, ordered),
+                                          key=itemgetter(0))]
 
     if ordered:
         return SolutionSet("finite", [c for c, _ in ordered],
@@ -681,8 +761,13 @@ def _exact_system(coeffs, rhs) -> bool:
 
 
 def _sort_key(c: Cycle):
-    primary = tuple(round(to_float(v), 9) + 0 for v in c.row())
-    return primary, tuple(repr(v) for v in c.row())
+    """The order of the kept solutions: the entries as floats rounded to 9
+    digits, and only where two of those tie also :func:`_tie_key`."""
+    return tuple(round(to_float(v), 9) + 0 for v in c.row())
+
+
+def _tie_key(c: Cycle):
+    return tuple(repr(v) for v in c.row())
 
 
 def check(relations: Sequence[Relation], cycle: Cycle,

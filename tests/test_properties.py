@@ -377,7 +377,11 @@ def _reference_solve(rels, metric, mode):
         can = cyc.canonical()
         if all(rel.satisfied_by(can, eps) for rel in rels):
             kept.setdefault(can.key(), can)
-    ordered = sorted(kept.values(), key=relations._sort_key)
+    # ordered by the entries as floats rounded to 9 digits, ties broken by
+    # the entries' reprs
+    ordered = sorted(kept.values(), key=lambda c: (
+        tuple(round(to_float(v), 9) + 0 for v in c.row()),
+        tuple(repr(v) for v in c.row())))
     status = ("finite" if ordered else "parametric" if parametric
               else "infeasible")
     return status, [c.row() for c in ordered], demoted
@@ -745,10 +749,66 @@ def rational_systems(draw, entries=rational_entries,
 @given(rational_systems())
 def test_integer_linear_solve_equals_the_fraction_reference(system):
     rows, nunk = system
-    p, basis = relations.linear_solve(rows, nunk, True)
+    p, basis = relations.linear_solve(rows, nunk, True).solution()
     want_p, want_basis = _ref_linear_solve(rows, nunk)
     assert _typed(p) == _typed(want_p)
     assert _typed(basis) == _typed(want_basis)
+
+
+# metrics with n = 1, 2, 3: a system over nunk unknowns is one on the
+# cycles of a metric with n = nunk - 2
+BRANCH_METRICS = {3: [Metric.from_signature(1), Metric.from_signature(0, 1),
+                      Metric.from_signature(0, 0, 1)],
+                  4: METRICS,
+                  5: [Metric.from_signature(3), Metric.from_signature(1, 1, 1),
+                      Metric.from_signature(2, 0, 1)]}
+
+
+@st.composite
+def homogeneous_systems(draw):
+    """A rational system with every rhs 0 as one branch sees it: its metric
+    and no demand or a point demand."""
+    rows, nunk = draw(rational_systems())
+    metric = draw(st.sampled_from(BRANCH_METRICS[nunk]))
+    return (metric, [(coeffs, 0) for coeffs, _ in rows],
+            draw(st.sampled_from([None, 0])))
+
+
+def _ref_branch(metric, rows, demand):
+    """``_solve_branch`` of a homogeneous system from the Fraction reference
+    elimination: (candidate rows | None, parametric tuple | None)."""
+    _, basis = _ref_linear_solve(rows, metric.n + 2)
+    Q = lambda x, y: cycle.row_product(metric, x, y)
+    dim = len(basis)
+    if dim == 0:
+        return [], None
+    if dim == 1:
+        v = basis[0]
+        return ([v] if demand is None or Q(v, v) == 0 else []), None
+    if dim == 2 and demand == 0:
+        sols = relations._binary_quadratic(Q, *basis,
+                                           numerics.Arithmetic("exact"))
+        if sols is not None:
+            return sols, None
+        return None, (None, basis, None)
+    return None, (None, basis, demand)
+
+
+@settings(max_examples=300)
+@given(homogeneous_systems())
+# the two isotropic rows of the pencil orthogonal to the unit circle and
+# the real line are the points (-1, 0) and (1, 0): rational roots
+@example((E2, [(pairing_coeffs(E2, Cycle(E2, 1, (0, 0), -1)), 0),
+               (pairing_coeffs(E2, Cycle(E2, 0, (0, 1), 0)), 0)], 0))
+def test_integer_branch_equals_the_fraction_reference(system):
+    metric, rows, demand = system
+    sols, par = relations._solve_branch(metric, rows, demand,
+                                        numerics.Arithmetic("exact"))
+    want_sols, want_par = _ref_branch(metric, rows, demand)
+    canonical = lambda found: None if found is None else [
+        _typed(Cycle.from_row(metric, row).canonical().row()) for row in found]
+    assert canonical(sols) == canonical(want_sols)
+    assert _typed(par) == _typed(want_par)
 
 
 @st.composite
@@ -767,7 +827,7 @@ def radical_systems(draw):
 @given(radical_systems())
 def test_radical_linear_solve_equals_the_field_reference(system):
     rows, nunk = system
-    p, basis = relations.linear_solve(rows, nunk, True)
+    p, basis = relations.linear_solve(rows, nunk, True).solution()
     assert (p, basis) == _ref_linear_solve(rows, nunk)
     # a value without a radical part reads back as a Fraction
     for value in [] if p is None else [*p, *(c for v in basis for c in v)]:

@@ -27,12 +27,12 @@ def rows_of(sol):
 class TestLinearStage:
     def test_exact_unique(self):
         rows = [((F(1), F(0)), F(2)), ((F(1), F(1)), F(5))]
-        p, basis = linear_solve(rows, 2, True)
+        p, basis = linear_solve(rows, 2, True).solution()
         assert p == (2, 3) and basis == []
 
     def test_exact_underdetermined(self):
         rows = [((F(1), F(2), F(0)), F(0))]
-        p, basis = linear_solve(rows, 3, True)
+        p, basis = linear_solve(rows, 3, True).solution()
         assert p == (0, 0, 0)
         assert len(basis) == 2
         for v in basis:
@@ -40,12 +40,12 @@ class TestLinearStage:
 
     def test_inconsistent(self):
         rows = [((F(1), F(1)), F(1)), ((F(2), F(2)), F(3))]
-        p, basis = linear_solve(rows, 2, True)
+        p, basis = linear_solve(rows, 2, True).solution()
         assert p is None and basis is None
 
     def test_float_rank_threshold(self):
         rows = [((1.0, 1.0), 1.0), ((1.0, 1.0 + 1e-14), 1.0)]
-        p, basis = linear_solve(rows, 2, False)
+        p, basis = linear_solve(rows, 2, False).solution()
         assert len(basis) == 1  # the near-duplicate row adds no rank
 
 
