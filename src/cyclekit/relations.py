@@ -14,6 +14,15 @@ so is the demand.  Solutions are checked back against every relation on
 canonical representatives, deduplicated projectively and returned in a
 deterministic order.
 
+The coefficient rows do not depend on the signs, so the patterns of an
+exact solve share one elimination (:class:`_SignedStage`): ``[A | e_1 ..
+e_k]``, one unit rhs column per signed row, through :func:`linear_solve`,
+and each pattern's particular row is the signed sum of the columns'
+particular rows times their rhs.  A float system keeps one elimination
+per pattern (:func:`_solve_branch`), so that its floats round as they
+always did, and so does a system over two radicands, which raises its
+RadicalClash there.
+
 Homogeneous rational systems run in Python ints from the rows to the
 candidates, on each cycle's integer form (:meth:`Cycle.integer_form`).  In
 a build that stays exact, an orthogonality row (``IsOrthogonal``,
@@ -30,24 +39,29 @@ verified on its canonical cycle, where its row first becomes Fractions,
 and deduplicated by its :meth:`Cycle.key`; a rational candidate's
 canonical cycle keeps its primitive int row, so orthogonality verifies it
 with one int pairing against the reference's primitive row, ``IsPoint``
-through ``Cycle.product`` on that form, and its key is that row.
+through ``Cycle.product`` on that form, and its key is that row.  A float
+candidate pairs with a float copy of its relation's fixed reference row
+and self product, made once per relation: Python computes a float times
+a Fraction as the float times its float, so the bits are the ones the
+exact reference gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import product as iproduct
 from operator import itemgetter
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cycle import Cycle, Metric, integer_form, integer_pairing, row_product
 from .numerics import (Arithmetic, QuadExt, Scalar, _quad, comparison_eps,
                        is_exact, lift, near_zero, row_scale, scalar_sign,
                        to_float)
 
-Row = Tuple[Tuple[Scalar, ...], Scalar]
+Row = Tuple[Tuple[Scalar, ...], Union[Scalar, Tuple[Scalar, ...]]]
 
 MAX_BRANCHES = 64
 
@@ -109,6 +123,12 @@ class IsOrthogonal(Relation):
         return (prim[-1], *[w * l for w, l in zip(self.ref.metric.weights,
                                                   prim[1:-1])], prim[0])
 
+    @cached_property
+    def ref_float(self) -> Cycle:
+        """The reference's float copy, which a float candidate pairs with
+        (see :meth:`InversiveDistance.reference`); made on first use."""
+        return self.ref.as_float()
+
     def satisfied_by(self, cycle, eps):
         # two rational rows in one product metric: the int pairing of their
         # primitive rows, which Cycle.product scales, is zero or not
@@ -116,8 +136,8 @@ class IsOrthogonal(Relation):
         fr = fx and self.ref.integer_form()
         if fr and cycle.metric.product_eta == self.ref.metric.product_eta:
             return integer_pairing(cycle.metric.weights, fx[0], fr[0]) == 0
-        return near_zero(cycle.product(self.ref), eps, cycle.row(),
-                         self.ref.row())
+        ref = self.ref_float if type(cycle.k) is float else self.ref
+        return near_zero(cycle.product(ref), eps, cycle.row(), ref.row())
 
     def __repr__(self):
         return f"IsOrthogonal({self.ref!r})"
@@ -190,6 +210,8 @@ class InversiveDistance(Relation):
         self.ref = ref
         self.ref_canonical = ref.canonical()
         self.ref_self = self.ref_canonical.self_product()
+        self.ref_float = self.ref_canonical.as_float()
+        self.ref_self_float = float(self.ref_self)
         self.theta = lift(theta)
         self.coeffs = pairing_coeffs(ref.metric, ref)
         ss = ref.self_product()
@@ -200,12 +222,23 @@ class InversiveDistance(Relation):
             return 0
         return self.theta * ar.sqrt(self.ref.self_product())
 
+    def reference(self, cycle: Cycle):
+        """The canonical reference and its self product as ``cycle`` pairs
+        with them: a float candidate (its canonical row is all floats) with
+        their float copies, made once in ``__init__``.  A float times a
+        Fraction, an int or a QuadExt is computed as the float times its
+        float, so the products keep their bits."""
+        if type(cycle.k) is float:
+            return self.ref_float, self.ref_self_float
+        return self.ref_canonical, self.ref_self
+
     def satisfied_by(self, cycle, eps):
-        x, r, sr = cycle, self.ref_canonical, self.ref_self
+        x = cycle
+        r = self.reference(x)[0]
         p, sx = x.product(r), x.self_product()
         th = self.theta
         lhs = p * p
-        rhs = th * th * abs(sx) * abs(sr)
+        rhs = th * th * abs(sx) * abs(self.ref_self)
         rows = x.row(), r.row()
         if not near_zero(lhs - rhs, eps, *rows, *rows):
             return False
@@ -232,12 +265,14 @@ class IsTangent(InversiveDistance):
         self.variant = variant
 
     def satisfied_by(self, cycle, eps):
-        x, r, sr = cycle, self.ref_canonical, self.ref_self
+        x = cycle
+        r, sr = self.reference(x)
         p, sx = x.product(r), x.self_product()
         rows = x.row(), r.row()
         if not near_zero(p * p - sx * sr, eps, *rows, *rows):
             return False
-        if self.variant == "both" or x.k == 0 or r.k == 0 or sx == 0 or sr == 0:
+        if (self.variant == "both" or x.k == 0 or r.k == 0 or sx == 0
+                or self.ref_self == 0):
             return True
         want = 1 if self.variant == "external" else -1
         return scalar_sign(p) == want if is_exact(p) else (p > 0) == (want > 0)
@@ -258,16 +293,23 @@ class SteinerPower(Relation):
         self.ref = ref
         self.power = lift(power)
         self.ref_k = ref.scaled(1 / lift(ref.k))
+        self.ref_self = self.ref_k.self_product()
+        # the float copies a float candidate pairs with, as in
+        # InversiveDistance.reference
+        self.ref_float = self.ref_k.as_float()
+        self.ref_self_float = float(self.ref_self)
         base = pairing_coeffs(ref.metric, self.ref_k)
         self.coeffs = (self.power - base[0],) + tuple(-c for c in base[1:])
 
     def build(self, ar):
-        return ar.sqrt(self.ref_k.self_product())
+        return ar.sqrt(self.ref_self)
 
     def satisfied_by(self, cycle, eps):
-        lhs = self.power * cycle.k - cycle.product(self.ref_k)
-        rhs_sq = cycle.self_product() * self.ref_k.self_product()
-        rows = cycle.row(), self.ref_k.row()
+        r, sr = ((self.ref_float, self.ref_self_float)
+                 if type(cycle.k) is float else (self.ref_k, self.ref_self))
+        lhs = self.power * cycle.k - cycle.product(r)
+        rhs_sq = cycle.self_product() * sr
+        rows = cycle.row(), r.row()
         if not near_zero(lhs * lhs - rhs_sq, eps, *rows, *rows):
             return False
         return cycle.k == 0 or lhs >= 0 or near_zero(lhs, eps, *rows, *rows)
@@ -286,11 +328,12 @@ class Reduced(NamedTuple):
     """A linear system in reduced row echelon form, as :func:`linear_solve`
     hands it back; its callers read it back.
 
-    ``rows`` holds the reduced rows with the rhs last (None: the system is
-    inconsistent) and ``pivots`` their ``(row, col)`` pairs.  ``ring`` is
-    the type the rows are kept in: ``int`` or ``QuadExt`` for a primitive
-    row over the ints or Z[sqrt d] with its pivot as the elimination left
-    it, ``float`` for a row scaled to a unit pivot.
+    ``rows`` holds the reduced rows, the unknowns' columns first and the
+    rhs columns last (None: the system is inconsistent), and ``pivots``
+    their ``(row, col)`` pairs.  ``ring`` is the type the rows are kept in:
+    ``int`` or ``QuadExt`` for a primitive row over the ints or Z[sqrt d]
+    with its pivot as the elimination left it, ``float`` for a row scaled
+    to a unit pivot.
     """
 
     rows: Optional[list]
@@ -302,31 +345,39 @@ class Reduced(NamedTuple):
         """``(particular, basis)`` over the field: an exact entry is the
         quotient of a row's entry by its pivot, a Fraction (a QuadExt when
         it has a radical part); ``(None, None)`` when inconsistent."""
-        A = self.rows
-        if A is None:
+        if self.rows is None:
             return None, None
-        if self.ring is float:
-            entry, zero, one = (lambda r, col, j: A[r][j]), 0.0, 1.0
-        else:
-            zero, one = Fraction(0), Fraction(1)
+        return self.particular(), self.basis()
 
-            def entry(r, col, j):
-                return _quotient(A[r][j], A[r][col])
+    def _entry(self, r: int, col: int, j: int):
+        """Entry ``j`` of row ``r`` over its pivot in column ``col``."""
+        row = self.rows[r]
+        return row[j] if self.ring is float else _quotient(row[j], row[col])
+
+    def particular(self, column: int = 0) -> tuple:
+        """The particular row of rhs column ``column``: each pivot column
+        reads its row's rhs entry, every free column 0."""
         nunk = self.nunk
-        particular = [zero] * nunk
+        p = [0.0 if self.ring is float else _ZERO] * nunk
         for r, col in self.pivots:
-            particular[col] = entry(r, col, nunk)
+            p[col] = self._entry(r, col, nunk + column)
+        return tuple(p)
+
+    def basis(self) -> list:
+        """One row per free column: 1 there and the negated entries of
+        that column in the pivot columns."""
+        zero, one = (0.0, 1.0) if self.ring is float else (_ZERO, _ONE)
         pivot_cols = {col for _, col in self.pivots}
         basis = []
-        for free in range(nunk):
+        for free in range(self.nunk):
             if free in pivot_cols:
                 continue
-            v = [zero] * nunk
+            v = [zero] * self.nunk
             v[free] = one
             for r, col in self.pivots:
-                v[col] = -entry(r, col, free)
+                v[col] = -self._entry(r, col, free)
             basis.append(tuple(v))
-        return tuple(particular), basis
+        return basis
 
     def integer_basis(self):
         """The basis of a consistent homogeneous system over the ints as
@@ -334,7 +385,7 @@ class Reduced(NamedTuple):
         ``free`` gets ``L``, the lcm of ``|pivot|`` over the pivot rows
         with an entry there, and the pivot column ``col`` of row ``r`` gets
         ``-A[r][free] * (L // A[r][col])``.  Each is the primitive positive
-        multiple of its :meth:`solution` row, so roots taken on the pencil
+        multiple of its :meth:`basis` row, so roots taken on the pencil
         come in the order the Fraction rows give them.  None when the rows
         are not ints or a rhs is nonzero."""
         A, nunk = self.rows, self.nunk
@@ -359,21 +410,37 @@ def linear_solve(rows: List[Row], nunk: int, exact: bool) -> Reduced:
     """Gauss-Jordan, exact when ``exact`` is set and every entry is exact:
     the system's :class:`Reduced` form, which its callers read back.
 
+    A row is ``(coeffs, rhs)``, ``rhs`` one scalar or a tuple of them, one
+    per rhs column.  With one rhs column the system is inconsistent (rows
+    None) when a row past the rank keeps a nonzero rhs.  Several columns
+    stand for the systems a caller sums from them, each consistent or not
+    on its own, so their rows past the rank are kept for the caller to
+    read (``solve`` eliminates its sign patterns this way, once).
+
     An exact system is eliminated fraction-free (:func:`_fraction_free`)
     and kept in the ring it ran in: Z[sqrt d] when an entry is a
     ``QuadExt``, the ints otherwise.  Float rows partial-pivot, rank-test
     against EPS_RANK times the original row magnitude and are scaled to
     unit pivots.
     """
+    full = [(*coeffs, *rhs) if type(rhs) is tuple else (*coeffs, rhs)
+            for coeffs, rhs in rows]
+    one_column = not rows or type(rows[0][1]) is not tuple
     if exact:
-        kinds = {type(c) for coeffs, rhs in rows for c in (*coeffs, rhs)}
+        kinds = {type(c) for row in full for c in row}
         if kinds <= {int, Fraction}:
-            return Reduced(*_fraction_free(rows, nunk, _integer_row,
-                                           _primitive), nunk, int)
-        if all(issubclass(t, (int, Fraction, QuadExt)) for t in kinds):
-            return Reduced(*_fraction_free(rows, nunk, _radical_row,
-                                           _primitive_radical), nunk, QuadExt)
-    A = [[float(c) for c in coeffs] + [float(rhs)] for coeffs, rhs in rows]
+            ring, cleared, primitive = int, _integer_row, _primitive
+        elif all(issubclass(t, (int, Fraction, QuadExt)) for t in kinds):
+            ring, cleared, primitive = QuadExt, _radical_row, _primitive_radical
+        else:
+            ring = float
+        if ring is not float:
+            A, pivots = _fraction_free([cleared(row) for row in full], nunk,
+                                       primitive)
+            if one_column and any(row[nunk] for row in A[len(pivots):]):
+                A = None
+            return Reduced(A, pivots, nunk, ring)
+    A = [[float(c) for c in row] for row in full]
     norms = [row_scale(row) for row in A]
     pivots: List[Tuple[int, int]] = []
     rank = 0
@@ -395,26 +462,25 @@ def linear_solve(rows: List[Row], nunk: int, exact: bool) -> Reduced:
                 A[i] = [a - f * b for a, b in zip(A[i], A[rank])]
         pivots.append((rank, col))
         rank += 1
-    consistent = all(abs(A[i][nunk]) <= EPS_RANK * norms[i]
-                     for i in range(rank, len(A)))
+    consistent = not one_column or all(abs(A[i][nunk]) <= EPS_RANK * norms[i]
+                                       for i in range(rank, len(A)))
     return Reduced(A if consistent else None, pivots, nunk, float)
 
 
-def _fraction_free(rows: List[Row], nunk: int, cleared, primitive):
-    """Fraction-free Gauss-Jordan (Bareiss 1968) of an exact system:
-    ``(rows, pivots)`` of its reduced row echelon form over the ints or
-    Z[sqrt d], rows None when the system is inconsistent.
+def _fraction_free(A: list, nunk: int, primitive):
+    """Fraction-free Gauss-Jordan (Bareiss 1968) of the rows ``A`` of an
+    exact system, each already a primitive row over the ints or Z[sqrt d]:
+    ``(rows, pivots)`` of its reduced row echelon form, rows past the rank
+    included.
 
-    ``cleared`` scales each row by the lcm of its denominators to a
-    primitive row over the ring.  Each column pivots on its first nonzero
-    row at or below the rank, and every other row with an entry there
-    becomes ``piv*row - f*prow``, made ``primitive``: divided by the gcd of
-    its integer parts.  No row is divided by its pivot, so the rows stay in
-    the ring; the reduced row echelon form is unique up to the scale of
-    each row, so an entry over its row's pivot reads back as a field
-    elimination gives it (:meth:`Reduced.solution`).
+    Each column pivots on its first nonzero row at or below the rank, and
+    every other row with an entry there becomes ``piv*row - f*prow``, made
+    ``primitive``: divided by the gcd of its integer parts.  No row is
+    divided by its pivot, so the rows stay in the ring; the reduced row
+    echelon form is unique up to the scale of each row, so an entry over
+    its row's pivot reads back as a field elimination gives it
+    (:meth:`Reduced._entry`).
     """
-    A = [cleared((*coeffs, rhs)) for coeffs, rhs in rows]
     pivots: List[Tuple[int, int]] = []
     rank = 0
     for col in range(nunk):
@@ -430,8 +496,6 @@ def _fraction_free(rows: List[Row], nunk: int, cleared, primitive):
                 A[i] = primitive([piv * a - f * b for a, b in zip(row, prow)])
         pivots.append((rank, col))
         rank += 1
-    if any(row[nunk] for row in A[rank:]):
-        return None, pivots
     return A, pivots
 
 
@@ -466,6 +530,9 @@ def _primitive_radical(row: list) -> list:
                    for x in ((c.p, c.q) if isinstance(c, QuadExt) else (c,))])
     return [_quad(c.p // g, c.q // g, 1, c.d) if isinstance(c, QuadExt)
             else c // g for c in row] if g > 1 else row
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _quotient(a, b):
@@ -545,17 +612,20 @@ def _combine(p, v, t):
 
 
 def _solve_branch(metric, rows, demand, ar: Arithmetic):
-    """One sign branch: linear stage plus at most one quadratic demand.
+    """One sign branch from its own elimination: linear stage plus at most
+    one quadratic demand.
 
-    Returns (list of rows | None, parametric tuple | None).  The one
-    :func:`linear_solve` of the branch hands back the reduced system, read
-    back here.  A homogeneous rational system with no demand or a point
-    demand stays in ints from the elimination to the candidate rows
-    (:meth:`Reduced.integer_basis`): a single basis row is the candidate as
-    it is, and a pencil's isotropic rows come from
+    Returns (list of rows | None, parametric tuple | None).  ``solve``
+    takes this path when there is one pattern, and for a float system, one
+    elimination per pattern, since one shared float elimination would round
+    in another order; the patterns of an exact system share one
+    (:class:`_SignedStage`).  A homogeneous rational system with no demand
+    or a point demand stays in ints from the elimination to the candidate
+    rows (:meth:`Reduced.integer_basis`): a single basis row is the
+    candidate as it is, and a pencil's isotropic rows come from
     :func:`_integer_binary_quadratic`.  A nonzero rhs or demand, a radical
-    or float system, a parametric result and a pencil with irrational
-    roots read back the field rows (:meth:`Reduced.solution`).
+    or float system, a parametric result and a pencil with irrational roots
+    read back the field rows (:func:`_field_candidates`).
     """
     nunk = metric.n + 2
     red = linear_solve(rows, nunk, ar.exact)
@@ -573,7 +643,67 @@ def _solve_branch(metric, rows, demand, ar: Arithmetic):
             sols = _integer_binary_quadratic(metric.weights, *ints)
             if sols is not None:
                 return sols, None
-    p, basis = red.solution()
+    return _field_candidates(metric, *red.solution(), demand, ar)
+
+
+class _SignedStage:
+    """The linear stage of every sign pattern of one exact solve, from one
+    :func:`linear_solve`: ``rows`` are the ``(coeffs, rhs)`` of the
+    relations with a row, ``signed`` the indices of those whose rhs is
+    signed.
+
+    The coefficient rows do not depend on the signs, so ``[A | e_1 ..
+    e_k]`` is eliminated once, one unit rhs column per signed row, in the
+    ring of A.  Column j's particular row p_j times that row's rhs r_j is
+    formed once; a pattern sigma's particular row is then the signed sum
+    sum sigma_j r_j p_j, and the pattern is inconsistent when the same
+    signed sum over a row past the rank is nonzero.  The basis is read
+    once, when first asked for.  Every signed rhs is nonzero and the
+    elimination is invertible, so a consistent pattern's particular row
+    is never zero: no pattern takes the homogeneous int path.
+    """
+
+    def __init__(self, rows, signed, nunk):
+        self.red = red = linear_solve(
+            [(coeffs, tuple([int(i == s) for s in signed]))
+             for i, (coeffs, _) in enumerate(rows)], nunk, True)
+        r = [rows[s][1] for s in signed]
+        ps = [red.particular(j) for j in range(len(r))]
+        self.terms = [(col, [(j, r[j] * p[col]) for j, p in enumerate(ps)
+                             if p[col]])
+                      for _, col in red.pivots]
+        self.residues = [[(j, r[j] * v) for j, v in enumerate(row[nunk:]) if v]
+                         for row in red.rows[len(red.pivots):]
+                         if any(row[nunk:])]
+
+    @cached_property
+    def basis(self):
+        return self.red.basis()
+
+    def solution(self, signs):
+        """``(particular, basis)`` of the pattern with ``signs``, one per
+        signed row, as :meth:`Reduced.solution` of the pattern's own
+        elimination reads it; ``(None, None)`` when inconsistent."""
+        if any(_signed_sum(signs, res) for res in self.residues):
+            return None, None
+        p = [_ZERO] * self.red.nunk
+        for col, terms in self.terms:
+            p[col] = _signed_sum(signs, terms)
+        return tuple(p), self.basis
+
+
+def _signed_sum(signs, terms):
+    """sum signs[j] * t over the ``(j, t)`` of ``terms``, typed as a
+    read-back entry: a Fraction, or a QuadExt with a radical part."""
+    acc = _ZERO
+    for j, t in terms:
+        acc = acc + t if signs[j] > 0 else acc - t
+    return acc.collapse() if type(acc) is QuadExt else acc
+
+
+def _field_candidates(metric, p, basis, demand, ar: Arithmetic):
+    """The candidates of one branch from its field rows: the particular row
+    ``p`` and the ``basis``, then at most one quadratic demand."""
     dim = len(basis)
     homogeneous = all(near_zero(c, 1e-12) for c in p)
     Q = lambda x, y: row_product(metric, x, y)
@@ -696,6 +826,7 @@ def solve(relations: Sequence[Relation], metric: Metric,
         # a build demoted or the data has a float: the elimination runs
         # in floats on every row as its data gives it
         coeffs = [r.row(False) for r in relations]
+        exact = False
     axes = [(None,) if v is None or v == 0 else (1, -1) for v in rhs]
     signed = [i for i, axis in enumerate(axes) if axis[0] is not None]
     if 2 ** len(signed) > MAX_BRANCHES:
@@ -703,17 +834,29 @@ def solve(relations: Sequence[Relation], metric: Metric,
             f"{2 ** len(signed)}+ sign branches (cap {MAX_BRANCHES})")
     if signed:
         axes[signed[0]] = (1,)       # the twin -sigma gives the same cycles
-
+    # the patterns of an exact system share one elimination; a system over
+    # two radicands keeps one per pattern, which raises its RadicalClash as
+    # it always did
+    shared = exact and len(signed) > 1 and len(_radicands(coeffs, rhs)) < 2
+    if shared:
+        live = [i for i, v in enumerate(rhs) if v is not None]
+        stage = _SignedStage([(coeffs[i], rhs[i]) for i in live],
+                             [live.index(i) for i in signed], metric.n + 2)
     found: List[Tuple[Cycle, tuple]] = []
     parametric = None
     contexts = [ar]
     for pattern in iproduct(*axes):
         if len(signed) > 1:
             contexts.append(ar.clone())
-        rows = [(c, -v if sign == -1 else v)
-                for c, v, sign in zip(coeffs, rhs, pattern)
-                if v is not None]
-        sols, par = _solve_branch(metric, rows, demand, contexts[-1])
+        if shared:
+            p, basis = stage.solution([pattern[i] for i in signed])
+            sols, par = (([], None) if p is None else _field_candidates(
+                metric, p, basis, demand, contexts[-1]))
+        else:
+            rows = [(c, -v if sign == -1 else v)
+                    for c, v, sign in zip(coeffs, rhs, pattern)
+                    if v is not None]
+            sols, par = _solve_branch(metric, rows, demand, contexts[-1])
         if par is not None and parametric is None:
             pbase, pbasis, ps = par
             parametric = (
@@ -758,6 +901,12 @@ def _exact_system(coeffs, rhs) -> bool:
     kinds = {type(v) for c, b in zip(coeffs, rhs) if c is not None
              for v in (*c, b)}
     return all(issubclass(t, (int, Fraction, QuadExt)) for t in kinds)
+
+
+def _radicands(coeffs, rhs) -> set:
+    """The radicands of the radical parts of an exact system's entries."""
+    return {v.d for c, b in zip(coeffs, rhs) if c is not None
+            for v in (*c, b) if type(v) is QuadExt and v.q}
 
 
 def _sort_key(c: Cycle):

@@ -3,14 +3,18 @@
 The exact-mode hashes were recorded from the CLI before the scalar-layer
 cleanup (one lift, one 2x2 matrix, one orthogonality relation), the
 float-mode ones before the tolerance helpers were merged into
-``numerics``.  A change that moves any of them changes user-visible
-output and must say so.
+``numerics``.  The branch-stage hash covers the solver's own output,
+float rows of demoted answers included; it was recorded before the sign
+patterns of an exact solve shared one elimination.  A change that moves
+any of them changes user-visible output and must say so.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,9 +22,14 @@ from cyclekit.cli import main
 from cyclekit.cycle import Cycle, Metric
 from cyclekit.figure import (INFINITY, REAL_LINE, Figure, is_point,
                              only_reals, orthogonal, tangent, through)
+from cyclekit.numerics import QuadExt
+from cyclekit.relations import (IsOrthogonal, IsTangent, PassesThrough,
+                                SteinerPower, solve)
 from cyclekit.render import Viewport, render_cycle
 
 CF = "3;7,15,1,292,1,1"
+BRANCH_STAGE_SHA = (
+    "99df7cfea3e89af6b7e313f5500df9e3c5f7fc6993ef77cc58b0dfbf16f146b1")
 
 # (argv, sha256 of stdout, sha256 of the --svg side output or None);
 # SCRIPT and SVG are replaced by paths under tmp_path
@@ -136,3 +145,54 @@ def test_line_elements_are_byte_identical():
     assert text.count("<line") == 46
     assert sha(text.encode()) == \
         "f9d257217932c5122d7682f4d3c20a5caea0e18fc3e4740e5d79db0f366a0aaf"
+
+
+def _tangency_solves():
+    """Seeded relation systems on the branch stage: 300 three-tangency
+    solves on rational circles of radius s and s*sqrt(2) interleaved (the
+    first pin sqrt(2) and mostly demote, the second stay rational), a few
+    whose reference rows hold a QuadExt entry, and power solves."""
+    E = Metric.named("e")
+    for i in range(300):
+        rng = random.Random(f"golden-tangency:{i}")
+        circles = []
+        for _ in range(3):
+            centre = (Fraction(rng.randint(-24, 24), rng.randint(1, 4)),
+                      Fraction(rng.randint(-24, 24), rng.randint(1, 4)))
+            s = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+            circles.append(Cycle.circle(E, centre, (1 + i % 2) * s * s))
+        yield E, [IsTangent(c) for c in circles]
+    r3 = QuadExt(0, 1, 3)
+    for k, l2, m in ((1, r3, 2), (1, r3, 3), (1, QuadExt(1, 1, 2), 0)):
+        refs = [Cycle(E, 1, (1, 0), 0), Cycle(E, 1, (-1, 0), 0),
+                Cycle(E, k, (0, l2), m)]
+        yield E, [IsTangent(c) for c in refs]
+    yield E, [IsTangent(Cycle(E, 1, (0, r3), 2)), IsOrthogonal(
+        Cycle(E, 0, (0, 1), 0)), IsTangent(Cycle(E, 1, (4, r3), 18))]
+    yield E, [SteinerPower(Cycle.circle(E, (0, 0), 1), Fraction(3)),
+              SteinerPower(Cycle.circle(E, (5, 1), 2), Fraction(1, 2)),
+              PassesThrough(E, (Fraction(1), Fraction(2)))]
+
+
+def _outcome(sol):
+    """Everything a solve reports, floats by their repr."""
+    rows = lambda cycles: [repr(c.row()) for c in cycles]
+    return [sol.status, rows(sol.cycles), repr(sol.provenance),
+            sol.demoted, sol.notes, sol.reason,
+            rows([sol.base] if sol.base is not None else []),
+            rows(sol.span), sol.residual_demand]
+
+
+def test_branch_stage_output_is_byte_identical():
+    # the digests in CI hash exact rows only; this hashes the float rows
+    # of demoted answers too, in exact and float mode
+    out = []
+    for metric, rels in _tangency_solves():
+        for mode in ("exact", "float"):
+            try:
+                out.append(_outcome(solve(rels, metric, mode)))
+            except ArithmeticError as err:
+                out.append([type(err).__name__, str(err)])
+    text = json.dumps(out)
+    assert sum(o[3:4] == [True] for o in out) > 100     # demoted answers
+    assert sha(text.encode()) == BRANCH_STAGE_SHA

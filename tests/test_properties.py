@@ -7,6 +7,7 @@ The examples are drawn by hypothesis under the derandomized profile that
 ``conftest.py`` loads.
 """
 
+import copy
 import math
 import operator
 from fractions import Fraction
@@ -841,6 +842,100 @@ def test_two_radicands_in_one_system_clash():
         relations.linear_solve(rows, 3, True)
     with pytest.raises(RadicalClash):
         _ref_linear_solve(rows, 3)
+
+
+def _pattern_rows(rows, signed, signs):
+    """The rows of one sign pattern: row ``signed[j]`` with its rhs times
+    ``signs[j]``, every other row as it is."""
+    sign_of = dict(zip(signed, signs))
+    return [(c, -r if sign_of.get(i, 1) < 0 else r)
+            for i, (c, r) in enumerate(rows)]
+
+
+@st.composite
+def signed_linear_systems(draw):
+    """A rational or radical system (zero, dependent and inconsistent rows
+    included) with a signed rhs on some rows and rhs 0 on the others."""
+    rows, nunk = draw(st.one_of(rational_systems(), radical_systems()))
+    signed = sorted(draw(st.sets(st.sampled_from(range(len(rows))),
+                                 min_size=min(2, len(rows)))))
+    return [(c, r if i in signed else 0)
+            for i, (c, r) in enumerate(rows)], signed, nunk
+
+
+R2 = QuadExt(0, 1, 2)
+
+
+@settings(max_examples=300)
+@given(signed_linear_systems())
+# one row twice with rhs 1 and -1: A is rank-deficient, and the row past
+# the rank cancels for the patterns (+, -, *) and is inconsistent for the
+# others
+@example(([((1, 2, 0, 1), 1), ((1, 2, 0, 1), -1), ((0, 1, 1, 0), 3)],
+          [0, 1, 2], 4))
+# Z[sqrt 2] rows, the third the sum of the first two
+@example(([((1 + R2, 0, 1), R2), ((1, R2, 0), 1),
+           ((2 + R2, R2, 1), 1 + R2)], [0, 1, 2], 3))
+# every signed rhs 0: the particular row cancels to zero
+@example(([((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0)], [0, 1], 4))
+def test_shared_elimination_equals_one_elimination_per_pattern(system):
+    # the read-back of each sign pattern from solve's one elimination is
+    # the pattern's own linear_solve, typed
+    rows, signed, nunk = system
+    stage = relations._SignedStage(rows, signed, nunk)
+    for signs in iproduct((1, -1), repeat=len(signed)):
+        want = relations.linear_solve(_pattern_rows(rows, signed, signs),
+                                      nunk, True).solution()
+        assert _typed(stage.solution(signs)) == _typed(want)
+
+
+def _exact_twin(rel):
+    """A copy of ``rel`` whose float copies are its exact references, so a
+    float candidate pairs with the exact rows as it did before them."""
+    twin = copy.copy(rel)
+    if isinstance(rel, InversiveDistance):
+        twin.ref_float, twin.ref_self_float = rel.ref_canonical, rel.ref_self
+    elif isinstance(rel, SteinerPower):
+        twin.ref_float, twin.ref_self_float = rel.ref_k, rel.ref_self
+    else:
+        twin.ref_float = rel.ref
+    return twin
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(METRICS), exact_rows, exact_rows, st.booleans(),
+       st.tuples(*[st.floats(-50, 50)] * 4),
+       st.sampled_from([0.0, 1e-15, 1e-9, 1e-3, 1.0]), rationals)
+def test_float_reference_pairs_bit_for_bit(metric, rrow, yrow, orthogonal,
+                                           noise, size, value):
+    # a float candidate near the reference, or near a cycle orthogonal to
+    # it, y <R,R> - <y,R> R, or far from both
+    ref = Cycle.from_row(metric, rrow)
+    if not any(rrow):
+        reject()
+    near = rrow
+    if orthogonal:
+        ss, yr = ref.self_product(), Cycle.from_row(metric, yrow).product(ref)
+        near = [a * ss - b * yr for a, b in zip(yrow, rrow)]
+    x = Cycle.from_row(metric, [float(v) + size * e for v, e in
+                                zip(near, noise)]).canonical()
+    if not any(x.row()):
+        reject()
+    rels = [IsTangent(ref, variant) for variant in
+            ("both", "external", "internal")]
+    rels += [InversiveDistance(ref, t) for t in (value, 0, 1)]
+    rels += [IsOrthogonal(ref)]
+    rels += [SteinerPower(ref, value)] if ref.k != 0 else []
+    eps = comparison_eps()
+    for rel in rels:
+        twin = _exact_twin(rel)
+        assert x.product(rel.ref_float).hex() == \
+            x.product(twin.ref_float).hex()
+        if not isinstance(rel, IsOrthogonal):
+            sx = x.self_product()
+            assert (sx * rel.ref_self_float).hex() == \
+                (sx * twin.ref_self_float).hex()
+        assert rel.satisfied_by(x, eps) == twin.satisfied_by(x, eps)
 
 
 def _ref_row_product(metric, x, y):
