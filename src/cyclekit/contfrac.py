@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .numerics import (Arithmetic, QuadExt, Scalar, comparison_eps, is_exact,
+from .numerics import (Arithmetic, Scalar, comparison_eps, is_exact,
                        lift, near_zero, row_scale, scalar_sign, to_float)
-from .cycle import Cycle, Metric, integer_pairing
+from .cycle import Cycle, Metric, form_pairing, integer_form
 from .clifford import (INFINITY, Infinity, Mat2, Mv, Point, euclidean,
                        identity_map, mobius_apply)
 from .poincare import (Mat, embed_real_moebius,  # noqa: F401  (re-exported)
@@ -276,18 +276,23 @@ def _validate_chain(ch: HorocycleChain) -> None:
     """Check every step of a chain: the arrangement residual of the two
     horocycles, the connecting cycle through both quotients, and its
     shape (45 degrees in ortho45; vertical and orthogonal to both
-    horocycles otherwise).  An exact chain is checked in ints on one row
-    form per cycle over Z[sqrt d]; a float chain with :func:`near_zero`
-    against the floored tolerance, scaled by the chain's largest entry.
-    A failed check raises :class:`InvalidCF`."""
-    entries = [v for cyc in ch.cycles for v in cyc.row()]
-    values = entries + [v for pair in ch.pairs for v in pair]
-    kinds = set(map(type, values))
-    if kinds <= _EXACT_KINDS:
-        d = _radicand(values) if QuadExt in kinds else 0
-        failure = _exact_failure(ch, d)
+    horocycles otherwise).  A chain whose cycles and quotients all have an
+    :meth:`Cycle.integer_form` over one radicand is checked in ints on
+    those forms over Z[sqrt d] (:func:`_exact_failure`); any other with
+    :func:`near_zero` against the floored tolerance, scaled by the chain's
+    largest entry (exactly for exact values).  A failed check raises
+    :class:`InvalidCF`."""
+    rows = [cyc.integer_form() for cyc in ch.cycles]
+    # the zero-radius cycle at (x/y, 0) times y^2: its pairing with a
+    # cycle is k x^2 - 2 l_1 x y + m y^2, the value at x/y times y^2
+    points = [None if y == 0 else integer_form((y * y, x * y, 0, x * x))
+              for x, y in ch.pairs]
+    forms = rows + [p for p in points if p is not None]
+    if all(forms) and len({f[2] for f in forms} - {0}) < 2:
+        failure = _exact_failure(ch, rows, points)
     else:
-        failure = _float_failure(ch, entries)
+        failure = _float_failure(ch, [v for cyc in ch.cycles
+                                      for v in cyc.row()])
     if failure is not None:
         i, what, pair = failure
         if what == _ARRANGEMENT:
@@ -300,8 +305,6 @@ def _validate_chain(ch: HorocycleChain) -> None:
         raise InvalidCF(f"step {i}: {what}")
 
 
-_EXACT_KINDS = {int, Fraction, QuadExt}
-
 # what a failed check reports; the first two are filled in by _validate_chain
 _ARRANGEMENT = "arrangement residual"
 _MISSES = "connecting cycle misses a quotient"
@@ -311,8 +314,9 @@ _NOT_ORTHOGONAL = "connecting cycle not orthogonal"
 
 
 def _float_failure(ch: HorocycleChain, entries):
-    """The first failed check of a chain with a float value, as
-    ``(step, what, pair)``, or None; ``entries`` are those of all rows."""
+    """The first failed check of a chain with a float value, or with
+    QuadExt entries over two radicands, as ``(step, what, pair)``, or None;
+    ``entries`` are those of all rows."""
     eps = comparison_eps()
     # the one-entry row scales like all the rows: row_scale((S,)) == S
     scale = (row_scale(entries),)
@@ -346,126 +350,50 @@ def _float_failure(ch: HorocycleChain, entries):
     return None
 
 
-# the pairing weights of E2, the metric of every cycle in a chain
-_WEIGHTS = E2.weights
-
-
-def _radicand(values) -> int:
-    """The d of the values' radical parts, 0 when none has one.  A chain
-    has one: building it multiplies entries of every matrix together, and
-    two radicands there raise RadicalClash."""
-    return next((v.d for v in values if type(v) is QuadExt and v.q), 0)
-
-
-def _exact_failure(ch: HorocycleChain, d: int):
-    """The first failed check of an exact chain over Q(sqrt d) (Q for d =
-    0), as ``(step, what, pair)``, or None.
-
-    Every row, and every quotient x/y as the zero-radius cycle
-    (y^2, x y, 0, x^2), becomes ints over Z[sqrt d] (:func:`_int_row`).  A
-    check is a pairing of such rows, or l_2, and an exact value is zero
-    exactly when its multiple by a positive denominator or by y^2 is.
-    The chain's cycles are rows of E2, whose point and product metrics
-    agree.
-    """
+def _exact_failure(ch: HorocycleChain, rows, points):
+    """The first failed check of an exact chain, as ``(step, what,
+    pair)``, or None.  ``rows`` and ``points`` are the :func:`integer_form`
+    of each cycle and quotient (None at infinity), over one radicand.  A
+    check is a :func:`form_pairing`, zero exactly when its rational and
+    sqrt(d) parts are, or the test of l_2.  The chain's cycles are rows of
+    E2, whose point and product metrics agree."""
     n = len(ch.horocycles)
-    rows = [_int_row(cyc.row()) for cyc in ch.cycles]
     horos, joins = rows[:n], rows[n:]
-    points = [None if y == 0 else _point_row(x, y, d) for x, y in ch.pairs]
+    w = E2.weights
     tangent = ch.arrangement == "tangent"
     ortho45 = ch.arrangement == "ortho45"
     for i in range(1, n):
         prev, here, join = horos[i - 1], horos[i], joins[i - 1]
         if tangent:
             # det C = -<C, C>/2 for the summed row C
-            both = _row_sum(prev, here)
-            if not _null_pairing(both, both, d):
+            both = integer_form([a + b for a, b in zip(
+                ch.horocycles[i - 1].row(), ch.horocycles[i].row())])
+            if any(form_pairing(w, both, both)):
                 return i, _ARRANGEMENT, None
-        elif not _null_pairing(prev, here, d):
+        elif any(form_pairing(w, prev, here)):
             return i, _ARRANGEMENT, None
         for j in (i - 1, i):
-            if points[j] is not None and not _null_pairing(join, points[j], d):
+            if points[j] is not None and any(form_pairing(w, join, points[j])):
                 return i, _MISSES, ch.pairs[j]
         if ortho45:
             # 2 n^2 - det = <C, mirror C>/2: at 45 degrees to the real
             # line a cycle meets its mirror image at right angles
-            if not _null_pairing(join, _mirror_row(join), d):
+            if any(form_pairing(w, join, _mirror_row(join))):
                 return i, _NOT_45, None
         else:
-            jp, jq, _ = join
+            jp, jq = join[0], join[1]
             if jp[-2] or (jq and jq[-2]):
                 return i, _TILTS, None
-            if not (_null_pairing(join, prev, d)
-                    and _null_pairing(join, here, d)):
+            if any(form_pairing(w, join, prev)) or \
+                    any(form_pairing(w, join, here)):
                 return i, _NOT_ORTHOGONAL, None
     return None
 
 
-def _int_row(values):
-    """Exact values as ``(P, Q, den)``: int lists with value_i = (P_i +
-    Q_i sqrt(d))/den and den > 0, the lcm of their denominators; Q is ()
-    when no value has a radical part."""
-    P, Q, dens = [], [], []
-    for v in values:
-        if type(v) is QuadExt:
-            P.append(v.p)
-            Q.append(v.q)
-            dens.append(v.n)
-        else:
-            P.append(v.numerator)
-            Q.append(0)
-            dens.append(v.denominator)
-    den = math.lcm(*dens)
-    if den != 1:
-        P = [p * (den // n) for p, n in zip(P, dens)]
-        Q = [q * (den // n) for q, n in zip(Q, dens)]
-    return P, (Q if any(Q) else ()), den
-
-
-def _point_row(x: Scalar, y: Scalar, d: int):
-    """The zero-radius cycle at (x/y, 0) times y^2, (y^2, x y, 0, x^2), as
-    an :func:`_int_row`; its pairing with a cycle of the chain is the
-    cycle's k x^2 - 2 l_1 x y + m y^2, the value at the point times y^2."""
-    (xp, yp), q, _ = _int_row((x, y))
-    xq, yq = q or (0, 0)
-    P = [yp * yp + d * yq * yq, xp * yp + d * xq * yq, 0, xp * xp + d * xq * xq]
-    Q = [2 * yp * yq, xp * yq + xq * yp, 0, 2 * xp * xq]
-    return P, (Q if any(Q) else ()), 1
-
-
-def _row_sum(a, b):
-    """The :func:`_int_row` of the sum of two rows."""
-    (pa, qa, da), (pb, qb, db) = a, b
-    P = [u * db + v * da for u, v in zip(pa, pb)]
-    if not (qa or qb):
-        return P, (), da * db
-    Q = [u * db + v * da for u, v in zip(qa or [0] * len(pa),
-                                         qb or [0] * len(pb))]
-    return P, (Q if any(Q) else ()), da * db
-
-
 def _mirror_row(a):
-    """The :func:`_int_row` of the mirror image: l_2 negated."""
-    p, q, den = a
-    return ([*p[:-2], -p[-2], p[-1]],
-            q and [*q[:-2], -q[-2], q[-1]], den)
-
-
-def _null_pairing(a, b, d: int) -> bool:
-    """Whether the pairing of two :func:`_int_row` forms is zero: its
-    rational part and its sqrt(d) part both vanish."""
-    (pa, qa, _), (pb, qb, _) = a, b
-    if not (qa or qb):
-        return integer_pairing(_WEIGHTS, pa, pb) == 0
-    rational = integer_pairing(_WEIGHTS, pa, pb)
-    radical = 0
-    if qa:
-        radical += integer_pairing(_WEIGHTS, qa, pb)
-    if qb:
-        radical += integer_pairing(_WEIGHTS, pa, qb)
-        if qa:
-            rational += d * integer_pairing(_WEIGHTS, qa, qb)
-    return rational == 0 and radical == 0
+    """The :func:`integer_form` of the mirror image: l_2 negated."""
+    p, q = a[0], a[1]
+    return ([*p[:-2], -p[-2], p[-1]], q and [*q[:-2], -q[-2], q[-1]], *a[2:])
 
 
 def reconstruct_horocycles(points: Sequence[Scalar], n0: Scalar,

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .clifford import Mat2, Mv, Signature
-from .numerics import (Arithmetic, QuadExt, Scalar, canonical_row,
+from .numerics import (Arithmetic, QuadExt, Scalar, _quad, canonical_row,
                        format_scalar, is_exact, lift, parse_scalar,
                        private_context, row_scale, to_float)
 
@@ -29,31 +29,34 @@ Eta = Tuple[int, ...]
 def row_product(metric: Metric, x: Sequence[Scalar],
                 y: Sequence[Scalar]) -> Scalar:
     """The cycle pairing on raw coefficient rows (k, l.., m)."""
-    parts = x[0], x[1:-1], x[-1], y[0], y[1:-1], y[-1]
     fx = integer_form(x)
     fy = fx if y is x else fx and integer_form(y)
-    if fy:
-        return _form_pair(metric, fx, fy, *parts)
-    return _sum_pair(metric.product_eta, *parts)
+    return _pairing(metric, fx, fy, x[0], x[1:-1], x[-1], y[0], y[1:-1], y[-1])
 
 
 _RATIONAL = {int, Fraction}
+_EXACT = {int, Fraction, QuadExt}
 
 
 def integer_form(row: Sequence[Scalar]):
-    """A rational row as ``(prim, scale)`` with ``row == scale * prim``:
-    ``prim`` the primitive int row (gcd 1, first nonzero entry positive)
-    and ``scale`` an int when every entry is an int, else a Fraction.
-    ``()`` for a zero row or one with an entry that is not an int or a
-    Fraction."""
+    """An exact row over at most one radicand as ints ``(P, Q, d, num,
+    den, kind)``: entry i is ``num/den * (P_i + Q_i sqrt(d))`` with ``den >
+    0``, ``d`` the radicand's core (0 for a rational row) and ``Q`` ``()``
+    when no entry has a radical part; ``kind`` is the row's widest entry
+    type, int, Fraction or QuadExt.  A rational row's ``P`` is primitive
+    (gcd 1, first nonzero entry positive), its projective representative; a
+    Q(sqrt d) row is only cleared of denominators (``num`` 1).  ``()`` for
+    a zero row, a row with a float, or one whose QuadExt entries are over
+    two radicands."""
     kinds = set(map(type, row))
     if not kinds <= _RATIONAL:
-        return ()
+        return _radical_form(row) if kinds <= _EXACT else ()
     if Fraction in kinds:
         den = math.lcm(*[v.denominator for v in row])
         nums = [v.numerator * (den // v.denominator) for v in row]
+        kind = Fraction
     else:
-        den, nums = 1, row
+        den, nums, kind = 1, row, int
     g = math.gcd(*nums)
     if not g:
         return ()
@@ -62,8 +65,35 @@ def integer_form(row: Sequence[Scalar]):
             if v < 0:
                 g = -g
             break
-    return (tuple(nums) if g == 1 else tuple([v // g for v in nums]),
-            Fraction(g, den) if Fraction in kinds else g)
+    return (tuple(nums) if g == 1 else tuple([v // g for v in nums]), (), 0,
+            g, den, kind)
+
+
+def _radical_form(row):
+    """:func:`integer_form` of an exact row with a QuadExt entry."""
+    P, Q, dens = [], [], []
+    d = 0
+    for v in row:
+        if type(v) is QuadExt:
+            if v.d != d:
+                if d:
+                    return ()       # entries over two radicands
+                d = v.d
+            P.append(v.p)
+            Q.append(v.q)
+            dens.append(v.n)
+        else:
+            P.append(v.numerator)
+            Q.append(0)
+            dens.append(v.denominator)
+    radical = any(Q)
+    if not (radical or any(P)):
+        return ()
+    den = math.lcm(*dens)
+    if den != 1:
+        P = [p * (den // n) for p, n in zip(P, dens)]
+        Q = [q * (den // n) for q, n in zip(Q, dens)]
+    return P, (Q if radical else ()), d, 1, den, QuadExt
 
 
 def integer_pairing(w: Sequence[int], a: Sequence[int],
@@ -72,36 +102,68 @@ def integer_pairing(w: Sequence[int], a: Sequence[int],
     weights w_i = 2 eta_i for the l_i the rows hold (a null axis has weight
     0, or its column left out): the one pairing sum over ints."""
     acc = a[-1] * b[0] + b[-1] * a[0]
-    for i, wi in enumerate(w, 1):
+    i = 1
+    for wi in w:
         acc += wi * a[i] * b[i]
+        i += 1
     return acc
+
+
+def form_pairing(w: Sequence[int], fx, fy):
+    """The pairing of two :func:`integer_form` rows without their scales,
+    as ints ``(R, S)``: <x, y> is ``num num'/(den den') * (R + S sqrt(d))``
+    over the one radicand ``d`` of the two, and zero exactly when R and S
+    are.  None when the forms are over two radicands."""
+    P, Q, d, _, _, _ = fx
+    P2, Q2, d2, _, _, _ = fy
+    if d != d2 and d and d2:
+        return None
+    R = integer_pairing(w, P, P2)
+    if not (Q or Q2):
+        return R, 0
+    S = 0
+    if Q:
+        S = integer_pairing(w, Q, P2)
+        if Q2:
+            R += d * integer_pairing(w, Q, Q2)
+    if Q2:
+        S += integer_pairing(w, P, Q2)
+    return R, S
 
 
 _ZERO = Fraction(0)
 
 
-def _form_pair(metric: Metric, fx, fy, xk, xl, xm, yk, yl, ym) -> Scalar:
-    """The pairing of two rational rows (k, l, m) from their integer forms
-    ``fx``, ``fy``, summed in ints and typed as the sum over the entries
-    (:func:`_sum_pair`) would be: an int when every entry the pairing reads
-    is an int, else a Fraction."""
-    (a, sa), (b, sb) = fx, fy
-    num = (integer_pairing(metric.weights, a, b)
-           * sa.numerator * sb.numerator)
-    if type(sa) is int and type(sb) is int:
-        return num
-    den = sa.denominator * sb.denominator
+def _pairing(metric: Metric, fx, fy, xk, xl, xm, yk, yl, ym) -> Scalar:
+    """The pairing of two rows (k, l, m) from their integer forms ``fx``
+    and ``fy``, summed in ints and typed as the sum over the entries
+    (:func:`_sum_pair`) would be: a QuadExt when an entry the pairing reads
+    is a QuadExt, else a Fraction when one is a Fraction, else an int.  Two
+    rational rows take one :func:`integer_pairing`; a row with no form, or
+    forms over two radicands, sum as they are."""
+    if not fy:
+        return _sum_pair(metric.product_eta, xk, xl, xm, yk, yl, ym)
+    P, _, d, s, t, kind = fx
+    P2, _, d2, s2, t2, kind2 = fy
+    if not (d or d2):
+        num, rad = integer_pairing(metric.weights, P, P2) * s * s2, 0
+        if kind is int and kind2 is int:
+            return num
+    else:
+        parts = form_pairing(metric.weights, fx, fy)
+        if parts is None:
+            return _sum_pair(metric.product_eta, xk, xl, xm, yk, yl, ym)
+        num, rad = parts[0] * s * s2, parts[1] * s * s2
     eta = metric.product_eta
-    if 0 in eta and not (_reads_fraction(eta, xk, xl, xm)
-                         or _reads_fraction(eta, yk, yl, ym)):
-        return num // den       # a Fraction only on a null axis
-    return Fraction(num, den) if num else _ZERO
-
-
-def _reads_fraction(eta: Eta, k, l, m) -> bool:
-    """Is an entry the pairing reads a Fraction?"""
-    return (type(k) is Fraction or type(m) is Fraction
-            or any(type(v) is Fraction and e for v, e in zip(l, eta)))
+    kinds = kind, kind2
+    if 0 in eta:            # the entries the pairing reads fix the type
+        kinds = {type(v) for l in (xl, yl) for v, e in zip(l, eta) if e}
+        kinds.update(map(type, (xk, xm, yk, ym)))
+    if QuadExt in kinds:
+        return _quad(num, rad, t * t2, d or d2)
+    if Fraction in kinds:
+        return Fraction(num, t * t2) if num else _ZERO
+    return num // (t * t2)
 
 
 def _sum_pair(eta: Eta, xk, xl, xm, yk, yl, ym) -> Scalar:
@@ -200,15 +262,16 @@ class Cycle:
     """One coefficient row (k, l_1..l_n, m) over a fixed metric; never
     changed after construction.
 
-    A row of ints and Fractions also has one integer form, cached on first
-    use: its primitive int row (gcd 1, first nonzero entry positive) and
-    the rational scale back to :meth:`row` (:func:`integer_form`).  Two
-    rows are projectively equal exactly when their primitive rows are, so
-    this form is the one representative of a rational cycle:
-    :meth:`canonical` builds its row from it and keeps it, :meth:`key` is
-    it (also for a ``QuadExt`` row whose canonical row is rational), and
-    the pairing, the exact rows of orthogonality relations and their
-    verification read it.
+    An exact row over at most one radicand also has one integer form,
+    cached on first use (:func:`integer_form`): int rows ``P`` and ``Q``
+    and a scale, with every entry ``(P_i + Q_i sqrt d)`` times the scale.
+    The pairing sums in ints on it (:func:`form_pairing`).  A rational
+    row's ``P`` is primitive (gcd 1, first nonzero entry positive), and two
+    rational rows are projectively equal exactly when their ``P`` are, so
+    it is the one representative of a rational cycle: :meth:`canonical`
+    builds its row from it and keeps it, :meth:`key` is it (also for a
+    ``QuadExt`` row whose canonical row is rational), and the exact rows of
+    orthogonality relations read it.
     """
 
     __slots__ = ("metric", "k", "l", "m", "_form")
@@ -295,10 +358,8 @@ class Cycle:
             raise ValueError("product metric mismatch")
         fx = self.integer_form()
         fy = fx and other.integer_form()
-        parts = self.k, self.l, self.m, other.k, other.l, other.m
-        if fy:
-            return _form_pair(self.metric, fx, fy, *parts)
-        return _sum_pair(eta, *parts)
+        return _pairing(self.metric, fx, fy, self.k, self.l, self.m,
+                        other.k, other.l, other.m)
 
     def integer_form(self):
         """:func:`integer_form` of the row, computed on first use."""
@@ -419,7 +480,7 @@ class Cycle:
         if _is_canonical(row):
             return self
         form = self.integer_form()
-        if not form:
+        if not form or form[2]:
             row = canonical_row(row, 1e-12)
             return Cycle(self.metric, row[0], row[1:-1], row[-1])
         prim = form[0]
@@ -427,7 +488,7 @@ class Cycle:
         c = Cycle(self.metric, Fraction(prim[0], lead),
                   [Fraction(v, lead) for v in prim[1:-1]],
                   Fraction(prim[-1], lead))
-        c._form = prim, Fraction(1, lead)
+        c._form = prim, (), 0, 1, lead, Fraction
         return c
 
     def key(self, digits: int = 9):
@@ -436,11 +497,11 @@ class Cycle:
         radical part left included), else the canonical row with float
         entries rounded to ``digits``."""
         form = self.integer_form()
-        if form:
+        if form and not form[2]:
             return form[0]
         can = self.canonical()
         form = can.integer_form()
-        if form:
+        if form and not form[2]:
             return form[0]
         out = []
         for c in can.row():

@@ -36,10 +36,10 @@ trace check.  Each site keeps its own ``eps``; the only settings are
 Every exact system is eliminated fraction-free over the ints or Z[sqrt d]
 and read back by its caller as Fractions, or QuadExts where a radical
 part is left, except that a homogeneous rational branch of ``solve``
-keeps its basis as int rows; a
-rational cycle's pairing, canonical row and key read its primitive int row
-(``cycle.integer_form``), and chain validation pairs each cycle's row as
-ints over Z[sqrt d].
+keeps its basis as int rows.  An exact cycle row over one radicand has one
+integer form over Z[sqrt d] (``cycle.integer_form``): the cycle pairing
+and chain validation sum in ints on it, and a rational cycle's canonical
+row and key read its primitive int row.
 """
 
 from __future__ import annotations

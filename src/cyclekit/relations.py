@@ -23,27 +23,28 @@ per pattern (:func:`_solve_branch`), so that its floats round as they
 always did, and so does a system over two radicands, which raises its
 RadicalClash there.
 
-Homogeneous rational systems run in Python ints from the rows to the
-candidates, on each cycle's integer form (:meth:`Cycle.integer_form`).  In
-a build that stays exact, an orthogonality row (``IsOrthogonal``,
-``PassesThrough``, ``IsFlat``, ``IsLobachevskyLine``) is read off the
-reference's primitive int row, a rational multiple of its pairing
-coefficients; once a build demotes or the data has a float, every row is
-the one its data gives, so float eliminations see the numbers they always
-did.  ``linear_solve`` hands back the reduced system (:class:`Reduced`),
-and its callers read it back: a branch with every rhs 0 and no demand or a
-point demand takes its basis as primitive int rows, whose point-mode
-binary quadratic runs in ints whenever its discriminant is a perfect
-square; every other result reads back Fractions.  Every candidate is
-verified on its canonical cycle, where its row first becomes Fractions,
-and deduplicated by its :meth:`Cycle.key`; a rational candidate's
-canonical cycle keeps its primitive int row, so orthogonality verifies it
-with one int pairing against the reference's primitive row, ``IsPoint``
-through ``Cycle.product`` on that form, and its key is that row.  A float
-candidate pairs with a float copy of its relation's fixed reference row
-and self product, made once per relation: Python computes a float times
-a Fraction as the float times its float, so the bits are the ones the
-exact reference gives.
+Exact work runs on each cycle's integer form (:meth:`Cycle.integer_form`):
+int rows ``P`` and ``Q`` with every entry ``(P_i + Q_i sqrt d)`` times one
+rational scale, ``Q`` empty for a rational row, whose primitive ``P`` is
+the cycle's projective representative.  In a build that stays exact, an
+orthogonality row (``IsOrthogonal``, ``PassesThrough``, ``IsFlat``,
+``IsLobachevskyLine``) is read off a rational reference's primitive row, a
+rational multiple of its pairing coefficients; once a build demotes or the
+data has a float, every row is the one its data gives, so float
+eliminations see the numbers they always did.  ``linear_solve`` hands back
+the reduced system (:class:`Reduced`), and its callers read it back: a
+branch with every rhs 0 and no demand or a point demand takes its basis as
+primitive int rows, whose point-mode binary quadratic runs in ints
+whenever its discriminant is a perfect square; every other result reads
+back Fractions, or QuadExts where a radical part is left.  Every candidate
+is verified on its canonical cycle and deduplicated by its
+:meth:`Cycle.key`, the primitive row of a rational one.  An exact
+candidate's pairings with a reference sum in ints over Z[sqrt d]
+(:func:`~cyclekit.cycle.form_pairing`); orthogonality tests their two
+parts for zero.  A float candidate pairs with a float copy of its
+relation's fixed reference row and self product, made once per relation:
+Python computes a float times a Fraction as the float times its float, so
+the bits are the ones the exact reference gives.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ from itertools import product as iproduct
 from operator import itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .cycle import Cycle, Metric, integer_form, integer_pairing, row_product
+from .cycle import (Cycle, Metric, form_pairing, integer_form,
+                    integer_pairing, row_product)
 from .numerics import (Arithmetic, QuadExt, Scalar, _quad, comparison_eps,
                        is_exact, lift, near_zero, row_scale, scalar_sign,
                        to_float)
@@ -117,7 +119,7 @@ class IsOrthogonal(Relation):
         """An exact build takes the row from the reference's primitive
         int row: a rational multiple of :attr:`coeffs`, and the rhs is 0."""
         form = exact and self.ref.integer_form()
-        if not form:
+        if not form or form[2]:
             return self.coeffs
         prim = form[0]
         return (prim[-1], *[w * l for w, l in zip(self.ref.metric.weights,
@@ -130,12 +132,14 @@ class IsOrthogonal(Relation):
         return self.ref.as_float()
 
     def satisfied_by(self, cycle, eps):
-        # two rational rows in one product metric: the int pairing of their
-        # primitive rows, which Cycle.product scales, is zero or not
+        # two exact rows over one radicand in one product metric: the int
+        # pairing of their forms is zero or not in its two parts
         fx = cycle.integer_form()
         fr = fx and self.ref.integer_form()
         if fr and cycle.metric.product_eta == self.ref.metric.product_eta:
-            return integer_pairing(cycle.metric.weights, fx[0], fr[0]) == 0
+            parts = form_pairing(cycle.metric.weights, fx, fr)
+            if parts is not None:
+                return not any(parts)
         ref = self.ref_float if type(cycle.k) is float else self.ref
         return near_zero(cycle.product(ref), eps, cycle.row(), ref.row())
 
@@ -506,8 +510,8 @@ def _integer_row(row):
     form = integer_form(row)
     if not form:
         return [0] * len(row)
-    prim, scale = form
-    return prim if scale.numerator > 0 else tuple([-v for v in prim])
+    prim = form[0]
+    return prim if form[3] > 0 else tuple([-v for v in prim])
 
 
 def _primitive(row: List[int]) -> List[int]:

@@ -318,6 +318,19 @@ class TestChains:
         assert [c.row() for c in got.cycles] == [c.row() for c in want.cycles]
         assert all(is_exact(v) for c in got.cycles for v in c.row())
 
+    @pytest.mark.parametrize("arrangement", ["tangent", "orthogonal", "ortho45"])
+    def test_radical_free_term_over_another_radicand(self, arrangement):
+        # QuadExt(1, 0, 2) has no radical part, so a chain over sqrt(3)
+        # takes it as the rational 1; its rows keep entries over two
+        # radicands and validate on their scalars
+        terms = [QuadExt(1, 0, 2), QuadExt(3, 2, 3)]
+        plain = [1, QuadExt(3, 2, 3)]
+        if arrangement != "tangent":
+            terms, plain = terms[:1] + [3], [1, 3]
+        got = chain(ContinuedFraction.simple(1, terms), 2, arrangement)
+        want = chain(ContinuedFraction.simple(1, plain), 2, arrangement)
+        assert [c.row() for c in got.cycles] == [c.row() for c in want.cycles]
+
     def test_chain_needs_a_step(self):
         with pytest.raises(InvalidCF):
             chain(pi_cf(), 0, "tangent")

@@ -953,54 +953,101 @@ PAIRING_METRICS = METRICS + [Metric.from_signature(3),
 
 
 @st.composite
-def rational_row_pairs(draw):
+def exact_row_pairs(draw):
+    """Two rows of one metric, null axes included, over Q or over one
+    Q(sqrt d): 0, ints and Fractions, and over Q(sqrt d) also QuadExts,
+    some of them with no radical part."""
     metric = draw(st.sampled_from(PAIRING_METRICS))
-    entries = st.one_of(st.just(0), st.integers(-6, 6), rationals,
-                        st.builds(Fraction, st.integers(-6, 6)))
-    row = st.lists(entries, min_size=metric.n + 2, max_size=metric.n + 2)
+    entries = [st.just(0), st.integers(-6, 6), rationals,
+               st.builds(Fraction, st.integers(-6, 6))]
+    d = draw(st.sampled_from([0, 0, 2, 3, 12]))
+    if d:
+        entries.append(st.builds(lambda a, b: QuadExt(a, b, d), rationals,
+                                 st.one_of(st.just(0), rationals)))
+    row = st.lists(st.one_of(*entries), min_size=metric.n + 2,
+                   max_size=metric.n + 2)
     return metric, tuple(draw(row)), tuple(draw(row))
 
 
+def _exactly(value):
+    """:func:`_typed` plus the repr, which shows a QuadExt's radicand also
+    when its radical part is 0."""
+    return _typed(value), repr(value)
+
+
 @settings(max_examples=300)
-@given(rational_row_pairs())
+@given(exact_row_pairs())
 def test_integer_row_product_equals_the_fraction_sum(case):
     metric, x, y = case
-    want = _typed(_ref_row_product(metric, x, y))
-    assert _typed(cycle.row_product(metric, x, y)) == want
+    want = _exactly(_ref_row_product(metric, x, y))
+    assert _exactly(cycle.row_product(metric, x, y)) == want
     cx, cy = Cycle.from_row(metric, x), Cycle.from_row(metric, y)
-    assert _typed(cx.product(cy)) == want
-    assert _typed(cx.product(cy)) == want      # the cached integer form
+    assert _exactly(cx.product(cy)) == want
+    assert _exactly(cx.product(cy)) == want    # the cached integer forms
+    assert _exactly(cx.self_product()) == \
+        _exactly(_ref_row_product(metric, x, x))
+
+
+def _rebuilt(form):
+    """The row an integer form stands for: num/den * (P_i + Q_i sqrt d)."""
+    P, Q, d, num, den, _ = form
+    scale = Fraction(num, den)
+    return tuple(QuadExt(scale * p, scale * q, d) if d else scale * p
+                 for p, q in zip(P, Q or [0] * len(P)))
+
+
+def _widest(row):
+    kinds = set(map(type, row))
+    return QuadExt if QuadExt in kinds else Fraction if Fraction in kinds \
+        else int
 
 
 @settings(max_examples=150)
-@given(rational_row_pairs(), nonzero_rationals)
+@given(exact_row_pairs(), nonzero_rationals)
 def test_integer_form_is_unchanged_by_rational_scaling(case, t):
-    # dedup reads the primitive row, so it cannot see a projective scale
+    # dedup reads a rational row's primitive row, so it cannot see a
+    # projective scale; a Q(sqrt d) row's form is only cleared of
+    # denominators, so its scaled form rebuilds the scaled row
     metric, x, _ = case
     c = Cycle.from_row(metric, x)
     form, scaled = c.integer_form(), c.scaled(t).integer_form()
     if not any(x):
         assert form == scaled == ()
         return
-    prim, scale = form
-    assert math.gcd(*prim) == 1 and next(v for v in prim if v) > 0
-    assert tuple(scale * v for v in prim) == c.row()
-    assert scaled == (prim, scale * t)
+    P, Q, d, num, den, kind = form
+    assert _rebuilt(form) == c.row() and kind is _widest(x)
+    assert _rebuilt(scaled) == c.scaled(t).row()
+    assert scaled[2] == d and den > 0
+    radical = [v for v in x if type(v) is QuadExt and v.q]
+    assert bool(Q) == bool(radical) and (not radical or d == radical[0].d)
+    if d:
+        assert any(type(v) is QuadExt for v in x) and num == 1
+        return
+    assert math.gcd(*P) == 1 and next(v for v in P if v) > 0
+    s = Fraction(num, den) * t
+    assert scaled == (P, (), 0, s.numerator, s.denominator, Fraction)
 
 
 @settings(max_examples=150)
-@given(rational_row_pairs())
+@given(exact_row_pairs())
 def test_integer_form_pairing_equals_the_fraction_sum(case):
     metric, x, y = case
     fx = Cycle.from_row(metric, x).integer_form()
     fy = Cycle.from_row(metric, y).integer_form()
     if not (fx and fy):
         return
-    (a, sa), (b, sb) = fx, fy
-    fr = [Fraction(v) for v in x], [Fraction(v) for v in y]
-    want = cycle._sum_pair(metric.product_eta, *(
-        part for row in fr for part in (row[0], row[1:-1], row[-1])))
-    assert sa * sb * cycle.integer_pairing(metric.weights, a, b) == want
+    R, S = cycle.form_pairing(metric.weights, fx, fy)
+    scale = Fraction(fx[3] * fy[3], fx[4] * fy[4])
+    d = fx[2] or fy[2]
+    got = QuadExt(scale * R, scale * S, d) if d else scale * R
+    lifted = [[v if type(v) is QuadExt else Fraction(v) for v in row]
+              for row in (x, y)]
+    assert got == _ref_row_product(metric, *lifted)
+    if not d:
+        assert S == 0
+
+
+R3 = QuadExt(0, 1, 3)
 
 
 @pytest.mark.parametrize("metric, x, y", [
@@ -1010,15 +1057,41 @@ def test_integer_form_pairing_equals_the_fraction_sum(case):
     # the parabolic pairing skips l_2: a Fraction there leaves an int sum
     (Metric.named("p"), (1, 2, Fraction(1, 3), 4), (5, 6, Fraction(1, 7), 8)),
     (Metric.named("p"), (Fraction(2), 2, Fraction(1, 3), 4), (5, 6, 7, 8)),
-    # rows that are not all rational sum as they are, floats bit for bit
+    # a QuadExt entry the pairing reads gives a QuadExt, also with no
+    # radical part, and one on a null axis does not
     (E2, (Fraction(1, 2), QuadExt(1, 1, 2), 3, 4), (5, Fraction(6, 7), 7, 8)),
+    (E2, (QuadExt(1, 0, 2), 1, 0, 3), (1, 2, 3, 4)),
+    (Metric.named("p"), (1, 2, R2, 4), (5, 6, R2, 8)),
+    # two radicands: a row over two has no form, and forms over two sum
+    # as they are, raising or not as the entries do
+    (E2, (1, R2, R3, 1), (1, 1, 0, 2)),
+    (E2, (1, 2 - R2, 0, -2 - 4 * R2), (1, 0, R3, 2)),
+    (E2, (1, R2, 0, 1), (1, R3, 0, 2)),
+    # floats sum as they are, bit for bit
     (E2, (0.1, 1.25, -3.0, Fraction(1, 3)), (1.5, 0.7, 0.3, 7.0)),
 ])
 def test_row_product_keeps_the_sum_type(metric, x, y):
-    want = _typed(_ref_row_product(metric, x, y))
-    assert _typed(cycle.row_product(metric, x, y)) == want
-    assert _typed(Cycle.from_row(metric, x).product(
+    def outcome(pair):
+        try:
+            return _exactly(pair())
+        except RadicalClash as exc:
+            return RadicalClash, str(exc)
+
+    want = outcome(lambda: _ref_row_product(metric, x, y))
+    assert outcome(lambda: cycle.row_product(metric, x, y)) == want
+    assert outcome(lambda: Cycle.from_row(metric, x).product(
         Cycle.from_row(metric, y))) == want
+
+
+def test_two_radicand_rows_pair_as_before():
+    assert Cycle.from_row(E2, (1, R2, R3, 1)).integer_form() == ()
+    assert repr(cycle.row_product(E2, (1, R2, R3, 1), (1, 1, 0, 2))) == \
+        "QuadExt(3, -2, sqrt=2)"
+    assert repr(cycle.row_product(E2, (1, 2 - R2, 0, -2 - 4 * R2),
+                                  (1, 0, R3, 2))) == "QuadExt(0, -4, sqrt=2)"
+    with pytest.raises(RadicalClash, match=r"^sqrt\(2\) vs sqrt\(3\)$"):
+        Cycle.from_row(E2, (1, R2, 0, 1)).product(
+            Cycle.from_row(E2, (1, R3, 0, 2)))
 
 
 def _ref_canonical_row(values):

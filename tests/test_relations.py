@@ -251,6 +251,17 @@ def test_row_product_matches_cycle_product():
     assert row_product(E, a.row(), b.row()) == a.product(b)
 
 
+def test_orthogonality_row_of_a_radical_reference_is_its_coeffs():
+    # only a rational reference's row is read off its primitive int row;
+    # a QuadExt row keeps its pairing coefficients, also with no radical part
+    for ref in (Cycle(E, QuadExt(2, 0, 2), (F(1), F(0)), 3),
+                Cycle(E, 1, (QuadExt(0, 1, 2), F(0)), 1)):
+        rel = IsOrthogonal(ref)
+        assert rel.row(True) == rel.coeffs
+    assert IsOrthogonal(Cycle(E, F(2), (F(1), F(0)), 3)).row(True) == \
+        (3, -2, 0, 2)
+
+
 @pytest.mark.parametrize("ref", [UNIT, Cycle(Metric.from_signature(3), 1,
                                              (0, 0, 0), -1)])
 def test_check_refuses_a_reference_in_another_metric(ref):
