@@ -26,12 +26,15 @@ from .numerics import (Arithmetic, QuadExt, Scalar, _quad, canonical_row,
 Eta = Tuple[int, ...]
 
 
-def row_product(metric: Metric, x: Sequence[Scalar],
-                y: Sequence[Scalar]) -> Scalar:
-    """The cycle pairing on raw coefficient rows (k, l.., m)."""
-    fx = integer_form(x)
-    fy = fx if y is x else fx and integer_form(y)
-    return _pairing(metric, fx, fy, x[0], x[1:-1], x[-1], y[0], y[1:-1], y[-1])
+def row_product(metric: Metric, x: Sequence[Scalar], y: Sequence[Scalar],
+                fx=None, fy=None) -> Scalar:
+    """The cycle pairing on raw coefficient rows (k, l.., m), given their
+    integer forms ``fx`` and ``fy`` when the caller has made them."""
+    if fx is None:
+        fx = integer_form(x)
+        fy = fx if y is x else fx and integer_form(y)
+    return _pairing(metric, fx, fx and fy, x[0], x[1:-1], x[-1],
+                    y[0], y[1:-1], y[-1])
 
 
 _RATIONAL = {int, Fraction}
@@ -293,6 +296,14 @@ class Cycle:
         if len(row) != metric.n + 2:
             raise ValueError(f"row of length {metric.n + 2} expected")
         return Cycle(metric, row[0], row[1:-1], row[-1])
+
+    @staticmethod
+    def from_primitive(metric: Metric, prim: Tuple[int, ...]) -> "Cycle":
+        """The cycle of a primitive int row ``prim`` (gcd 1, first nonzero
+        entry positive), its entries the ints, ``prim`` its integer form."""
+        c = Cycle(metric, prim[0], prim[1:-1], prim[-1])
+        c._form = prim, (), 0, 1, 1, int
+        return c
 
     @staticmethod
     def zero_radius_at(metric: Metric, point: Sequence[Scalar]) -> "Cycle":

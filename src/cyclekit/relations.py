@@ -10,9 +10,8 @@ branch rhs, and a nonzero rhs is signed.  Negating x maps the sign pattern
 sigma to -sigma; the demand is even in x and every signed rhs is odd, so
 -sigma gives the same projective cycles and only the patterns whose first
 signed row is +1 are solved.  With an IsPoint present every rhs is 0 and
-so is the demand.  Solutions are checked back against every relation on
-canonical representatives, deduplicated projectively and returned in a
-deterministic order.
+so is the demand.  Solutions are checked back against every relation,
+deduplicated projectively and returned in a deterministic order.
 
 The coefficient rows do not depend on the signs, so the patterns of an
 exact solve share one elimination (:class:`_SignedStage`): ``[A | e_1 ..
@@ -31,20 +30,23 @@ orthogonality row (``IsOrthogonal``, ``PassesThrough``, ``IsFlat``,
 ``IsLobachevskyLine``) is read off a rational reference's primitive row, a
 rational multiple of its pairing coefficients; once a build demotes or the
 data has a float, every row is the one its data gives, so float
-eliminations see the numbers they always did.  ``linear_solve`` hands back
+eliminations see the numbers they always did.  ``solve`` reads its ring
+off the entry types once (:func:`_ring`).  ``linear_solve`` hands back
 the reduced system (:class:`Reduced`), and its callers read it back: a
 branch with every rhs 0 and no demand or a point demand takes its basis as
 primitive int rows, whose point-mode binary quadratic runs in ints
 whenever its discriminant is a perfect square; every other result reads
-back Fractions, or QuadExts where a radical part is left.  Every candidate
-is verified on its canonical cycle and deduplicated by its
-:meth:`Cycle.key`, the primitive row of a rational one.  An exact
-candidate's pairings with a reference sum in ints over Z[sqrt d]
-(:func:`~cyclekit.cycle.form_pairing`); orthogonality tests their two
-parts for zero.  A float candidate pairs with a float copy of its
-relation's fixed reference row and self product, made once per relation:
-Python computes a float times a Fraction as the float times its float, so
-the bits are the ones the exact reference gives.
+back Fractions, or QuadExts where a radical part is left.  A rational
+candidate is deduplicated and verified on its primitive int row, a
+positive multiple of its canonical row, and only a kept one builds its
+canonical row; any other is verified on its canonical cycle and
+deduplicated by its :meth:`Cycle.key`.  Only a float candidate reads the
+comparison tolerance.  An exact candidate's pairings with a reference sum
+in ints over Z[sqrt d] (:func:`~cyclekit.cycle.form_pairing`);
+orthogonality tests their two parts for zero.  A float candidate pairs
+with a float copy of its relation's fixed reference row and self product,
+made once per relation: Python computes a float times a Fraction as the
+float times its float, so the bits are the ones the exact reference gives.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ class Relation:
         return 0
 
     def satisfied_by(self, cycle: Cycle, eps: float) -> bool:
-        """Does ``cycle``, canonical as every caller passes it, hold?"""
+        """Does ``cycle`` hold?  Callers pass its canonical cycle or, for a
+        rational one, its primitive int row: sign tests decide alike."""
         raise NotImplementedError
 
 
@@ -410,7 +413,8 @@ class Reduced(NamedTuple):
         return basis
 
 
-def linear_solve(rows: List[Row], nunk: int, exact: bool) -> Reduced:
+def linear_solve(rows: List[Row], nunk: int, exact: bool,
+                 ring: Optional[type] = None) -> Reduced:
     """Gauss-Jordan, exact when ``exact`` is set and every entry is exact:
     the system's :class:`Reduced` form, which its callers read back.
 
@@ -423,27 +427,24 @@ def linear_solve(rows: List[Row], nunk: int, exact: bool) -> Reduced:
 
     An exact system is eliminated fraction-free (:func:`_fraction_free`)
     and kept in the ring it ran in: Z[sqrt d] when an entry is a
-    ``QuadExt``, the ints otherwise.  Float rows partial-pivot, rank-test
-    against EPS_RANK times the original row magnitude and are scaled to
-    unit pivots.
+    ``QuadExt``, the ints otherwise: the ``ring`` of its entry types
+    (:func:`_ring`), read here unless the caller passes it.  Float rows
+    partial-pivot, rank-test against EPS_RANK times the original row
+    magnitude and are scaled to unit pivots.
     """
     full = [(*coeffs, *rhs) if type(rhs) is tuple else (*coeffs, rhs)
             for coeffs, rhs in rows]
     one_column = not rows or type(rows[0][1]) is not tuple
-    if exact:
-        kinds = {type(c) for row in full for c in row}
-        if kinds <= {int, Fraction}:
-            ring, cleared, primitive = int, _integer_row, _primitive
-        elif all(issubclass(t, (int, Fraction, QuadExt)) for t in kinds):
-            ring, cleared, primitive = QuadExt, _radical_row, _primitive_radical
-        else:
-            ring = float
-        if ring is not float:
-            A, pivots = _fraction_free([cleared(row) for row in full], nunk,
-                                       primitive)
-            if one_column and any(row[nunk] for row in A[len(pivots):]):
-                A = None
-            return Reduced(A, pivots, nunk, ring)
+    if ring is None:
+        ring = float if not exact else _ring({type(c) for row in full
+                                              for c in row})
+    if ring is not float:
+        cleared, primitive = _CLEARING[ring]
+        A, pivots = _fraction_free([cleared(row) for row in full], nunk,
+                                   primitive)
+        if one_column and any(row[nunk] for row in A[len(pivots):]):
+            A = None
+        return Reduced(A, pivots, nunk, QuadExt if ring is QuadExt else int)
     A = [[float(c) for c in row] for row in full]
     norms = [row_scale(row) for row in A]
     pivots: List[Tuple[int, int]] = []
@@ -486,21 +487,34 @@ def _fraction_free(A: list, nunk: int, primitive):
     (:meth:`Reduced._entry`).
     """
     pivots: List[Tuple[int, int]] = []
-    rank = 0
+    rank, n = 0, len(A)
     for col in range(nunk):
-        pr = next((i for i in range(rank, len(A)) if A[i][col]), None)
-        if pr is None:
+        for pr in range(rank, n):
+            if A[pr][col]:
+                break
+        else:
             continue
         A[rank], A[pr] = A[pr], A[rank]
         prow = A[rank]
         piv = prow[col]
-        for i, row in enumerate(A):
+        for i in range(n):
+            row = A[i]
             f = row[col]
             if f and i != rank:
                 A[i] = primitive([piv * a - f * b for a, b in zip(row, prow)])
         pivots.append((rank, col))
         rank += 1
     return A, pivots
+
+
+def _ring(kinds: set) -> type:
+    """The ring of an elimination whose entries have types ``kinds``:
+    ``int`` (rows only made primitive), ``Fraction`` (cleared to ints),
+    ``QuadExt`` (any other exact types) or ``float``."""
+    if kinds <= {int, Fraction}:
+        return Fraction if Fraction in kinds else int
+    exact = all(issubclass(t, (int, Fraction, QuadExt)) for t in kinds)
+    return QuadExt if exact else float
 
 
 def _integer_row(row):
@@ -535,6 +549,11 @@ def _primitive_radical(row: list) -> list:
     return [_quad(c.p // g, c.q // g, 1, c.d) if isinstance(c, QuadExt)
             else c // g for c in row] if g > 1 else row
 
+
+# how each exact ring clears an input row and makes a new row primitive
+_CLEARING = {int: (_primitive, _primitive),
+             Fraction: (_integer_row, _primitive),
+             QuadExt: (_radical_row, _primitive_radical)}
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -615,7 +634,7 @@ def _combine(p, v, t):
     return tuple(pc + t * vc for pc, vc in zip(p, v))
 
 
-def _solve_branch(metric, rows, demand, ar: Arithmetic):
+def _solve_branch(metric, rows, demand, ar: Arithmetic, ring=None):
     """One sign branch from its own elimination: linear stage plus at most
     one quadratic demand.
 
@@ -632,7 +651,7 @@ def _solve_branch(metric, rows, demand, ar: Arithmetic):
     read back the field rows (:func:`_field_candidates`).
     """
     nunk = metric.n + 2
-    red = linear_solve(rows, nunk, ar.exact)
+    red = linear_solve(rows, nunk, ar.exact, ring)
     if red.rows is None:
         return [], None
     ints = red.integer_basis() if demand in (None, 0) else None
@@ -667,10 +686,10 @@ class _SignedStage:
     is never zero: no pattern takes the homogeneous int path.
     """
 
-    def __init__(self, rows, signed, nunk):
+    def __init__(self, rows, signed, nunk, ring=None):
         self.red = red = linear_solve(
             [(coeffs, tuple([int(i == s) for s in signed]))
-             for i, (coeffs, _) in enumerate(rows)], nunk, True)
+             for i, (coeffs, _) in enumerate(rows)], nunk, True, ring)
         r = [rows[s][1] for s in signed]
         ps = [red.particular(j) for j in range(len(r))]
         self.terms = [(col, [(j, r[j] * p[col]) for j, p in enumerate(ps)
@@ -710,7 +729,6 @@ def _field_candidates(metric, p, basis, demand, ar: Arithmetic):
     ``p`` and the ``basis``, then at most one quadratic demand."""
     dim = len(basis)
     homogeneous = all(near_zero(c, 1e-12) for c in p)
-    Q = lambda x, y: row_product(metric, x, y)
 
     if demand is None:
         if dim == 0:
@@ -718,6 +736,10 @@ def _field_candidates(metric, p, basis, demand, ar: Arithmetic):
         if dim == 1:
             return [basis[0]], None
         return None, (None, basis, None)
+
+    # the pairings of p, basis[0] and basis[1], each row's form made once
+    forms = {id(x): integer_form(x) for x in (p, *basis[:2])}
+    Q = lambda x, y: row_product(metric, x, y, forms[id(x)], forms[id(y)])
 
     if homogeneous:
         if dim == 0:
@@ -810,7 +832,6 @@ def _binary_quadratic(Q, v1, v2, ar: Arithmetic):
 def solve(relations: Sequence[Relation], metric: Metric,
           arithmetic="exact") -> SolutionSet:
     """Intersect all relations; enumerate sign branches; verify; order."""
-    eps = comparison_eps()
     point_mode = any(isinstance(r, IsPoint) for r in relations)
     demands = {r.demand for r in relations if r.demand is not None}
     if point_mode:
@@ -826,11 +847,16 @@ def solve(relations: Sequence[Relation], metric: Metric,
     coeffs = [r.row(exact) for r in relations]
     rhs = [None if c is None else 0 if point_mode else r.build(ar)
            for r, c in zip(relations, coeffs)]
-    if exact and not (ar.exact and _exact_system(coeffs, rhs)):
+    live = [i for i, c in enumerate(coeffs) if c is not None]
+    ring = float
+    if ar.exact:
+        # the one type scan: the rows' ring, and the ring of [A | e_1 ..]
+        kinds = {type(v) for i in live for v in coeffs[i]}
+        ring = _ring(kinds | {type(rhs[i]) for i in live})
+    if exact and ring is float:
         # a build demoted or the data has a float: the elimination runs
         # in floats on every row as its data gives it
         coeffs = [r.row(False) for r in relations]
-        exact = False
     axes = [(None,) if v is None or v == 0 else (1, -1) for v in rhs]
     signed = [i for i, axis in enumerate(axes) if axis[0] is not None]
     if 2 ** len(signed) > MAX_BRANCHES:
@@ -841,11 +867,12 @@ def solve(relations: Sequence[Relation], metric: Metric,
     # the patterns of an exact system share one elimination; a system over
     # two radicands keeps one per pattern, which raises its RadicalClash as
     # it always did
-    shared = exact and len(signed) > 1 and len(_radicands(coeffs, rhs)) < 2
+    shared = (ring is not float and len(signed) > 1
+              and len(_radicands(coeffs, rhs)) < 2)
     if shared:
-        live = [i for i, v in enumerate(rhs) if v is not None]
         stage = _SignedStage([(coeffs[i], rhs[i]) for i in live],
-                             [live.index(i) for i in signed], metric.n + 2)
+                             [live.index(i) for i in signed], metric.n + 2,
+                             _ring(kinds | {int}))
     found: List[Tuple[Cycle, tuple]] = []
     parametric = None
     contexts = [ar]
@@ -860,7 +887,8 @@ def solve(relations: Sequence[Relation], metric: Metric,
             rows = [(c, -v if sign == -1 else v)
                     for c, v, sign in zip(coeffs, rhs, pattern)
                     if v is not None]
-            sols, par = _solve_branch(metric, rows, demand, contexts[-1])
+            sols, par = _solve_branch(metric, rows, demand, contexts[-1],
+                                      ring)
         if par is not None and parametric is None:
             pbase, pbasis, ps = par
             parametric = (
@@ -873,11 +901,21 @@ def solve(relations: Sequence[Relation], metric: Metric,
     demoted = any(c.demoted for c in contexts)
     notes = [note for c in contexts for note in c.notes]
 
-    # verify every candidate on its canonical cycle, then dedup and order
-    kept = {}
+    # verify, dedup and order; an exact verdict is projective, and an
+    # exact candidate's zero tests are exact
+    kept, eps = {}, None
     for srow, prov in found:
+        form = type(srow[0]) is not float and integer_form(srow)
+        if form and not form[2]:
+            if form[0] not in kept:
+                x = Cycle.from_primitive(metric, form[0])
+                if all(rel.satisfied_by(x, 0.0) for rel in relations):
+                    kept[form[0]] = x.canonical(), prov
+            continue
         can = Cycle.from_row(metric, srow).canonical()
-        if all(rel.satisfied_by(can, eps) for rel in relations):
+        if eps is None and type(can.k) is float:
+            eps = comparison_eps()
+        if all(rel.satisfied_by(can, eps or 0.0) for rel in relations):
             kept.setdefault(can.key(), (can, prov))
     ordered = list(kept.values())
     if len(ordered) > 1:
@@ -900,13 +938,6 @@ def solve(relations: Sequence[Relation], metric: Metric,
                        demoted=demoted, notes=notes)
 
 
-def _exact_system(coeffs, rhs) -> bool:
-    """Is every entry of every row and rhs exact?"""
-    kinds = {type(v) for c, b in zip(coeffs, rhs) if c is not None
-             for v in (*c, b)}
-    return all(issubclass(t, (int, Fraction, QuadExt)) for t in kinds)
-
-
 def _radicands(coeffs, rhs) -> set:
     """The radicands of the radical parts of an exact system's entries."""
     return {v.d for c, b in zip(coeffs, rhs) if c is not None
@@ -915,7 +946,12 @@ def _radicands(coeffs, rhs) -> set:
 
 def _sort_key(c: Cycle):
     """The order of the kept solutions: the entries as floats rounded to 9
-    digits, and only where two of those tie also :func:`_tie_key`."""
+    digits, and only where two of those tie also :func:`_tie_key`.  A
+    canonical rational row is ``P / den`` (int division rounds correctly)."""
+    form = c.integer_form()
+    if form and not form[2]:
+        den = form[4]
+        return tuple([round(v / den, 9) + 0 for v in form[0]])
     return tuple(round(to_float(v), 9) + 0 for v in c.row())
 
 

@@ -467,6 +467,16 @@ def test_bad_eps_exits_2(capsys, monkeypatch, value):
     assert "MOEBINV_EPS" in lines[0]
 
 
+def test_bad_eps_exits_2_before_an_exact_solve(capsys, monkeypatch):
+    # the solver reads the tolerance only for float candidates; the CLI
+    # still refuses a malformed one before any work
+    monkeypatch.setenv("MOEBINV_EPS", "abc")
+    code, out, err = run(capsys, "ninepoint", "--triangle", "0,0", "4,0",
+                         "1,3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "MOEBINV_EPS" in err
+
+
 class TestOptions:
     # each subcommand declares exactly the options its handler reads
     EXPECTED = {

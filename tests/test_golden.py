@@ -5,8 +5,11 @@ cleanup (one lift, one 2x2 matrix, one orthogonality relation), the
 float-mode ones before the tolerance helpers were merged into
 ``numerics``.  The branch-stage hash covers the solver's own output,
 float rows of demoted answers included; it was recorded before the sign
-patterns of an exact solve shared one elimination.  A change that moves
-any of them changes user-visible output and must say so.
+patterns of an exact solve shared one elimination.  The rational-solve
+hash covers the result types of exact solves (``Fraction(3)`` and ``3``
+hash apart); it was recorded before verification ran on primitive int
+rows.  A change that moves any of them changes user-visible output and
+must say so.
 """
 
 import contextlib
@@ -23,13 +26,16 @@ from cyclekit.cycle import Cycle, Metric
 from cyclekit.figure import (INFINITY, REAL_LINE, Figure, is_point,
                              only_reals, orthogonal, tangent, through)
 from cyclekit.numerics import QuadExt
-from cyclekit.relations import (IsOrthogonal, IsTangent, PassesThrough,
-                                SteinerPower, solve)
+from cyclekit.relations import (InversiveDistance, IsFlat,
+                                IsLobachevskyLine, IsOrthogonal, IsPoint,
+                                IsTangent, PassesThrough, SteinerPower, solve)
 from cyclekit.render import Viewport, render_cycle
 
 CF = "3;7,15,1,292,1,1"
 BRANCH_STAGE_SHA = (
     "99df7cfea3e89af6b7e313f5500df9e3c5f7fc6993ef77cc58b0dfbf16f146b1")
+RATIONAL_SOLVE_SHA = (
+    "b40e96275ac44d02245ca2d9d2374a50b17c4cf2b4ef3fb8ab8b65a5d8088972")
 
 # (argv, sha256 of stdout, sha256 of the --svg side output or None);
 # SCRIPT and SVG are replaced by paths under tmp_path
@@ -196,3 +202,116 @@ def test_branch_stage_output_is_byte_identical():
     text = json.dumps(out)
     assert sum(o[3:4] == [True] for o in out) > 100     # demoted answers
     assert sha(text.encode()) == BRANCH_STAGE_SHA
+
+
+# directions (u, v) with u^2 + v^2 = 2 w^2, as ((u, v), w): a step of
+# t*sqrt(2) along one is a rational step of t/w in each coordinate
+_DIRS = (((1, 1), 1), ((1, -1), 1), ((-1, 1), 1), ((-1, -1), 1),
+         ((7, 1), 5), ((1, 7), 5), ((-7, 1), 5), ((1, -7), 5))
+
+
+def _through(metric, a, b, k, t):
+    """A cycle (k, l, m) through the points a and b, l_1 = t when a and
+    b differ in their second coordinate: (k, l, m) passes through x when
+    m = sum 2 l_i x_i + k eta_i x_i^2 (point metric)."""
+    e = metric.point_eta
+    f = lambda l, x: sum(2 * li * xi + k * ei * xi * xi
+                         for li, ei, xi in zip(l, e, x))
+    gap = k * sum(ei * (bi * bi - ai * ai) for ei, ai, bi in zip(e, a, b))
+    d1, d2 = a[0] - b[0], a[1] - b[1]
+    if d2:
+        l = (t, (gap - 2 * t * d1) / (2 * d2))
+    elif d1:
+        l = (gap / (2 * d1), t)
+    else:
+        l = (t, t)
+    return Cycle(metric, k, l, f(l, a))
+
+
+def _rational_solves():
+    """Seeded exact solves on rational data, 300 of them in five kinds:
+    three orthogonality relations (to cycles, points, infinity or the real
+    line) in e, h and p; two orthogonality relations plus IsPoint in e and
+    h -- two circles through two shared points, a point on a circle (a
+    double root), one orthogonality twice, random references (irrational
+    roots too); and three tangent, inversive-distance and power relations
+    around a circle X of radius rho*sqrt(2) against references of radius
+    s*sqrt(2), X among the answers, so the demand's roots at X are
+    rational and the sign tests of the tangency variants, the inversive
+    distance and the power decide."""
+    E, H, P = Metric.named("e"), Metric.named("h"), Metric.named("p")
+    for i in range(300):
+        rng = random.Random(f"golden-rational:{i}")
+        q = lambda lo, hi, den=3: Fraction(rng.randint(lo, hi),
+                                           rng.randint(1, den))
+        pt = lambda: (q(-6, 6), q(-6, 6))
+        kind = i % 5
+        if kind == 0:
+            metric = (E, H, P)[i // 5 % 3]
+            rels = []
+            for _ in range(3):
+                pick = rng.randrange(4)
+                if pick == 0 and metric is not P:
+                    rels.append(PassesThrough(metric, pt()))
+                elif pick == 1:
+                    rels.append(rng.choice((IsFlat(metric),
+                                            IsLobachevskyLine(metric))))
+                else:
+                    rels.append(IsOrthogonal(Cycle(
+                        metric, q(-4, 4), (q(-9, 9), q(-9, 9)), q(-20, 20))))
+        elif kind == 1:
+            metric = (E, H)[i // 5 % 2]
+            a, b = pt(), pt()
+            shape = i // 10 % 4
+            if shape == 0:
+                rels = [IsOrthogonal(_through(metric, a, b, k, q(-6, 6)))
+                        for k in (0, 1)]
+            elif shape == 1:
+                rels = [PassesThrough(metric, a), IsOrthogonal(
+                    _through(metric, a, b, 1, q(-6, 6)))]
+            elif shape == 2:
+                c = Cycle(metric, q(-3, 3), pt(), q(-9, 9))
+                rels = [IsOrthogonal(c), IsOrthogonal(c.scaled(q(-3, -1)))]
+            else:
+                rels = [IsOrthogonal(Cycle(metric, q(-3, 3), pt(),
+                                           q(-9, 9))) for _ in range(2)]
+            rels.insert(rng.randrange(3), IsPoint(metric))
+        else:
+            metric = E
+            cx, rho = pt(), q(1, 6)
+            X = Cycle.circle(E, cx, 2 * rho * rho)
+            rels = []
+            for j in range(3):
+                (u, v), w = rng.choice(_DIRS)
+                s = q(1, 6)
+                t = (abs(rho - s) if rng.random() < 0.5 and s != rho
+                     else rho + s) / w
+                ref = Cycle.circle(E, (cx[0] + u * t, cx[1] + v * t),
+                                   2 * s * s)
+                what = (kind + j) % 3
+                if what == 0:
+                    rels.append(IsTangent(ref, rng.choice(
+                        ("both", "external", "internal"))))
+                elif what == 1:
+                    theta = X.product(ref) / (4 * rho * s)
+                    rels.append(InversiveDistance(
+                        ref, theta * rng.choice((1, 1, -1))))
+                else:
+                    # X over 2 rho has <x,x> = -1; its power against ref
+                    x = X.scaled(1 / (2 * rho))
+                    rk = ref.scaled(Fraction(1, ref.k))
+                    rels.append(SteinerPower(ref, (x.product(rk) + 2 * s)
+                                             / x.k))
+        yield metric, rels
+
+
+def test_rational_solve_output_is_byte_identical():
+    # the CI digests hash format_scalar text, which reads Fraction(3) and
+    # 3 alike; the reprs here tell them apart
+    out = [_outcome(solve(rels, metric)) for metric, rels in
+           _rational_solves()]
+    rows = [row for o in out for row in o[1]]
+    assert sum("QuadExt" not in row for row in rows) > 200   # rational
+    assert not any(o[3] for o in out)                        # none demoted
+    assert sum(o[0] == "parametric" for o in out) > 20
+    assert sha(json.dumps(out).encode()) == RATIONAL_SOLVE_SHA

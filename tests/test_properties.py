@@ -30,8 +30,8 @@ from cyclekit.numerics import (QuadExt, RadicalClash, canonical_row,
                                lift, near_zero, parse_scalar, to_float)
 from cyclekit.relations import (BranchOverflow, InversiveDistance, IsFlat,
                                 IsLobachevskyLine, IsOrthogonal, IsPoint,
-                                IsTangent, PassesThrough, SteinerPower, check,
-                                pairing_coeffs, solve)
+                                IsTangent, OnlyReals, PassesThrough,
+                                SteinerPower, check, pairing_coeffs, solve)
 
 METRICS = [Metric.named(name) for name in "eph"]
 E2 = Metric.named("e")
@@ -347,15 +347,16 @@ def _reference_row(rel, ar):
     return coeffs, rhs, numerics.scalar_sign(ss)
 
 
-def _reference_solve(rels, metric, mode):
-    """Every sign pattern, sigma and -sigma alike, each in its own context;
-    then verify, dedup and order as ``solve`` does.  An ``IsPoint`` sets
-    the demand to 0 and every rhs to 0."""
+def _reference_candidates(rels, metric, mode):
+    """The unverified candidate rows of every sign pattern, sigma and
+    -sigma alike, each in its own context, with whether a branch was
+    parametric and whether one demoted; None for conflicting demands.  An
+    ``IsPoint`` sets the demand to 0 and every rhs to 0."""
     point = any(isinstance(r, IsPoint) for r in rels)
     demands = {0} if point else {_reference_row(r, numerics.Arithmetic(
         mode))[2] for r in rels} - {None}
     if len(demands) > 1:
-        return "infeasible", [], False
+        return None
     demand = next(iter(demands), None)
     signed = [not point and _reference_row(r, numerics.Arithmetic(mode))[1]
               != 0 for r in rels]
@@ -371,11 +372,21 @@ def _reference_solve(rels, metric, mode):
         sols, par = relations._solve_branch(metric, rows, demand, ar)
         demoted = demoted or ar.demoted
         parametric = parametric or par is not None
-        found += [Cycle.from_row(metric, row) for row in sols or []]
+        found += sols or []
+    return found, parametric, demoted
+
+
+def _reference_solve(rels, metric, mode):
+    """:func:`_reference_candidates`, then verify on canonical cycles,
+    dedup and order as ``solve`` does."""
+    candidates = _reference_candidates(rels, metric, mode)
+    if candidates is None:
+        return "infeasible", [], False
+    found, parametric, demoted = candidates
     eps = numerics.comparison_eps()
     kept = {}
-    for cyc in found:
-        can = cyc.canonical()
+    for row in found:
+        can = Cycle.from_row(metric, row).canonical()
         if all(rel.satisfied_by(can, eps) for rel in rels):
             kept.setdefault(can.key(), can)
     # ordered by the entries as floats rounded to 9 digits, ties broken by
@@ -405,6 +416,71 @@ def test_solve_equals_the_all_patterns_reference(system):
     assert (sol.status, [c.row() for c in sol.cycles], sol.demoted) == want
     assert [c.key() for c in sol.cycles] == [
         Cycle.from_row(metric, row).key() for row in want[1]]
+
+
+# directions (u, v) with u^2 + v^2 = 2 w^2, as ((u, v), w): a step of
+# t*sqrt(2) along one is a rational step of t/w in each coordinate
+_SQRT2_STEPS = (((1, 1), 1), ((1, -1), 1), ((-1, -1), 1), ((7, 1), 5),
+                ((1, -7), 5))
+
+
+@st.composite
+def rational_root_systems(draw):
+    """Three tangent, inversive-distance and power relations that a circle
+    X of radius rho*sqrt(2) satisfies, against references of radius
+    s*sqrt(2) that touch X from outside or inside: every root the demand
+    takes is rational at X, so most branches give rational candidates,
+    and the sign tests reject many of them."""
+    radius = st.fractions(min_value=Fraction(1, 2), max_value=5,
+                          max_denominator=3)
+    cx, rho = draw(st.tuples(small, small)), draw(radius)
+    X = Cycle.circle(E2, cx, 2 * rho * rho)
+    rels = []
+    for _ in range(3):
+        (u, v), w = draw(st.sampled_from(_SQRT2_STEPS))
+        s = draw(radius)
+        t = draw(st.sampled_from([rho + s, abs(rho - s)])) / w
+        ref = Cycle.circle(E2, (cx[0] + u * t, cx[1] + v * t), 2 * s * s)
+        kind = draw(st.sampled_from(["both", "external", "internal",
+                                     "inversive", "power"]))
+        if kind == "inversive":
+            theta = X.product(ref) / (4 * rho * s)
+            rels.append(InversiveDistance(ref, theta * draw(
+                st.sampled_from([1, -1]))))
+        elif kind == "power":
+            # X over 2 rho has <x,x> = -1, and sqrt|<R_k,R_k>| = 2 s
+            x, rk = X.scaled(1 / (2 * rho)), ref.scaled(Fraction(1, ref.k))
+            rels.append(SteinerPower(ref, (x.product(rk) + 2 * s) / x.k))
+        else:
+            rels.append(IsTangent(ref, kind))
+    return E2, rels, "exact"
+
+
+@settings(max_examples=100)
+@given(st.one_of(rational_root_systems(), signed_systems().filter(
+           lambda system: system[2] == "exact")),
+       nonzero_rationals.filter(lambda q: q.denominator > 1 or q < 0))
+def test_primitive_row_verifies_as_the_canonical_cycle(system, factor):
+    # every rational candidate of every branch, scaled by a negative or
+    # non-integer factor: its primitive int row (the cycle solve verifies
+    # it on) and its canonical cycle get the same verdict from every
+    # relation of its system, sign tests included, and from a few that
+    # most candidates fail
+    metric, rels, mode = system
+    candidates = _reference_candidates(rels, metric, mode)
+    rels = rels + [OnlyReals(metric), IsPoint(metric), IsFlat(metric),
+                   IsTangent(Cycle(metric, 1, (1, 0), -3))]
+    eps = comparison_eps()
+    for row in candidates[0] if candidates else []:
+        scaled = tuple(factor * v for v in row)
+        form = cycle.integer_form(scaled)
+        if not form or form[2]:
+            continue
+        x = Cycle.from_primitive(metric, form[0])
+        can = Cycle.from_row(metric, scaled).canonical()
+        assert x.canonical().row() == can.row()
+        for rel in rels:
+            assert rel.satisfied_by(x, 0.0) == rel.satisfied_by(can, eps)
 
 
 @st.composite

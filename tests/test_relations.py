@@ -332,6 +332,51 @@ class TestBuildOncePerSolve:
         assert calls == {}
 
 
+class TestToleranceIsReadForFloatCandidates:
+    """``solve`` reads MOEBINV_EPS only to verify a float candidate, once
+    per solve; an exact candidate's tests are exact, so a malformed value
+    raises only from a solve that compares floats (the CLI refuses it up
+    front)."""
+
+    RATIONAL = [IsPoint(E), IsOrthogonal(UNIT), IsOrthogonal(REAL)]
+    # the unit circle meets the line y = 2x at +-(1, 2)/sqrt(5)
+    RADICAL = [IsPoint(E), IsOrthogonal(UNIT),
+               IsOrthogonal(Cycle(E, 0, (2, -1), 0))]
+    # sqrt 2 is pinned by the builds, so half the answers demote to floats
+    DEMOTED = [IsTangent(Cycle.circle(E, c, F(1)))
+               for c in ((0, 0), (4, 0), (2, 3))]
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        tally = Counter()
+        read = relations.comparison_eps
+
+        def counted():
+            tally["comparison_eps"] += 1
+            return read()
+
+        monkeypatch.setattr(relations, "comparison_eps", counted)
+        return tally
+
+    def test_exact_candidates_do_not_read_it(self, reads, monkeypatch):
+        want = [rows_of(solve(rels, E)) for rels in (self.RATIONAL,
+                                                     self.RADICAL)]
+        assert [type(c) for row in want[1] for c in row[1:3]] == [QuadExt] * 4
+        monkeypatch.setenv("MOEBINV_EPS", "abc")
+        assert [rows_of(solve(rels, E)) for rels in (self.RATIONAL,
+                                                     self.RADICAL)] == want
+        assert reads == {}
+
+    def test_float_candidates_read_it_once(self, reads, monkeypatch):
+        sol = solve(self.DEMOTED, E)
+        assert [type(c.k) for c in sol.cycles].count(float) == 4
+        assert reads == {"comparison_eps": 1}
+        monkeypatch.setenv("MOEBINV_EPS", "abc")
+        for rels, mode in ((self.DEMOTED, "exact"), (self.RATIONAL, "float")):
+            with pytest.raises(ValueError, match="MOEBINV_EPS"):
+                solve(rels, E, mode)
+
+
 class TestVerificationReadsCanonicalRows:
     """``satisfied_by`` takes the canonical cycle its caller made and
     canonicalises nothing itself; a reference is canonicalised once, when
