@@ -291,11 +291,16 @@ class Cycle:
 
     # -- constructors -------------------------------------------------------
     @staticmethod
-    def from_row(metric: Metric, row: Sequence[Scalar]) -> "Cycle":
+    def from_row(metric: Metric, row: Sequence[Scalar],
+                 form=None) -> "Cycle":
+        """The cycle of ``row``; ``form`` is the row's :func:`integer_form`
+        when the caller has made it."""
         row = list(row)
         if len(row) != metric.n + 2:
             raise ValueError(f"row of length {metric.n + 2} expected")
-        return Cycle(metric, row[0], row[1:-1], row[-1])
+        c = Cycle(metric, row[0], row[1:-1], row[-1])
+        c._form = form
+        return c
 
     @staticmethod
     def from_primitive(metric: Metric, prim: Tuple[int, ...]) -> "Cycle":

@@ -779,8 +779,7 @@ def _steiner_power(a: Cycle, b: Cycle, ar: Arithmetic) -> Scalar:
 
 
 def _rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    return len(linear_solve([(row, 0) for row in rows], len(rows[0]),
-                            True).pivots)
+    return len(linear_solve([(row, 0) for row in rows], len(rows[0])).pivots)
 
 
 def pairs_span_same_pencil(pair, other) -> bool:

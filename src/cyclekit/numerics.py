@@ -32,14 +32,17 @@ test, ``loxodrome_triple_ok``, ``proportional`` and ``interval_endpoints``'
 trace check.  Each site keeps its own ``eps``; the only settings are
 ``MOEBINV_EPS``, read by :func:`comparison_eps`, and ``relations.check``'s
 ``eps``.  A system's data chooses its field: ``linear_solve`` (like
-``_quad_roots``) works exactly only when asked to and every entry is exact.
-Every exact system is eliminated fraction-free over the ints or Z[sqrt d]
-and read back by its caller as Fractions, or QuadExts where a radical
-part is left, except that a homogeneous rational branch of ``solve``
-keeps its basis as int rows.  An exact cycle row over one radicand has one
-integer form over Z[sqrt d] (``cycle.integer_form``): the cycle pairing
-and chain validation sum in ints on it, and a rational cycle's canonical
-row and key read its primitive int row.
+``_quad_roots``) works exactly unless its caller asks for floats or an
+entry is a float.  Every exact system is eliminated fraction-free, over
+Z[sqrt d] when a coefficient has a radical part and over the ints
+otherwise (a rhs over one radicand split into its rational part and its
+sqrt d coefficient), and read back by its caller as Fractions, or
+QuadExts where a radical part is left, except that a homogeneous
+rational branch of ``solve`` keeps its basis as int rows.  An exact
+cycle row over one radicand has one integer form over Z[sqrt d]
+(``cycle.integer_form``): the cycle pairing and chain validation sum in
+ints on it, and a rational cycle's canonical row and key read its
+primitive int row.
 """
 
 from __future__ import annotations

@@ -626,7 +626,7 @@ def common_point(C: Cycle, Ct: Cycle,
     ar = private_context(ar)
     plane, e2 = C.metric, tau_plane(-1)
     _, basis = linear_solve([(pairing_coeffs(e2, ref), 0) for ref in (C, Ct)],
-                            4, ar.exact).solution()
+                            4, None if ar.exact else float).solution()
     if len(basis) > 2:
         raise ValueError("cycles too degenerate to cut out a pencil")
     sols = _binary_quadratic(lambda u, w: row_product(plane, u, w),

@@ -13,14 +13,17 @@ signed row is +1 are solved.  With an IsPoint present every rhs is 0 and
 so is the demand.  Solutions are checked back against every relation,
 deduplicated projectively and returned in a deterministic order.
 
-The coefficient rows do not depend on the signs, so the patterns of an
-exact solve share one elimination (:class:`_SignedStage`): ``[A | e_1 ..
-e_k]``, one unit rhs column per signed row, through :func:`linear_solve`,
-and each pattern's particular row is the signed sum of the columns'
-particular rows times their rhs.  A float system keeps one elimination
-per pattern (:func:`_solve_branch`), so that its floats round as they
-always did, and so does a system over two radicands, which raises its
-RadicalClash there.
+The coefficient rows do not depend on the signs, so every solve makes
+one elimination (:func:`linear_solve`): row i carries one rhs column per
+sign pattern, sigma_i r_i, and each pattern reads its own column back
+(:func:`_solve_branch`).  A column reads back as the pattern's own
+elimination would read it: the pivots depend on the coefficients alone,
+each column is eliminated entry by entry, and a row's signed rhs differ
+only in sign, so a float row keeps its largest magnitude and its floats
+round as they would alone.  A system over two radicands raises its
+RadicalClash in that elimination.  Rational rows with a Q(sqrt d) rhs are
+eliminated over the ints, each rhs column split into its rational part
+and its sqrt d coefficient.
 
 Exact work runs on each cycle's integer form (:meth:`Cycle.integer_form`):
 int rows ``P`` and ``Q`` with every entry ``(P_i + Q_i sqrt d)`` times one
@@ -336,34 +339,48 @@ class Reduced(NamedTuple):
     hands it back; its callers read it back.
 
     ``rows`` holds the reduced rows, the unknowns' columns first and the
-    rhs columns last (None: the system is inconsistent), and ``pivots``
-    their ``(row, col)`` pairs.  ``ring`` is the type the rows are kept in:
-    ``int`` or ``QuadExt`` for a primitive row over the ints or Z[sqrt d]
-    with its pivot as the elimination left it, ``float`` for a row scaled
-    to a unit pivot.
+    rhs columns last, and ``pivots`` their ``(row, col)`` pairs.
+    ``consistent`` has one flag per rhs column: is that column's system
+    consistent?  ``rows`` is None when none is.  ``ring`` is the type the
+    rows are kept in: ``int`` or ``QuadExt`` for a primitive row over the
+    ints or Z[sqrt d] with its pivot as the elimination left it, ``float``
+    for a row scaled to a unit pivot.  ``d`` is the radicand of split rhs
+    columns, 0 for none: int rows hold rhs column j's rational part in
+    rhs column j and its sqrt d coefficient k columns later, k the number
+    of rhs columns.
     """
 
     rows: Optional[list]
     pivots: List[Tuple[int, int]]
     nunk: int
     ring: type
+    consistent: Tuple[bool, ...]
+    d: int
 
     def solution(self):
-        """``(particular, basis)`` over the field: an exact entry is the
-        quotient of a row's entry by its pivot, a Fraction (a QuadExt when
-        it has a radical part); ``(None, None)`` when inconsistent."""
-        if self.rows is None:
-            return None, None
-        return self.particular(), self.basis()
+        """``(particular, basis)`` of rhs column 0 over the field: an
+        exact entry is the quotient of a row's entry by its pivot, a
+        Fraction (a QuadExt when it has a radical part); ``(None, None)``
+        when inconsistent."""
+        p = self.particular()
+        return (None, None) if p is None else (p, self.basis())
 
     def _entry(self, r: int, col: int, j: int):
-        """Entry ``j`` of row ``r`` over its pivot in column ``col``."""
+        """Entry ``j`` of row ``r`` over its pivot in column ``col``; a
+        split rhs entry joins its sqrt d coefficient."""
         row = self.rows[r]
-        return row[j] if self.ring is float else _quotient(row[j], row[col])
+        if self.ring is float:
+            return row[j]
+        b = self.d and j >= self.nunk and row[j + len(self.consistent)]
+        return _quad(row[j], b, row[col], self.d) if b else \
+            _quotient(row[j], row[col])
 
-    def particular(self, column: int = 0) -> tuple:
+    def particular(self, column: int = 0) -> Optional[tuple]:
         """The particular row of rhs column ``column``: each pivot column
-        reads its row's rhs entry, every free column 0."""
+        reads its row's rhs entry, every free column 0; None when that
+        column's system is inconsistent."""
+        if not self.consistent[column]:
+            return None
         nunk = self.nunk
         p = [0.0 if self.ring is float else _ZERO] * nunk
         for r, col in self.pivots:
@@ -394,9 +411,10 @@ class Reduced(NamedTuple):
         ``-A[r][free] * (L // A[r][col])``.  Each is the primitive positive
         multiple of its :meth:`basis` row, so roots taken on the pencil
         come in the order the Fraction rows give them.  None when the rows
-        are not ints or a rhs is nonzero."""
+        are not ints or not one rhs column of zeros."""
         A, nunk = self.rows, self.nunk
-        if self.ring is not int or any(row[nunk] for row in A):
+        if (self.ring is not int or self.d or len(self.consistent) > 1
+                or any(row[nunk] for row in A)):
             return None
         pivot_cols = {col for _, col in self.pivots}
         basis = []
@@ -413,38 +431,53 @@ class Reduced(NamedTuple):
         return basis
 
 
-def linear_solve(rows: List[Row], nunk: int, exact: bool,
+def linear_solve(rows: List[Row], nunk: int,
                  ring: Optional[type] = None) -> Reduced:
-    """Gauss-Jordan, exact when ``exact`` is set and every entry is exact:
-    the system's :class:`Reduced` form, which its callers read back.
+    """Gauss-Jordan: the system's :class:`Reduced` form, which its callers
+    read back.
 
     A row is ``(coeffs, rhs)``, ``rhs`` one scalar or a tuple of them, one
-    per rhs column.  With one rhs column the system is inconsistent (rows
-    None) when a row past the rank keeps a nonzero rhs.  Several columns
-    stand for the systems a caller sums from them, each consistent or not
-    on its own, so their rows past the rank are kept for the caller to
-    read (``solve`` eliminates its sign patterns this way, once).
+    per rhs column, and each column is a system of its own, consistent or
+    not (``solve`` gives each sign pattern one column).  The pivots depend
+    on the unknowns' columns alone and every column is eliminated entry by
+    entry, so a column reads back as the elimination of its own system
+    would read it: in the same values, and for float rows in the same bits
+    as long as every row's largest magnitude is the same in each column's
+    system.
 
-    An exact system is eliminated fraction-free (:func:`_fraction_free`)
-    and kept in the ring it ran in: Z[sqrt d] when an entry is a
-    ``QuadExt``, the ints otherwise: the ``ring`` of its entry types
-    (:func:`_ring`), read here unless the caller passes it.  Float rows
+    ``ring`` None reads the ring off the entry types (:func:`_ring`);
+    ``float`` forces the float loop.  An exact system is eliminated
+    fraction-free (:func:`_fraction_free`) and kept in the ring it ran in:
+    the ints, or Z[sqrt d] when an entry is a ``QuadExt``.  When only the
+    rhs has radical parts, all over one radicand d, each rhs column is
+    split into its rational part and its sqrt d coefficient and the
+    elimination stays over the ints (``Reduced.d``).  Float rows
     partial-pivot, rank-test against EPS_RANK times the original row
     magnitude and are scaled to unit pivots.
     """
     full = [(*coeffs, *rhs) if type(rhs) is tuple else (*coeffs, rhs)
             for coeffs, rhs in rows]
-    one_column = not rows or type(rows[0][1]) is not tuple
+    ncols = len(full[0]) - nunk if full else 1
     if ring is None:
-        ring = float if not exact else _ring({type(c) for row in full
-                                              for c in row})
+        ring = _ring({type(c) for row in full for c in row})
     if ring is not float:
         cleared, primitive = _CLEARING[ring]
-        A, pivots = _fraction_free([cleared(row) for row in full], nunk,
-                                   primitive)
-        if one_column and any(row[nunk] for row in A[len(pivots):]):
-            A = None
-        return Reduced(A, pivots, nunk, QuadExt if ring is QuadExt else int)
+        A = [cleared(row) for row in full]
+        d = _split_radicand(A, nunk) if ring is QuadExt else 0
+        if d:
+            A = [[*row[:nunk], *[c.p if type(c) is QuadExt else c
+                                 for c in row[nunk:]],
+                  *[c.q if type(c) is QuadExt else 0 for c in row[nunk:]]]
+                 for row in A]
+            ring, primitive = int, _primitive
+        A, pivots = _fraction_free(A, nunk, primitive)
+        rest = A[len(pivots):]
+        consistent = tuple([not any(row[j] or d and row[j + ncols]
+                                    for row in rest)
+                            for j in range(nunk, nunk + ncols)]) \
+            if rest else (True,) * ncols
+        return Reduced(A if any(consistent) else None, pivots, nunk,
+                       QuadExt if ring is QuadExt else int, consistent, d)
     A = [[float(c) for c in row] for row in full]
     norms = [row_scale(row) for row in A]
     pivots: List[Tuple[int, int]] = []
@@ -467,9 +500,11 @@ def linear_solve(rows: List[Row], nunk: int, exact: bool,
                 A[i] = [a - f * b for a, b in zip(A[i], A[rank])]
         pivots.append((rank, col))
         rank += 1
-    consistent = not one_column or all(abs(A[i][nunk]) <= EPS_RANK * norms[i]
-                                       for i in range(rank, len(A)))
-    return Reduced(A if consistent else None, pivots, nunk, float)
+    consistent = tuple([all(abs(A[i][j]) <= EPS_RANK * norms[i]
+                            for i in range(rank, len(A)))
+                        for j in range(nunk, nunk + ncols)])
+    return Reduced(A if any(consistent) else None, pivots, nunk, float,
+                   consistent, 0)
 
 
 def _fraction_free(A: list, nunk: int, primitive):
@@ -515,6 +550,16 @@ def _ring(kinds: set) -> type:
         return Fraction if Fraction in kinds else int
     exact = all(issubclass(t, (int, Fraction, QuadExt)) for t in kinds)
     return QuadExt if exact else float
+
+
+def _split_radicand(A: list, nunk: int) -> int:
+    """The radicand of the rhs of the cleared Z[sqrt d] rows ``A`` when
+    every coefficient is an int and the rhs's radical parts are all over
+    that one radicand; 0 otherwise."""
+    if any(type(c) is QuadExt for row in A for c in row[:nunk]):
+        return 0
+    ds = {c.d for row in A for c in row[nunk:] if type(c) is QuadExt and c.q}
+    return ds.pop() if len(ds) == 1 else 0
 
 
 def _integer_row(row):
@@ -634,25 +679,23 @@ def _combine(p, v, t):
     return tuple(pc + t * vc for pc, vc in zip(p, v))
 
 
-def _solve_branch(metric, rows, demand, ar: Arithmetic, ring=None):
-    """One sign branch from its own elimination: linear stage plus at most
-    one quadratic demand.
+def _solve_branch(metric, red: Reduced, column: int, demand,
+                  ar: Arithmetic, bases: list):
+    """The candidates of rhs column ``column`` of the reduced system
+    ``red``, one sign branch: its linear stage plus at most one quadratic
+    demand.  ``bases`` holds ``red.basis()`` once a branch of the solve
+    has read it: it is read when the field rows are read back, once.
 
-    Returns (list of rows | None, parametric tuple | None).  ``solve``
-    takes this path when there is one pattern, and for a float system, one
-    elimination per pattern, since one shared float elimination would round
-    in another order; the patterns of an exact system share one
-    (:class:`_SignedStage`).  A homogeneous rational system with no demand
-    or a point demand stays in ints from the elimination to the candidate
-    rows (:meth:`Reduced.integer_basis`): a single basis row is the
-    candidate as it is, and a pencil's isotropic rows come from
-    :func:`_integer_binary_quadratic`.  A nonzero rhs or demand, a radical
-    or float system, a parametric result and a pencil with irrational roots
-    read back the field rows (:func:`_field_candidates`).
+    Returns (list of rows | None, parametric tuple | None).  A homogeneous
+    rational system with no demand or a point demand stays in ints from
+    the elimination to the candidate rows (:meth:`Reduced.integer_basis`):
+    a single basis row is the candidate as it is, and a pencil's isotropic
+    rows come from :func:`_integer_binary_quadratic`.  A nonzero rhs or
+    demand, a radical or float system, a parametric result and a pencil
+    with irrational roots read back the field rows
+    (:func:`_field_candidates`).
     """
-    nunk = metric.n + 2
-    red = linear_solve(rows, nunk, ar.exact, ring)
-    if red.rows is None:
+    if not red.consistent[column]:
         return [], None
     ints = red.integer_basis() if demand in (None, 0) else None
     if ints is not None and len(ints) < 3:
@@ -666,62 +709,10 @@ def _solve_branch(metric, rows, demand, ar: Arithmetic, ring=None):
             sols = _integer_binary_quadratic(metric.weights, *ints)
             if sols is not None:
                 return sols, None
-    return _field_candidates(metric, *red.solution(), demand, ar)
-
-
-class _SignedStage:
-    """The linear stage of every sign pattern of one exact solve, from one
-    :func:`linear_solve`: ``rows`` are the ``(coeffs, rhs)`` of the
-    relations with a row, ``signed`` the indices of those whose rhs is
-    signed.
-
-    The coefficient rows do not depend on the signs, so ``[A | e_1 ..
-    e_k]`` is eliminated once, one unit rhs column per signed row, in the
-    ring of A.  Column j's particular row p_j times that row's rhs r_j is
-    formed once; a pattern sigma's particular row is then the signed sum
-    sum sigma_j r_j p_j, and the pattern is inconsistent when the same
-    signed sum over a row past the rank is nonzero.  The basis is read
-    once, when first asked for.  Every signed rhs is nonzero and the
-    elimination is invertible, so a consistent pattern's particular row
-    is never zero: no pattern takes the homogeneous int path.
-    """
-
-    def __init__(self, rows, signed, nunk, ring=None):
-        self.red = red = linear_solve(
-            [(coeffs, tuple([int(i == s) for s in signed]))
-             for i, (coeffs, _) in enumerate(rows)], nunk, True, ring)
-        r = [rows[s][1] for s in signed]
-        ps = [red.particular(j) for j in range(len(r))]
-        self.terms = [(col, [(j, r[j] * p[col]) for j, p in enumerate(ps)
-                             if p[col]])
-                      for _, col in red.pivots]
-        self.residues = [[(j, r[j] * v) for j, v in enumerate(row[nunk:]) if v]
-                         for row in red.rows[len(red.pivots):]
-                         if any(row[nunk:])]
-
-    @cached_property
-    def basis(self):
-        return self.red.basis()
-
-    def solution(self, signs):
-        """``(particular, basis)`` of the pattern with ``signs``, one per
-        signed row, as :meth:`Reduced.solution` of the pattern's own
-        elimination reads it; ``(None, None)`` when inconsistent."""
-        if any(_signed_sum(signs, res) for res in self.residues):
-            return None, None
-        p = [_ZERO] * self.red.nunk
-        for col, terms in self.terms:
-            p[col] = _signed_sum(signs, terms)
-        return tuple(p), self.basis
-
-
-def _signed_sum(signs, terms):
-    """sum signs[j] * t over the ``(j, t)`` of ``terms``, typed as a
-    read-back entry: a Fraction, or a QuadExt with a radical part."""
-    acc = _ZERO
-    for j, t in terms:
-        acc = acc + t if signs[j] > 0 else acc - t
-    return acc.collapse() if type(acc) is QuadExt else acc
+    if not bases:
+        bases.append(red.basis())
+    return _field_candidates(metric, red.particular(column), bases[0],
+                             demand, ar)
 
 
 def _field_candidates(metric, p, basis, demand, ar: Arithmetic):
@@ -850,9 +841,9 @@ def solve(relations: Sequence[Relation], metric: Metric,
     live = [i for i, c in enumerate(coeffs) if c is not None]
     ring = float
     if ar.exact:
-        # the one type scan: the rows' ring, and the ring of [A | e_1 ..]
-        kinds = {type(v) for i in live for v in coeffs[i]}
-        ring = _ring(kinds | {type(rhs[i]) for i in live})
+        # the one type scan: the ring of the rows and their rhs
+        ring = _ring({type(v) for i in live for v in coeffs[i]}
+                     | {type(rhs[i]) for i in live})
     if exact and ring is float:
         # a build demoted or the data has a float: the elimination runs
         # in floats on every row as its data gives it
@@ -864,31 +855,22 @@ def solve(relations: Sequence[Relation], metric: Metric,
             f"{2 ** len(signed)}+ sign branches (cap {MAX_BRANCHES})")
     if signed:
         axes[signed[0]] = (1,)       # the twin -sigma gives the same cycles
-    # the patterns of an exact system share one elimination; a system over
-    # two radicands keeps one per pattern, which raises its RadicalClash as
-    # it always did
-    shared = (ring is not float and len(signed) > 1
-              and len(_radicands(coeffs, rhs)) < 2)
-    if shared:
-        stage = _SignedStage([(coeffs[i], rhs[i]) for i in live],
-                             [live.index(i) for i in signed], metric.n + 2,
-                             _ring(kinds | {int}))
+    # one elimination: row i holds one rhs column per pattern, sigma_i r_i
+    patterns = list(iproduct(*axes))
+    red = linear_solve([(coeffs[i], (rhs[i],) * len(patterns)
+                         if len(axes[i]) == 1 else
+                         tuple([rhs[i] if p[i] == 1 else -rhs[i]
+                                for p in patterns]))
+                        for i in live], metric.n + 2, ring)
+    bases: list = []
     found: List[Tuple[Cycle, tuple]] = []
     parametric = None
     contexts = [ar]
-    for pattern in iproduct(*axes):
+    for column, pattern in enumerate(patterns):
         if len(signed) > 1:
             contexts.append(ar.clone())
-        if shared:
-            p, basis = stage.solution([pattern[i] for i in signed])
-            sols, par = (([], None) if p is None else _field_candidates(
-                metric, p, basis, demand, contexts[-1]))
-        else:
-            rows = [(c, -v if sign == -1 else v)
-                    for c, v, sign in zip(coeffs, rhs, pattern)
-                    if v is not None]
-            sols, par = _solve_branch(metric, rows, demand, contexts[-1],
-                                      ring)
+        sols, par = _solve_branch(metric, red, column, demand, contexts[-1],
+                                  bases)
         if par is not None and parametric is None:
             pbase, pbasis, ps = par
             parametric = (
@@ -912,7 +894,8 @@ def solve(relations: Sequence[Relation], metric: Metric,
                 if all(rel.satisfied_by(x, 0.0) for rel in relations):
                     kept[form[0]] = x.canonical(), prov
             continue
-        can = Cycle.from_row(metric, srow).canonical()
+        # a QuadExt candidate's cycle keeps the form made above
+        can = Cycle.from_row(metric, srow, form or None).canonical()
         if eps is None and type(can.k) is float:
             eps = comparison_eps()
         if all(rel.satisfied_by(can, eps or 0.0) for rel in relations):
@@ -936,12 +919,6 @@ def solve(relations: Sequence[Relation], metric: Metric,
                            residual_demand=resid, demoted=demoted, notes=note)
     return SolutionSet("infeasible", reason="no cycle satisfies the relations",
                        demoted=demoted, notes=notes)
-
-
-def _radicands(coeffs, rhs) -> set:
-    """The radicands of the radical parts of an exact system's entries."""
-    return {v.d for c, b in zip(coeffs, rhs) if c is not None
-            for v in (*c, b) if type(v) is QuadExt and v.q}
 
 
 def _sort_key(c: Cycle):

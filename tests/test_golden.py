@@ -8,7 +8,10 @@ float rows of demoted answers included; it was recorded before the sign
 patterns of an exact solve shared one elimination.  The rational-solve
 hash covers the result types of exact solves (``Fraction(3)`` and ``3``
 hash apart); it was recorded before verification ran on primitive int
-rows.  A change that moves any of them changes user-visible output and
+rows.  The mixed-solve hash covers every relation kind over two
+radicands in four metrics, float mode's multi-pattern linear stage and
+RadicalClash messages; it was recorded before every solve ran one
+elimination with one rhs column per sign pattern.  A change that moves any of them changes user-visible output and
 must say so.
 """
 
@@ -36,6 +39,8 @@ BRANCH_STAGE_SHA = (
     "99df7cfea3e89af6b7e313f5500df9e3c5f7fc6993ef77cc58b0dfbf16f146b1")
 RATIONAL_SOLVE_SHA = (
     "b40e96275ac44d02245ca2d9d2374a50b17c4cf2b4ef3fb8ab8b65a5d8088972")
+MIXED_SOLVE_SHA = (
+    "26d3ebb202b27c72df33a221f451dcf8e03360d9346f6ce5274d0f594fcedce9")
 
 # (argv, sha256 of stdout, sha256 of the --svg side output or None);
 # SCRIPT and SVG are replaced by paths under tmp_path
@@ -315,3 +320,76 @@ def test_rational_solve_output_is_byte_identical():
     assert not any(o[3] for o in out)                        # none demoted
     assert sum(o[0] == "parametric" for o in out) > 20
     assert sha(json.dumps(out).encode()) == RATIONAL_SOLVE_SHA
+
+
+_ROOTS = {d: QuadExt(0, 1, d) for d in (2, 3, 5)}
+_RADICANDS = ((), (2,), (3,), (5,), (2, 3), (3, 5), (2, 5))
+
+
+def _mixed_solves():
+    """Seeded systems of every relation kind, 1,600 of them, in e, h, p
+    and signature (3,0,0) in turn: n + 1 row-bearing relations (tangent,
+    orthogonal, inversive distance, power, through a point, IsFlat) plus
+    any IsPoint drawn among them.  Each reference is over at most one of
+    the system's radicands (none, one or two of sqrt 2, sqrt 3 and
+    sqrt 5), an entry of it irrational one time in five; so a tangency
+    rhs is a root in or outside a reference's field, and a system over
+    two radicands raises RadicalClash or demotes."""
+    metrics = (Metric.named("e"), Metric.named("h"), Metric.named("p"),
+               Metric.from_signature(3))
+    for i in range(1600):
+        rng = random.Random(f"golden-mixed:{i}")
+        metric = metrics[i % 4]
+        n = metric.n
+        q = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        rads = _RADICANDS[rng.randrange(len(_RADICANDS))]
+
+        def entry(d):
+            if d and rng.random() < 0.2:
+                return q() + q() * _ROOTS[d]
+            return q()
+
+        def ref():
+            d = rng.choice(rads) if rads else 0
+            return Cycle(metric, rng.choice((1, 1, 0, entry(d))),
+                         [entry(d) for _ in range(n)], entry(d))
+
+        rels, rows = [], 0
+        while rows < n + 1:
+            pick = rng.randrange(9)
+            rows += pick != 7
+            if pick < 3:
+                rels.append(IsTangent(ref(), rng.choice(
+                    ("both", "both", "external", "internal"))))
+            elif pick == 3:
+                rels.append(IsOrthogonal(ref()))
+            elif pick == 4:
+                rels.append(InversiveDistance(ref(), rng.choice(
+                    (0, Fraction(1, 2), -1, 2, q()))))
+            elif pick == 5:
+                r = ref()
+                rels.append(SteinerPower(r, q()) if r.k else IsFlat(metric))
+            elif pick == 6:
+                rels.append(PassesThrough(metric, ref().l))
+            elif pick == 7:
+                rels.append(IsPoint(metric))
+            else:
+                rels.append(IsFlat(metric))
+        yield metric, rels
+
+
+def test_mixed_solve_output_is_byte_identical():
+    # float systems with several signed rows, systems over two radicands
+    # and rational rows with a Q(sqrt d) rhs, in exact and float mode
+    out = []
+    for metric, rels in _mixed_solves():
+        for mode in ("exact", "float"):
+            try:
+                out.append(_outcome(solve(rels, metric, mode)))
+            except ArithmeticError as err:
+                out.append([type(err).__name__, str(err)])
+    kinds = [o[0] for o in out]
+    assert kinds.count("RadicalClash") > 50
+    assert kinds.count("finite") > 500 and kinds.count("parametric") > 100
+    assert sum(o[3:4] == [True] for o in out) > 300     # demoted answers
+    assert sha(json.dumps(out).encode()) == MIXED_SOLVE_SHA

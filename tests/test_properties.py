@@ -347,6 +347,17 @@ def _reference_row(rel, ar):
     return coeffs, rhs, numerics.scalar_sign(ss)
 
 
+def _pattern_branch(metric, rows, demand, ar):
+    """One sign pattern from its own elimination, as ``solve`` ran each
+    pattern before its patterns shared one: one ``linear_solve`` of the
+    pattern's rows, then the field rows' candidates."""
+    red = relations.linear_solve(rows, metric.n + 2,
+                                 None if ar.exact else float)
+    if red.rows is None:
+        return [], None
+    return relations._field_candidates(metric, *red.solution(), demand, ar)
+
+
 def _reference_candidates(rels, metric, mode):
     """The unverified candidate rows of every sign pattern, sigma and
     -sigma alike, each in its own context, with whether a branch was
@@ -369,7 +380,7 @@ def _reference_candidates(rels, metric, mode):
                               else _reference_row(rel, ar))
             if coeffs is not None:
                 rows.append((coeffs, -rhs if sign < 0 else rhs))
-        sols, par = relations._solve_branch(metric, rows, demand, ar)
+        sols, par = _pattern_branch(metric, rows, demand, ar)
         demoted = demoted or ar.demoted
         parametric = parametric or par is not None
         found += sols or []
@@ -793,11 +804,13 @@ rational_entries = st.one_of(st.integers(-6, 6), rationals)
 @st.composite
 def rational_systems(draw, entries=rational_entries,
                      factors=st.one_of(st.integers(-3, 3), rationals),
-                     shifts=nonzero_rationals):
+                     shifts=nonzero_rationals, rhs_entries=None):
     """1-4 rows over 3-5 unknowns of ``entries``, by default ints and
-    Fractions; a row after the first may be zero, a combination of earlier
-    rows (dependent), or such a combination with its rhs moved
+    Fractions, and rhs of ``rhs_entries`` (by default ``entries``); a row
+    after the first may be zero, a combination of earlier rows
+    (dependent), or such a combination with its rhs moved
     (inconsistent)."""
+    rhs_entries = entries if rhs_entries is None else rhs_entries
     nunk = draw(st.integers(3, 5))
     rows = []
     for _ in range(draw(st.integers(1, 4))):
@@ -806,7 +819,7 @@ def rational_systems(draw, entries=rational_entries,
         if kind == "free":
             rows.append((tuple(draw(st.lists(entries, min_size=nunk,
                                              max_size=nunk))),
-                         draw(entries)))
+                         draw(rhs_entries)))
             continue
         if kind == "zero":
             rows.append(((0,) * nunk, 0))
@@ -826,7 +839,7 @@ def rational_systems(draw, entries=rational_entries,
 @given(rational_systems())
 def test_integer_linear_solve_equals_the_fraction_reference(system):
     rows, nunk = system
-    p, basis = relations.linear_solve(rows, nunk, True).solution()
+    p, basis = relations.linear_solve(rows, nunk).solution()
     want_p, want_basis = _ref_linear_solve(rows, nunk)
     assert _typed(p) == _typed(want_p)
     assert _typed(basis) == _typed(want_basis)
@@ -879,8 +892,9 @@ def _ref_branch(metric, rows, demand):
                (pairing_coeffs(E2, Cycle(E2, 0, (0, 1), 0)), 0)], 0))
 def test_integer_branch_equals_the_fraction_reference(system):
     metric, rows, demand = system
-    sols, par = relations._solve_branch(metric, rows, demand,
-                                        numerics.Arithmetic("exact"))
+    red = relations.linear_solve(rows, metric.n + 2)
+    sols, par = relations._solve_branch(metric, red, 0, demand,
+                                        numerics.Arithmetic("exact"), [])
     want_sols, want_par = _ref_branch(metric, rows, demand)
     canonical = lambda found: None if found is None else [
         _typed(Cycle.from_row(metric, row).canonical().row()) for row in found]
@@ -904,7 +918,7 @@ def radical_systems(draw):
 @given(radical_systems())
 def test_radical_linear_solve_equals_the_field_reference(system):
     rows, nunk = system
-    p, basis = relations.linear_solve(rows, nunk, True).solution()
+    p, basis = relations.linear_solve(rows, nunk).solution()
     assert (p, basis) == _ref_linear_solve(rows, nunk)
     # a value without a radical part reads back as a Fraction
     for value in [] if p is None else [*p, *(c for v in basis for c in v)]:
@@ -915,7 +929,7 @@ def test_two_radicands_in_one_system_clash():
     r2, r3 = QuadExt(0, 1, 2), QuadExt(0, 1, 3)
     rows = [((r2, 1, 0), 1), ((1, r3, 1), 2)]
     with pytest.raises(RadicalClash):
-        relations.linear_solve(rows, 3, True)
+        relations.linear_solve(rows, 3)
     with pytest.raises(RadicalClash):
         _ref_linear_solve(rows, 3)
 
@@ -929,40 +943,102 @@ def _pattern_rows(rows, signed, signs):
 
 
 @st.composite
+def split_systems(draw):
+    """Rational coefficient rows whose rhs lie in Q(sqrt d), some with no
+    radical part: ``linear_solve`` splits each rhs column into its
+    rational part and its sqrt d coefficient."""
+    d = draw(st.sampled_from([2, 3, 5, 6]))
+    quads = st.builds(lambda a, b: QuadExt(a, b, d), rationals, rationals)
+    return draw(rational_systems(
+        rhs_entries=st.one_of(st.just(0), rationals, quads),
+        shifts=st.one_of(nonzero_rationals, quads.filter(bool))))
+
+
+@st.composite
+def two_radicand_systems(draw):
+    """Coefficients in Q(sqrt d1) and rhs in Q(sqrt d2), as when a
+    reference with a radical entry meets a tangency rhs whose root is in
+    another field."""
+    d1, d2 = draw(st.lists(st.sampled_from([2, 3, 5]), min_size=2,
+                           max_size=2, unique=True))
+    quads = lambda d: st.builds(lambda a, b: QuadExt(a, b, d), rationals,
+                                nonzero_rationals)
+    return draw(rational_systems(
+        st.one_of(st.integers(-6, 6), rationals, quads(d1)),
+        rhs_entries=st.one_of(rationals, quads(d2)), shifts=quads(d2)))
+
+
+@st.composite
 def signed_linear_systems(draw):
-    """A rational or radical system (zero, dependent and inconsistent rows
-    included) with a signed rhs on some rows and rhs 0 on the others."""
-    rows, nunk = draw(st.one_of(rational_systems(), radical_systems()))
+    """A system (zero, dependent and inconsistent rows included) with a
+    signed rhs on some rows and rhs 0 on the others, and the ``ring`` to
+    eliminate it in: rational, radical, split or two-radicand rows
+    exactly, float rows or exact rows in floats."""
+    ring = draw(st.sampled_from([None, float]))
+    floats = st.floats(-50, 50)
+    rows, nunk = draw(st.one_of(
+        rational_systems(), radical_systems(), split_systems(),
+        two_radicand_systems(),
+        rational_systems(floats, floats, floats.filter(bool))))
     signed = sorted(draw(st.sets(st.sampled_from(range(len(rows))),
                                  min_size=min(2, len(rows)))))
-    return [(c, r if i in signed else 0)
-            for i, (c, r) in enumerate(rows)], signed, nunk
+    return ([(c, r if i in signed else 0) for i, (c, r) in enumerate(rows)],
+            signed, nunk, ring)
 
 
 R2 = QuadExt(0, 1, 2)
+R3 = QuadExt(0, 1, 3)
 
 
-@settings(max_examples=300)
+def _outcome_or_error(fn):
+    """``fn()``, or the type and message of the ArithmeticError it raises."""
+    try:
+        return fn()
+    except ArithmeticError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=600)
 @given(signed_linear_systems())
 # one row twice with rhs 1 and -1: A is rank-deficient, and the row past
 # the rank cancels for the patterns (+, -, *) and is inconsistent for the
 # others
 @example(([((1, 2, 0, 1), 1), ((1, 2, 0, 1), -1), ((0, 1, 1, 0), 3)],
-          [0, 1, 2], 4))
+          [0, 1, 2], 4, None))
 # Z[sqrt 2] rows, the third the sum of the first two
 @example(([((1 + R2, 0, 1), R2), ((1, R2, 0), 1),
-           ((2 + R2, R2, 1), 1 + R2)], [0, 1, 2], 3))
+           ((2 + R2, R2, 1), 1 + R2)], [0, 1, 2], 3, None))
 # every signed rhs 0: the particular row cancels to zero
-@example(([((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0)], [0, 1], 4))
+@example(([((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0)], [0, 1], 4, None))
+# rational rows with sqrt 2 rhs, split; and the same rows in floats
+@example(([((1, 2, 0, 1), R2), ((0, 1, 1, 0), 3 * R2), ((2, 0, 1, 1), 1)],
+          [0, 1], 4, None))
+@example(([((1, 2, 0, 1), R2), ((0, 1, 1, 0), 3 * R2), ((2, 0, 1, 1), 1)],
+          [0, 1], 4, float))
+# a sqrt 3 coefficient against sqrt 2 rhs
+@example(([((1, R3, 0), R2), ((1, 1, 1), 2 * R2)], [0, 1], 3, None))
 def test_shared_elimination_equals_one_elimination_per_pattern(system):
-    # the read-back of each sign pattern from solve's one elimination is
-    # the pattern's own linear_solve, typed
-    rows, signed, nunk = system
-    stage = relations._SignedStage(rows, signed, nunk)
-    for signs in iproduct((1, -1), repeat=len(signed)):
-        want = relations.linear_solve(_pattern_rows(rows, signed, signs),
-                                      nunk, True).solution()
-        assert _typed(stage.solution(signs)) == _typed(want)
+    # the read-back of each sign pattern's column of one elimination is
+    # the pattern's own linear_solve: typed for exact rows, by repr for
+    # float rows, so that -0.0 and last bits count; a system that clashes
+    # raises what the first pattern to clash raises
+    rows, signed, nunk, ring = system
+    patterns = [_pattern_rows(rows, signed, signs)
+                for signs in iproduct((1, -1), repeat=len(signed))]
+    columns = [(c, tuple([pattern[i][1] for pattern in patterns]))
+               for i, (c, _) in enumerate(rows)]
+    want = _outcome_or_error(lambda: [
+        relations.linear_solve(pattern, nunk, ring).solution()
+        for pattern in patterns])
+
+    def shared():
+        red = relations.linear_solve(columns, nunk, ring)
+        return [(p, None if p is None else red.basis())
+                for p in map(red.particular, range(len(patterns)))]
+
+    got = _outcome_or_error(shared)
+    same = repr if ring is float else _typed
+    assert same(got) == same(want)
 
 
 def _exact_twin(rel):

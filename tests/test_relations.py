@@ -27,12 +27,12 @@ def rows_of(sol):
 class TestLinearStage:
     def test_exact_unique(self):
         rows = [((F(1), F(0)), F(2)), ((F(1), F(1)), F(5))]
-        p, basis = linear_solve(rows, 2, True).solution()
+        p, basis = linear_solve(rows, 2).solution()
         assert p == (2, 3) and basis == []
 
     def test_exact_underdetermined(self):
         rows = [((F(1), F(2), F(0)), F(0))]
-        p, basis = linear_solve(rows, 3, True).solution()
+        p, basis = linear_solve(rows, 3).solution()
         assert p == (0, 0, 0)
         assert len(basis) == 2
         for v in basis:
@@ -40,12 +40,12 @@ class TestLinearStage:
 
     def test_inconsistent(self):
         rows = [((F(1), F(1)), F(1)), ((F(2), F(2)), F(3))]
-        p, basis = linear_solve(rows, 2, True).solution()
+        p, basis = linear_solve(rows, 2).solution()
         assert p is None and basis is None
 
     def test_float_rank_threshold(self):
         rows = [((1.0, 1.0), 1.0), ((1.0, 1.0 + 1e-14), 1.0)]
-        p, basis = linear_solve(rows, 2, False).solution()
+        p, basis = linear_solve(rows, 2, float).solution()
         assert len(basis) == 1  # the near-duplicate row adds no rank
 
 
@@ -302,6 +302,26 @@ class TestBuildOncePerSolve:
         assert len(sol.cycles) == 8
         assert calls == {"build": 3, "linear_solve": 1}
         assert all(pattern[0] == 1 for pattern, _ in sol.provenance)
+
+    def test_float_signed_rows_are_one_elimination(self, calls):
+        refs = [Cycle.circle(E, c, F(1)) for c in ((0, 0), (4, 0), (2, 3))]
+        sol = solve([IsTangent(r) for r in refs], E, "float")
+        assert len(sol.cycles) == 8
+        assert calls == {"build": 3, "linear_solve": 1}
+
+    def test_one_pattern_is_one_elimination(self, calls):
+        sol = solve([IsTangent(UNIT), IsOrthogonal(REAL),
+                     PassesThrough(E, (F(3), F(0)))], E)
+        assert [pattern for pattern, _ in sol.provenance] == [(1, None, None)] * 2
+        assert calls == {"build": 3, "linear_solve": 1}
+
+    def test_two_radicands_are_one_elimination(self, calls):
+        # a sqrt(3) reference entry against sqrt(2) tangency rhs
+        refs = [Cycle(E, 1, (1, 0), 0), Cycle(E, 1, (-1, 0), 0),
+                Cycle(E, 1, (0, QuadExt(0, 1, 3)), 2)]
+        with pytest.raises(numerics.RadicalClash):
+            solve([IsTangent(r) for r in refs], E)
+        assert calls["linear_solve"] == 1
 
     def test_no_signed_row_is_one_branch(self, calls):
         solve([IsOrthogonal(UNIT), IsFlat(E), IsOrthogonal(REAL)], E)
