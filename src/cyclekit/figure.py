@@ -13,7 +13,9 @@ instances, and every instance remembers the ancestor instances it was
 built from; checks and measurements pair instances with consistent
 ancestries instead of mixing branches.  Editing a data node re-solves
 only the nodes downstream of it: every other node would get the same
-instances back.
+instances back.  A subfigure node keeps its inner figure between runs and
+rebinds only the slots whose outer cycle changed, so an edit re-solves
+only the inner nodes downstream of those slots.
 
 Continuous families are not enumerated.  When a solve leaves free
 parameters the node is marked parametric and blocks its children; the
@@ -31,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import acos, acosh, pi, sqrt as _fsqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .clifford import Infinity, Mat2, Mv, mobius_apply
 from .cycle import Cycle, Metric, decode_scalar, encode_scalar, parse_metric
@@ -167,6 +169,8 @@ class FigureNode:
     status: str = "pending"   # pending | solved | parametric | infeasible
     instances: List[Instance] = field(default_factory=list)
     reason: str = ""
+    # a subfigure's inner figure as last run; runtime state, never serialized
+    kept: Optional["Figure"] = field(default=None, repr=False, compare=False)
 
     def solve_parents(self) -> Tuple[str, ...]:
         """Node labels whose instances parametrise the solve, in first
@@ -276,7 +280,6 @@ class Figure:
         """Refuse a spec whose kind, parent or parameters are wrong now,
         not at solve time: a kind with parameters is built once, on the
         origin as a stand-in parent if it takes one (k = 1 suits all)."""
-        stand_in = Cycle(self.metric, 1, (0,) * self.metric.n, 0)
         for spec in specs:
             if spec.kind not in _KINDS:
                 raise ValueError(f"unknown relation kind {spec.kind!r}")
@@ -288,7 +291,8 @@ class Figure:
             if not on_parent and spec.parent is not None:
                 raise ValueError(f"{spec.kind} takes no parent")
             if params:
-                cls(stand_in if on_parent else self.metric, *spec.args)
+                cls(Cycle(self.metric, 1, (0,) * self.metric.n, 0)
+                    if on_parent else self.metric, *spec.args)
 
     def _generation_for(self, parents: Sequence[str]) -> int:
         gens = [self._nodes[p].generation for p in parents]
@@ -315,7 +319,9 @@ class Figure:
     def add_subfigure(self, inner, bindings: Dict[str, str], result: str,
                       label: str) -> str:
         """Macro node: bound outer instances replace the inner figure's
-        generation-0 slots, only the result node comes back."""
+        generation-0 slots, only the result node comes back.  The node
+        keeps the inner figure it last ran and rebinds it on later runs;
+        only ``inner``, ``bindings`` and ``result`` are serialized."""
         self._claim(label)
         obj = inner.to_obj() if isinstance(inner, Figure) else dict(inner)
         names = {n["label"]: n for n in obj.get("nodes", ())}
@@ -420,14 +426,33 @@ class Figure:
         return [c for c in cycles if c.key() not in banned]
 
     def _run_subfigure(self, node, by_label) -> Optional[List[Cycle]]:
-        obj = dict(node.inner)
-        obj["mode"] = "freeze"      # defer: placeholder rows must not solve
-        obj["metric"] = _encode_metric(self.metric)
-        obj["arithmetic"] = self.arithmetic
-        inner = Figure.from_obj(obj)
+        """Bind the outer instances to the inner slots, solve, and return
+        the result node's cycles (None when it is parametric).
+
+        The inner figure is built from ``node.inner`` on the first run and
+        under a changed metric or arithmetic, and kept, frozen, between
+        runs.  A run sets only the slots not already holding the outer
+        instance's very cycle (identity: rows that compare equal may differ
+        in scalar type) and re-solves their cones in one walk; every node
+        of a new figure is pending, so that walk solves it whole.  The
+        figure is kept only once a run succeeds, so one that raises leaves
+        the next run to rebuild it."""
+        inner, node.kept = node.kept, None
+        if inner is None or inner.metric != self.metric \
+                or inner.arithmetic != self.arithmetic:
+            obj = dict(node.inner)
+            obj["mode"] = "freeze"      # defer: placeholder rows must not solve
+            obj["metric"] = _encode_metric(self.metric)
+            obj["arithmetic"] = self.arithmetic
+            inner = Figure.from_obj(obj)
+        changed = set()
         for inner_lab, outer_lab in node.bindings:
-            inner.set_data(inner_lab, by_label[outer_lab].cycle)
-        inner.unfreeze()
+            cycle = by_label[outer_lab].cycle
+            if inner._nodes[inner_lab].row is not cycle:
+                inner.set_data(inner_lab, cycle)
+                changed.add(inner_lab)
+        inner._resolve(changed)
+        node.kept = inner
         res = inner._nodes[node.result]
         if res.status == "parametric":
             return None
@@ -449,17 +474,18 @@ class Figure:
                 _set_row(node, node.row)
         self._resolve(None)
 
-    def _resolve(self, changed: Optional[str]):
+    def _resolve(self, changed: Optional[Set[str]]):
         """Re-solve derived nodes in insertion order (a topological order,
         since parents must exist before their children): every one when
-        ``changed`` is None, else those downstream of ``changed`` and those
-        left pending (by an unsolved parent, or by an earlier walk that
-        raised).
+        ``changed`` is None, else those downstream of any label in
+        ``changed`` and those left pending (by an unsolved parent, or by an
+        earlier walk that raised).  The union of the cones is one walk, so
+        a node below several changed labels is solved once.
 
         A node that raises leaves itself and the rest of the walk pending
         with no instances, so no node keeps instances built from old data.
         """
-        cone = {changed}
+        cone = set(changed or ())
         walk = []
         for node in self._nodes.values():
             if node.kind in ("rel", "subfigure") and (
@@ -494,7 +520,7 @@ class Figure:
         else:
             raise ValueError(f"{label!r} is not a generation-0 data node")
         if self.mode == "unfreeze":
-            self._resolve(label)
+            self._resolve({label})
 
     def set_metric(self, metric: Metric):
         """Swap the metric under a live figure and re-derive everything."""

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -308,12 +309,19 @@ class TestConeResolve:
         monkeypatch.setattr(figure, "solve", counting_solve)
         monkeypatch.setattr(Figure, "from_obj",
                             staticmethod(counting_from_obj))
-        fig.set_data("s0_A", (-1, -2))
-        # a full re-solve makes 4 * 32 + 1 = 129 solves and 4 from_obj calls
-        assert calls["solve"] <= 33
-        assert calls["from_obj"] == 1
-        assert all(fig.status(lab) == "solved" for lab in fig.labels())
-        assert fig.validate() == []
+        # a full re-solve makes 4 * 32 + 1 = 129 solves and 4 from_obj
+        # calls; moving A leaves the four nodes of the BC side chain
+        # (side, diam, perp and mid of BC) out of the inner cone
+        for vertex, point, solves in (("s0_A", (-1, -2), 28 + 1),
+                                      ("s3_C", (1, 5), 28)):
+            calls.update(solve=0, from_obj=0)
+            fig.set_data(vertex, point)
+            assert calls == {"solve": solves, "from_obj": 0}
+            assert all(fig.status(lab) == "solved" for lab in fig.labels())
+            assert fig.validate() == []
+        fresh = real_from_obj(fig.to_obj())
+        assert all(fig.instances(lab) == fresh.instances(lab)
+                   for lab in fig.labels())
 
 
 class TestBranching:
@@ -495,6 +503,66 @@ class TestSubfigures:
                             "mid", "M")
         outer.set_data("B", (10, 4))
         assert outer.node("M").instances[0].cycle.center() == (5, 2)
+
+    @staticmethod
+    def overflow_macro():
+        """Z of the overflow figure as a macro over one bound point O: O
+        inside the unit circle solves, O outside overflows the inner cap."""
+        outer = Figure()
+        outer.add_point((0, 0), "O")
+        outer.add_subfigure(TestEvaluationModes.overflow_figure(),
+                            {"P": "O"}, "Z", "S")
+        outer.add_cycle_rel([orthogonal("S"), orthogonal("O"),
+                             orthogonal(REAL_LINE)], "T")
+        return outer
+
+    def test_failed_run_leaves_no_kept_figure(self):
+        outer = self.overflow_macro()
+        assert outer.node("S").kept is not None
+        with pytest.raises(TooManyInstances):
+            outer.set_data("O", (1, -5))
+        assert outer.node("S").kept is None
+        assert outer.status("S") == outer.status("T") == "pending"
+        outer.set_data("O", (F(1, 2), F(1, 3)))
+        fresh = Figure.from_obj(outer.to_obj())
+        for lab in outer.labels():
+            assert outer.node(lab) == fresh.node(lab)
+        assert outer.instances("S")[0].canonical().row() == (0, 1, 0, 1)
+        assert outer.node("S").kept is not None
+
+    def test_kept_figure_is_not_serialized(self):
+        outer = self.overflow_macro()
+        outer.set_data("O", (F(1, 2), 0))
+        node = outer.node("S")
+        kept = node.kept
+        text = outer.to_json()
+        node.kept = None
+        assert outer.to_json() == text
+        assert Figure.from_json(text).to_json() == text
+        assert repr(node) == repr(replace(node, kept=kept))
+        assert node == replace(node, kept=kept)
+
+    def test_changed_metric_rebuilds_the_inner_figure(self, monkeypatch):
+        outer = Figure()
+        outer.add_point((0, 0), "A")
+        outer.add_point((4, 6), "B")
+        outer.add_subfigure(self.midpoint_macro(), {"P": "A", "Q": "B"},
+                            "mid", "M")
+        built = []
+        real_from_obj = Figure.from_obj
+
+        def recording_from_obj(obj):
+            built.append(obj["metric"])
+            return real_from_obj(obj)
+
+        monkeypatch.setattr(Figure, "from_obj",
+                            staticmethod(recording_from_obj))
+        outer.set_data("B", (2, 2))
+        outer.set_metric(H2)
+        assert built == ["h"]
+        assert outer.node("M").kept.metric == H2
+        fresh = real_from_obj(outer.to_obj())
+        assert outer.instances("M") == fresh.instances("M")
 
 
 class TestSerialization:

@@ -180,7 +180,10 @@ def edit_figure():
     tangent to K (two instances, often in Q(sqrt d)); X where T meets the
     line L = AB again (``avoid`` drops A); W where U meets
     the real line, less C (its only link to an edited node is ``avoid``);
-    S the line BC from a subfigure; Y the perpendicular from A to S."""
+    S the line BC from a subfigure; Y the perpendicular from A to S; R
+    from a subfigure bound to T, A and C, run once per instance of T: the
+    point where the line through A and the center of T meets the vertical
+    line through C (only the first of these depends on T)."""
     fig = Figure()
     for label, pt in zip("ABC", [(-2, 1), (3, 2), (1, -3)]):
         fig.add_point(pt, label)
@@ -201,6 +204,18 @@ def edit_figure():
     fig.add_subfigure(inner, {"p": "B", "q": "C"}, "line", "S")
     fig.add_cycle_rel([orthogonal("S"), orthogonal("A"),
                        orthogonal(INFINITY)], "Y")
+    inner = Figure()
+    inner.freeze()
+    inner.add_cycle(Cycle.circle(E2, (0, 2), 1), "c")
+    inner.add_point((0, 0), "p")
+    inner.add_point((1, 0), "q")
+    inner.add_cycle_rel([orthogonal("c"), orthogonal("p"),
+                         orthogonal(INFINITY)], "d")
+    inner.add_cycle_rel([orthogonal("q"), orthogonal(REAL_LINE),
+                         orthogonal(INFINITY)], "m")
+    inner.add_cycle_rel([orthogonal("d"), orthogonal("m"), is_point()], "r",
+                        avoid=(INFINITY,))
+    fig.add_subfigure(inner, {"c": "T", "p": "A", "q": "C"}, "r", "R")
     return fig
 
 
@@ -215,20 +230,36 @@ small = st.fractions(min_value=-4, max_value=4, max_denominator=2)
 # (1, 0) and (-1, 0) are the two instances of W, so moving C there drops one
 points = st.one_of(st.sampled_from([(1, 0), (-1, 0)]),
                    st.tuples(small, small))
-edits = st.one_of(
+moves = st.one_of(
     st.tuples(st.sampled_from("ABC"), points),
     st.tuples(st.just("K"), st.builds(
-        lambda x, y, r: Cycle.circle(E2, (x, y), r), small, small,
+        lambda x, y, r: Cycle.circle(E2, (x, y), r).row(), small, small,
         st.fractions(min_value=Fraction(1, 4), max_value=9,
                      max_denominator=4))))
+# a move, a move made while frozen, or a metric swap (K's row is a tuple
+# so that it reads in whatever metric the figure has then)
+edits = st.one_of(moves, st.tuples(st.just("frozen"), moves),
+                  st.tuples(st.just("metric"), st.sampled_from("ehp")))
+
+
+def apply_edit(fig, step):
+    what, data = step
+    if what == "metric":
+        fig.set_metric(Metric.named(data))
+    elif what == "frozen":
+        fig.freeze()
+        fig.set_data(*data)
+        fig.unfreeze()
+    else:
+        fig.set_data(what, data)
 
 
 @settings(max_examples=25)
 @given(st.lists(edits, min_size=1, max_size=4))
 def test_cone_resolve_equals_full_evaluation(steps):
     fig = edit_figure()
-    for label, data in steps:
-        fig.set_data(label, data)
+    for step in steps:
+        apply_edit(fig, step)
         assert evaluation(fig) == evaluation(Figure.from_obj(fig.to_obj()))
 
 
