@@ -486,19 +486,39 @@ class Cycle:
     # -- canonical representative ---------------------------------------------
     def canonical(self) -> "Cycle":
         """Scale so the first significant coefficient is 1; exact rows stay
-        in their field, float rows are normalized against the largest entry.
-        A rational row's canonical cycle is built from its primitive int
-        row, one Fraction per entry, and keeps that row as its integer
-        form.  An exact row as :func:`canonical_row` leaves it -- led by 1,
-        every entry a Fraction or a ``QuadExt`` with a radical part -- is
-        canonical already."""
+        in their field, float rows are normalized against the largest entry
+        (:func:`canonical_row`).  An exact row is read off its integer form.
+        A rational row's canonical cycle is its primitive int row over its
+        lead, one Fraction per entry, and keeps that row as its form.  A
+        Q(sqrt d) row's entry j is ``(P_j + Q_j sqrt d)(P_0 - Q_0 sqrt d) /
+        (P_0^2 - d Q_0^2)``, ``(P_0, Q_0)`` its first nonzero entry, and a
+        Fraction where its radical part is 0: the values and types
+        :func:`canonical_row` gives.  Its canonical cycle keeps its own
+        form, over ``P_0^2 - d Q_0^2``, when an entry has a radical part.
+        An exact row led by 1, every entry a Fraction or a ``QuadExt`` with
+        a radical part, is canonical already."""
         row = self.row()
         if _is_canonical(row):
             return self
         form = self.integer_form()
-        if not form or form[2]:
+        if not form:
             row = canonical_row(row, 1e-12)
             return Cycle(self.metric, row[0], row[1:-1], row[-1])
+        if form[2]:
+            P, Q, d = form[0], form[1] or (0,) * len(form[0]), form[2]
+            p0, q0 = next((p, q) for p, q in zip(P, Q) if p or q)
+            norm = p0 * p0 - d * q0 * q0
+            xs = [p * p0 - d * q * q0 for p, q in zip(P, Q)]
+            ys = [q * p0 - p * q0 for p, q in zip(P, Q)]
+            row = [_quad(x, y, norm, d) if y else Fraction(x, norm)
+                   for x, y in zip(xs, ys)]
+            c = Cycle(self.metric, row[0], row[1:-1], row[-1])
+            if any(ys):
+                g = math.gcd(norm, *xs, *ys) * (1 if norm > 0 else -1)
+                c._form = (tuple([x // g for x in xs]),
+                           tuple([y // g for y in ys]), d, 1, norm // g,
+                           QuadExt)
+            return c
         prim = form[0]
         lead = next(v for v in prim if v)
         c = Cycle(self.metric, Fraction(prim[0], lead),

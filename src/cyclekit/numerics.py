@@ -47,6 +47,8 @@ primitive int row.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -101,18 +103,22 @@ def radical_parts(x: Rational):
     """Split positive x into (coeff, core) with x = coeff^2 * core.
 
     core is a squarefree integer, so equal radicals built from different
-    inputs agree representation-wise.  Trial division runs while the cube
-    of the divisor is at most the cofactor left, and to 100,000 at most;
-    a cofactor left over is then 1, a prime, a product of two primes or a
-    prime squared, and a square one goes into coeff.  So below 10**15 the
-    core is exactly squarefree.  Above, a square factor of primes past the
-    bound may stay in core; that only leaves the result less reduced,
-    never wrong.
+    inputs agree representation-wise.  Trial division by 2 and the odd
+    primes (:func:`_trial_primes`) runs while the cube of the divisor is
+    at most the cofactor left, and to 100,000 at most; a cofactor left
+    over is then 1, a prime, a product of two primes or a prime squared,
+    and a square one goes into coeff.  So below 10**15 the core is exactly
+    squarefree.  Above, a square factor of primes past the bound may stay
+    in core; that only leaves the result less reduced, never wrong.  No
+    composite divisor is tried: its prime factors are gone from the
+    cofactor by then, so it would divide nothing.
     """
     x = Fraction(x)
     n = x.numerator * x.denominator
-    s, core, m, f = 1, 1, n, 2
-    while f * f * f <= m and f <= 100_000:
+    s, core, m = 1, 1, n
+    for f in _trial_primes():
+        if f * f * f > m:
+            break
         if m % f == 0:
             e = 0
             while m % f == 0:
@@ -121,13 +127,24 @@ def radical_parts(x: Rational):
             s *= f ** (e // 2)
             if e % 2:
                 core *= f
-        f += 1 if f == 2 else 2
     r = math.isqrt(m)
     if r * r == m:
         s *= r
     else:
         core *= m
     return Fraction(s, x.denominator), Fraction(core)
+
+
+@functools.cache
+def _trial_primes() -> tuple:
+    """The primes up to 100,000, sieved on the first call, not at import."""
+    top = 100_000
+    sieve = bytearray([1]) * (top + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(top) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, top + 1, i)))
+    return tuple(itertools.compress(range(top + 1), sieve))
 
 
 class RadicalClash(ArithmeticError):

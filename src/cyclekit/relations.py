@@ -38,18 +38,20 @@ off the entry types once (:func:`_ring`).  ``linear_solve`` hands back
 the reduced system (:class:`Reduced`), and its callers read it back: a
 branch with every rhs 0 and no demand or a point demand takes its basis as
 primitive int rows, whose point-mode binary quadratic runs in ints
-whenever its discriminant is a perfect square; every other result reads
-back Fractions, or QuadExts where a radical part is left.  A rational
-candidate is deduplicated and verified on its primitive int row, a
-positive multiple of its canonical row, and only a kept one builds its
-canonical row; any other is verified on its canonical cycle and
-deduplicated by its :meth:`Cycle.key`.  Only a float candidate reads the
-comparison tolerance.  An exact candidate's pairings with a reference sum
-in ints over Z[sqrt d] (:func:`~cyclekit.cycle.form_pairing`);
-orthogonality tests their two parts for zero.  A float candidate pairs
-with a float copy of its relation's fixed reference row and self product,
-made once per relation: Python computes a float times a Fraction as the
-float times its float, so the bits are the ones the exact reference gives.
+whenever its discriminant is a perfect square; a line of int rows meets a
+nonzero demand in ints over Z[sqrt d] (:func:`_line_candidates`); every
+other result reads back Fractions, or QuadExts where a radical part is
+left.  A rational candidate is deduplicated and verified on its primitive
+int row, a positive multiple of its canonical row, and only a kept one
+builds its canonical row; any other is verified on its canonical cycle,
+read off its integer form, and deduplicated on that cycle's form, a float
+one by its :meth:`Cycle.key`.  Only a float candidate reads the comparison
+tolerance.  An exact candidate's pairings with a reference sum in ints
+over Z[sqrt d] (:func:`~cyclekit.cycle.form_pairing`); orthogonality tests
+their two parts for zero.  A float candidate pairs with a float copy of
+its relation's fixed reference row and self product, made once per
+relation: Python computes a float times a Fraction as the float times its
+float, so the bits are the ones the exact reference gives.
 """
 
 from __future__ import annotations
@@ -403,12 +405,22 @@ class Reduced(NamedTuple):
             basis.append(tuple(v))
         return basis
 
+    def _scaled(self, j: int, L: int) -> list:
+        """Column ``j`` over the pivots times ``L``, a multiple of the pivot
+        of each row with an entry there: ``A[r][j] * (L // A[r][col])``."""
+        v = [0] * self.nunk
+        for r, col in self.pivots:
+            row = self.rows[r]
+            if row[j]:
+                v[col] = row[j] * (L // row[col])
+        return v
+
     def integer_basis(self):
         """The basis of a consistent homogeneous system over the ints as
         primitive int rows, read straight off the int rows: free column
         ``free`` gets ``L``, the lcm of ``|pivot|`` over the pivot rows
-        with an entry there, and the pivot column ``col`` of row ``r`` gets
-        ``-A[r][free] * (L // A[r][col])``.  Each is the primitive positive
+        with an entry there, and the pivot columns ``-L`` times that entry
+        over their pivot (:meth:`_scaled`).  Each is the primitive positive
         multiple of its :meth:`basis` row, so roots taken on the pencil
         come in the order the Fraction rows give them.  None when the rows
         are not ints or not one rhs column of zeros."""
@@ -421,14 +433,28 @@ class Reduced(NamedTuple):
         for free in range(nunk):
             if free in pivot_cols:
                 continue
-            hits = [(r, col) for r, col in self.pivots if A[r][free]]
-            lcm = math.lcm(*[A[r][col] for r, col in hits])
-            v = [0] * nunk
+            lcm = math.lcm(*[A[r][col] for r, col in self.pivots
+                             if A[r][free]])
+            v = self._scaled(free, -lcm)
             v[free] = lcm
-            for r, col in hits:
-                v[col] = -A[r][free] * (lcm // A[r][col])
             basis.append(tuple(_primitive(v)))
         return basis
+
+    def integer_line(self, column: int):
+        """The line of rhs column ``column`` of int rows with one free
+        column as ints ``(L, V, P, Q, d)``, ``L`` the lcm of ``|pivot|``:
+        ``basis()`` is ``[V / L]`` and ``particular(column)`` ``(P + Q sqrt
+        d) / L``, ``Q`` ``()`` with no radical part (:meth:`_scaled`).  None
+        for other rows."""
+        if self.ring is not int or self.nunk - len(self.pivots) != 1:
+            return None
+        L = math.lcm(*[self.rows[r][col] for r, col in self.pivots])
+        free = ({*range(self.nunk)} - {col for _, col in self.pivots}).pop()
+        V = self._scaled(free, -L)
+        V[free] = L
+        j = self.nunk + column
+        Q = self.d and self._scaled(j + len(self.consistent), L)
+        return L, V, self._scaled(j, L), Q if Q and any(Q) else (), self.d
 
 
 def linear_solve(rows: List[Row], nunk: int,
@@ -686,17 +712,22 @@ def _solve_branch(metric, red: Reduced, column: int, demand,
     demand.  ``bases`` holds ``red.basis()`` once a branch of the solve
     has read it: it is read when the field rows are read back, once.
 
-    Returns (list of rows | None, parametric tuple | None).  A homogeneous
-    rational system with no demand or a point demand stays in ints from
-    the elimination to the candidate rows (:meth:`Reduced.integer_basis`):
-    a single basis row is the candidate as it is, and a pencil's isotropic
-    rows come from :func:`_integer_binary_quadratic`.  A nonzero rhs or
-    demand, a radical or float system, a parametric result and a pencil
-    with irrational roots read back the field rows
-    (:func:`_field_candidates`).
+    Returns (list of rows | None, parametric tuple | None).  A rational
+    system stays in ints from the elimination to the candidate rows when
+    it is homogeneous with no demand or a point demand
+    (:meth:`Reduced.integer_basis`: a single basis row is the candidate, a
+    pencil's isotropic rows come from :func:`_integer_binary_quadratic`)
+    and when it is a line against a nonzero demand, its rhs rational or
+    over the context's radicand (:func:`_line_candidates`).  Every other
+    branch reads back the field rows (:func:`_field_candidates`).
     """
     if not red.consistent[column]:
         return [], None
+    if demand and ar.exact and (not red.d or ar.radicand == red.d):
+        line = red.integer_line(column)
+        sols = line and _line_candidates(metric.weights, *line, demand, ar)
+        if sols is not None:
+            return sols, None
     ints = red.integer_basis() if demand in (None, 0) else None
     if ints is not None and len(ints) < 3:
         if not ints:
@@ -771,6 +802,54 @@ def _field_candidates(metric, p, basis, demand, ar: Arithmetic):
             v = tuple(to_float(c) for c in v)
         return [_combine(p, v, t) for t in roots], None
     return None, ((p,), basis, demand)
+
+
+def _line_candidates(w, L, V, P, Q, d, demand, ar: Arithmetic):
+    """:func:`_field_candidates` of the line ``p + t v``, ``p = (P + Q sqrt
+    d) / L``, ``v = V / L`` (:meth:`Reduced.integer_line`), against the
+    demand ``<x,x> = demand != 0``, in ints over Z[sqrt d]: ``a``, ``b``,
+    ``c`` are ``L**2`` times the field rows'.  The root is taken once, in
+    ``ar``, on the field discriminant ``(b^2 - ac) / L^4``.  An exact root
+    ``(rp + rq sqrt D) / rn`` gives ``rn (a P - b V) -+ L^2 (rp + rq sqrt
+    D) V``, a multiple of the field row, -root first: an int row or a row
+    of ``(x + y sqrt D)``.  A float root gives the field rows' floats bit
+    for bit, as ``float(QuadExt)`` gives them.  None for ``p = 0``, ``a =
+    0`` and a zero discriminant, which the field rows take."""
+    a = integer_pairing(w, V, V)
+    if not (a and (Q or any(P))):
+        return None
+    L2 = L * L
+    bp, c, bq, cq = (integer_pairing(w, P, V),
+                     integer_pairing(w, P, P) - demand * L2, 0, 0)
+    if Q:
+        bq = integer_pairing(w, Q, V)
+        c += d * integer_pairing(w, Q, Q)
+        cq = 2 * integer_pairing(w, P, Q)
+    dp, dq = bp * bp + d * bq * bq - a * c, 2 * bp * bq - a * cq
+    disc = _quad(dp, dq, L2 * L2, d) if dq else Fraction(dp, L2 * L2)
+    sign = scalar_sign(disc)
+    if sign <= 0:
+        return None if sign == 0 else []
+    root = ar.sqrt(disc)
+    Q = Q or (0,) * len(P)
+    if type(root) is float:
+        # x / n is float(Fraction(x, n)): int / int rounds correctly
+        fl = lambda x, y, n: x / n + y / n * math.sqrt(d) if y else x / n
+        fa, fb = a / L2, fl(bp, bq, L2)
+        fp, fv = [fl(x, y, L) for x, y in zip(P, Q)], [x / L for x in V]
+        return [_combine(fp, fv, t)
+                for t in sorted({(-fb - root) / fa, (-fb + root) / fa})]
+    if type(root) is Fraction:
+        rp, rq, rn, D = root.numerator, 0, root.denominator, d
+    else:
+        rp, rq, rn, D = root.p, root.q, root.n, root.d
+    sols = []
+    for s in (-L2, L2):
+        xp = [rn * (a * x - bp * v) + s * rp * v for x, v in zip(P, V)]
+        xq = [rn * (a * y - bq * v) + s * rq * v for y, v in zip(Q, V)]
+        sols.append(tuple([_quad(x, y, 1, D) for x, y in zip(xp, xq)])
+                    if any(xq) else tuple(xp))
+    return sols
 
 
 def _integer_binary_quadratic(w, v1, v2):
@@ -899,7 +978,10 @@ def solve(relations: Sequence[Relation], metric: Metric,
         if eps is None and type(can.k) is float:
             eps = comparison_eps()
         if all(rel.satisfied_by(can, eps or 0.0) for rel in relations):
-            kept.setdefault(can.key(), (can, prov))
+            form = can.integer_form()
+            key = (can.key() if not form else form[0] if not form[2] else
+                   (tuple(form[0]), tuple(form[1]), form[2], form[4]))
+            kept.setdefault(key, (can, prov))
     ordered = list(kept.values())
     if len(ordered) > 1:
         keys = [_sort_key(c) for c, _ in ordered]

@@ -780,6 +780,47 @@ def test_quadext_unary_ops_agree_with_the_reference(parts, k):
     assert parse_scalar(format_scalar(new)) == new
 
 
+def _ref_radical_parts(x):
+    """radical_parts as it was before it tried primes only: every odd
+    divisor up to the bound, kept as the reference."""
+    x = Fraction(x)
+    n = x.numerator * x.denominator
+    s, core, m, f = 1, 1, n, 2
+    while f * f * f <= m and f <= 100_000:
+        if m % f == 0:
+            e = 0
+            while m % f == 0:
+                m //= f
+                e += 1
+            s *= f ** (e // 2)
+            if e % 2:
+                core *= f
+        f += 1 if f == 2 else 2
+    r = math.isqrt(m)
+    if r * r == m:
+        s *= r
+    else:
+        core *= m
+    return Fraction(s, x.denominator), Fraction(core)
+
+
+# primes around the trial-division bound and past it
+_EDGE_PRIMES = [2, 3, 97, 99_989, 99_991, 100_003, 100_019, 1_000_003]
+
+
+@settings(max_examples=200)
+@given(st.one_of(
+    st.integers(1, 10**15), st.integers(10**15, 10**24),
+    st.builds(lambda p, k: p * p * k, st.sampled_from(_EDGE_PRIMES),
+              st.integers(1, 10**9)),
+    st.fractions(min_value=Fraction(1, 10**12), max_value=10**12)))
+@example(99_991 ** 2 * 99_989)
+@example(100_003 ** 2 * 99_991)
+@example(99_991 ** 3)
+def test_radical_parts_equals_the_all_odd_divisors_reference(x):
+    assert numerics.radical_parts(x) == _ref_radical_parts(x)
+
+
 def _ref_linear_solve(rows, nunk):
     """The Fraction and QuadExt Gauss-Jordan that exact systems ran on
     before the fraction-free elimination, kept as the reference: pivot on
@@ -1072,6 +1113,104 @@ def test_shared_elimination_equals_one_elimination_per_pattern(system):
     assert same(got) == same(want)
 
 
+# metrics e, h, p and (3,0,0), and (1,0,0) for three unknowns
+LINE_METRICS = {3: [Metric.from_signature(1)], 4: METRICS,
+                5: [Metric.from_signature(3)]}
+
+
+@st.composite
+def line_systems(draw):
+    """A system from split_systems or signed_linear_systems with its sign
+    patterns, a metric, a demand +-1 and the radicand a solve's context
+    may hold.  Rational coefficient rows are topped up with random rows
+    (rhs over the system's radicand) towards one free column, where the
+    solution is a line."""
+    rows, signed, nunk, ring = draw(st.one_of(
+        split_systems().map(lambda s: (s[0], [i for i, (_, r) in
+                                              enumerate(s[0]) if r][:3],
+                                       s[1], None)),
+        signed_linear_systems()))
+    ds = {r.d for _, r in rows if type(r) is QuadExt and r.q}
+    d = min(ds) if ds else None
+    if ring is None and all(type(c) in (int, Fraction)
+                            for coeffs, _ in rows for c in coeffs):
+        rank = len(relations.linear_solve(
+            [(c, 0) for c, _ in rows], nunk).pivots)
+        rhs = st.one_of(rationals, st.builds(lambda a, b: QuadExt(a, b, d),
+                                             rationals, rationals)) \
+            if d else rationals
+        rows = rows + [(tuple(draw(st.lists(rational_entries, min_size=nunk,
+                                            max_size=nunk))), draw(rhs))
+                       for _ in range(nunk - 1 - rank)]
+    radicand = draw(st.sampled_from([None, d or 2, 3]))
+    return (draw(st.sampled_from(LINE_METRICS[nunk])), rows, signed, ring,
+            draw(st.sampled_from([1, -1])), radicand)
+
+
+def _line(rows, demand=-1, radicand=None):
+    """One E2 system of three rows k = rows[0], l_2 = rows[1], m = rows[2]
+    as ``line_systems`` draws them: l_1 is free, and <x,x> = 2 k m - 2 l_1^2
+    - 2 l_2^2 meets the demand where 2 l_1^2 = 2 k m - 2 l_2^2 - demand."""
+    unit = [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    return (E2, list(zip(unit, rows)), [], None, demand, radicand)
+
+
+@settings(max_examples=300)
+@given(line_systems())
+@example(_line((1, 0, 0), demand=1))   # l_1^2 = -1/2: no root
+@example(_line((1, 0, Fraction(1, 2)), demand=1))      # a double root
+@example(_line((1, 0, Fraction(1, 2))))                # l_1 = +-1
+@example(_line((1, 0, 0)))                             # l_1 = +-sqrt(1/2)
+@example(_line((1, 0, 0), radicand=Fraction(2)))       # in the context's
+@example(_line((1, 0, Fraction(1, 4)), radicand=Fraction(2)))  # sqrt 3
+@example(_line((1, R2, 2), radicand=Fraction(2)))      # split, root sqrt 2
+@example(_line((1, R2, 3 * R2), radicand=Fraction(2)))  # nested radical
+@example(_line((1, R2, 3 * R2)))       # split over a context with none
+# m is free: <v,v> = 0, one root
+@example((E2, [((1, 0, 0, 0), 1), ((0, 1, 0, 0), 0), ((0, 0, 1, 0), 0)],
+          [], None, 1, None))
+# two sign patterns on a split rhs, and two on a rational one
+@example((E2, [((1, 0, 0, 0), 1), ((0, 0, 1, 0), R2), ((0, 1, 0, 1), 3)],
+          [1, 2], None, -1, Fraction(2)))
+@example((Metric.named("h"), [((1, 0, 0, 0), 2), ((0, 1, 0, 0), 1),
+                              ((0, 0, 1, 1), 3)], [0, 2], None, 1, None))
+def test_integer_line_equals_the_field_candidates(system):
+    # each sign pattern's branch reads its candidates as the field rows
+    # give them: exact rows projectively and typed (through canonical_row,
+    # the reference), float rows by repr, the parametric result typed, and
+    # the context's radicand, demotion and notes after it
+    metric, rows, signed, ring, demand, radicand = system
+    nunk = metric.n + 2
+    patterns = [_pattern_rows(rows, signed, signs)
+                for signs in iproduct((1, -1), repeat=len(signed))]
+    columns = [(c, tuple([pattern[i][1] for pattern in patterns]))
+               for i, (c, _) in enumerate(rows)]
+    try:
+        red = relations.linear_solve(columns, nunk, ring)
+    except RadicalClash:
+        reject()
+
+    def outcome(branch):
+        ar = numerics.Arithmetic("exact", radicand)
+        try:
+            sols, par = branch(ar)
+        except ArithmeticError as err:
+            return type(err), str(err)
+        rows = None if sols is None else [
+            repr(row) if type(row[0]) is float
+            else _typed(canonical_row(row, 0)) for row in sols]
+        return rows, _typed(par), (ar.radicand, ar.demoted, ar.notes)
+
+    for j in range(len(patterns)):
+        if not red.consistent[j]:
+            continue
+        got = outcome(lambda ar: relations._solve_branch(
+            metric, red, j, demand, ar, []))
+        want = outcome(lambda ar: relations._field_candidates(
+            metric, red.particular(j), red.basis(), demand, ar))
+        assert got == want
+
+
 def _exact_twin(rel):
     """A copy of ``rel`` whose float copies are its exact references, so a
     float candidate pairs with the exact rows as it did before them."""
@@ -1317,6 +1456,50 @@ def test_rational_canonical_row_equals_the_fraction_reference(row):
 ])
 def test_rational_canonical_row_keeps_the_reference_types(row):
     _assert_canonical_like_the_reference(row)
+
+
+@st.composite
+def quad_rows(draw):
+    """A cycle row over 3-5 entries mixing 0, ints, Fractions and Q(sqrt d)
+    values, some with no radical part, with at least one QuadExt entry,
+    and a nonzero scale in Q(sqrt d), irrational or not."""
+    d = draw(st.sampled_from([2, 3, 5, 6]))
+    quads = st.builds(lambda a, b: QuadExt(a, b, d), rationals,
+                      st.one_of(st.just(0), rationals))
+    row = draw(st.lists(st.one_of(st.just(0), st.integers(-6, 6), rationals,
+                                  quads), min_size=2, max_size=4))
+    row.insert(draw(st.integers(0, len(row))), draw(quads))
+    scale = draw(st.builds(lambda a, b: QuadExt(a, b, d), rationals,
+                           rationals).filter(bool))
+    return row, scale
+
+
+def _hashable_form(c):
+    form = c.integer_form()
+    return form and (tuple(form[0]), tuple(form[1]), *form[2:])
+
+
+@settings(max_examples=300)
+@given(quad_rows())
+@example(([QuadExt(1, 0, 2), 0, QuadExt(0, 1, 2)], QuadExt(0, 1, 2)))
+@example(([0, QuadExt(2, 0, 3), 4, 1], QuadExt(1, 1, 3)))
+@example(([QuadExt(1, 1, 2), Fraction(1, 2), 0, QuadExt(3, -2, 2)],
+          Fraction(-2, 3)))
+def test_radical_canonical_equals_the_canonical_row_reference(case):
+    # Cycle.canonical reads a Q(sqrt d) row off its integer form: the
+    # values and types of canonical_row, and the form it keeps is the
+    # one its row gives; the dedup form of the canonical cycle (solve
+    # keys an exact candidate on it) is unchanged by any scale
+    row, scale = case
+    metric = Metric.from_signature(len(row) - 2)
+    if not any(row):
+        reject()
+    can = Cycle.from_row(metric, row).canonical()
+    assert _typed(can.row()) == _typed(canonical_row(row, 1e-12))
+    assert _hashable_form(can) == _hashable_form(Cycle.from_row(metric,
+                                                                can.row()))
+    scaled = Cycle.from_row(metric, [v * scale for v in row]).canonical()
+    assert _hashable_form(scaled) == _hashable_form(can)
 
 
 def _ref_validate_chain(ch):
