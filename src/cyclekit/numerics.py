@@ -37,12 +37,12 @@ entry is a float.  Every exact system is eliminated fraction-free, over
 Z[sqrt d] when a coefficient has a radical part and over the ints
 otherwise (a rhs over one radicand split into its rational part and its
 sqrt d coefficient), and read back by its caller as Fractions, or
-QuadExts where a radical part is left, except that a homogeneous
-rational branch of ``solve`` keeps its basis as int rows.  An exact
-cycle row over one radicand has one integer form over Z[sqrt d]
-(``cycle.integer_form``): the cycle pairing and chain validation sum in
-ints on it, and a rational cycle's canonical row and key read its
-primitive int row.
+QuadExts where a radical part is left, except that a branch of ``solve``
+reads a column of int rows back in ints, in one read-back
+(``Reduced.integer_rows``).  An exact cycle row over one radicand has
+one integer form over Z[sqrt d] (``cycle.integer_form``): the cycle
+pairing and chain validation sum in ints on it, and a rational cycle's
+canonical row and key read its primitive int row.
 """
 
 from __future__ import annotations
@@ -464,6 +464,12 @@ class Arithmetic:
         if not self.demoted:
             self.demoted = True
             self.notes.append(why)
+
+    def adopt(self, d: int) -> None:
+        """Hold the radicand core ``d`` when no radicand is held yet: data
+        over sqrt d asks for the roots to share it."""
+        if self.radicand is None:
+            self.radicand = Fraction(d)
 
     def sqrt(self, x: Scalar) -> Scalar:
         """sqrt(|x|); stays exact when one shared radicand suffices."""

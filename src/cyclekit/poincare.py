@@ -488,12 +488,7 @@ def extension_point_ell(x: Scalar, y: Scalar, xp: Scalar, yp: Scalar,
     product of four negative factors and the point is always real.
     """
     _require_order((x, xp, y, yp), "x < x' < y < y'")
-    ar = private_context(ar)
-    den = lift(x) + y - xp - yp  # strictly negative under the ordering
-    u = (lift(x) * y - lift(xp) * yp) / den
-    rad = (x - yp) * (x - xp) * (xp - y) * (y - yp)
-    v = ar.sqrt(rad) / -den
-    return (u, v)
+    return _extension_point(x, y, xp, yp, 1, ar)
 
 
 def extension_point_hyp(x: Scalar, y: Scalar, xp: Scalar, yp: Scalar,
@@ -501,11 +496,20 @@ def extension_point_hyp(x: Scalar, y: Scalar, xp: Scalar, yp: Scalar,
     """Common point of the equilateral hyperbolas with vertices on the two
     disjoint intervals x < y < xp < yp; v > 0."""
     _require_order((x, y, xp, yp), "x < y < x' < y'")
+    return _extension_point(x, y, xp, yp, -1, ar)
+
+
+def _extension_point(x, y, xp, yp, sign: int, ar: Optional[Arithmetic]):
+    """The point of :func:`extension_point_ell` (``sign`` 1) and
+    :func:`extension_point_hyp` (``sign`` -1): the radicand is ``(x - yp)
+    (x - xp) (xp - y)`` times ``sign (y - yp)``, positive in each one's
+    order.  Negating a product is exact, so the hyperbolas' radicand has
+    the bits that the factor ``yp - y`` gives."""
     ar = private_context(ar)
-    den = lift(x) + y - xp - yp
+    den = lift(x) + y - xp - yp  # strictly negative under either ordering
     u = (lift(x) * y - lift(xp) * yp) / den
-    rad = (x - yp) * (x - xp) * (xp - y) * (yp - y)
-    v = ar.sqrt(rad) / -den
+    rad = (x - yp) * (x - xp) * (xp - y) * (y - yp)
+    v = ar.sqrt(rad if sign > 0 else -rad) / -den
     return (u, v)
 
 

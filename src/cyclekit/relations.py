@@ -23,7 +23,8 @@ only in sign, so a float row keeps its largest magnitude and its floats
 round as they would alone.  A system over two radicands raises its
 RadicalClash in that elimination.  Rational rows with a Q(sqrt d) rhs are
 eliminated over the ints, each rhs column split into its rational part
-and its sqrt d coefficient.
+and its sqrt d coefficient; a context that holds no radicand then adopts
+d, so a root over another radicand demotes rather than clashes.
 
 Exact work runs on each cycle's integer form (:meth:`Cycle.integer_form`):
 int rows ``P`` and ``Q`` with every entry ``(P_i + Q_i sqrt d)`` times one
@@ -35,15 +36,15 @@ rational multiple of its pairing coefficients; once a build demotes or the
 data has a float, every row is the one its data gives, so float
 eliminations see the numbers they always did.  ``solve`` reads its ring
 off the entry types once (:func:`_ring`).  ``linear_solve`` hands back
-the reduced system (:class:`Reduced`), and its callers read it back: a
-branch with every rhs 0 and no demand or a point demand takes its basis as
-primitive int rows, whose point-mode binary quadratic runs in ints
-whenever its discriminant is a perfect square; a line of int rows meets a
-nonzero demand in ints over Z[sqrt d] (:func:`_line_candidates`); every
-other result reads back Fractions, or QuadExts where a radical part is
-left.  A rational candidate is deduplicated and verified on its primitive
-int row, a positive multiple of its canonical row, and only a kept one
-builds its canonical row; any other is verified on its canonical cycle,
+the reduced system (:class:`Reduced`), and its callers read it back.  A
+branch of int rows reads its column in ints (:meth:`Reduced.integer_rows`):
+a basis row is a candidate as it is, and a line against a nonzero demand,
+or a pencil against a point demand, meets it in one integer quadratic
+over Z[sqrt d] (:func:`_line_candidates`); every other result reads back
+Fractions, or QuadExts where a radical part is left.  A rational
+candidate is deduplicated and verified on its primitive int row, a
+positive multiple of its canonical row, and only a kept one builds its
+canonical row; any other is verified on its canonical cycle,
 read off its integer form, and deduplicated on that cycle's form, a float
 one by its :meth:`Cycle.key`.  Only a float candidate reads the comparison
 tolerance.  An exact candidate's pairings with a reference sum in ints
@@ -349,7 +350,9 @@ class Reduced(NamedTuple):
     for a row scaled to a unit pivot.  ``d`` is the radicand of split rhs
     columns, 0 for none: int rows hold rhs column j's rational part in
     rhs column j and its sqrt d coefficient k columns later, k the number
-    of rhs columns.
+    of rhs columns.  A column reads back over the field
+    (:meth:`particular`, :meth:`basis`) or, from int rows, in ints over the
+    lcm of the pivots (:meth:`integer_rows`).
     """
 
     rows: Optional[list]
@@ -415,46 +418,28 @@ class Reduced(NamedTuple):
                 v[col] = row[j] * (L // row[col])
         return v
 
-    def integer_basis(self):
-        """The basis of a consistent homogeneous system over the ints as
-        primitive int rows, read straight off the int rows: free column
-        ``free`` gets ``L``, the lcm of ``|pivot|`` over the pivot rows
-        with an entry there, and the pivot columns ``-L`` times that entry
-        over their pivot (:meth:`_scaled`).  Each is the primitive positive
-        multiple of its :meth:`basis` row, so roots taken on the pencil
-        come in the order the Fraction rows give them.  None when the rows
-        are not ints or not one rhs column of zeros."""
-        A, nunk = self.rows, self.nunk
-        if (self.ring is not int or self.d or len(self.consistent) > 1
-                or any(row[nunk] for row in A)):
+    def integer_rows(self, column: int):
+        """Rhs column ``column`` of int rows read back as ints ``(L, basis,
+        P, Q)``, ``L`` the lcm of ``|pivot|``: ``basis()`` is ``[V / L for V
+        in basis]`` and ``particular(column)`` is ``(P + Q sqrt d) / L``,
+        ``Q`` ``()`` with no radical part.  A basis row holds ``L`` in its
+        free column and ``-L`` times that column over the pivot in each
+        pivot column (:meth:`_scaled`).  None for rows that are not ints or
+        an inconsistent column."""
+        if self.ring is not int or not self.consistent[column]:
             return None
+        nunk = self.nunk
+        L = math.lcm(*[self.rows[r][col] for r, col in self.pivots])
         pivot_cols = {col for _, col in self.pivots}
         basis = []
         for free in range(nunk):
-            if free in pivot_cols:
-                continue
-            lcm = math.lcm(*[A[r][col] for r, col in self.pivots
-                             if A[r][free]])
-            v = self._scaled(free, -lcm)
-            v[free] = lcm
-            basis.append(tuple(_primitive(v)))
-        return basis
-
-    def integer_line(self, column: int):
-        """The line of rhs column ``column`` of int rows with one free
-        column as ints ``(L, V, P, Q, d)``, ``L`` the lcm of ``|pivot|``:
-        ``basis()`` is ``[V / L]`` and ``particular(column)`` ``(P + Q sqrt
-        d) / L``, ``Q`` ``()`` with no radical part (:meth:`_scaled`).  None
-        for other rows."""
-        if self.ring is not int or self.nunk - len(self.pivots) != 1:
-            return None
-        L = math.lcm(*[self.rows[r][col] for r, col in self.pivots])
-        free = ({*range(self.nunk)} - {col for _, col in self.pivots}).pop()
-        V = self._scaled(free, -L)
-        V[free] = L
-        j = self.nunk + column
+            if free not in pivot_cols:
+                V = self._scaled(free, -L)
+                V[free] = L
+                basis.append(tuple(V))
+        j = nunk + column
         Q = self.d and self._scaled(j + len(self.consistent), L)
-        return L, V, self._scaled(j, L), Q if Q and any(Q) else (), self.d
+        return L, basis, self._scaled(j, L), Q if Q and any(Q) else ()
 
 
 def linear_solve(rows: List[Row], nunk: int,
@@ -712,34 +697,36 @@ def _solve_branch(metric, red: Reduced, column: int, demand,
     demand.  ``bases`` holds ``red.basis()`` once a branch of the solve
     has read it: it is read when the field rows are read back, once.
 
-    Returns (list of rows | None, parametric tuple | None).  A rational
-    system stays in ints from the elimination to the candidate rows when
-    it is homogeneous with no demand or a point demand
-    (:meth:`Reduced.integer_basis`: a single basis row is the candidate, a
-    pencil's isotropic rows come from :func:`_integer_binary_quadratic`)
-    and when it is a line against a nonzero demand, its rhs rational or
-    over the context's radicand (:func:`_line_candidates`).  Every other
-    branch reads back the field rows (:func:`_field_candidates`).
+    Returns (list of rows | None, parametric tuple | None).  A column of
+    int rows, its rhs rational or split over the context's radicand,
+    stays in ints from the elimination to the candidate rows
+    (:meth:`Reduced.integer_rows`): a single basis row is the candidate,
+    and a line against a nonzero demand, or a pencil against a point
+    demand, meets it in :func:`_line_candidates`.  It reads back the field
+    rows (:func:`_field_candidates`) only for a parametric result, a
+    homogeneous system with a nonzero demand, no free column with a
+    nonzero demand, and a split rhs over a radicand the context does not
+    hold; so do float eliminations and those over Z[sqrt d].
     """
     if not red.consistent[column]:
         return [], None
-    if demand and ar.exact and (not red.d or ar.radicand == red.d):
-        line = red.integer_line(column)
-        sols = line and _line_candidates(metric.weights, *line, demand, ar)
+    ints = (ar.exact and (not red.d or ar.radicand == red.d)
+            and red.integer_rows(column))
+    if ints:
+        L, basis, P, Q = ints
+        w, dim = metric.weights, len(basis)
+        homogeneous = not (Q or any(P))
+        sols = None
+        if dim < 2 and (demand is None or demand == 0 and homogeneous):
+            ok = dim and (demand is None or not integer_pairing(
+                w, basis[0], basis[0]))
+            return (basis if ok else []), None
+        if demand == 0 and homogeneous and dim == 2:
+            sols = _line_candidates(w, L, *basis, (), 0, 0, ar)
+        elif demand and not homogeneous and dim == 1:
+            sols = _line_candidates(w, L, basis[0], P, Q, red.d, demand, ar)
         if sols is not None:
             return sols, None
-    ints = red.integer_basis() if demand in (None, 0) else None
-    if ints is not None and len(ints) < 3:
-        if not ints:
-            return [], None          # only the trivial row
-        if len(ints) == 1:
-            v = ints[0]
-            ok = demand is None or not integer_pairing(metric.weights, v, v)
-            return ([v] if ok else []), None
-        if demand == 0:
-            sols = _integer_binary_quadratic(metric.weights, *ints)
-            if sols is not None:
-                return sols, None
     if not bases:
         bases.append(red.basis())
     return _field_candidates(metric, red.particular(column), bases[0],
@@ -806,74 +793,72 @@ def _field_candidates(metric, p, basis, demand, ar: Arithmetic):
 
 def _line_candidates(w, L, V, P, Q, d, demand, ar: Arithmetic):
     """:func:`_field_candidates` of the line ``p + t v``, ``p = (P + Q sqrt
-    d) / L``, ``v = V / L`` (:meth:`Reduced.integer_line`), against the
-    demand ``<x,x> = demand != 0``, in ints over Z[sqrt d]: ``a``, ``b``,
-    ``c`` are ``L**2`` times the field rows'.  The root is taken once, in
+    d) / L``, ``v = V / L`` (:meth:`Reduced.integer_rows`), against the
+    demand ``<x,x> = demand``, in ints over Z[sqrt d]: ``a``, ``b``, ``c``
+    are ``L**2`` times the field rows'.  A point demand reads the pencil
+    spanned by two homogeneous rows, ``V`` and ``P`` (``Q`` empty), as
+    :func:`_binary_quadratic` does: ``V`` is then a root when isotropic.
+
+    ``a = 0``, a zero discriminant and a perfect-square one are settled
+    in ints (:func:`math.isqrt`).  Any other root is taken once, in
     ``ar``, on the field discriminant ``(b^2 - ac) / L^4``.  An exact root
-    ``(rp + rq sqrt D) / rn`` gives ``rn (a P - b V) -+ L^2 (rp + rq sqrt
-    D) V``, a multiple of the field row, -root first: an int row or a row
-    of ``(x + y sqrt D)``.  A float root gives the field rows' floats bit
-    for bit, as ``float(QuadExt)`` gives them.  None for ``p = 0``, ``a =
-    0`` and a zero discriminant, which the field rows take."""
+    ``(rp + rq sqrt D) / rn`` gives ``rn (a (P + Q sqrt d) - b V) -+ L^2
+    (rp + rq sqrt D) V``, a rational multiple of the field row, -root
+    first: an int row or a row of ``(x + y sqrt D)``.  A float root gives the field rows'
+    floats bit for bit, as ``float(QuadExt)`` gives them.  None when ``a``,
+    ``b`` and ``c`` are all 0, which the field rows take."""
     a = integer_pairing(w, V, V)
-    if not (a and (Q or any(P))):
-        return None
     L2 = L * L
-    bp, c, bq, cq = (integer_pairing(w, P, V),
-                     integer_pairing(w, P, P) - demand * L2, 0, 0)
+    bp, cp, bq, cq = (integer_pairing(w, P, V),
+                      integer_pairing(w, P, P) - demand * L2, 0, 0)
     if Q:
         bq = integer_pairing(w, Q, V)
-        c += d * integer_pairing(w, Q, Q)
+        cp += d * integer_pairing(w, Q, Q)
         cq = 2 * integer_pairing(w, P, Q)
-    dp, dq = bp * bp + d * bq * bq - a * c, 2 * bp * bq - a * cq
-    disc = _quad(dp, dq, L2 * L2, d) if dq else Fraction(dp, L2 * L2)
-    sign = scalar_sign(disc)
-    if sign <= 0:
-        return None if sign == 0 else []
-    root = ar.sqrt(disc)
-    Q = Q or (0,) * len(P)
-    if type(root) is float:
-        # x / n is float(Fraction(x, n)): int / int rounds correctly
-        fl = lambda x, y, n: x / n + y / n * math.sqrt(d) if y else x / n
-        fa, fb = a / L2, fl(bp, bq, L2)
-        fp, fv = [fl(x, y, L) for x, y in zip(P, Q)], [x / L for x in V]
-        return [_combine(fp, fv, t)
-                for t in sorted({(-fb - root) / fa, (-fb + root) / fa})]
-    if type(root) is Fraction:
-        rp, rq, rn, D = root.numerator, 0, root.denominator, d
-    else:
-        rp, rq, rn, D = root.p, root.q, root.n, root.d
-    sols = []
-    for s in (-L2, L2):
-        xp = [rn * (a * x - bp * v) + s * rp * v for x, v in zip(P, V)]
-        xq = [rn * (a * y - bq * v) + s * rq * v for y, v in zip(Q, V)]
-        sols.append(tuple([_quad(x, y, 1, D) for x, y in zip(xp, xq)])
-                    if any(xq) else tuple(xp))
-    return sols
-
-
-def _integer_binary_quadratic(w, v1, v2):
-    """:func:`_binary_quadratic` on two int rows whose roots are rational,
-    in ints: the pairing with weights ``w`` gives a, b, c, and each root t
-    = (-b -+ r)/a, r = isqrt(disc), is the projective row a*v2 + (-b -+
-    r)*v1, in that order.  None when the roots are irrational or the whole
-    line is isotropic."""
-    a = integer_pairing(w, v1, v1)
-    b = integer_pairing(w, v1, v2)
-    c = integer_pairing(w, v2, v2)
     if not a:
-        if not (b or c):
-            return None
-        return [v1] + ([tuple([c * x - 2 * b * y for x, y in zip(v1, v2)])]
-                       if b else [])
-    disc = b * b - a * c
-    if disc < 0:
+        head = [V] if demand == 0 else []
+        if not (bp or bq):
+            return None if not (cp or cq) else head
+        # the one root t = -c / 2b, times 2n, n the norm of b: -c conj(b)
+        n = bp * bp - d * bq * bq
+        return head + [_root_row(2 * n, P, Q, d * cq * bq - cp * bp,
+                                 cp * bq - cq * bp, V, d)]
+    dp, dq = bp * bp + d * bq * bq - a * cp, 2 * bp * bq - a * cq
+    if dq:
+        disc = _quad(dp, dq, L2 * L2, d)
+        if scalar_sign(disc) < 0:
+            return []
+    elif dp < 0:
         return []
-    r = math.isqrt(disc)
-    if r * r != disc:
-        return None
-    return [tuple([a * y + t * x for x, y in zip(v1, v2)])
-            for t in ((-b - r, -b + r) if r else (-b,))]
+    else:
+        r = math.isqrt(dp)
+        disc = None if r * r == dp else Fraction(dp, L2 * L2)
+    if disc is None:
+        rp, rq, rn, M, D = r, 0, 1, 1, d
+    else:
+        root = ar.sqrt(disc)
+        if type(root) is float:
+            # x / n is float(Fraction(x, n)): int / int rounds correctly
+            fl = lambda x, y, n: x / n + y / n * math.sqrt(d) if y else x / n
+            fa, fb = a / L2, fl(bp, bq, L2)
+            fp = [fl(x, y, L) for x, y in zip(P, Q or [0] * len(P))]
+            fv = [x / L for x in V]
+            return [_combine(fp, fv, t)
+                    for t in sorted({(-fb - root) / fa, (-fb + root) / fa})]
+        rp, rq, rn, M, D = root.p, root.q, root.n, L2, root.d
+    return [_root_row(rn * a, P, Q, s * rp - rn * bp, s * rq - rn * bq, V, D)
+            for s in ((-M, M) if rp or rq else (0,))]
+
+
+def _root_row(k, P, Q, tp, tq, V, D):
+    """The row ``k (P + Q sqrt D) + (tp + tq sqrt D) V``: ints, or
+    ``(x + y sqrt D)`` entries when a ``y`` is nonzero."""
+    xp = [k * x + tp * v for x, v in zip(P, V)]
+    if not (Q or tq):
+        return tuple(xp)
+    xq = [k * y + tq * v for y, v in zip(Q or [0] * len(V), V)]
+    return (tuple([_quad(x, y, 1, D) for x, y in zip(xp, xq)]) if any(xq)
+            else tuple(xp))
 
 
 def _binary_quadratic(Q, v1, v2, ar: Arithmetic):
@@ -941,6 +926,8 @@ def solve(relations: Sequence[Relation], metric: Metric,
                          tuple([rhs[i] if p[i] == 1 else -rhs[i]
                                 for p in patterns]))
                         for i in live], metric.n + 2, ring)
+    if red.d:
+        ar.adopt(red.d)              # a rhs over sqrt d: roots share it
     bases: list = []
     found: List[Tuple[Cycle, tuple]] = []
     parametric = None

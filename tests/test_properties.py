@@ -540,22 +540,51 @@ def pencils(draw):
             tuple(c * x + d * y for x, y in zip(p, q)))
 
 
-@settings(max_examples=200)
-@given(pencils())
-def test_integer_binary_quadratic_equals_the_fraction_roots(case):
+def _branch_outcome(branch, radicand):
+    """``branch(ar)`` in a fresh exact context holding ``radicand``: its
+    rows, exact ones typed through ``canonical_row`` and float ones by
+    ``repr``, its parametric result typed, and the context's radicand,
+    demotion and notes after it; the type and message of an
+    ArithmeticError it raises."""
+    ar = numerics.Arithmetic("exact", radicand)
+    try:
+        sols, par = branch(ar)
+    except ArithmeticError as err:
+        return type(err), str(err)
+    rows = None if sols is None else [
+        repr(row) if type(row[0]) is float
+        else _typed(canonical_row(row, 0)) for row in sols]
+    return rows, _typed(par), (ar.radicand, ar.demoted, ar.notes)
+
+
+@settings(max_examples=300)
+@given(pencils(), st.sampled_from([None, Fraction(2), Fraction(3)]))
+# a = 0: the isotropic first row and one more root
+@example((E2, (1, 0, 0, 0), (0, 0, 0, 1)), None)
+# a light line of h: every member isotropic, so parametric
+@example((Metric.named("h"), (1, 0, 0, 0), (1, 1, -1, 0)), None)
+# a zero discriminant: one double root
+@example((E2, (0, 1, 0, 0), (1, 0, 0, 0)), None)
+# roots over sqrt 2, adopted by a context with no radicand, and demoted
+# by one that holds sqrt 3
+@example((E2, (1, 0, 0, -1), (-2, -1, -1, -2)), None)
+@example((E2, (1, 0, 0, -1), (-2, -1, -1, -2)), Fraction(3))
+def test_integer_pencil_equals_the_field_roots(case, radicand):
+    # the point demand on the pencil of two rational rows, read in ints
+    # as the line through v2 along v1, gives the roots the field rows
+    # give (None: the whole pencil is isotropic, left to the field rows)
     metric, v1, v2 = case
-    want = relations._binary_quadratic(
-        lambda x, y: cycle.row_product(metric, x, y), v1, v2,
-        numerics.Arithmetic("exact"))
-    got = relations._integer_binary_quadratic(
-        metric.weights, *(tuple(relations._integer_row(v)) for v in (v1, v2)))
-    if got is None:
-        # the whole line is isotropic, or its roots are irrational
-        assert want is None or any(isinstance(v, QuadExt)
-                                   for row in want for v in row)
-    else:
-        assert [canonical_row(r, 0) for r in got] == \
-            [canonical_row(r, 0) for r in want]
+    if len(relations.linear_solve([(v1, 0), (v2, 0)], 4).pivots) < 2:
+        reject()                     # basis rows are independent
+    v1, v2 = (tuple(map(Fraction, v)) for v in (v1, v2))
+    L = math.lcm(*[x.denominator for x in (*v1, *v2)])
+    V, P = (tuple([int(x * L) for x in v]) for v in (v1, v2))
+    Q = lambda x, y: cycle.row_product(metric, x, y)
+    got = _branch_outcome(lambda ar: (relations._line_candidates(
+        metric.weights, L, V, P, (), 0, 0, ar), None), radicand)
+    want = _branch_outcome(lambda ar: (relations._binary_quadratic(
+        Q, v1, v2, ar), None), radicand)
+    assert got == want
 
 
 class _RefQuadExt:
@@ -1166,9 +1195,12 @@ def _line(rows, demand=-1, radicand=None):
 @example(_line((1, R2, 2), radicand=Fraction(2)))      # split, root sqrt 2
 @example(_line((1, R2, 3 * R2), radicand=Fraction(2)))  # nested radical
 @example(_line((1, R2, 3 * R2)))       # split over a context with none
-# m is free: <v,v> = 0, one root
+# m is free: <v,v> = 0, one root; and the same over a split rhs, whose
+# one root t = -c / 2b has b and c in Q(sqrt 2)
 @example((E2, [((1, 0, 0, 0), 1), ((0, 1, 0, 0), 0), ((0, 0, 1, 0), 0)],
           [], None, 1, None))
+@example((E2, [((1, 0, 0, 0), 1 + R2), ((0, 1, 0, 0), 2 - R2),
+               ((0, 0, 1, 0), 0)], [], None, 1, Fraction(2)))
 # two sign patterns on a split rhs, and two on a rational one
 @example((E2, [((1, 0, 0, 0), 1), ((0, 0, 1, 0), R2), ((0, 1, 0, 1), 3)],
           [1, 2], None, -1, Fraction(2)))
@@ -1190,25 +1222,58 @@ def test_integer_line_equals_the_field_candidates(system):
     except RadicalClash:
         reject()
 
-    def outcome(branch):
-        ar = numerics.Arithmetic("exact", radicand)
-        try:
-            sols, par = branch(ar)
-        except ArithmeticError as err:
-            return type(err), str(err)
-        rows = None if sols is None else [
-            repr(row) if type(row[0]) is float
-            else _typed(canonical_row(row, 0)) for row in sols]
-        return rows, _typed(par), (ar.radicand, ar.demoted, ar.notes)
-
     for j in range(len(patterns)):
         if not red.consistent[j]:
             continue
-        got = outcome(lambda ar: relations._solve_branch(
-            metric, red, j, demand, ar, []))
-        want = outcome(lambda ar: relations._field_candidates(
-            metric, red.particular(j), red.basis(), demand, ar))
+        got = _branch_outcome(lambda ar: relations._solve_branch(
+            metric, red, j, demand, ar, []), radicand)
+        want = _branch_outcome(lambda ar: relations._field_candidates(
+            metric, red.particular(j), red.basis(), demand, ar), radicand)
         assert got == want
+
+
+@settings(max_examples=300)
+@given(st.one_of(rational_systems(), split_systems()), st.data())
+# sqrt 2 rhs on two signed rows of rational rows, split, and their
+# difference with its rhs: one of the four patterns is consistent
+@example(([((1, 2, 0, 1), R2), ((0, 1, 1, 0), 3 * R2), ((2, 0, 1, 1), 1),
+           ((1, 1, -1, 1), -2 * R2)], 4), None)
+def test_integer_rows_equal_the_field_read_back(system, data):
+    # every consistent rhs column of an int elimination reads back in
+    # ints (L, basis, P, Q) as the field rows read it, typed: basis() is
+    # [V / L] with L in each row's free column, and particular(j) is
+    # (P + Q sqrt d) / L, a Fraction where the radical part is 0
+    rows, nunk = system
+    signed = [0, 1] if data is None else sorted(data.draw(st.sets(
+        st.sampled_from(range(len(rows))), max_size=3)))
+    patterns = [_pattern_rows(rows, signed, signs)
+                for signs in iproduct((1, -1), repeat=len(signed))]
+    red = relations.linear_solve(
+        [(c, tuple([pattern[i][1] for pattern in patterns]))
+         for i, (c, _) in enumerate(rows)], nunk)
+    if red.ring is not int:
+        # a QuadExt rhs with no radical part keeps the elimination over
+        # Z[sqrt d], whose rows have no int read-back
+        assert all(red.integer_rows(j) is None
+                   for j in range(len(patterns)))
+        return
+    free = sorted(set(range(nunk)) - {col for _, col in red.pivots})
+    for j, consistent in enumerate(red.consistent):
+        ints = red.integer_rows(j)
+        if not consistent:
+            assert ints is None
+            continue
+        L, basis, P, Q = ints
+        assert L > 0
+        assert [V[f] for V, f in zip(basis, free)] == [L] * len(free)
+        assert _typed([tuple([Fraction(x, L) for x in V]) for V in basis]) \
+            == _typed(red.basis())
+        want = red.particular(j)
+        assert _typed(tuple([
+            QuadExt(Fraction(x, L), Fraction(y, L), red.d) if y
+            else Fraction(x, L) for x, y in zip(P, Q or [0] * nunk)])) \
+            == _typed(want)
+        assert bool(Q) == any(type(v) is QuadExt for v in want)
 
 
 def _exact_twin(rel):

@@ -239,6 +239,30 @@ def test_demotion_on_second_radicand():
         assert abs(abs(x.normalized_product(b)) - 1) < 1e-9
 
 
+def test_a_radicand_from_the_data_demotes_a_second_one():
+    # tangencies to radius s*sqrt(2) circles have rational rhs, and an
+    # inversive distance of sqrt(3)/2 puts the rhs over sqrt 3 while no
+    # root was taken: the context holds sqrt 3 from the data, so a root
+    # over another radicand, as system 30's over sqrt 5, demotes with a
+    # note instead of clashing
+    theta = QuadExt(0, F(1, 2), 3)
+    kinds = Counter()
+    for i in range(300):
+        rng = random.Random(f"radicand-from-data:{i}")
+        q = lambda lo, hi, den: F(rng.randint(lo, hi), rng.randint(1, den))
+        refs = [Cycle.circle(E, (q(-6, 6, 2), q(-6, 6, 2)),
+                             2 * q(1, 4, 2) ** 2) for _ in range(3)]
+        rels = [IsTangent(refs[0]), IsTangent(refs[1]),
+                InversiveDistance(refs[2], theta)]
+        sol = solve(rels, E)
+        kinds[sol.demoted] += 1
+        assert all(check(rels, x) for x in sol.cycles)
+        if i == 30:
+            assert sol.demoted and sol.status == "finite"
+            assert "second radicand 5 incompatible with 3" in sol.notes
+    assert kinds[True] > 250 and kinds[False] > 10
+
+
 def test_lobachevsky_and_onlyreals():
     sol = solve([IsLobachevskyLine(E), PassesThrough(E, (F(0), F(1))),
                  PassesThrough(E, (F(0), F(2))), OnlyReals(E)], E)
