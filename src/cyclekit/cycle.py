@@ -89,14 +89,11 @@ def _radical_form(row):
             P.append(v.numerator)
             Q.append(0)
             dens.append(v.denominator)
-    radical = any(Q)
-    if not (radical or any(P)):
-        return ()
     den = math.lcm(*dens)
     if den != 1:
         P = [p * (den // n) for p, n in zip(P, dens)]
         Q = [q * (den // n) for q, n in zip(Q, dens)]
-    return P, (Q if radical else ()), d, 1, den, QuadExt
+    return P, Q, d, 1, den, QuadExt
 
 
 def integer_pairing(w: Sequence[int], a: Sequence[int],
@@ -140,10 +137,11 @@ _ZERO = Fraction(0)
 def _pairing(metric: Metric, fx, fy, xk, xl, xm, yk, yl, ym) -> Scalar:
     """The pairing of two rows (k, l, m) from their integer forms ``fx``
     and ``fy``, summed in ints and typed as the sum over the entries
-    (:func:`_sum_pair`) would be: a QuadExt when an entry the pairing reads
-    is a QuadExt, else a Fraction when one is a Fraction, else an int.  Two
-    rational rows take one :func:`integer_pairing`; a row with no form, or
-    forms over two radicands, sum as they are."""
+    (:func:`_sum_pair`) would be: a value of Q(sqrt d), a QuadExt or a
+    Fraction, when an entry the pairing reads is a QuadExt, else a Fraction
+    when one is a Fraction, else an int.  Two rational rows take one
+    :func:`integer_pairing`; a row with no form, or forms over two
+    radicands, sum as they are."""
     if not fy:
         return _sum_pair(metric.product_eta, xk, xl, xm, yk, yl, ym)
     P, _, d, s, t, kind = fx
@@ -491,12 +489,12 @@ class Cycle:
         A rational row's canonical cycle is its primitive int row over its
         lead, one Fraction per entry, and keeps that row as its form.  A
         Q(sqrt d) row's entry j is ``(P_j + Q_j sqrt d)(P_0 - Q_0 sqrt d) /
-        (P_0^2 - d Q_0^2)``, ``(P_0, Q_0)`` its first nonzero entry, and a
-        Fraction where its radical part is 0: the values and types
-        :func:`canonical_row` gives.  Its canonical cycle keeps its own
-        form, over ``P_0^2 - d Q_0^2``, when an entry has a radical part.
-        An exact row led by 1, every entry a Fraction or a ``QuadExt`` with
-        a radical part, is canonical already."""
+        (P_0^2 - d Q_0^2)``, ``(P_0, Q_0)`` its first nonzero entry: the
+        values and types :func:`canonical_row` gives.  Its canonical cycle
+        keeps its own form, over ``P_0^2 - d Q_0^2``, when an entry has a
+        radical part.
+        An exact row led by 1, every entry a Fraction or a ``QuadExt``, is
+        canonical already."""
         row = self.row()
         if _is_canonical(row):
             return self
@@ -505,13 +503,12 @@ class Cycle:
             row = canonical_row(row, 1e-12)
             return Cycle(self.metric, row[0], row[1:-1], row[-1])
         if form[2]:
-            P, Q, d = form[0], form[1] or (0,) * len(form[0]), form[2]
+            P, Q, d = form[:3]
             p0, q0 = next((p, q) for p, q in zip(P, Q) if p or q)
             norm = p0 * p0 - d * q0 * q0
             xs = [p * p0 - d * q * q0 for p, q in zip(P, Q)]
             ys = [q * p0 - p * q0 for p, q in zip(P, Q)]
-            row = [_quad(x, y, norm, d) if y else Fraction(x, norm)
-                   for x, y in zip(xs, ys)]
+            row = [_quad(x, y, norm, d) for x, y in zip(xs, ys)]
             c = Cycle(self.metric, row[0], row[1:-1], row[-1])
             if any(ys):
                 g = math.gcd(norm, *xs, *ys) * (1 if norm > 0 else -1)
@@ -529,9 +526,9 @@ class Cycle:
 
     def key(self, digits: int = 9):
         """Hashable projective key for dedup: the primitive int row of a
-        cycle whose canonical row is rational (a ``QuadExt`` row with no
-        radical part left included), else the canonical row with float
-        entries rounded to ``digits``."""
+        cycle whose canonical row is rational (a ``QuadExt`` row that is a
+        multiple of a rational row included), else the canonical row with
+        float entries rounded to ``digits``."""
         form = self.integer_form()
         if form and not form[2]:
             return form[0]
@@ -578,8 +575,7 @@ class Cycle:
 def _is_canonical(row) -> bool:
     """Is ``row`` exact and its own :func:`canonical_row`?"""
     return (next((v for v in row if v), None) == 1
-            and all(type(v) is Fraction or type(v) is QuadExt and v.q
-                    for v in row))
+            and all(type(v) is Fraction or type(v) is QuadExt for v in row))
 
 
 def encode_scalar(c):

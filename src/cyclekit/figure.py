@@ -69,11 +69,11 @@ class TooManyInstances(RuntimeError):
 
 
 class Degenerate(ValueError):
-    """Input configuration collapses the construction."""
+    """The input configuration makes the construction degenerate."""
 
 
 class DegenerateMetric(Degenerate):
-    """The metric collapses the construction for every input."""
+    """The metric makes the construction degenerate for every input."""
 
 
 class InvalidTriple(ValueError):

@@ -1,14 +1,15 @@
 """Scalar arithmetic for the geometry engine.
 
-Three interoperable scalar kinds:
+Three interoperable scalar kinds, one representation per number:
 
-* exact rationals -- ``fractions.Fraction``;
-* :class:`QuadExt` -- numbers ``a + b*sqrt(d)`` with rational ``a, b``,
-  held as an integer triple ``(p + q*sqrt(d))/n`` in lowest terms over the
-  squarefree integer core ``d`` of the radicand (one radicand per solve).
-  The radicand is checked and reduced to its core once, when the public
-  constructor builds the value; arithmetic works in Python ints and never
-  checks it again;
+* exact rationals -- ``int`` and ``fractions.Fraction``;
+* :class:`QuadExt` -- irrational numbers ``a + b*sqrt(d)`` with rational
+  ``a`` and ``b != 0``, held as an integer triple ``(p + q*sqrt(d))/n`` in
+  lowest terms over the squarefree integer core ``d`` of the radicand (one
+  radicand per solve).  A QuadExt always has a radical part: a value whose
+  radical part is 0, built or computed, is a Fraction.  The radicand is
+  checked and reduced to its core once, when the public constructor builds
+  the value; arithmetic works in Python ints and never checks it again;
 * ``float``.
 
 Exact kinds never lose precision; a computation that would need a second
@@ -36,8 +37,8 @@ trace check.  Each site keeps its own ``eps``; the only settings are
 entry is a float.  Every exact system is eliminated fraction-free, over
 Z[sqrt d] when a coefficient has a radical part and over the ints
 otherwise (a rhs over one radicand split into its rational part and its
-sqrt d coefficient), and read back by its caller as Fractions, or
-QuadExts where a radical part is left, except that a branch of ``solve``
+sqrt d coefficient), and read back by its caller as Fractions and
+QuadExts, except that a branch of ``solve``
 reads a column of int rows back in ints, in one read-back
 (``Reduced.integer_rows``).  An exact cycle row over one radicand has
 one integer form over Z[sqrt d] (``cycle.integer_form``): the cycle
@@ -152,21 +153,25 @@ class RadicalClash(ArithmeticError):
 
 
 class QuadExt:
-    """``a + b*sqrt(d)`` with rational ``a, b``, held as ``(p + q*sqrt(d))/n``.
+    """``a + b*sqrt(d)`` with rational ``a`` and ``b != 0``, held as
+    ``(p + q*sqrt(d))/n``.
 
-    ``p``, ``q`` and ``n`` are Python ints in lowest terms with ``n > 0``;
-    ``d`` is the squarefree integer core of the radicand.  The public
-    constructor ``QuadExt(a, b, d)`` is the one place a radicand is
-    checked: ``d`` must be a positive non-square rational, and it is split
-    into ``coeff**2 * core`` with ``coeff`` folded into ``b``, so equal
-    radicals built from different inputs (``sqrt(8)``, ``2*sqrt(2)``) share
-    one field.  Arithmetic builds its results with :func:`_quad`, which
-    never re-checks the radicand and costs one ``gcd``.
+    ``p``, ``q`` and ``n`` are Python ints in lowest terms with ``n > 0``
+    and ``q != 0``; ``d`` is the squarefree integer core of the radicand.
+    The public constructor ``QuadExt(a, b, d)`` is the one place a radicand
+    is checked: ``d`` must be a positive non-square rational, and it is
+    split into ``coeff**2 * core`` with ``coeff`` folded into ``b``, so
+    equal radicals built from different inputs (``sqrt(8)``, ``2*sqrt(2)``)
+    share one field.  Arithmetic builds its results with :func:`_quad`,
+    which never re-checks the radicand and costs one ``gcd``.  Both return
+    a Fraction where the radical part is 0 (``QuadExt(a, 0, d)`` is
+    ``Fraction(a)``), so a QuadExt is irrational and never equals a
+    rational.
 
     ``a`` and ``b`` read back as Fractions.  Mixed arithmetic with ints and
     Fractions lifts them; mixing two different radicands raises
-    :class:`RadicalClash` unless one operand is rational (the CLI exits 2
-    on it).  A float operand gives the float result, as with a Fraction.
+    :class:`RadicalClash` (the CLI exits 2 on it).  A float operand gives
+    the float result, as with a Fraction.
     """
 
     __slots__ = ("p", "q", "n", "d")
@@ -196,22 +201,16 @@ class QuadExt:
     def _pair(self, other):
         """``(p, q, n, P, Q, N, d)``: self and other over one radicand
         ``d``, or None when other is not exact.  A rational operand reads
-        over the other's radicand."""
+        over self's radicand."""
         d = self.d
         if isinstance(other, QuadExt):
-            if other.d != d and other.q != 0:
-                if self.q != 0:
-                    raise RadicalClash(f"sqrt({d}) vs sqrt({other.d})")
-                d = other.d
+            if other.d != d:
+                raise RadicalClash(f"sqrt({d}) vs sqrt({other.d})")
             return self.p, self.q, self.n, other.p, other.q, other.n, d
         if isinstance(other, (int, Fraction)):
             return (self.p, self.q, self.n,
                     other.numerator, 0, other.denominator, d)
         return None
-
-    def collapse(self) -> Union[Fraction, "QuadExt"]:
-        """Return a plain Fraction when the radical part vanished."""
-        return self.a if self.q == 0 else self
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
@@ -256,12 +255,16 @@ class QuadExt:
         return _quad(n * p, -n * q, norm, self.d)
 
     def __truediv__(self, other):
-        t = self._pair(other)
-        if t is None:
-            return float(self) / other if isinstance(other, float) \
-                else NotImplemented
-        P, Q, N, d = t[3:]
-        return self * _quad(P, Q, N, d)._inverse()
+        if isinstance(other, QuadExt):
+            return self * other._inverse()
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by zero QuadExt")
+            N = other.denominator
+            return _quad(self.p * N, self.q * N, self.n * other.numerator,
+                         self.d)
+        return float(self) / other if isinstance(other, float) \
+            else NotImplemented
 
     def __rtruediv__(self, other):
         return self._inverse() * other
@@ -269,7 +272,7 @@ class QuadExt:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = _quad(1, 0, 1, self.d)
+        out = _ONE
         for _ in range(n):
             out = out * self
         return out
@@ -279,7 +282,7 @@ class QuadExt:
         p, q = self.p, self.q
         sp = (p > 0) - (p < 0)
         sq = (q > 0) - (q < 0)
-        if sp == sq or sq == 0:
+        if sp == sq:
             return sp
         if sp == 0:
             return sq
@@ -290,18 +293,14 @@ class QuadExt:
     def __eq__(self, other):
         if isinstance(other, QuadExt):
             return (self.p == other.p and self.q == other.q
-                    and self.n == other.n
-                    and (self.q == 0 or self.d == other.d))
+                    and self.n == other.n and self.d == other.d)
         if isinstance(other, (int, Fraction)):
-            return (self.q == 0 and self.p == other.numerator
-                    and self.n == other.denominator)
+            return False                # a QuadExt is irrational
         if isinstance(other, float):
             return float(self) == other
         return NotImplemented
 
     def __hash__(self):
-        if self.q == 0:
-            return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def _cmp(self, other):
@@ -310,7 +309,7 @@ class QuadExt:
             return float(self) - other
         if not isinstance(other, (int, Fraction, QuadExt)):
             raise TypeError(f"cannot compare QuadExt with {type(other)}")
-        return (self - other)._sign()
+        return scalar_sign(self - other)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -323,9 +322,6 @@ class QuadExt:
 
     def __ge__(self, other):
         return self._cmp(other) >= 0
-
-    def __bool__(self):
-        return self.p != 0 or self.q != 0
 
     def __abs__(self):
         return -self if self._sign() < 0 else self
@@ -340,12 +336,15 @@ class QuadExt:
 
 
 _new_object = object.__new__
+_ONE = Fraction(1)
 
 
-def _quad(p: int, q: int, n: int, d: int) -> QuadExt:
+def _quad(p: int, q: int, n: int, d: int) -> Union[Fraction, QuadExt]:
     """The private constructor: ``(p + q*sqrt(d))/n`` over a core ``d``
     the public constructor already checked, reduced to lowest terms with
-    ``n > 0`` (``n`` nonzero)."""
+    ``n > 0`` (``n`` nonzero); ``Fraction(p, n)`` when ``q`` is 0."""
+    if not q:
+        return Fraction(p, n)
     g = math.gcd(p, q, n)
     if n < 0:
         g = -g
@@ -396,8 +395,7 @@ def near_zero(v: Scalar, eps: float, *rows) -> bool:
 
 def canonical_row(values, eps: float) -> tuple:
     """Projective representative: an exact row divided by its first nonzero
-    entry (staying in its field; an entry with no radical part comes back
-    as a Fraction), else floats divided by the largest
+    entry (staying in its field), else floats divided by the largest
     magnitude, signed so the first entry above ``eps`` times it is positive.
     All-zero rows come back unscaled."""
     if all(is_exact(v) for v in values):
@@ -405,9 +403,7 @@ def canonical_row(values, eps: float) -> tuple:
         if pivot is None:
             return tuple(values)
         inv = 1 / lift(pivot)
-        row = [v * inv for v in values]
-        return tuple([v.collapse() if isinstance(v, QuadExt) else v
-                      for v in row])
+        return tuple([v * inv for v in values])
     fv = [to_float(v) for v in values]
     scale = max(abs(v) for v in fv)
     if scale == 0:
@@ -423,9 +419,7 @@ def sqrt_in_field(x, d: Optional[Fraction] = None):
     Returns the root, or None when it does not exist in that field.
     """
     if isinstance(x, QuadExt):
-        if x.q != 0:
-            return None  # nested radical
-        x = x.a
+        return None  # nested radical
     x = Fraction(x)
     r = fraction_sqrt(x)
     if r is not None:
@@ -479,10 +473,10 @@ class Arithmetic:
         r = sqrt_in_field(x, self.radicand)
         if r is not None:
             return r
-        if isinstance(x, QuadExt) and x.q != 0:
+        if isinstance(x, QuadExt):
             self.demote(f"nested radical sqrt({x!r})")
             return math.sqrt(abs(to_float(x)))
-        x = Fraction(x) if not isinstance(x, QuadExt) else x.a
+        x = Fraction(x)
         if self.radicand is None:
             root = QuadExt(0, 1, x)  # the constructor splits off the core
             self.radicand = Fraction(root.d)
@@ -552,8 +546,6 @@ def _frac(s: str) -> Fraction:
 
 
 def format_scalar(x: Scalar) -> str:
-    if isinstance(x, QuadExt):
-        x = x.collapse()
     if isinstance(x, QuadExt):
         if x.a == 0:
             return f"{x.b}*sqrt({x.d})"

@@ -41,7 +41,7 @@ branch of int rows reads its column in ints (:meth:`Reduced.integer_rows`):
 a basis row is a candidate as it is, and a line against a nonzero demand,
 or a pencil against a point demand, meets it in one integer quadratic
 over Z[sqrt d] (:func:`_line_candidates`); every other result reads back
-Fractions, or QuadExts where a radical part is left.  A rational
+Fractions and QuadExts.  A rational
 candidate is deduplicated and verified on its primitive int row, a
 positive multiple of its canonical row, and only a kept one builds its
 canonical row; any other is verified on its canonical cycle,
@@ -365,8 +365,7 @@ class Reduced(NamedTuple):
     def solution(self):
         """``(particular, basis)`` of rhs column 0 over the field: an
         exact entry is the quotient of a row's entry by its pivot, a
-        Fraction (a QuadExt when it has a radical part); ``(None, None)``
-        when inconsistent."""
+        Fraction or a QuadExt; ``(None, None)`` when inconsistent."""
         p = self.particular()
         return (None, None) if p is None else (p, self.basis())
 
@@ -569,7 +568,7 @@ def _split_radicand(A: list, nunk: int) -> int:
     that one radicand; 0 otherwise."""
     if any(type(c) is QuadExt for row in A for c in row[:nunk]):
         return 0
-    ds = {c.d for row in A for c in row[nunk:] if type(c) is QuadExt and c.q}
+    ds = {c.d for row in A for c in row[nunk:] if type(c) is QuadExt}
     return ds.pop() if len(ds) == 1 else 0
 
 
@@ -600,8 +599,10 @@ def _radical_row(row) -> list:
 
 
 def _primitive_radical(row: list) -> list:
-    g = math.gcd(*[x for c in row
-                   for x in ((c.p, c.q) if isinstance(c, QuadExt) else (c,))])
+    """A row of ints, Fractions with denominator 1 and QuadExts with ``n ==
+    1`` divided by the gcd of their integer parts."""
+    g = math.gcd(*[x for c in row for x in (
+        (c.p, c.q) if isinstance(c, QuadExt) else (c.numerator,))])
     return [_quad(c.p // g, c.q // g, 1, c.d) if isinstance(c, QuadExt)
             else c // g for c in row] if g > 1 else row
 
@@ -615,9 +616,8 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _quotient(a, b):
-    """A Fraction, or a QuadExt when the quotient has a radical part."""
-    return (Fraction(a, b) if type(a) is int and type(b) is int
-            else (a / b).collapse())
+    """``a / b`` as a Fraction or a QuadExt."""
+    return Fraction(a, b) if type(a) is int and type(b) is int else a / b
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def _circle(c: Cycle, vp: Viewport, color: str, dashed: bool) -> str:
 def _parabola(c: Cycle, vp: Viewport, color: str, dashed: bool) -> str:
     k, l1, l2, m = _floats(c)
     if l2 == 0:
-        # k u^2 - 2 l1 u + m = 0: the curve collapses to vertical lines
+        # k u^2 - 2 l1 u + m = 0: the curve degenerates to vertical lines
         disc = l1 * l1 - k * m
         if disc < 0:
             return '<g class="cycle empty"/>'

@@ -39,7 +39,7 @@ class TestQuadExt:
         z = QuadExt(F(5, 3), F(0), 2)
         assert z == F(5, 3)
         assert hash(z) == hash(F(5, 3))
-        assert z.collapse() == F(5, 3)
+        assert type(z) is F and z == F(5, 3)
 
     def test_exact_ordering(self):
         s = QuadExt(F(0), F(1), 2)  # sqrt(2) = 1.414...
@@ -57,7 +57,7 @@ class TestQuadExt:
     def test_mixed_radicand_rejected(self):
         with pytest.raises(RadicalClash):
             QuadExt(F(0), F(1), 2) + QuadExt(F(0), F(1), 3)
-        # but a collapsed (b == 0) operand mixes fine
+        # but a value with no radical part is a Fraction, and mixes fine
         assert QuadExt(F(2), F(0), 3) + QuadExt(F(1), F(1), 2) == QuadExt(F(3), F(1), 2)
 
     def test_requires_nonsquare_positive(self):

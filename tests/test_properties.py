@@ -8,6 +8,7 @@ The examples are drawn by hypothesis under the derandomized profile that
 """
 
 import copy
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -18,6 +19,8 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from cyclekit import contfrac, cycle, figure, numerics, poincare, relations
+from cyclekit.clifford import (Mv, dilation, euclidean, inversion,
+                               reflection, translation)
 from cyclekit.contfrac import (ContinuedFraction, HorocycleChain, InvalidCF,
                                orthogonality_residual, quotient,
                                tangency_residual)
@@ -77,6 +80,26 @@ def test_moebius_action_scales_the_product_by_det_squared(metric, g, r1, r2):
     c1, c2 = Cycle.from_row(metric, r1), Cycle.from_row(metric, r2)
     moved = poincare.act(g, c1).product(poincare.act(g, c2))
     assert moved == poincare.mat_det(g) ** 2 * c1.product(c2)
+
+
+R3D = Metric.from_signature(3)
+SIG3 = euclidean(3)
+vectors3 = st.tuples(rationals, rationals, rationals)
+# exact Clifford-entry maps in R^3: products of up to four translations,
+# dilations, inversions and reflections, as test_cycle's _random_map in 2D
+maps3 = st.lists(st.one_of(
+    vectors3.map(lambda b: translation(Mv.vector(SIG3, b))),
+    nonzero_rationals.map(lambda lam: dilation(SIG3, lam)),
+    st.just(inversion(SIG3)),
+    vectors3.filter(any).map(lambda u: reflection(Mv.vector(SIG3, u)))),
+    min_size=1, max_size=4).map(lambda gs: functools.reduce(operator.mul, gs))
+spheres3 = st.builds(lambda k, l, m: Cycle(R3D, k, l, m), rationals, vectors3,
+                     rationals)
+
+
+@given(maps3, spheres3, spheres3)
+def test_nd_moebius_action_scales_the_product_by_pseudodet_squared(M, a, b):
+    assert a.flt(M).product(b.flt(M)) == M.pseudodet() ** 2 * a.product(b)
 
 
 @given(st.sampled_from(METRICS), rational_mats, exact_rows)
@@ -748,10 +771,12 @@ quad_parts = st.tuples(rationals, st.one_of(st.just(Fraction(0)), rationals),
 
 
 def _quad_and_reference(parts):
-    """QuadExt(a, b, d) and the reference over d's squarefree core."""
+    """QuadExt(a, b, d) and the reference over d's squarefree core, the
+    Fraction a when b is 0."""
     a, b, d = parts
     coeff, core = RADICANDS[d]
-    return QuadExt(a, b, d), _RefQuadExt(a, b * coeff, core)
+    return QuadExt(a, b, d), (_RefQuadExt(a, b * coeff, core) if b
+                              else Fraction(a))
 
 
 operands = st.one_of(
@@ -762,11 +787,14 @@ operands = st.one_of(
 
 def _outcome(op, *args):
     """A comparable digest of ``op(*args)``: floats bit for bit, quadratic
-    values as (a, b, d), raised arithmetic errors by type."""
+    values as (a, b, d), a reference value with no radical part as its
+    Fraction, raised arithmetic errors by type."""
     try:
         v = op(*args)
     except (RadicalClash, ZeroDivisionError) as exc:
         return type(exc)
+    if isinstance(v, _RefQuadExt) and v.b == 0:
+        v = v.a
     if isinstance(v, (QuadExt, _RefQuadExt)):
         return ("quad", v.a, v.b, v.d)
     if isinstance(v, float):
@@ -805,8 +833,45 @@ def test_quadext_unary_ops_agree_with_the_reference(parts, k):
     # as given: every coeff above is a power of two, so scaling by it is
     # exact and sqrt(coeff^2 * core) == coeff * sqrt(core) in floats too
     assert float(new).hex() == float(ref).hex() == float(_RefQuadExt(*parts)).hex()
-    assert format_scalar(new) == ref.format()
+    assert format_scalar(new) == (format_scalar(ref) if type(ref) is Fraction
+                                  else ref.format())
     assert parse_scalar(format_scalar(new)) == new
+
+
+def _one_representation(v):
+    """Is ``v`` a float, an int, a Fraction or a QuadExt with a radical
+    part?  A value with no radical part has one form, the Fraction."""
+    return type(v) in (float, int, Fraction) or (type(v) is QuadExt
+                                                  and v.q != 0)
+
+
+def _results(fn, *args):
+    """``[fn(*args)]``, or ``[]`` when it raises an arithmetic error."""
+    try:
+        return [fn(*args)]
+    except (RadicalClash, ZeroDivisionError):
+        return []
+
+
+@given(quad_parts, operands, st.integers(0, 4))
+def test_a_value_with_no_radical_part_is_a_fraction(parts, y, k):
+    x, other = QuadExt(*parts), y[0]
+    values = [x, x ** k, -x, abs(x)]
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        values += _results(op, x, other) + _results(op, other, x)
+    for v in list(values):
+        for row in _results(canonical_row, (0, v, x, other, x * x), 1e-12):
+            values += row
+        values += _results(lambda: Cycle.from_row(E2, (v, x, other, 1)).product(
+            Cycle.from_row(E2, (x, 1, v, other))))
+    values += [parse_scalar(format_scalar(v)) for v in values]
+    assert all(map(_one_representation, values)), values
+    a, d = parts[0], parts[2]
+    z = QuadExt(a, 0, d)
+    assert type(z) is Fraction and z == a and hash(z) == hash(a)
+    for bad in (0, -d, 4 * d * d, Fraction(9, 4)):
+        with pytest.raises(ValueError):
+            QuadExt(a, 0, bad)
 
 
 def _ref_radical_parts(x):

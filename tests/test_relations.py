@@ -263,6 +263,33 @@ def test_a_radicand_from_the_data_demotes_a_second_one():
     assert kinds[True] > 250 and kinds[False] > 10
 
 
+def test_a_rational_rhs_from_radicals_is_eliminated_over_the_ints(
+        monkeypatch):
+    # theta = sqrt(2)/2 times sqrt|<R,R>| = sqrt 2 is the rational 1: a
+    # value with no radical part is a Fraction, so the rows are read as
+    # rational and eliminated over the ints, not over Z[sqrt 2]
+    seen = []
+
+    def spy(rows, nunk, ring=None):
+        red = linear_solve(rows, nunk, ring)
+        seen.append(([rhs for _, rhs in rows], red.ring))
+        return red
+
+    monkeypatch.setattr(relations, "linear_solve", spy)
+    rels = [InversiveDistance(Cycle.circle(E, (1, 2), 1),
+                              QuadExt(0, F(1, 2), 2)),
+            IsOrthogonal(Cycle.circle(E, (3, 0), 1)), PassesThrough(E, (0, 0))]
+    sol = solve(rels, E)
+    assert seen == [([(F(1),), (0,), (0,)], int)]
+    assert type(seen[0][0][0][0]) is F
+    assert sol.demoted and [repr(c.row()) for c in sol.cycles] == \
+        ["(0.75, 1.0, -0.10551611250369008, 0.0)"]
+    sol = solve(rels, E, "float")
+    assert seen[1][1] is float
+    assert [repr(c.row()) for c in sol.cycles] == \
+        ["(0.7499999999999999, 1.0, -0.10551611250369013, 0.0)"]
+
+
 def test_lobachevsky_and_onlyreals():
     sol = solve([IsLobachevskyLine(E), PassesThrough(E, (F(0), F(1))),
                  PassesThrough(E, (F(0), F(2))), OnlyReals(E)], E)
