@@ -15,7 +15,8 @@ from cyclekit.contfrac import (ContinuedFraction, InvalidCF, advance, chain,
                                quotient, reconstruct_horocycles,
                                seidel_stern_check, tangency_residual)
 from cyclekit.cycle import Cycle, Metric
-from cyclekit.numerics import Arithmetic, QuadExt, is_exact, scalar_sign
+from cyclekit.numerics import (Arithmetic, QuadExt, RadicalClash, is_exact,
+                               scalar_sign)
 
 E2 = Metric.named("e")
 
@@ -320,16 +321,17 @@ class TestChains:
 
     @pytest.mark.parametrize("arrangement", ["tangent", "orthogonal", "ortho45"])
     def test_radical_free_term_over_another_radicand(self, arrangement):
-        # QuadExt(1, 0, 2) has no radical part, so a chain over sqrt(3)
-        # takes it as the rational 1; its rows keep entries over two
-        # radicands and validate on their scalars
-        terms = [QuadExt(1, 0, 2), QuadExt(3, 2, 3)]
-        plain = [1, QuadExt(3, 2, 3)]
+        # a term over sqrt(3): the tangent chain stays exact over sqrt(3),
+        # while the orthogonal and 45-degree chains bring in sqrt(2), which
+        # clashes with it
+        cf = ContinuedFraction.simple(1, [QuadExt(1, 1, 3), 3])
         if arrangement != "tangent":
-            terms, plain = terms[:1] + [3], [1, 3]
-        got = chain(ContinuedFraction.simple(1, terms), 2, arrangement)
-        want = chain(ContinuedFraction.simple(1, plain), 2, arrangement)
-        assert [c.row() for c in got.cycles] == [c.row() for c in want.cycles]
+            with pytest.raises(RadicalClash, match=r"^sqrt\(3\) vs sqrt\(2\)$"):
+                chain(cf, 2, arrangement)
+            return
+        rows = [c.row() for c in chain(cf, 2, arrangement).cycles]
+        assert all(is_exact(v) for row in rows for v in row)
+        assert {v.d for row in rows for v in row if isinstance(v, QuadExt)} == {3}
 
     def test_chain_needs_a_step(self):
         with pytest.raises(InvalidCF):

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from cyclekit.clifford import dilation, inversion, reflection, translation, Mv
+from cyclekit.clifford import (Mat2, Mv, dilation, euclidean, identity_map,
+                               inversion, reflection, translation)
 from cyclekit.cycle import Cycle, Metric, parse_metric
 
 E = Metric.named("e")
@@ -151,6 +152,25 @@ def test_flt_moves_points_with_cycles(seed=31):
                 assert img.k == 0  # image passes through infinity: flat
             else:
                 assert img.passes_through(q.vector_components())
+
+
+R3 = Metric.from_signature(3)
+E1E2E3 = Mv(euclidean(3), {(1, 2, 3): 1})
+
+
+@pytest.mark.parametrize("M, c, message", [
+    (identity_map(euclidean(3)), circ(0, 0, 1),
+     "map acts on a different product signature"),
+    # a translation by a scalar moves l off the vectors
+    (Mat2(E.product_signature(), 1, 1, 0, 1), circ(0, 0, 1),
+     "image direction is not a vector"),
+    # in R^3, b = -(a a-bar) = -2 - 2 e1e2e3 keeps a grade-3 part
+    (Mat2(euclidean(3), 1 + E1E2E3, 0, 0, 0), Cycle(R3, 1, (0, 0, 0), -1),
+     "image is not a cycle matrix"),
+])
+def test_flt_refuses_what_is_not_a_moebius_image(M, c, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        c.flt(M)
 
 
 def test_inversive_distance_oracle():

@@ -442,6 +442,37 @@ class TestBranching:
         assert [i.cycle.row() for i in fig.node("cross").instances] == [
             (0, 0, 0, 1)]
 
+    def test_parents_from_two_branches_of_one_ancestor_are_not_combined(
+            self, monkeypatch):
+        # a diamond: X has two instances, Y1 and Y2 each one per X instance,
+        # and Z pairs a Y1 with a Y2 only where both came from the same X
+        merged = []
+
+        def spy(contexts):
+            merged.append(real(contexts))
+            return merged[-1]
+
+        real = figure._merge_contexts
+        monkeypatch.setattr(figure, "_merge_contexts", spy)
+        fig = Figure()
+        fig.add_cycle((1, 0, 0, -1), "a")
+        fig.add_cycle((1, 1, 0, 0), "b")
+        fig.add_cycle_rel([orthogonal("a"), orthogonal("b"), is_point()], "X")
+        fig.add_point((3, 1), "P")
+        fig.add_point((-2, 5), "Q")
+        for y, pt in (("Y1", "P"), ("Y2", "Q")):
+            fig.add_cycle_rel([orthogonal("X"), orthogonal(pt),
+                               orthogonal(INFINITY)], y)
+        merged.clear()
+        fig.add_cycle_rel([orthogonal("Y1"), orthogonal("Y2"), is_point()],
+                          "Z", avoid=(INFINITY,))
+        assert len(merged) == 4 and merged.count(None) == 2
+        xs, zs = fig.node("X").instances, fig.node("Z").instances
+        assert len(xs) == 2 and len(zs) == 2
+        for z in zs:
+            assert z.cycle.same_cycle(xs[z.context["X"]].cycle)
+            assert z.context["Y1"] == z.context["Y2"] == z.context["X"]
+
 
 class TestSubfigures:
     @staticmethod

@@ -678,3 +678,92 @@ class TestCommonPoint:
         C = cycle_nlkm(-1, 0, 0, 1, -1)
         with pytest.raises(ValueError):
             common_point(C, C)
+
+
+def floats(g):
+    return tuple(tuple(float(v) for v in row) for row in g)
+
+
+def float_points(points):
+    """Endpoints or fixed points as floats, None (infinity) kept."""
+    return [None if p is None else to_float(p) for p in points]
+
+
+class TestFloatTwins:
+    """The float branches, each against the float of the exact answer."""
+
+    def test_proportional(self):
+        rng = random.Random(97)
+        for _ in range(20):
+            A = rand_mat(rng)
+            t = rand_frac(rng) or F(1, 3)
+            for B in (tuple(tuple(t * v for v in row) for row in A),
+                      rand_mat(rng)):
+                assert proportional(floats(A), floats(B)) == \
+                    proportional(A, B)
+
+    def test_interval_endpoints(self):
+        rng = random.Random(101)
+        ends = [(rand_frac(rng), rand_frac(rng)) for _ in range(20)]
+        for x, y in ends + [(F(0), None), (None, F(3)), (None, None)]:
+            C = interval_matrix(x, y)
+            want = interval_endpoints(C, Arithmetic("exact"))
+            got = interval_endpoints(floats(C))
+            assert float_points(got) == pytest.approx(float_points(want))
+        with pytest.raises(ValueError, match="trace-free"):
+            interval_endpoints(((1.0, 0.0), (1.0, 1.0)))
+
+    def test_curve_membership(self):
+        rng = random.Random(103)
+        for tau in TAUS:
+            for _ in range(10):
+                x, y = rand_frac(rng), rand_frac(rng)
+                c = cycle_from_interval(x, y, tau)
+                for u, v in ((x, F(0)), (rand_frac(rng), rand_frac(rng))):
+                    assert curve_membership(c.as_float(), float(u), float(v)) \
+                        == curve_membership(c, u, v)
+
+    def test_fixed_points(self):
+        rng = random.Random(107)
+        mats = [rand_mat(rng) for _ in range(30)] + [
+            ((1, -1), (1, 3)), translation_map(F(1)), dilation_map(F(2)),
+            ((1, 0), (F(1, 2), 1)), rotation(0, 1)]
+        for g in mats:
+            if is_scalar_matrix(g):
+                continue
+            want = fixed_points(g, Arithmetic("exact"))
+            got = fixed_points(floats(g))
+            assert float_points(got) == pytest.approx(float_points(want))
+        # a double root
+        assert fixed_points(((1., -1.), (1., 3.))) == [-1.0]
+
+    def test_classify_intervals(self):
+        def twin(pairs):
+            return [tuple(float_points(p)) for p in pairs]
+
+        rng = random.Random(109)
+        triples = [[(F(0), F(1)), (F(1), F(2)), (F(2), F(3))],
+                   [(F(1, 10), F(2, 10)), (F(2, 10), F(3, 10)),
+                    (F(3, 10), F(4, 10))],
+                   [(F(1), F(2)), (F(2), F(4)), (F(4), F(8))],
+                   [(F(2), F(5)), (F(3), None), (F(5), F(-1))]]
+        while len(triples) < 30:
+            g = rand_mat(rng)
+            xs = {rand_frac(rng, 8) for _ in range(3)}
+            pairs = [(x, mat_apply(g, x)) for x in xs]
+            if len(xs) == 3 and all(y is not None for _, y in pairs):
+                try:
+                    classify_intervals(pairs)
+                except NotAligned:
+                    continue
+                triples.append(pairs)
+        kinds = set()
+        for pairs in triples:
+            kind, disc = classify_intervals(pairs)
+            assert classify_intervals(twin(pairs)) == (
+                kind, pytest.approx(to_float(disc), rel=1e-9, abs=1e-12))
+            kinds.add(kind)
+        assert kinds == {"elliptic", "parabolic", "hyperbolic"}
+        with pytest.raises(NotAligned):
+            classify_intervals(twin([(F(0), F(3)), (F(1), F(2)),
+                                     (F(2), F(1))]))

@@ -12,6 +12,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iproduct
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from cyclekit import contfrac, cycle, figure, numerics, poincare, relations
-from cyclekit.clifford import (Mv, dilation, euclidean, inversion,
+from cyclekit.clifford import (Mat2, Mv, dilation, euclidean, inversion,
                                reflection, translation)
 from cyclekit.contfrac import (ContinuedFraction, HorocycleChain, InvalidCF,
                                orthogonality_residual, quotient,
@@ -57,7 +58,8 @@ def test_key_is_unchanged_by_rational_row_scaling(metric, row, factor):
 
 
 @given(st.sampled_from(METRICS), exact_rows)
-@example(E2, (QuadExt(2, 0, 2), 1, 0, 3))
+# a QuadExt row whose canonical row is rational: its key is (1, 2, 0, 3)
+@example(E2, (QuadExt(0, 1, 2), QuadExt(0, 2, 2), 0, QuadExt(0, 3, 2)))
 def test_key_is_the_key_of_the_canonical_cycle(metric, row):
     c = Cycle.from_row(metric, row)
     assert c.key() == c.canonical().key()
@@ -100,6 +102,90 @@ spheres3 = st.builds(lambda k, l, m: Cycle(R3D, k, l, m), rationals, vectors3,
 @given(maps3, spheres3, spheres3)
 def test_nd_moebius_action_scales_the_product_by_pseudodet_squared(M, a, b):
     assert a.flt(M).product(b.flt(M)) == M.pseudodet() ** 2 * a.product(b)
+
+
+def _ref_flt(c, M):
+    """``Cycle.flt`` with the four image checks it had before the star
+    argument dropped the ``d`` entry's: kept as the reference for its
+    refusals."""
+    sig = c.metric.product_signature()
+    if M.sig != sig:
+        raise ValueError("map acts on a different product signature")
+    out = M * c.matrix() * M.star()
+    coeffs = [v for part in (out.a, out.b, out.c, out.d)
+              for v in part.terms.values()]
+    tol = (None if all(numerics.is_exact(v) for v in coeffs)
+           else 1e-9 * max(1.0, numerics.row_scale(coeffs)))
+
+    def peak(mv):
+        return max((abs(to_float(v)) for v in mv.terms.values()), default=0.0)
+
+    def off_grade(mv, k):
+        stray = mv - mv.grade(k)
+        return bool(stray.terms) and (tol is None or peak(stray) > tol)
+
+    k2, m2 = out.c, out.b
+    if off_grade(k2, 0) or off_grade(m2, 0):
+        raise ValueError("image is not a cycle matrix")
+    if off_grade(out.a, 1):
+        raise ValueError("image direction is not a vector")
+    l2 = out.a.grade(1)
+    mismatch = out.d - l2.conj()
+    if mismatch.terms and (tol is None or peak(mismatch) > tol):
+        raise ValueError("image matrix lost its shape")
+    return Cycle(c.metric, k2.scalar_part(), l2.vector_components(),
+                 m2.scalar_part())
+
+
+FLT_METRICS = METRICS + [R3D, Metric.from_signature(2, 1, 0)]
+
+
+@st.composite
+def flt_cases(draw):
+    """A cycle and a map in one of five metrics: a product of up to three
+    Vahlen generators or raw multivector-entry matrices, which need not be
+    Moebius maps.  Half the maps are floats, each coefficient off by a
+    relative 1e-12 or less, and half of those act on a float cycle."""
+    metric = draw(st.sampled_from(FLT_METRICS))
+    sig = metric.product_signature()
+    vec = st.lists(rationals, min_size=sig.n, max_size=sig.n).map(
+        lambda v: Mv.vector(sig, v))
+    blades = [b for k in range(sig.n + 1)
+              for b in combinations(range(1, sig.n + 1), k)]
+    mv = st.dictionaries(st.sampled_from(blades), rationals,
+                         max_size=3).map(lambda t: Mv(sig, t))
+    gens = st.one_of(
+        vec.map(translation),
+        nonzero_rationals.map(lambda lam: dilation(sig, lam)),
+        st.just(inversion(sig)),
+        vec.filter(lambda u: u.modulus_sq() != 0).map(reflection),
+        st.builds(lambda *e: Mat2(sig, *e), mv, mv, mv, mv))
+    M = functools.reduce(operator.mul, draw(st.lists(gens, min_size=1,
+                                                     max_size=3)))
+    c = Cycle(metric, draw(rationals), draw(st.lists(
+        rationals, min_size=sig.n, max_size=sig.n)), draw(rationals))
+    if draw(st.booleans()):
+        rnd = draw(st.randoms(use_true_random=False))
+        noisy = lambda v: float(v) * (1 + 1e-12 * rnd.uniform(-1, 1))
+        M = Mat2(sig, *(p.map(noisy) for p in (M.a, M.b, M.c, M.d)))
+        if draw(st.booleans()):
+            c = c.as_float()
+    return c, M
+
+
+def _flt_outcome(flt, c, M):
+    try:
+        return _exactly(flt(c, M).row())
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@given(flt_cases())
+def test_flt_keeps_the_four_check_refusals(case):
+    # M C M* is its own star, so the d-entry check the reference also makes
+    # never fires: the same typed row or the same refusal
+    c, M = case
+    assert _flt_outcome(Cycle.flt, c, M) == _flt_outcome(_ref_flt, c, M)
 
 
 @given(st.sampled_from(METRICS), rational_mats, exact_rows)
@@ -1509,10 +1595,10 @@ R3 = QuadExt(0, 1, 3)
     # the parabolic pairing skips l_2: a Fraction there leaves an int sum
     (Metric.named("p"), (1, 2, Fraction(1, 3), 4), (5, 6, Fraction(1, 7), 8)),
     (Metric.named("p"), (Fraction(2), 2, Fraction(1, 3), 4), (5, 6, 7, 8)),
-    # a QuadExt entry the pairing reads gives a QuadExt, also with no
-    # radical part, and one on a null axis does not
+    # a QuadExt entry the pairing reads gives a QuadExt, and one on a
+    # null axis does not
     (E2, (Fraction(1, 2), QuadExt(1, 1, 2), 3, 4), (5, Fraction(6, 7), 7, 8)),
-    (E2, (QuadExt(1, 0, 2), 1, 0, 3), (1, 2, 3, 4)),
+    (E2, (QuadExt(1, 1, 2), 1, 0, 3), (1, 2, 3, 4)),
     (Metric.named("p"), (1, 2, R2, 4), (5, 6, R2, 8)),
     # two radicands: a row over two has no form, and forms over two sum
     # as they are, raising or not as the entries do

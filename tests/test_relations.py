@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -304,8 +305,8 @@ def test_row_product_matches_cycle_product():
 
 def test_orthogonality_row_of_a_radical_reference_is_its_coeffs():
     # only a rational reference's row is read off its primitive int row;
-    # a QuadExt row keeps its pairing coefficients, also with no radical part
-    for ref in (Cycle(E, QuadExt(2, 0, 2), (F(1), F(0)), 3),
+    # a QuadExt row keeps its pairing coefficients
+    for ref in (Cycle(E, QuadExt(2, 1, 2), (F(1), F(0)), 3),
                 Cycle(E, 1, (QuadExt(0, 1, 2), F(0)), 1)):
         rel = IsOrthogonal(ref)
         assert rel.row(True) == rel.coeffs
@@ -517,3 +518,28 @@ class TestVerificationCountsItsWork:
         sol = solve([IsTangent(UNIT), IsOrthogonal(REAL),
                      PassesThrough(E, (F(2), F(0)))], E)
         assert len(sol.cycles) == calls["_sort_key"] == 2
+
+
+def test_answers_whose_sort_keys_tie_are_ordered_by_repr(monkeypatch):
+    # two points of h a distance 1e-10 apart: both answers round to the
+    # same 9-digit sort key, so the tie-break orders them, whatever the
+    # order of the relations
+    calls = Counter()
+    tie_key = relations._tie_key
+
+    def counted(cycle):
+        calls["_tie_key"] += 1
+        return tie_key(cycle)
+
+    monkeypatch.setattr(relations, "_tie_key", counted)
+    H = Metric.named("h")
+    eps = F(1, 10**10)
+    rels = [PassesThrough(H, (0, 0)), PassesThrough(H, (eps, eps / 2)),
+            IsPoint(H)]
+    sol = solve(rels, H)
+    assert calls == {"_tie_key": 2}
+    a, b = sol.cycles
+    assert relations._sort_key(a) == relations._sort_key(b)
+    assert [repr(v) for v in a.row()] < [repr(v) for v in b.row()]
+    for order in itertools.permutations(rels):
+        assert rows_of(solve(list(order), H)) == rows_of(sol)
