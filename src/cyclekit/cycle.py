@@ -266,7 +266,8 @@ class Cycle:
     An exact row over at most one radicand also has one integer form,
     cached on first use (:func:`integer_form`): int rows ``P`` and ``Q``
     and a scale, with every entry ``(P_i + Q_i sqrt d)`` times the scale.
-    The pairing sums in ints on it (:func:`form_pairing`).  A rational
+    The pairing sums in ints on it (:func:`form_pairing`); the parts of
+    the self pairing are cached too (:meth:`self_pairing`).  A rational
     row's ``P`` is primitive (gcd 1, first nonzero entry positive), and two
     rational rows are projectively equal exactly when their ``P`` are, so
     it is the one representative of a rational cycle: :meth:`canonical`
@@ -275,7 +276,7 @@ class Cycle:
     orthogonality relations read it.
     """
 
-    __slots__ = ("metric", "k", "l", "m", "_form")
+    __slots__ = ("metric", "k", "l", "m", "_form", "_self_parts")
 
     def __init__(self, metric: Metric, k: Scalar, l: Sequence[Scalar], m: Scalar):
         lt = tuple(l)
@@ -286,6 +287,7 @@ class Cycle:
         self.l = lt
         self.m = m
         self._form = None
+        self._self_parts = None
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -383,6 +385,15 @@ class Cycle:
 
     def self_product(self) -> Scalar:
         return self.product(self)
+
+    def self_pairing(self) -> Tuple[int, int]:
+        """:func:`form_pairing` of the integer form with itself, ``(R,
+        S)``: <C,C> is ``(num/den)**2 (R + S sqrt d)``; computed on first
+        use.  Only for a cycle with a form."""
+        if self._self_parts is None:
+            form = self.integer_form()
+            self._self_parts = form_pairing(self.metric.weights, form, form)
+        return self._self_parts
 
     def det(self) -> Scalar:
         """det [[l, m], [k, l.conj]] = -<C,C>/2; k^2 rho^2 for real circles."""

@@ -279,16 +279,7 @@ class QuadExt:
 
     # -- comparisons ------------------------------------------------------
     def _sign(self) -> int:
-        p, q = self.p, self.q
-        sp = (p > 0) - (p < 0)
-        sq = (q > 0) - (q < 0)
-        if sp == sq:
-            return sp
-        if sp == 0:
-            return sq
-        # opposite signs: compare p^2 with q^2 d
-        lhs, rhs = p * p, q * q * self.d
-        return sp if lhs > rhs else (-sp if lhs < rhs else 0)
+        return quad_sign(self.p, self.q, self.d)
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
@@ -351,6 +342,20 @@ def _quad(p: int, q: int, n: int, d: int) -> Union[Fraction, QuadExt]:
     x = _new_object(QuadExt)
     x.p, x.q, x.n, x.d = p // g, q // g, n // g, d
     return x
+
+
+def quad_sign(p: int, q: int, d: int) -> int:
+    """The sign of ``p + q*sqrt(d)`` for ints ``p`` and ``q`` and ``d >=
+    0``, decided in ints."""
+    sp = (p > 0) - (p < 0)
+    sq = (q > 0) - (q < 0)
+    if sp == sq or not sq:
+        return sp
+    if not sp:
+        return sq
+    # opposite signs: compare p^2 with q^2 d
+    lhs, rhs = p * p, q * q * d
+    return sp if lhs > rhs else (-sp if lhs < rhs else 0)
 
 
 Scalar = Union[int, Fraction, QuadExt, float]

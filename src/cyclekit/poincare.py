@@ -87,14 +87,15 @@ def mat_apply(A: Mat, x: Endpoint) -> Endpoint:
 
 
 def proportional(A: Mat, B: Mat) -> bool:
-    """Projective equality: one matrix is a nonzero multiple of the other."""
+    """Projective equality: one matrix is a nonzero multiple of the other;
+    a zero matrix is proportional to none."""
     fa = [A[0][0], A[0][1], A[1][0], A[1][1]]
     fb = [B[0][0], B[0][1], B[1][0], B[1][1]]
-    exact = all(is_exact(v) for v in fa + fb)
-    if exact:
-        return (any(fa) and any(fb)
-                and all(fa[i] * fb[j] == fa[j] * fb[i]
-                        for i in range(4) for j in range(i + 1, 4)))
+    if not (any(fa) and any(fb)):
+        return False
+    if all(is_exact(v) for v in fa + fb):
+        return all(fa[i] * fb[j] == fa[j] * fb[i]
+                   for i in range(4) for j in range(i + 1, 4))
     fa = [to_float(v) for v in fa]
     fb = [to_float(v) for v in fb]
     tol = comparison_eps()

@@ -3,15 +3,21 @@
 Every relation linearizes against the unknown row x = (k, l_1..l_n, m): it
 is at most one row ``coeffs . x = rhs`` plus at most one demand <x,x> = s
 with s in {-1, 0, +1}, both fixed when it is constructed.  The demand is
-the single quadratic equation left after elimination.
+the single quadratic equation left after elimination.  It is projective,
+so an exact solve with rational rows, references and thetas solves <x,x>
+= s lam instead (:func:`_square_class`), lam the squarefree core of the
+first nonzero |<R,R>|: each rhs theta sqrt(lam |<R_i,R_i>|) is then
+rational when the references share one square class, and a root the
+quadratic takes needs one radical, not a nested one.
 
 ``solve`` alone owns signs and point mode.  ``build`` gives a row's +
 branch rhs, and a nonzero rhs is signed.  Negating x maps the sign pattern
 sigma to -sigma; the demand is even in x and every signed rhs is odd, so
 -sigma gives the same projective cycles and only the patterns whose first
-signed row is +1 are solved.  With an IsPoint present every rhs is 0 and
-so is the demand.  Solutions are checked back against every relation,
-deduplicated projectively and returned in a deterministic order.
+signed row is +1 are solved.  ``build`` takes lam.  With an IsPoint
+present every rhs is 0 and so is the demand.  Solutions are checked back
+against every relation, deduplicated projectively and returned in a
+deterministic order.
 
 The coefficient rows do not depend on the signs, so every solve makes
 one elimination (:func:`linear_solve`): row i carries one rhs column per
@@ -41,18 +47,27 @@ branch of int rows reads its column in ints (:meth:`Reduced.integer_rows`):
 a basis row is a candidate as it is, and a line against a nonzero demand,
 or a pencil against a point demand, meets it in one integer quadratic
 over Z[sqrt d] (:func:`_line_candidates`); every other result reads back
-Fractions and QuadExts.  A rational
-candidate is deduplicated and verified on its primitive int row, a
-positive multiple of its canonical row, and only a kept one builds its
-canonical row; any other is verified on its canonical cycle,
-read off its integer form, and deduplicated on that cycle's form, a float
-one by its :meth:`Cycle.key`.  Only a float candidate reads the comparison
-tolerance.  An exact candidate's pairings with a reference sum in ints
-over Z[sqrt d] (:func:`~cyclekit.cycle.form_pairing`); orthogonality tests
-their two parts for zero.  A float candidate pairs with a float copy of
-its relation's fixed reference row and self product, made once per
-relation: Python computes a float times a Fraction as the float times its
-float, so the bits are the ones the exact reference gives.
+Fractions and QuadExts.  A rational candidate is deduplicated and
+verified on its primitive int row, a positive multiple of its canonical
+row; a Q(sqrt d) candidate is verified on its own row and form and
+deduplicated on its canonical cycle's form; only a kept one builds its
+canonical row.  A float candidate is verified on its canonical cycle and
+deduplicated by its :meth:`Cycle.key`, and only it reads the comparison
+tolerance.
+
+Exact verdicts are decided on forms.  An exact candidate's pairings with a
+rational reference sum in ints over Z[sqrt d]
+(:func:`~cyclekit.cycle.form_pairing`), its self pairing once per
+candidate (:meth:`Cycle.self_pairing`): orthogonality tests the two parts
+for zero, tangency, inversive distance and power test their squared
+equation on two int parts, and each sign test takes the exact sign of an
+``R + S sqrt d`` times the sign of the row's lead entry, so a row decides
+as its canonical cycle does (:func:`_form_parts`, :func:`_lead_sign`).  A reference or theta
+over a radicand is paired in the candidate's canonical values.  A float
+candidate pairs with a float copy of its relation's fixed reference row
+and self product, made once per relation: Python computes a float times a
+Fraction as the float times its float, so the bits are the ones the exact
+reference gives.
 """
 
 from __future__ import annotations
@@ -68,8 +83,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 from .cycle import (Cycle, Metric, form_pairing, integer_form,
                     integer_pairing, row_product)
 from .numerics import (Arithmetic, QuadExt, Scalar, _quad, comparison_eps,
-                       is_exact, lift, near_zero, row_scale, scalar_sign,
-                       to_float)
+                       is_exact, lift, near_zero, quad_sign, radical_parts,
+                       row_scale, scalar_sign, to_float)
 
 Row = Tuple[Tuple[Scalar, ...], Union[Scalar, Tuple[Scalar, ...]]]
 
@@ -103,14 +118,55 @@ class Relation:
         or not; None: no row."""
         return self.coeffs
 
-    def build(self, ar: Arithmetic) -> Scalar:
-        """The rhs of the row's + branch; a root it takes is taken in ``ar``."""
+    def build(self, ar: Arithmetic, lam: int = 1) -> Scalar:
+        """The rhs of the row's + branch against the demand <x,x> =
+        ``demand * lam``, lam > 0 from :func:`_square_class`: a tangency
+        or inversive rhs is theta sqrt(lam |<R,R>|); a root it takes is
+        taken in ``ar``."""
         return 0
 
     def satisfied_by(self, cycle: Cycle, eps: float) -> bool:
-        """Does ``cycle`` hold?  Callers pass its canonical cycle or, for a
-        rational one, its primitive int row: sign tests decide alike."""
+        """Does ``cycle`` hold?  The verdict is projective, and its sign
+        tests read the signs of the canonical cycle, so callers pass any
+        exact row over one radicand, or the canonical row of any other
+        cycle.  An exact row against rational data is decided on its
+        integer form in ints."""
         raise NotImplementedError
+
+
+def _form_parts(cycle: Cycle, metric: Metric, prim):
+    """An exact ``cycle`` against a rational reference over ``metric``, a
+    positive multiple of the int row ``prim``, in ints over Z[sqrt d]:
+    ``(R, S, R2, S2, d)``.  <x, ref> is a positive multiple of ``s (R + S
+    sqrt d)`` and <x, x> of ``R2 + S2 sqrt d`` (:meth:`Cycle.self_pairing`),
+    ``s`` the sign of the scale of the cycle's integer form.  None when
+    ``prim`` is None, or ``cycle`` has no form or another product
+    metric."""
+    fx = prim and cycle.integer_form()
+    if not fx or (cycle.metric is not metric
+                  and cycle.metric.product_eta != metric.product_eta):
+        return None
+    P, Q, d = fx[:3]
+    w = metric.weights
+    return (integer_pairing(w, P, prim),
+            integer_pairing(w, Q, prim) if Q else 0, *cycle.self_pairing(), d)
+
+
+def _lead_sign(cycle: Cycle) -> int:
+    """The sign of the first nonzero ``P_i + Q_i sqrt d`` of an exact
+    row's integer form: ``s`` times it is the sign of the row's lead
+    entry, so a sign read off the form (:func:`_form_parts`) times it is
+    the canonical cycle's."""
+    P, Q, d = cycle.integer_form()[:3]
+    return next(quad_sign(p, q, d) for p, q in zip(P, Q) if p or q) \
+        if Q else 1
+
+
+def _canonical_if_radical(cycle: Cycle) -> Cycle:
+    """The canonical cycle of a Q(sqrt d) row, which a verdict on the
+    row's values reads; ``cycle`` itself otherwise."""
+    form = cycle.integer_form()
+    return cycle.canonical() if form and form[2] else cycle
 
 
 class IsOrthogonal(Relation):
@@ -217,7 +273,11 @@ class OnlyReals(Relation):
 
 
 class InversiveDistance(Relation):
-    """Pinned normalized pairing <x,R> = theta sqrt|<x,x>| sqrt|<R,R>|."""
+    """Pinned normalized pairing <x,R> = theta sqrt|<x,x>| sqrt|<R,R>|.
+
+    An exact candidate is decided on its form against the canonical
+    reference's primitive int row ``P``, when that and theta are rational
+    (``ref_prim``; ``ref_pairing`` is <P, P>)."""
 
     def __init__(self, ref: Cycle, theta: Scalar):
         self.ref = ref
@@ -227,13 +287,20 @@ class InversiveDistance(Relation):
         self.ref_self_float = float(self.ref_self)
         self.theta = lift(theta)
         self.coeffs = pairing_coeffs(ref.metric, ref)
-        ss = ref.self_product()
+        # <R,R> of the reference as given: build's rhs is a root of it
+        self.ref_raw_self = ss = ref.self_product()
         self.demand = None if ss == 0 else scalar_sign(ss)
+        fr = self.ref_canonical.integer_form()
+        self.ref_prim = (fr[0] if fr and not fr[2]
+                         and type(self.theta) is Fraction else None)
+        if self.ref_prim:
+            self.ref_pairing = integer_pairing(ref.metric.weights, fr[0],
+                                               fr[0])
 
-    def build(self, ar):
+    def build(self, ar, lam=1):
         if self.demand is None or self.theta == 0:
             return 0
-        return self.theta * ar.sqrt(self.ref.self_product())
+        return self.theta * ar.sqrt(lam * self.ref_raw_self)
 
     def reference(self, cycle: Cycle):
         """The canonical reference and its self product as ``cycle`` pairs
@@ -246,10 +313,22 @@ class InversiveDistance(Relation):
         return self.ref_canonical, self.ref_self
 
     def satisfied_by(self, cycle, eps):
-        x = cycle
+        th = self.theta
+        parts = _form_parts(cycle, self.ref.metric, self.ref_prim)
+        if parts is not None:
+            # theta = a/b: b^2 (R + S sqrt d)^2 = a^2 |<P,P>| |R2 + S2 sqrt d|
+            R, S, R2, S2, d = parts
+            a2, b2 = th.numerator ** 2, th.denominator ** 2
+            k = a2 * abs(self.ref_pairing) * quad_sign(R2, S2, d)
+            if b2 * (R * R + d * S * S) != k * R2 or 2 * b2 * R * S != k * S2:
+                return False
+            if th == 0 or cycle.k == 0 or self.ref_canonical.k == 0:
+                return True
+            return (quad_sign(R, S, d) * _lead_sign(cycle)
+                    in (0, scalar_sign(th)))
+        x = _canonical_if_radical(cycle)
         r = self.reference(x)[0]
         p, sx = x.product(r), x.self_product()
-        th = self.theta
         lhs = p * p
         rhs = th * th * abs(sx) * abs(self.ref_self)
         rows = x.row(), r.row()
@@ -278,7 +357,19 @@ class IsTangent(InversiveDistance):
         self.variant = variant
 
     def satisfied_by(self, cycle, eps):
-        x = cycle
+        want = 1 if self.variant == "external" else -1
+        parts = _form_parts(cycle, self.ref.metric, self.ref_prim)
+        if parts is not None:
+            # (R + S sqrt d)^2 = <P,P> (R2 + S2 sqrt d)
+            R, S, R2, S2, d = parts
+            sr = self.ref_pairing
+            if R * R + d * S * S != sr * R2 or 2 * R * S != sr * S2:
+                return False
+            if (self.variant == "both" or cycle.k == 0 or not (R2 or S2)
+                    or not sr or self.ref_canonical.k == 0):
+                return True
+            return quad_sign(R, S, d) * _lead_sign(cycle) == want
+        x = _canonical_if_radical(cycle)
         r, sr = self.reference(x)
         p, sx = x.product(r), x.self_product()
         rows = x.row(), r.row()
@@ -287,7 +378,6 @@ class IsTangent(InversiveDistance):
         if (self.variant == "both" or x.k == 0 or r.k == 0 or sx == 0
                 or self.ref_self == 0):
             return True
-        want = 1 if self.variant == "external" else -1
         return scalar_sign(p) == want if is_exact(p) else (p > 0) == (want > 0)
 
     def __repr__(self):
@@ -296,7 +386,12 @@ class IsTangent(InversiveDistance):
 
 class SteinerPower(Relation):
     """Power d of the unknown against a k-normalized reference:
-    d k_x - <x, R_k> = sign sqrt|<R_k,R_k>| with demand <x,x> = -1."""
+    d k_x - <x, R_k> = sign sqrt|<R_k,R_k>| with demand <x,x> = -1.
+
+    An exact candidate is decided on its form against ``R_k``'s primitive
+    int row ``P``, ``R_k = P n/m``, when that and d = a/b are rational:
+    then ``lhs`` is a positive multiple of ``s (a m k_x - b n <x, P>)``
+    over the candidate's form (:func:`_form_parts`)."""
 
     demand = -1
 
@@ -313,11 +408,33 @@ class SteinerPower(Relation):
         self.ref_self_float = float(self.ref_self)
         base = pairing_coeffs(ref.metric, self.ref_k)
         self.coeffs = (self.power - base[0],) + tuple(-c for c in base[1:])
+        fr = self.ref_k.integer_form()
+        self.ref_prim = (fr[0] if fr and not fr[2]
+                         and type(self.power) is Fraction else None)
+        if self.ref_prim:
+            # R_k leads with k = 1, so n > 0
+            n, m = fr[3], fr[4]
+            a, b = self.power.numerator, self.power.denominator
+            self.form_coeffs = a * m, b * n, (b * n) ** 2 * integer_pairing(
+                ref.metric.weights, fr[0], fr[0])
 
-    def build(self, ar):
-        return ar.sqrt(self.ref_self)
+    def build(self, ar, lam=1):
+        return ar.sqrt(lam * self.ref_self)
 
     def satisfied_by(self, cycle, eps):
+        parts = _form_parts(cycle, self.ref.metric, self.ref_prim)
+        if parts is not None:
+            # lhs^2 = <x,x> <R_k,R_k>: T^2 = (b n)^2 <P,P> (R2 + S2 sqrt d)
+            R, S, R2, S2, d = parts
+            fx = cycle.integer_form()
+            cp, cr, k = self.form_coeffs
+            tp = cp * fx[0][0] - cr * R
+            tq = (cp * fx[1][0] if fx[1] else 0) - cr * S
+            if tp * tp + d * tq * tq != k * R2 or 2 * tp * tq != k * S2:
+                return False
+            return (cycle.k == 0
+                    or quad_sign(tp, tq, d) * _lead_sign(cycle) >= 0)
+        cycle = _canonical_if_radical(cycle)
         r, sr = ((self.ref_float, self.ref_self_float)
                  if type(cycle.k) is float else (self.ref_k, self.ref_self))
         lhs = self.power * cycle.k - cycle.product(r)
@@ -626,6 +743,11 @@ def _quotient(a, b):
 
 @dataclass
 class SolutionSet:
+    """What :func:`solve` found: the cycles, or a parametric family
+    ``base + span``.  ``residual_demand`` is the sign s of the demand
+    <x,x> = s lam the family leaves unsolved (None: none), whatever lam
+    the solve scaled it by."""
+
     status: str                      # "finite" | "parametric" | "infeasible"
     cycles: List[Cycle] = field(default_factory=list)
     provenance: List[tuple] = field(default_factory=list)
@@ -900,7 +1022,8 @@ def solve(relations: Sequence[Relation], metric: Metric,
           else Arithmetic(arithmetic))
     exact = ar.exact
     coeffs = [r.row(exact) for r in relations]
-    rhs = [None if c is None else 0 if point_mode else r.build(ar)
+    lam = _square_class(relations, coeffs) if exact and demand else 1
+    rhs = [None if c is None else 0 if point_mode else r.build(ar, lam)
            for r, c in zip(relations, coeffs)]
     live = [i for i, c in enumerate(coeffs) if c is not None]
     ring = float
@@ -935,22 +1058,23 @@ def solve(relations: Sequence[Relation], metric: Metric,
     for column, pattern in enumerate(patterns):
         if len(signed) > 1:
             contexts.append(ar.clone())
-        sols, par = _solve_branch(metric, red, column, demand, contexts[-1],
-                                  bases)
+        sols, par = _solve_branch(metric, red, column, demand and demand * lam,
+                                  contexts[-1], bases)
         if par is not None and parametric is None:
             pbase, pbasis, ps = par
             parametric = (
                 Cycle.from_row(metric, pbase[0]) if pbase else None,
                 [Cycle.from_row(metric, b) for b in pbasis],
-                ps,
+                ps and demand,       # the demand's sign, not s * lam
             )
         for idx, srow in enumerate(sols or []):
             found.append((srow, (pattern, idx)))
     demoted = any(c.demoted for c in contexts)
     notes = [note for c in contexts for note in c.notes]
 
-    # verify, dedup and order; an exact verdict is projective, and an
-    # exact candidate's zero tests are exact
+    # verify, dedup and order; an exact verdict is projective and decided
+    # on the candidate's form, and only a kept candidate builds its
+    # canonical cycle
     kept, eps = {}, None
     for srow, prov in found:
         form = type(srow[0]) is not float and integer_form(srow)
@@ -960,15 +1084,17 @@ def solve(relations: Sequence[Relation], metric: Metric,
                 if all(rel.satisfied_by(x, 0.0) for rel in relations):
                     kept[form[0]] = x.canonical(), prov
             continue
-        # a QuadExt candidate's cycle keeps the form made above
-        can = Cycle.from_row(metric, srow, form or None).canonical()
+        if form:
+            x = Cycle.from_row(metric, srow, form)
+            if all(rel.satisfied_by(x, 0.0) for rel in relations):
+                can = x.canonical()
+                kept.setdefault(_dedup_key(can), (can, prov))
+            continue
+        can = Cycle.from_row(metric, srow).canonical()
         if eps is None and type(can.k) is float:
             eps = comparison_eps()
         if all(rel.satisfied_by(can, eps or 0.0) for rel in relations):
-            form = can.integer_form()
-            key = (can.key() if not form else form[0] if not form[2] else
-                   (tuple(form[0]), tuple(form[1]), form[2], form[4]))
-            kept.setdefault(key, (can, prov))
+            kept.setdefault(_dedup_key(can), (can, prov))
     ordered = list(kept.values())
     if len(ordered) > 1:
         keys = [_sort_key(c) for c, _ in ordered]
@@ -990,15 +1116,52 @@ def solve(relations: Sequence[Relation], metric: Metric,
                        demoted=demoted, notes=notes)
 
 
+def _square_class(relations: Sequence[Relation], coeffs: list) -> int:
+    """The scale lam of a solve's nonzero demand <x,x> = s lam: the
+    squarefree core of the first nonzero |<R,R>| of its references (read
+    off ``ref_self``, a rational square times <R,R>), when every
+    coefficient row, every |<R,R>| and every theta is rational; 1
+    otherwise.  The demand is projective, and each rhs theta sqrt(lam
+    |<R_i,R_i>|) is rational when the references share lam's square
+    class."""
+    if not all(type(v) is int or type(v) is Fraction
+               for c in coeffs if c is not None for v in c):
+        return 1
+    lam = 0
+    for r in relations:
+        if isinstance(r, InversiveDistance) and type(r.theta) is not Fraction:
+            return 1
+        ss = getattr(r, "ref_self", 0)
+        if type(ss) is not int and type(ss) is not Fraction:
+            return 1
+        if ss and not lam:
+            lam = radical_parts(abs(ss))[1].numerator
+    return lam or 1
+
+
+def _dedup_key(can: Cycle):
+    """The key a kept canonical cycle is deduplicated on: its primitive
+    int row when it is rational, its form's ints over Q(sqrt d), else
+    :meth:`Cycle.key`."""
+    form = can.integer_form()
+    return (can.key() if not form else form[0] if not form[2] else
+            (tuple(form[0]), tuple(form[1]), form[2], form[4]))
+
+
 def _sort_key(c: Cycle):
     """The order of the kept solutions: the entries as floats rounded to 9
     digits, and only where two of those tie also :func:`_tie_key`.  A
-    canonical rational row is ``P / den`` (int division rounds correctly)."""
+    canonical exact row is ``(P + Q sqrt d) / den``, and its entry's float
+    is ``P_i / den + Q_i / den * sqrt(d)``, as ``float`` gives it (int
+    division rounds correctly)."""
     form = c.integer_form()
-    if form and not form[2]:
-        den = form[4]
-        return tuple([round(v / den, 9) + 0 for v in form[0]])
-    return tuple(round(to_float(v), 9) + 0 for v in c.row())
+    if not form:
+        return tuple(round(to_float(v), 9) + 0 for v in c.row())
+    P, Q, d, _, den = form[:5]
+    if not Q:
+        return tuple([round(v / den, 9) + 0 for v in P])
+    r = math.sqrt(d)
+    return tuple([round(p / den + q / den * r, 9) + 0 for p, q in zip(P, Q)])
 
 
 def _tie_key(c: Cycle):

@@ -429,12 +429,14 @@ class TestBranching:
         # the two bases coincide, so everything is spurious
         assert fig.status("cross") == "parametric"
 
-    def test_avoid_matches_a_radical_free_quadext_datum(self):
+    def test_avoid_matches_a_datum_over_a_radicand(self):
         from cyclekit.numerics import QuadExt
         E = Metric.named("e")
+        R2 = QuadExt(0, 1, 2)
         fig = Figure()
-        # the point (1/2, 0), its k a QuadExt with no radical part
-        fig.add_cycle(Cycle(E, QuadExt(2, 0, 2), (1, 0), F(1, 2)), "O")
+        # the point (1/2, 0) as sqrt 2 times its rational row, every entry
+        # a QuadExt: avoid compares it projectively with the rational answer
+        fig.add_cycle(Cycle(E, R2, (R2 / 2, 0), R2 / 4), "O")
         fig.add_cycle(Cycle(E, 0, (1, 0), 1), "X")
         fig.add_cycle(Cycle(E, 0, (0, 1), 0), "Y")
         fig.add_cycle_rel([orthogonal("X"), orthogonal("Y"), is_point()],

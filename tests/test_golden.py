@@ -3,15 +3,16 @@
 The exact-mode hashes were recorded from the CLI before the scalar-layer
 cleanup (one lift, one 2x2 matrix, one orthogonality relation), the
 float-mode ones before the tolerance helpers were merged into
-``numerics``.  The branch-stage hash covers the solver's own output,
-float rows of demoted answers included; it was recorded before the sign
-patterns of an exact solve shared one elimination.  The rational-solve
+``numerics``.  The branch-stage hashes cover the solver's own output,
+float rows of demoted answers included, one per arithmetic mode; they
+were recorded before the demand was scaled to the references' square
+class, which moved only the exact-mode ones.  The rational-solve
 hash covers the result types of exact solves (``Fraction(3)`` and ``3``
 hash apart); it was recorded before verification ran on primitive int
-rows.  The mixed-solve hash covers every relation kind over two
+rows.  The mixed-solve hashes cover every relation kind over two
 radicands in four metrics, float mode's multi-pattern linear stage and
-RadicalClash messages; it was recorded before every solve ran one
-elimination with one rhs column per sign pattern.  A change that moves any of them changes user-visible output and
+RadicalClash messages, one per mode, recorded as the branch-stage ones
+were.  A change that moves any of them changes user-visible output and
 must say so.
 """
 
@@ -35,12 +36,18 @@ from cyclekit.relations import (InversiveDistance, IsFlat,
 from cyclekit.render import Viewport, render_cycle
 
 CF = "3;7,15,1,292,1,1"
-BRANCH_STAGE_SHA = (
-    "99df7cfea3e89af6b7e313f5500df9e3c5f7fc6993ef77cc58b0dfbf16f146b1")
+BRANCH_STAGE_SHA = {
+    "exact":
+        "ce703656831ccad96bc693c2c250d00eab4d0c5719e3cbf1b39739a4ae06239b",
+    "float":
+        "63a47d00efc81d29333e3b75c9ebb7d35f0bb6d8ceb81d5ded54845132dc9507"}
 RATIONAL_SOLVE_SHA = (
     "b40e96275ac44d02245ca2d9d2374a50b17c4cf2b4ef3fb8ab8b65a5d8088972")
-MIXED_SOLVE_SHA = (
-    "26d3ebb202b27c72df33a221f451dcf8e03360d9346f6ce5274d0f594fcedce9")
+MIXED_SOLVE_SHA = {
+    "exact":
+        "211dbbaf91147bbb159c5abaede4cfb7ec848122a7b42a88ea836c3adb359291",
+    "float":
+        "67d2b15274b6713e144bf92caa5f137ddbec1e73a47ae47daf6d96a024da9aca"}
 
 # (argv, sha256 of stdout, sha256 of the --svg side output or None);
 # SCRIPT and SVG are replaced by paths under tmp_path
@@ -69,7 +76,7 @@ RUNS = [
      None),
     (["apollonius", "--cycle", "1,0,0,-1", "1,-3,0,8", "1,0,-3,8",
       "--format", "json"],
-     "d89178e14671e684c8e86fc5c8681ff150c9abb1cb7ad379a2c1009e8e67b27e",
+     "eea7684b68ef14121bbda6519a80a9c2bbd7dc3478721d0f683e0ae829e502dd",
      None),
     (["figure-check", "SCRIPT", "--format", "json"],
      "9b80578d00f8d0987c0b8d8da8c293b13e85727b4687c21d489746b4bf817b52",
@@ -158,21 +165,30 @@ def test_line_elements_are_byte_identical():
         "f9d257217932c5122d7682f4d3c20a5caea0e18fc3e4740e5d79db0f366a0aaf"
 
 
+def _tangency_circles(E, rng, factors):
+    """Three circles about random rational centres, of radius^2 f s^2 for
+    each f of ``factors``, s a random rational."""
+    circles = []
+    for f in factors:
+        centre = (Fraction(rng.randint(-24, 24), rng.randint(1, 4)),
+                  Fraction(rng.randint(-24, 24), rng.randint(1, 4)))
+        s = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        circles.append(Cycle.circle(E, centre, f * s * s))
+    return circles
+
+
 def _tangency_solves():
     """Seeded relation systems on the branch stage: 300 three-tangency
-    solves on rational circles of radius s and s*sqrt(2) interleaved (the
-    first pin sqrt(2) and mostly demote, the second stay rational), a few
-    whose reference rows hold a QuadExt entry, and power solves."""
+    solves on rational circles of radius s and s*sqrt(2) interleaved (one
+    square class each, so an exact solve stays in one Q(sqrt d)), a few
+    whose reference rows hold a QuadExt entry, power solves, and 300
+    three-tangency solves whose circles lie in two square classes, radius^2
+    s^2 and 3 s^2 / 2: their builds pin a radical, and most demote."""
     E = Metric.named("e")
     for i in range(300):
         rng = random.Random(f"golden-tangency:{i}")
-        circles = []
-        for _ in range(3):
-            centre = (Fraction(rng.randint(-24, 24), rng.randint(1, 4)),
-                      Fraction(rng.randint(-24, 24), rng.randint(1, 4)))
-            s = Fraction(rng.randint(1, 6), rng.randint(1, 3))
-            circles.append(Cycle.circle(E, centre, (1 + i % 2) * s * s))
-        yield E, [IsTangent(c) for c in circles]
+        yield E, [IsTangent(c) for c in
+                  _tangency_circles(E, rng, [1 + i % 2] * 3)]
     r3 = QuadExt(0, 1, 3)
     for k, l2, m in ((1, r3, 2), (1, r3, 3), (1, QuadExt(1, 1, 2), 0)):
         refs = [Cycle(E, 1, (1, 0), 0), Cycle(E, 1, (-1, 0), 0),
@@ -183,6 +199,10 @@ def _tangency_solves():
     yield E, [SteinerPower(Cycle.circle(E, (0, 0), 1), Fraction(3)),
               SteinerPower(Cycle.circle(E, (5, 1), 2), Fraction(1, 2)),
               PassesThrough(E, (Fraction(1), Fraction(2)))]
+    for i in range(300):
+        rng = random.Random(f"golden-tangency-classes:{i}")
+        factors = [Fraction(3, 2) if j == i % 3 else 1 for j in range(3)]
+        yield E, [IsTangent(c) for c in _tangency_circles(E, rng, factors)]
 
 
 def _outcome(sol):
@@ -194,19 +214,30 @@ def _outcome(sol):
             rows(sol.span), sol.residual_demand]
 
 
+def _mode_outcomes(systems):
+    """:func:`_outcome` of every system in exact and in float mode, or the
+    ArithmeticError it raised, by mode."""
+    out = {"exact": [], "float": []}
+    for metric, rels in systems:
+        for mode, outcomes in out.items():
+            try:
+                outcomes.append(_outcome(solve(rels, metric, mode)))
+            except ArithmeticError as err:
+                outcomes.append([type(err).__name__, str(err)])
+    return out
+
+
+def _mode_hashes(out):
+    return {mode: sha(json.dumps(outcomes).encode())
+            for mode, outcomes in out.items()}
+
+
 def test_branch_stage_output_is_byte_identical():
     # the digests in CI hash exact rows only; this hashes the float rows
     # of demoted answers too, in exact and float mode
-    out = []
-    for metric, rels in _tangency_solves():
-        for mode in ("exact", "float"):
-            try:
-                out.append(_outcome(solve(rels, metric, mode)))
-            except ArithmeticError as err:
-                out.append([type(err).__name__, str(err)])
-    text = json.dumps(out)
-    assert sum(o[3:4] == [True] for o in out) > 100     # demoted answers
-    assert sha(text.encode()) == BRANCH_STAGE_SHA
+    out = _mode_outcomes(_tangency_solves())
+    assert sum(o[3:4] == [True] for o in out["exact"]) > 100   # demoted
+    assert _mode_hashes(out) == BRANCH_STAGE_SHA
 
 
 # directions (u, v) with u^2 + v^2 = 2 w^2, as ((u, v), w): a step of
@@ -381,15 +412,10 @@ def _mixed_solves():
 def test_mixed_solve_output_is_byte_identical():
     # float systems with several signed rows, systems over two radicands
     # and rational rows with a Q(sqrt d) rhs, in exact and float mode
-    out = []
-    for metric, rels in _mixed_solves():
-        for mode in ("exact", "float"):
-            try:
-                out.append(_outcome(solve(rels, metric, mode)))
-            except ArithmeticError as err:
-                out.append([type(err).__name__, str(err)])
-    kinds = [o[0] for o in out]
+    out = _mode_outcomes(_mixed_solves())
+    both = out["exact"] + out["float"]
+    kinds = [o[0] for o in both]
     assert kinds.count("RadicalClash") > 50
     assert kinds.count("finite") > 500 and kinds.count("parametric") > 100
-    assert sum(o[3:4] == [True] for o in out) > 300     # demoted answers
-    assert sha(json.dumps(out).encode()) == MIXED_SOLVE_SHA
+    assert sum(o[3:4] == [True] for o in both) > 300    # demoted answers
+    assert _mode_hashes(out) == MIXED_SOLVE_SHA

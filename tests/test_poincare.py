@@ -702,6 +702,15 @@ class TestFloatTwins:
                 assert proportional(floats(A), floats(B)) == \
                     proportional(A, B)
 
+    def test_zero_matrix_is_proportional_to_none(self):
+        # a zero row passes every cross-product test; both branches refuse
+        # it as the exact one always did
+        zero = ((0, 0), (0, 0))
+        for B in (((1, 2), (3, 4)), zero):
+            for A, C in ((zero, B), (B, zero)):
+                assert proportional(A, C) is False
+                assert proportional(floats(A), floats(C)) is False
+
     def test_interval_endpoints(self):
         rng = random.Random(101)
         ends = [(rand_frac(rng), rand_frac(rng)) for _ in range(20)]

@@ -475,16 +475,42 @@ def _reference_coeffs(rel):
     return pairing_coeffs(rel.ref.metric, rel.ref)
 
 
-def _reference_row(rel, ar):
-    """(coeffs, + branch rhs, demand) of one relation, from its data."""
-    coeffs = _reference_coeffs(rel)
+def _reference_self(rel):
+    """<R,R> of the reference a relation's rhs is a root of; None for a
+    relation with no rhs."""
     if isinstance(rel, SteinerPower):
-        return coeffs, ar.sqrt(rel.ref_k.self_product()), -1
-    ss = rel.ref.self_product()
-    if not isinstance(rel, InversiveDistance) or ss == 0:
+        return rel.ref_k.self_product()
+    return rel.ref.self_product() if isinstance(rel, InversiveDistance) \
+        else None
+
+
+def _reference_row(rel, ar, lam=1):
+    """(coeffs, + branch rhs, demand) of one relation, from its data, for
+    the demand <x,x> = demand * lam."""
+    coeffs = _reference_coeffs(rel)
+    ss = _reference_self(rel)
+    if isinstance(rel, SteinerPower):
+        return coeffs, ar.sqrt(lam * ss), -1
+    if ss is None or ss == 0:
         return coeffs, 0, None
-    rhs = rel.theta * ar.sqrt(ss) if rel.theta != 0 else 0
+    rhs = rel.theta * ar.sqrt(lam * ss) if rel.theta != 0 else 0
     return coeffs, rhs, numerics.scalar_sign(ss)
+
+
+def _reference_scale(rels, demand, mode):
+    """The demand's scale lam, from the data: the squarefree core of the
+    first nonzero |<R,R>| when an exact solve has a nonzero demand and
+    every coefficient, |<R,R>| and theta is rational; 1 otherwise."""
+    if mode != "exact" or not demand:
+        return 1
+    selfs = [ss for ss in map(_reference_self, rels) if ss is not None]
+    data = selfs + [rel.theta for rel in rels
+                    if isinstance(rel, InversiveDistance)]
+    data += [c for rel in rels for c in _reference_coeffs(rel) or ()]
+    if not all(isinstance(v, (int, Fraction)) for v in data):
+        return 1
+    return next((numerics.radical_parts(abs(ss))[1].numerator
+                 for ss in selfs if ss), 1)
 
 
 def _pattern_branch(metric, rows, demand, ar):
@@ -502,13 +528,15 @@ def _reference_candidates(rels, metric, mode):
     """The unverified candidate rows of every sign pattern, sigma and
     -sigma alike, each in its own context, with whether a branch was
     parametric and whether one demoted; None for conflicting demands.  An
-    ``IsPoint`` sets the demand to 0 and every rhs to 0."""
+    ``IsPoint`` sets the demand to 0 and every rhs to 0.  A nonzero
+    demand s is solved as <x,x> = s lam (:func:`_reference_scale`)."""
     point = any(isinstance(r, IsPoint) for r in rels)
     demands = {0} if point else {_reference_row(r, numerics.Arithmetic(
         mode))[2] for r in rels} - {None}
     if len(demands) > 1:
         return None
     demand = next(iter(demands), None)
+    lam = _reference_scale(rels, demand, mode)
     signed = [not point and _reference_row(r, numerics.Arithmetic(mode))[1]
               != 0 for r in rels]
     found, parametric, demoted = [], False, False
@@ -517,10 +545,11 @@ def _reference_candidates(rels, metric, mode):
         rows = []
         for rel, sign in zip(rels, pattern):
             coeffs, rhs, _ = ((_reference_coeffs(rel), 0, None) if point
-                              else _reference_row(rel, ar))
+                              else _reference_row(rel, ar, lam))
             if coeffs is not None:
                 rows.append((coeffs, -rhs if sign < 0 else rhs))
-        sols, par = _pattern_branch(metric, rows, demand, ar)
+        sols, par = _pattern_branch(metric, rows, demand and demand * lam,
+                                    ar)
         demoted = demoted or ar.demoted
         parametric = parametric or par is not None
         found += sols or []
@@ -632,6 +661,105 @@ def test_primitive_row_verifies_as_the_canonical_cycle(system, factor):
         assert x.canonical().row() == can.row()
         for rel in rels:
             assert rel.satisfied_by(x, 0.0) == rel.satisfied_by(can, eps)
+
+
+@st.composite
+def one_class_tangencies(draw):
+    """Three tangencies of drawn variants to circles about rational
+    centres, of radius^2 f s^2 with s rational and f drawn once per system:
+    every <R,R> is -2 f s^2, one square class."""
+    f = draw(st.sampled_from([1, 2, 3, 6, Fraction(1, 2)]))
+    radius = st.fractions(min_value=Fraction(1, 3), max_value=6,
+                          max_denominator=3)
+    variant = st.sampled_from(["both", "external", "internal"])
+    return [IsTangent(Cycle.circle(E2, draw(st.tuples(small, small)),
+                                   f * draw(radius) ** 2), draw(variant))
+            for _ in range(3)]
+
+
+def _projective_twin(row, rows, tol=1e-6):
+    """Is the float row ``row`` a multiple of one of ``rows`` to ``tol``
+    relative to the largest entry?"""
+    unit = lambda r: [float(v) / max(abs(float(v)) for v in r) for v in r]
+    a = unit(row)
+    return any(min(max(abs(x - y) for x, y in zip(a, b)),
+                   max(abs(x + y) for x, y in zip(a, b))) <= tol
+               for b in map(unit, rows))
+
+
+@settings(max_examples=200)
+@given(one_class_tangencies())
+def test_one_square_class_solves_exactly(rels):
+    # the demand scaled to the references' square class makes every
+    # tangency rhs rational, so no root needs a nested radical
+    sol = solve(rels, E2)
+    assert not sol.demoted
+    assert all(check(rels, c) for c in sol.cycles)
+    exact_rows = [c.row() for c in sol.cycles]
+    for c in solve(rels, E2, "float").cycles:
+        assert _projective_twin(c.row(), exact_rows)
+
+
+def _quadext_verdict(rel, can):
+    """The verdict of an InversiveDistance, IsTangent or SteinerPower on an
+    exact canonical cycle, in the exact arithmetic of its values: products
+    of QuadExts and Fractions through ``Cycle.product``."""
+    if isinstance(rel, SteinerPower):
+        rk = rel.ref.scaled(1 / lift(rel.ref.k))
+        lhs = rel.power * can.k - can.product(rk)
+        if lhs * lhs != can.self_product() * rk.self_product():
+            return False
+        return can.k == 0 or lhs >= 0
+    r = rel.ref.canonical()
+    p, sx, sr = can.product(r), can.self_product(), r.self_product()
+    if isinstance(rel, IsTangent):
+        if p * p != sx * sr:
+            return False
+        if rel.variant == "both" or 0 in (can.k, r.k, sx, sr):
+            return True
+        return numerics.scalar_sign(p) == (1 if rel.variant == "external"
+                                           else -1)
+    th = rel.theta
+    if p * p != th * th * abs(sx) * abs(sr):
+        return False
+    if th == 0 or can.k == 0 or r.k == 0:
+        return True
+    return numerics.scalar_sign(p) in (0, numerics.scalar_sign(th))
+
+
+@settings(max_examples=80)
+@given(one_class_tangencies(), rationals, rationals, st.sampled_from([2, 3]))
+def test_form_verdicts_equal_the_quadext_reference(rels, a, b, radicand):
+    # each answer of a one-class tangency system times a + b sqrt D, D its
+    # radicand (or 2 or 3 for a rational answer), so the row is scaled and
+    # often sign-flipped, over Q(sqrt D) even when its canonical cycle is
+    # rational.  It is tangent to every reference, so the zero tests pass
+    # and the sign tests decide: every tangency variant, theta of each
+    # sign, and powers 0 (rational) and 2 <x,R_k>/k_x (mostly irrational,
+    # decided on the canonical cycle)
+    if a == 0 and b == 0:
+        reject()
+    refs = [rel.ref for rel in rels]
+    eps = comparison_eps()
+    for c in solve(rels, E2).cycles:
+        form = c.integer_form()
+        D = form[2] or radicand
+        factor = a + b * QuadExt(0, 1, D)
+        x = Cycle.from_row(E2, [factor * v for v in c.row()])
+        can = x.canonical()
+        checks = [IsTangent(R, v) for R in refs
+                  for v in ("both", "external", "internal")]
+        checks += [InversiveDistance(R, t) for R in refs
+                   for t in (1, -1, 0, Fraction(1, 2), Fraction(-3, 2))]
+        for R in refs:
+            rk = R.scaled(1 / lift(R.k))
+            checks += [SteinerPower(R, 0), SteinerPower(R, Fraction(7, 3))]
+            if can.k != 0:
+                checks.append(SteinerPower(R, 2 * can.product(rk) / can.k))
+        for rel in checks:
+            want = _quadext_verdict(rel, can)
+            assert rel.satisfied_by(x, 0.0) == want
+            assert rel.satisfied_by(can, eps) == want
 
 
 @st.composite

@@ -291,6 +291,26 @@ def test_a_rational_rhs_from_radicals_is_eliminated_over_the_ints(
         ["(0.7499999999999999, 1.0, -0.10551611250369013, 0.0)"]
 
 
+def test_a_scaled_demand_is_reported_as_its_sign(monkeypatch):
+    # a circle of radius 1 has <R,R> = -2, so an exact solve scales the
+    # demand <x,x> = -1 to -2 and the tangency rhs sqrt(2 * 2) = 2 is
+    # rational; the family it leaves parametric reports the sign, and a
+    # float solve keeps the demand as it is
+    seen = []
+    branch = relations._solve_branch
+
+    def spy(metric, red, column, demand, ar, bases):
+        seen.append(demand)
+        return branch(metric, red, column, demand, ar, bases)
+
+    monkeypatch.setattr(relations, "_solve_branch", spy)
+    rels = [IsTangent(Cycle.circle(E, (0, 0), 1))]
+    for mode, demand in (("exact", -2), ("float", -1)):
+        sol = solve(rels, E, mode)
+        assert seen.pop() == demand
+        assert (sol.status, sol.residual_demand) == ("parametric", -1)
+
+
 def test_lobachevsky_and_onlyreals():
     sol = solve([IsLobachevskyLine(E), PassesThrough(E, (F(0), F(1))),
                  PassesThrough(E, (F(0), F(2))), OnlyReals(E)], E)
@@ -414,9 +434,10 @@ class TestToleranceIsReadForFloatCandidates:
     # the unit circle meets the line y = 2x at +-(1, 2)/sqrt(5)
     RADICAL = [IsPoint(E), IsOrthogonal(UNIT),
                IsOrthogonal(Cycle(E, 0, (2, -1), 0))]
-    # sqrt 2 is pinned by the builds, so half the answers demote to floats
-    DEMOTED = [IsTangent(Cycle.circle(E, c, F(1)))
-               for c in ((0, 0), (4, 0), (2, 3))]
+    # radius^2 1 and 6 = 3 * 2^2 / 2 lie in two square classes, so the
+    # builds pin sqrt 6 and half the answers demote to floats
+    DEMOTED = [IsTangent(Cycle.circle(E, c, F(r)))
+               for c, r in (((0, 0), 1), ((4, 0), 1), ((2, 3), 6))]
 
     @pytest.fixture
     def reads(self, monkeypatch):
