@@ -7,9 +7,9 @@ Three interoperable scalar kinds, one representation per number:
   ``a`` and ``b != 0``, held as an integer triple ``(p + q*sqrt(d))/n`` in
   lowest terms over the squarefree integer core ``d`` of the radicand (one
   radicand per solve).  A QuadExt always has a radical part: a value whose
-  radical part is 0, built or computed, is a Fraction.  The radicand is
-  checked and reduced to its core once, when the public constructor builds
-  the value; arithmetic works in Python ints and never checks it again;
+  radical part is 0, built or computed, is a Fraction.  Both builders, the
+  public constructor and :meth:`Arithmetic.sqrt`, reduce a radicand to its
+  core with one :func:`radical_parts`; arithmetic works in ints after that;
 * ``float``.
 
 Exact kinds never lose precision; a computation that would need a second
@@ -158,13 +158,14 @@ class QuadExt:
 
     ``p``, ``q`` and ``n`` are Python ints in lowest terms with ``n > 0``
     and ``q != 0``; ``d`` is the squarefree integer core of the radicand.
-    The public constructor ``QuadExt(a, b, d)`` is the one place a radicand
-    is checked: ``d`` must be a positive non-square rational, and it is
-    split into ``coeff**2 * core`` with ``coeff`` folded into ``b``, so
+    The public constructor ``QuadExt(a, b, d)`` checks a radicand: ``d``
+    must be a positive non-square rational, and one :func:`radical_parts`
+    splits it into ``coeff**2 * core`` with ``coeff`` folded into ``b``, so
     equal radicals built from different inputs (``sqrt(8)``, ``2*sqrt(2)``)
-    share one field.  Arithmetic builds its results with :func:`_quad`,
-    which never re-checks the radicand and costs one ``gcd``.  Both return
-    a Fraction where the radical part is 0 (``QuadExt(a, 0, d)`` is
+    share one field.  :meth:`Arithmetic.sqrt` and arithmetic build with
+    :func:`_quad` over a core (a held radicand is one), which never
+    re-checks it and costs one ``gcd``.  Both constructors return a
+    Fraction where the radical part is 0 (``QuadExt(a, 0, d)`` is
     ``Fraction(a)``), so a QuadExt is irrational and never equals a
     rational.
 
@@ -178,9 +179,9 @@ class QuadExt:
 
     def __new__(cls, a, b, d):
         a, b, d = Fraction(a), Fraction(b), Fraction(d)
-        if d <= 0 or fraction_sqrt(d) is not None:
+        coeff, core = radical_parts(d) if d > 0 else (d, 1)
+        if core == 1:                   # d <= 0, or d a square
             raise ValueError(f"radicand must be positive and non-square: {d}")
-        coeff, core = radical_parts(d)
         b *= coeff
         return _quad(a.numerator * b.denominator, b.numerator * a.denominator,
                      a.denominator * b.denominator, core.numerator)
@@ -332,7 +333,7 @@ _ONE = Fraction(1)
 
 def _quad(p: int, q: int, n: int, d: int) -> Union[Fraction, QuadExt]:
     """The private constructor: ``(p + q*sqrt(d))/n`` over a core ``d``
-    the public constructor already checked, reduced to lowest terms with
+    from :func:`radical_parts`, reduced to lowest terms with
     ``n > 0`` (``n`` nonzero); ``Fraction(p, n)`` when ``q`` is 0."""
     if not q:
         return Fraction(p, n)
@@ -418,24 +419,6 @@ def canonical_row(values, eps: float) -> tuple:
     return tuple(v / div for v in fv)
 
 
-def sqrt_in_field(x, d: Optional[Fraction] = None):
-    """Exact sqrt of a non-negative exact scalar inside Q or Q(sqrt(d)).
-
-    Returns the root, or None when it does not exist in that field.
-    """
-    if isinstance(x, QuadExt):
-        return None  # nested radical
-    x = Fraction(x)
-    r = fraction_sqrt(x)
-    if r is not None:
-        return r
-    if d is not None and x > 0:
-        t = fraction_sqrt(x / d)
-        if t is not None:
-            return QuadExt(0, t, d)
-    return None
-
-
 @dataclass
 class Arithmetic:
     """Arithmetic context: exact or float, one radicand, demotions.
@@ -445,6 +428,9 @@ class Arithmetic:
     :meth:`clone` (see :func:`private_context`), so the caller's context
     never picks up a radicand or a demotion from a call.  The radicand,
     ``demoted`` and ``notes`` change only through the methods below.
+
+    A held radicand is a core: a caller's (``8``, ``1/2``) keeps its value
+    and is reduced to its core once, when the context is made.
     """
 
     mode: str = "exact"  # "exact" | "float"
@@ -452,8 +438,14 @@ class Arithmetic:
     demoted: bool = False
     notes: list = field(default_factory=list)
 
+    def __post_init__(self):
+        d = self.radicand       # core 1 (d <= 0 or a square) holds no root
+        self._core = radical_parts(d)[1].numerator if d and d > 0 else 1
+
     def clone(self) -> "Arithmetic":
-        return Arithmetic(self.mode, self.radicand, False, [])
+        c = Arithmetic(self.mode)
+        c.radicand, c._core = self.radicand, self._core
+        return c
 
     @property
     def exact(self) -> bool:
@@ -468,24 +460,31 @@ class Arithmetic:
         """Hold the radicand core ``d`` when no radicand is held yet: data
         over sqrt d asks for the roots to share it."""
         if self.radicand is None:
-            self.radicand = Fraction(d)
+            self.radicand, self._core = Fraction(d), d
 
     def sqrt(self, x: Scalar) -> Scalar:
-        """sqrt(|x|); stays exact when one shared radicand suffices."""
+        """sqrt(|x|) in one pass; stays exact when one shared radicand
+        suffices: ``p/n`` is a square when ``p*n`` is, over the held core
+        ``d`` the root is ``sqrt(x/d) * sqrt(d)``, and with none held one
+        :func:`radical_parts` gives it and its core is held."""
         if isinstance(x, float) or not self.exact:
             return math.sqrt(abs(to_float(x)))
         x = abs(x)
-        r = sqrt_in_field(x, self.radicand)
-        if r is not None:
-            return r
         if isinstance(x, QuadExt):
             self.demote(f"nested radical sqrt({x!r})")
             return math.sqrt(abs(to_float(x)))
-        x = Fraction(x)
+        y, n = x.numerator * x.denominator, x.denominator
+        r = math.isqrt(y)
+        if r * r == y:
+            return Fraction(r, n)
         if self.radicand is None:
-            root = QuadExt(0, 1, x)  # the constructor splits off the core
-            self.radicand = Fraction(root.d)
-            return root
+            coeff, core = radical_parts(x)
+            self.radicand, self._core = core, core.numerator
+            return _quad(0, coeff.numerator, coeff.denominator, core.numerator)
+        d = self._core
+        r = math.isqrt(y * d)
+        if r * r == y * d:
+            return _quad(0, r, n * d, d)
         self.demote(f"second radicand {x} incompatible with {self.radicand}")
         return math.sqrt(to_float(x))
 

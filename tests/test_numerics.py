@@ -10,7 +10,7 @@ from cyclekit import numerics
 from cyclekit.contfrac import ContinuedFraction, chain
 from cyclekit.numerics import (
     Arithmetic, QuadExt, RadicalClash, comparison_eps, format_scalar,
-    fraction_sqrt, parse_scalar, scalar_sign, sqrt_in_field, to_float,
+    fraction_sqrt, parse_scalar, scalar_sign, to_float,
 )
 
 
@@ -98,6 +98,19 @@ class TestQuadExt:
             seen.append(dict(calls))
         assert seen[0] == seen[1]
 
+    @pytest.mark.parametrize("x", [F(2), F(3, 8), 2 * 1000003 ** 2])
+    def test_a_fresh_root_factors_its_radicand_once(self, monkeypatch, x):
+        calls = Counter()
+        for name in ("fraction_sqrt", "radical_parts"):
+            def counted(x, _check=getattr(numerics, name), _name=name):
+                calls[_name] += 1
+                return _check(x)
+            monkeypatch.setattr(numerics, name, counted)
+        ar = Arithmetic("exact")
+        root = ar.sqrt(x)
+        assert calls == {"radical_parts": 1}
+        assert root * root == x and ar.radicand == root.d
+
     def test_copy_and_pickle_round_trip(self):
         x = QuadExt(F(1, 3), F(-2, 5), 8)
         assert copy.deepcopy(x) == x == pickle.loads(pickle.dumps(x))
@@ -142,20 +155,24 @@ def test_radical_parts_past_1e15_is_never_wrong():
     assert coeff ** 2 * core == P ** 2 * Q and core.denominator == 1
 
 
-def test_sqrt_in_field():
-    assert sqrt_in_field(F(9, 16)) == F(3, 4)
-    assert sqrt_in_field(F(2)) is None
-    assert sqrt_in_field(F(2), 2) == QuadExt(F(0), F(1), 2)
-    assert sqrt_in_field(F(1, 2), 2) == QuadExt(F(0), F(1, 2), 2)
-    s = sqrt_in_field(F(8), 2)
-    assert s * s == 8
-    # sqrt of a QuadExt with a radical part is a nested radical: not in field
-    assert sqrt_in_field(QuadExt(F(1), F(1), 2), 2) is None
-    # negative numbers have no square root in an ordered field
-    assert sqrt_in_field(F(-4)) is None
-
-
 class TestArithmetic:
+    def test_sqrt_in_q_and_over_a_held_radicand(self):
+        ar = Arithmetic("exact")
+        assert ar.sqrt(F(9, 16)) == F(3, 4) and ar.radicand is None
+        # no root in Q(sqrt 3): a second radicand
+        ar = Arithmetic("exact", F(3))
+        assert isinstance(ar.sqrt(F(2)), float) and ar.demoted
+        ar = Arithmetic("exact", F(2))
+        assert ar.sqrt(F(2)) == QuadExt(F(0), F(1), 2)
+        assert ar.sqrt(F(1, 2)) == QuadExt(F(0), F(1, 2), 2)
+        s = ar.sqrt(F(8))
+        assert s == 2 * ar.sqrt(F(2)) and s * s == 8
+        assert not ar.demoted
+        # the sqrt of a QuadExt with a radical part is a nested radical
+        v = ar.sqrt(QuadExt(F(1), F(1), 2))
+        assert ar.demoted and ar.notes[0].startswith("nested radical")
+        assert math.isclose(v, math.sqrt(1 + math.sqrt(2)))
+
     def test_exact_sqrt_adopts_radicand(self):
         ar = Arithmetic("exact")
         v = ar.sqrt(F(2))

@@ -1,7 +1,9 @@
 """sympy as an independent oracle for the exact kernels: ``linear_solve``
-against ``sympy.Matrix`` ranks, and the circle that ``solve`` puts through
-three rational points against ``sympy.Circle``."""
+against ``sympy.Matrix`` ranks, the circle that ``solve`` puts through
+three rational points against ``sympy.Circle``, and the radicands of exact
+3-D tangency answers against ``sympy.factorint``."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,8 +12,10 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from cyclekit.cycle import Metric  # noqa: E402
-from cyclekit.relations import PassesThrough, linear_solve, solve  # noqa: E402
+from cyclekit.cycle import Cycle, Metric  # noqa: E402
+from cyclekit.numerics import QuadExt  # noqa: E402
+from cyclekit.relations import (IsTangent, PassesThrough, check,  # noqa: E402
+                                linear_solve, solve)
 
 E2 = Metric.named("e")
 
@@ -91,3 +95,31 @@ def test_cycle_through_three_points_agrees_with_sympy(pts):
     circle = sympy.Circle(*sym_pts)
     assert tuple(sym(v) for v in c.center()) == tuple(circle.center)
     assert sym(c.radius_sq()) == circle.radius ** 2
+
+
+def test_tangent_spheres_stay_exact_over_trial_reduced_radicands():
+    # spheres tangent to four rational spheres in R^3, whose discriminants
+    # mostly exceed 10**15: past that, radical_parts leaves a square of a
+    # prime above its trial bound in the core (265483**2 divides the
+    # radicand 43319141199622857307928489 here), and no smaller square
+    R3 = Metric.from_signature(3)
+    answers, radicands = 0, set()
+    for i in range(20):
+        rng = random.Random(f"spheres:{i}")
+        rels = []
+        for _ in range(4):
+            centre = [Fraction(rng.randint(-24, 24), rng.randint(1, 4))
+                      for _ in range(3)]
+            s = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+            rels.append(IsTangent(Cycle.circle(R3, centre, s * s)))
+        sol = solve(rels, R3)
+        assert sol.status == "finite" and not sol.demoted
+        answers += len(sol)
+        for c in sol:
+            assert check(rels, c)
+            radicands.update(v.d for v in c.row() if isinstance(v, QuadExt))
+    assert answers == 272
+    for d in radicands:
+        squares = [p for p, e in sympy.factorint(d).items() if e > 1]
+        assert all(p > 100_000 for p in squares)
+        assert not squares or d > 10**15

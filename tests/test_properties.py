@@ -1129,6 +1129,80 @@ def test_radical_parts_equals_the_all_odd_divisors_reference(x):
     assert numerics.radical_parts(x) == _ref_radical_parts(x)
 
 
+class _RefContext:
+    """The state ``Arithmetic.sqrt`` reads and writes: radicand, demotion
+    and notes."""
+
+    def __init__(self, radicand):
+        self.radicand, self.demoted, self.notes = radicand, False, []
+
+    def demote(self, why):
+        if not self.demoted:
+            self.demoted = True
+            self.notes.append(why)
+
+
+def _ref_sqrt(ar, x):
+    """``Arithmetic.sqrt`` in an exact context as it was before it took a
+    root in one pass, kept as the reference: ``fraction_sqrt`` of x, then
+    of ``x/d`` over a held radicand ``d`` and ``QuadExt(0, t, d)``, or
+    ``QuadExt(0, 1, x)`` with none held."""
+    if isinstance(x, float) or ar.demoted:
+        return math.sqrt(abs(to_float(x)))
+    x = abs(x)
+    if isinstance(x, QuadExt):
+        ar.demote(f"nested radical sqrt({x!r})")
+        return math.sqrt(abs(to_float(x)))
+    x = Fraction(x)
+    r = fraction_sqrt(x)
+    if r is not None:
+        return r
+    d = ar.radicand
+    if d is None:
+        root = QuadExt(0, 1, x)
+        ar.radicand = Fraction(root.d)
+        return root
+    t = fraction_sqrt(x / d)
+    if t is not None:
+        return QuadExt(0, t, d)
+    ar.demote(f"second radicand {x} incompatible with {d}")
+    return math.sqrt(to_float(x))
+
+
+def _typed_scalar(v):
+    if isinstance(v, QuadExt):
+        return QuadExt, v.p, v.q, v.n, v.d
+    return type(v), v
+
+
+_root_inputs = st.one_of(
+    rationals, st.integers(-100, 100),
+    st.builds(lambda q: q * q, rationals),
+    st.builds(lambda q, d: q * q * d, nonzero_rationals,
+              st.sampled_from([2, 3, 6, 8, Fraction(1, 2), Fraction(2, 3)])),
+    st.builds(lambda k, p: k * p * p, st.integers(1, 10**6),
+              st.sampled_from([100_003, 1_000_003])),
+    st.builds(QuadExt, rationals, nonzero_rationals, st.sampled_from([2, 3])),
+    st.floats(-100, 100))
+
+
+@settings(max_examples=300)
+@given(st.lists(_root_inputs, min_size=1, max_size=4),
+       st.sampled_from([None, Fraction(2), Fraction(3), Fraction(8),
+                        Fraction(1, 2)]))
+@example([2 * 1000003 ** 2, Fraction(2)], None)
+@example([Fraction(9, 8), 8, Fraction(1, 2)], Fraction(8))
+@example([0, -2, Fraction(-1, 2), 3], Fraction(1, 2))
+@example([QuadExt(1, 1, 2), 2], Fraction(2))
+def test_sqrt_equals_the_two_pass_reference(xs, radicand):
+    # every root in value, type and d; then the context's state
+    ar, ref = numerics.Arithmetic("exact", radicand), _RefContext(radicand)
+    for x in xs:
+        assert _typed_scalar(ar.sqrt(x)) == _typed_scalar(_ref_sqrt(ref, x))
+    assert (ar.radicand, ar.demoted, ar.notes) == \
+        (ref.radicand, ref.demoted, ref.notes)
+
+
 def _ref_linear_solve(rows, nunk):
     """The Fraction and QuadExt Gauss-Jordan that exact systems ran on
     before the fraction-free elimination, kept as the reference: pivot on
