@@ -14,11 +14,14 @@ R^n with Clifford-entry matrices.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import add, is_not
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .numerics import (Arithmetic, Scalar, comparison_eps, is_exact,
-                       lift, near_zero, row_scale, scalar_sign, to_float)
-from .cycle import Cycle, Metric, form_pairing, integer_form
+from .numerics import (Arithmetic, QuadExt, Scalar, comparison_eps,
+                       is_exact, lift, near_zero, row_scale, scalar_sign,
+                       to_float)
+from .cycle import Cycle, Metric
 from .clifford import (INFINITY, Infinity, Mat2, Mv, Point, euclidean,
                        identity_map, mobius_apply)
 from .poincare import (Mat, embed_real_moebius,  # noqa: F401  (re-exported)
@@ -30,9 +33,10 @@ ARRANGEMENTS = ("tangent", "orthogonal", "ortho45")
 
 
 class InvalidCF(ValueError):
-    """Zero partial numerator, an index past the known terms, or a chain
-    whose arrangement, incidence or shape check fails: consecutive radii
-    of the three families agree only when |a_j| = 1 for j >= 2."""
+    """Zero partial numerator, an index past the known terms, a chain
+    whose arrangement, incidence or shape check fails (consecutive radii
+    of the three families agree only when |a_j| = 1 for j >= 2), or an
+    orthogonal reconstruction past a horocycle of zero height."""
 
 
 # ---------------------------------------------------------------------------
@@ -276,20 +280,14 @@ def _validate_chain(ch: HorocycleChain) -> None:
     """Check every step of a chain: the arrangement residual of the two
     horocycles, the connecting cycle through both quotients, and its
     shape (45 degrees in ortho45; vertical and orthogonal to both
-    horocycles otherwise).  A chain whose cycles and quotients all have an
-    :meth:`Cycle.integer_form` over one radicand is checked in ints on
-    those forms over Z[sqrt d] (:func:`_exact_failure`); any other with
+    horocycles otherwise).  A chain whose values are exact over at most
+    one radicand is checked in ints over Z[sqrt d] on the rows
+    :func:`_int_rows` reads (:func:`_exact_failure`); any other with
     :func:`near_zero` against the floored tolerance, scaled by the chain's
-    largest entry (exactly for exact values).  A failed check raises
-    :class:`InvalidCF`."""
-    rows = [cyc.integer_form() for cyc in ch.cycles]
-    # the zero-radius cycle at (x/y, 0) times y^2: its pairing with a
-    # cycle is k x^2 - 2 l_1 x y + m y^2, the value at x/y times y^2
-    points = [None if y == 0 else integer_form((y * y, x * y, 0, x * x))
-              for x, y in ch.pairs]
-    forms = rows + [p for p in points if p is not None]
-    if all(forms) and len({f[2] for f in forms} - {0}) < 2:
-        failure = _exact_failure(ch, rows, points)
+    largest entry.  A failed check raises :class:`InvalidCF`."""
+    read = _int_rows(ch)
+    if read is not None:
+        failure = _exact_failure(ch, *read)
     else:
         failure = _float_failure(ch, [v for cyc in ch.cycles
                                       for v in cyc.row()])
@@ -350,50 +348,129 @@ def _float_failure(ch: HorocycleChain, entries):
     return None
 
 
-def _exact_failure(ch: HorocycleChain, rows, points):
+def _int_rows(ch: HorocycleChain):
+    """The chain read into ints over one Z[sqrt d], as ``(d, rows,
+    points)``, or None when a value is not exact or two radicands meet.
+
+    Every value, the cycles' entries and the quotients' P and Q alike, is
+    multiplied by the lcm of all their denominators, so ``rows[i]`` is the
+    i-th cycle's row ``(k, l_1, l_2, m)`` times that one positive scale,
+    followed by the sqrt(d) parts of the four when ``d`` is nonzero.
+    ``points[j]`` is the zero-radius cycle at the j-th quotient x/y times
+    y^2, ``(y^2, xy, 0, x^2)``, in the same layout and times the square of
+    that scale; None when y is 0.  Its pairing with a cycle is k x^2 - 2
+    l_1 x y + m y^2, the value at x/y times y^2.  A zero test does not see
+    a nonzero scale, so no row is made primitive."""
+    values = [v for cyc in ch.cycles for v in cyc.row()]
+    end = len(values)
+    values += [v for pair in ch.pairs for v in pair]
+    size = len(values)
+    qs, dens = [0] * size, [1] * size
+    d = 0
+    # an int reads as itself: only the other values need a look
+    for j in compress(range(size), map(is_not, map(type, values), repeat(int))):
+        v = values[j]
+        kind = type(v)
+        if kind is Fraction:
+            values[j], dens[j] = v.numerator, v.denominator
+        elif kind is QuadExt:
+            if v.d != d:
+                if d:
+                    return None
+                d = v.d
+            values[j], qs[j], dens[j] = v.p, v.q, v.n
+        else:
+            return None
+    den = math.lcm(*set(dens))
+    if den != 1:
+        values = [p * (den // n) for p, n in zip(values, dens)]
+        if d:
+            qs = [q * (den // n) for q, n in zip(qs, dens)]
+    # zip over one iterator four times takes four entries per row
+    ps = iter(values[:end])
+    if d:
+        rq = iter(qs[:end])
+        rows = list(zip(*[ps] * 4, *[rq] * 4))
+    else:
+        rows = list(zip(*[ps] * 4))
+    points = []
+    for x, y, xq, yq in zip(values[end::2], values[end + 1::2],
+                            qs[end::2], qs[end + 1::2]):
+        if not (y or yq):
+            points.append(None)
+        elif d:
+            points.append((y * y + d * yq * yq, x * y + d * xq * yq, 0,
+                           x * x + d * xq * xq, 2 * y * yq, x * yq + xq * y,
+                           0, 2 * x * xq))
+        else:
+            points.append((y * y, x * y, 0, x * x))
+    return d, rows, points
+
+
+def _exact_failure(ch: HorocycleChain, d: int, rows, points):
     """The first failed check of an exact chain, as ``(step, what,
-    pair)``, or None.  ``rows`` and ``points`` are the :func:`integer_form`
-    of each cycle and quotient (None at infinity), over one radicand.  A
-    check is a :func:`form_pairing`, zero exactly when its rational and
-    sqrt(d) parts are, or the test of l_2.  The chain's cycles are rows of
-    E2, whose point and product metrics agree."""
+    pair)``, or None, on the ``rows`` and ``points`` of :func:`_int_rows`
+    over Z[sqrt d].  Every check but the tilt is an E2 pairing written
+    out with E2's weights (:func:`_pairs_to_zero`,
+    :func:`_square_is_zero`); the tilt tests l_2.  The chain's cycles are
+    rows of E2, whose point and product metrics agree."""
     n = len(ch.horocycles)
     horos, joins = rows[:n], rows[n:]
-    w = E2.weights
     tangent = ch.arrangement == "tangent"
     ortho45 = ch.arrangement == "ortho45"
     for i in range(1, n):
         prev, here, join = horos[i - 1], horos[i], joins[i - 1]
         if tangent:
-            # det C = -<C, C>/2 for the summed row C
-            both = integer_form([a + b for a, b in zip(
-                ch.horocycles[i - 1].row(), ch.horocycles[i].row())])
-            if any(form_pairing(w, both, both)):
+            # det C = -<C, C>/2 for the summed row C: both rows share
+            # their scale
+            if not _square_is_zero(map(add, prev, here), d, 1):
                 return i, _ARRANGEMENT, None
-        elif any(form_pairing(w, prev, here)):
+        elif not _pairs_to_zero(prev, here, d):
             return i, _ARRANGEMENT, None
         for j in (i - 1, i):
-            if points[j] is not None and any(form_pairing(w, join, points[j])):
+            if points[j] is not None and not _pairs_to_zero(join, points[j], d):
                 return i, _MISSES, ch.pairs[j]
         if ortho45:
             # 2 n^2 - det = <C, mirror C>/2: at 45 degrees to the real
             # line a cycle meets its mirror image at right angles
-            if any(form_pairing(w, join, _mirror_row(join))):
+            if not _square_is_zero(join, d, -1):
                 return i, _NOT_45, None
         else:
-            jp, jq = join[0], join[1]
-            if jp[-2] or (jq and jq[-2]):
+            if join[2] or (d and join[6]):
                 return i, _TILTS, None
-            if any(form_pairing(w, join, prev)) or \
-                    any(form_pairing(w, join, here)):
+            if not (_pairs_to_zero(join, prev, d)
+                    and _pairs_to_zero(join, here, d)):
                 return i, _NOT_ORTHOGONAL, None
     return None
 
 
-def _mirror_row(a):
-    """The :func:`integer_form` of the mirror image: l_2 negated."""
-    p, q = a[0], a[1]
-    return ([*p[:-2], -p[-2], p[-1]], q and [*q[:-2], -q[-2], q[-1]], *a[2:])
+def _pairs_to_zero(a, b, d: int) -> bool:
+    """Whether the E2 pairing m k' + m' k - 2 (l_1 l_1' + l_2 l_2') of two
+    rows of :func:`_int_rows` is zero: its rational part and, over a
+    radicand d, its sqrt(d) part."""
+    if not d:
+        k, x, y, m = a
+        K, X, Y, M = b
+        return m * K + M * k == 2 * (x * X + y * Y)
+    k, x, y, m, kq, xq, yq, mq = a
+    K, X, Y, M, Kq, Xq, Yq, Mq = b
+    return (m * K + M * k - 2 * (x * X + y * Y)
+            + d * (mq * Kq + Mq * kq - 2 * (xq * Xq + yq * Yq)) == 0
+            and m * Kq + mq * K + M * kq + Mq * k
+            == 2 * (x * Xq + xq * X + y * Yq + yq * Y))
+
+
+def _square_is_zero(a, d: int, s: int) -> bool:
+    """Whether m k - l_1^2 - s l_2^2 is zero for a row of :func:`_int_rows`:
+    <a, a>/2 for s = 1, and <a, mirror a>/2 for s = -1, the mirror
+    negating l_2."""
+    if not d:
+        k, x, y, m = a
+        return m * k == x * x + s * y * y
+    k, x, y, m, kq, xq, yq, mq = a
+    return (m * k - x * x - s * y * y
+            + d * (mq * kq - xq * xq - s * yq * yq) == 0
+            and m * kq + mq * k == 2 * (x * xq + s * y * yq))
 
 
 def reconstruct_horocycles(points: Sequence[Scalar], n0: Scalar,
@@ -401,7 +478,8 @@ def reconstruct_horocycles(points: Sequence[Scalar], n0: Scalar,
     """Horocycles (1, p_j, n_j, p_j^2) at given boundary points, each tied
     to its predecessor.
 
-    Orthogonality determines n_j linearly: n_j = (p_j - p_{j-1})^2 / (2 n_{j-1}).
+    Orthogonality determines n_j linearly: n_j = (p_j - p_{j-1})^2 / (2 n_{j-1}),
+    so a zero height before a further point raises :class:`InvalidCF`.
     Tangency is quadratic with the two roots -n_{j-1} +- |p_j - p_{j-1}|;
     the larger root is taken.
     """
@@ -414,7 +492,7 @@ def reconstruct_horocycles(points: Sequence[Scalar], n0: Scalar,
     for p_prev, p in zip(points, points[1:]):
         if relation == "orthogonal":
             if n_prev == 0:
-                raise ZeroDivisionError("previous horocycle has zero height")
+                raise InvalidCF("previous horocycle has zero height")
             n = lift((p - p_prev) * (p - p_prev)) / (2 * n_prev)
         else:
             n = abs(p - p_prev) - n_prev

@@ -42,8 +42,9 @@ QuadExts, except that a branch of ``solve``
 reads a column of int rows back in ints, in one read-back
 (``Reduced.integer_rows``).  An exact cycle row over one radicand has
 one integer form over Z[sqrt d] (``cycle.integer_form``): the cycle
-pairing and chain validation sum in ints on it, and a rational cycle's
-canonical row and key read its primitive int row.
+pairing sums in ints on it, and a rational cycle's canonical row and key
+read its primitive int row.  Chain validation reads a chain's rows into
+ints over Z[sqrt d] itself, with no primitive form.
 """
 
 from __future__ import annotations
@@ -103,16 +104,19 @@ def fraction_sqrt(x: Rational) -> Optional[Fraction]:
 def radical_parts(x: Rational):
     """Split positive x into (coeff, core) with x = coeff^2 * core.
 
-    core is a squarefree integer, so equal radicals built from different
-    inputs agree representation-wise.  Trial division by 2 and the odd
-    primes (:func:`_trial_primes`) runs while the cube of the divisor is
-    at most the cofactor left, and to 100,000 at most; a cofactor left
-    over is then 1, a prime, a product of two primes or a prime squared,
-    and a square one goes into coeff.  So below 10**15 the core is exactly
-    squarefree.  Above, a square factor of primes past the bound may stay
-    in core; that only leaves the result less reduced, never wrong.  No
-    composite divisor is tried: its prime factors are gone from the
-    cofactor by then, so it would divide nothing.
+    core is a positive integer, 1 exactly when x is a square and never a
+    square otherwise, so sqrt(core) is irrational for every other x.  No
+    prime up to 100,000 divides core twice, and a core up to 10**15 is
+    squarefree, so there equal radicals built from different inputs agree
+    representation-wise; a larger core may keep the square of a larger
+    prime.  Trial division by 2 and the odd primes (:func:`_trial_primes`)
+    runs while the cube of the divisor is at most the cofactor left, and
+    to 100,000 at most; a cofactor left over after the cube bound is 1, a
+    prime, a product of two primes or a prime squared, and a square
+    cofactor goes into coeff.  A square factor that stays in core only
+    leaves the result less reduced, never wrong.  No composite divisor is
+    tried: its prime factors are gone from the cofactor by then, so it
+    would divide nothing.
     """
     x = Fraction(x)
     n = x.numerator * x.denominator

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cyclekit import poincare
+from cyclekit import cycle, poincare
 from cyclekit.clifford import INFINITY, Mat2, Mv, euclidean, identity_map, mobius_apply
 from cyclekit.contfrac import (ContinuedFraction, InvalidCF, advance, chain,
                                clifford_cf_step, clifford_convergents,
@@ -353,6 +353,32 @@ class TestChains:
         with pytest.raises(InvalidCF, match="^step 2: arrangement residual"):
             chain(cf, 3, arrangement)
 
+    @pytest.mark.parametrize("arrangement", ["tangent", "orthogonal", "ortho45"])
+    def test_exact_validation_pairs_no_integer_form(self, arrangement,
+                                                    monkeypatch):
+        # an exact chain is checked on ints read once from its rows: no
+        # integer form is made and no form pairing summed
+        calls = []
+
+        def spy(name):
+            real = getattr(cycle, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+            return counted
+
+        for name in ("integer_form", "form_pairing"):
+            monkeypatch.setattr(cycle, name, spy(name))
+        rng = random.Random("exact validation")
+        cf = ContinuedFraction.simple(3, [rng.randint(1, 9) for _ in range(24)])
+        ch = chain(cf, 24, arrangement)
+        assert len(ch.horocycles) == 25
+        assert calls == []
+        # the spies do see a pairing made the old way
+        ch.horocycles[0].product(ch.horocycles[1])
+        assert calls
+
     def test_refusal_message_names_the_residual(self):
         cf = ContinuedFraction.parse("2/1 3/1 1/2")
         with pytest.raises(InvalidCF) as err:
@@ -385,6 +411,15 @@ class TestReconstruction:
     def test_unknown_relation(self):
         with pytest.raises(ValueError):
             reconstruct_horocycles([F(0), F(1)], F(1), "parallel")
+
+    def test_zero_height_is_an_invalid_cf(self):
+        # orthogonality divides by the previous height
+        with pytest.raises(InvalidCF, match="^previous horocycle has zero height$"):
+            reconstruct_horocycles([F(0), F(1)], 0, "orthogonal")
+        # a repeated point gives a zero height that the next step meets
+        with pytest.raises(InvalidCF, match="zero height"):
+            reconstruct_horocycles([F(0), F(0), F(1)], F(1), "orthogonal")
+        assert len(reconstruct_horocycles([F(0)], 0, "orthogonal")) == 1
 
 
 class TestSeidelStern:

@@ -1962,15 +1962,25 @@ CHAIN_TERMS = {
     "float": st.one_of(st.integers(-9, 9),
                        st.floats(-9, 9).map(lambda x: round(x, 3))),
 }
+# a + b sqrt(d), b nonzero, with Fraction parts now and then, so rows and
+# quotients carry radical parts and denominators
+for _d in (2, 3):
+    CHAIN_TERMS[f"sqrt{_d}"] = st.one_of(
+        st.integers(-9, 9),
+        st.builds(QuadExt, st.fractions(-9, 9, max_denominator=3),
+                  st.fractions(-3, 3, max_denominator=2).filter(bool),
+                  st.just(_d)))
 
 
 @st.composite
 def chain_cases(draw):
-    """A fraction of 1-12 steps whose terms are ints, ints and Fractions, or
-    ints and floats; a_1 is any nonzero term and a_j = +-1 after it, which
-    the three arrangements need.  With it an arrangement and one entry of
-    one cycle to perturb, ``(cycle, entry, by_sqrt2)``, counting the
-    horocycles and then the connecting cycles."""
+    """A fraction of 1-12 steps whose terms are ints, ints and Fractions,
+    ints and floats, or ints and values of Q(sqrt 2) or Q(sqrt 3); a_1 is
+    any nonzero term and a_j = +-1 after it, which the three arrangements
+    need.  With it an arrangement, tangent for Q(sqrt 3) terms (the other
+    two bring in sqrt 2), and one entry of one cycle to perturb, ``(cycle,
+    entry, by_root)``, counting the horocycles and then the connecting
+    cycles."""
     kind = draw(st.sampled_from(sorted(CHAIN_TERMS)))
     term = CHAIN_TERMS[kind]
     n = draw(st.integers(1, 12))
@@ -1978,24 +1988,26 @@ def chain_cases(draw):
     terms = [(a1, draw(term))]
     terms += [(draw(st.sampled_from([1, -1])), draw(term)) for _ in range(n - 1)]
     b0 = draw(st.one_of(st.none(), term))
-    arrangement = draw(st.sampled_from(contfrac.ARRANGEMENTS))
+    arrangement = "tangent" if kind == "sqrt3" else \
+        draw(st.sampled_from(contfrac.ARRANGEMENTS))
     mutation = draw(st.tuples(st.integers(0, 2 * n), st.integers(0, 3),
                               st.booleans()))
     return ContinuedFraction(b0, terms), n, arrangement, mutation
 
 
 def _perturbed(ch, mutation):
-    """The chain with one entry moved: by 1 or sqrt(2) in an exact chain
-    (sqrt(2) only in Q(sqrt 2) chains), relatively by 1e-3 in a float
+    """The chain with one entry moved: by 1 or sqrt(d) in an exact chain
+    (sqrt(d) only in Q(sqrt d) chains), relatively by 1e-3 in a float
     one."""
-    index, entry, by_sqrt2 = mutation
+    index, entry, by_root = mutation
     cycles = ch.cycles
     values = [v for cyc in cycles for v in cyc.row()]
+    roots = {v.d for v in values if isinstance(v, QuadExt)}
     row = list(cycles[index].row())
     if not all(map(numerics.is_exact, values)):
         row[entry] = to_float(row[entry]) * (1 + 1e-3)
-    elif by_sqrt2 and any(isinstance(v, QuadExt) for v in values):
-        row[entry] = row[entry] + QuadExt(0, 1, 2)
+    elif by_root and roots:
+        row[entry] = row[entry] + QuadExt(0, 1, roots.pop())
     else:
         row[entry] = row[entry] + 1
     cycles[index] = Cycle.from_row(E2, row)
@@ -2012,7 +2024,7 @@ def _verdict(validate, ch):
     return None
 
 
-@settings(max_examples=300)
+@settings(max_examples=500)
 @given(chain_cases())
 # a quotient 0 next to the moved horocycle keeps the arrangement residual
 # when l_1 moves, so only the connecting cycle's right angle fails: with
