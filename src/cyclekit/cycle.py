@@ -196,6 +196,7 @@ class Metric:
     product_eta: Eta
     # 2 eta_i per axis of the product metric: integer_pairing's weights
     weights: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)   # the dimension
 
     def __post_init__(self):
         if len(self.point_eta) != len(self.product_eta):
@@ -203,6 +204,7 @@ class Metric:
         signature_from_eta(self.product_eta)  # validates ordering
         object.__setattr__(self, "weights",
                            tuple(2 * e for e in self.product_eta))
+        object.__setattr__(self, "n", len(self.product_eta))
 
     @staticmethod
     def named(name: str) -> "Metric":
@@ -216,10 +218,6 @@ class Metric:
     def from_signature(p: int, q: int = 0, r: int = 0) -> "Metric":
         eta = Signature(p, q, r).squares()
         return Metric(eta, eta)
-
-    @property
-    def n(self) -> int:
-        return len(self.product_eta)
 
     @property
     def tau(self) -> int:
@@ -515,12 +513,13 @@ class Cycle:
         radical part.
         An exact row led by 1, every entry a Fraction or a ``QuadExt``, is
         canonical already."""
-        row = self.row()
-        if _is_canonical(row):
-            return self
-        form = self.integer_form()
+        form = self._form
+        if not (form and form[5] is int):
+            if _is_canonical(self.row()):
+                return self
+            form = self.integer_form()
         if not form:
-            row = canonical_row(row, 1e-12)
+            row = canonical_row(self.row(), 1e-12)
             return Cycle(self.metric, row[0], row[1:-1], row[-1])
         if form[2]:
             P, Q, d = form[:3]
@@ -537,10 +536,9 @@ class Cycle:
                            QuadExt)
             return c
         prim = form[0]
-        lead = next(v for v in prim if v)
-        c = Cycle(self.metric, Fraction(prim[0], lead),
-                  [Fraction(v, lead) for v in prim[1:-1]],
-                  Fraction(prim[-1], lead))
+        lead = next(filter(None, prim))
+        row = [Fraction(v, lead) if v else _ZERO for v in prim]
+        c = Cycle(self.metric, row[0], row[1:-1], row[-1])
         c._form = prim, (), 0, 1, lead, Fraction
         return c
 

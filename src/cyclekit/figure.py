@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product as iproduct
 from math import acos, acosh, pi, sqrt as _fsqrt
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -209,9 +210,11 @@ def _set_row(node: FigureNode, row: Cycle) -> FigureNode:
 def _merge_contexts(contexts) -> Optional[Dict[str, int]]:
     out: Dict[str, int] = {}
     for ctx in contexts:
-        for k, v in ctx.items():
-            if out.setdefault(k, v) != v:
-                return None   # would mix two branches of a shared ancestor
+        out.update(ctx)
+    # only an earlier context can lose an item: it mixes two branches
+    for ctx in contexts[:-1]:
+        if not ctx.items() <= out.items():
+            return None
     return out
 
 
@@ -363,13 +366,14 @@ class Figure:
         node.instances = []
         node.status = "pending"
         node.reason = ""
-        for lab in node.parent_labels():
+        direct = node.solve_parents()
+        for lab in direct + node.avoid:
             parent = self._nodes[lab]
             if parent.status != "solved":
                 node.reason = f"parent {lab!r} is {parent.status}"
                 return
-        direct = node.solve_parents()
         pools = [self._nodes[p].instances for p in direct]
+        specs = node.relations + node.pins
         parametric = False
         reasons: List[str] = []
         for combo in iproduct(*pools):
@@ -379,8 +383,7 @@ class Figure:
             by_label = dict(zip(direct, combo))
             if node.kind == "rel":
                 try:
-                    rels = [self._concrete(s, by_label)
-                            for s in node.relations + node.pins]
+                    rels = [self._concrete(s, by_label) for s in specs]
                 except ValueError as err:   # e.g. power against a flat parent
                     reasons.append(str(err))
                     continue
@@ -391,7 +394,7 @@ class Figure:
                 if sols.status == "infeasible":
                     reasons.append(sols.reason)
                     continue
-                cycles = list(sols)
+                cycles = sols.cycles
             else:
                 cycles = self._run_subfigure(node, by_label)
                 if cycles is None:
@@ -924,6 +927,7 @@ def nine_point_figure(a, b, c, n=None, metric: Optional[Metric] = None,
     if n is not None:
         nref = "N"
         fig.add_point(n, "N")
+    on_n, point = orthogonal(nref), is_point()  # specs shared by many nodes
 
     def one(label: str) -> Cycle:
         node = fig.node(label)
@@ -932,36 +936,32 @@ def nine_point_figure(a, b, c, n=None, metric: Optional[Metric] = None,
                              f"got {node.status} ({len(node.instances)})")
         return node.instances[0].cycle
 
-    def line_through(p: str, q: str, label: str) -> str:
-        fig.add_cycle_rel([orthogonal(p), orthogonal(q), orthogonal(nref)],
-                          label)
+    def line_through(p: str, q: str, label: str) -> None:
+        fig.add_cycle_rel([orthogonal(p), orthogonal(q), on_n], label)
         one(label)
-        return label
 
-    def second_point(c1: str, c2: str, label: str) -> str:
+    def second_point(c1: str, c2: str, label: str) -> None:
         # the two cycles cross at nref and one more point; keep the latter
-        fig.add_cycle_rel([orthogonal(c1), orthogonal(c2), is_point()],
+        fig.add_cycle_rel([orthogonal(c1), orthogonal(c2), point],
                           label, avoid=(nref,))
         one(label)
-        return label
 
-    def midpoint(p: str, q: str, base: str, label: str) -> str:
+    def midpoint(p: str, q: str, base: str, label: str) -> None:
         diam, perp = "diam_" + label[4:], "perp_" + label[4:]
         fig.add_cycle_rel([orthogonal(p), orthogonal(q), orthogonal(base)],
                           diam)
         one(diam)
-        fig.add_cycle_rel([orthogonal(base), orthogonal(diam),
-                           orthogonal(nref)], perp)
+        fig.add_cycle_rel([orthogonal(base), orthogonal(diam), on_n], perp)
         one(perp)
-        return second_point(base, perp, label)
+        second_point(base, perp, label)
 
     try:
         for (p, q), name in ((("A", "B"), "AB"), (("B", "C"), "BC"),
                              (("C", "A"), "CA")):
             line_through(p, q, "side_" + name)
         for v, s in (("A", "BC"), ("B", "CA"), ("C", "AB")):
-            fig.add_cycle_rel([orthogonal(v), orthogonal(nref),
-                               orthogonal("side_" + s)], "alt_" + v)
+            fig.add_cycle_rel([orthogonal(v), on_n, orthogonal("side_" + s)],
+                              "alt_" + v)
             one("alt_" + v)
             second_point("side_" + s, "alt_" + v, "foot_" + v)
         second_point("alt_A", "alt_B", "H")
@@ -980,10 +980,15 @@ def nine_point_figure(a, b, c, n=None, metric: Optional[Metric] = None,
     on_conic, eps = IsOrthogonal(conic.canonical()), comparison_eps()
     verdict = all(on_conic.satisfied_by(fig.instances(lab)[0].canonical(), eps)
                   for lab in _NINE)
-    points = {}
+    # a rational canonical cycle's centre is -eta_i P_i / P_0 off its form
+    etap, points = metric.point_eta, {}
     for lab in _NINE + ("H",):
         cyc = fig.instances(lab)[0]
-        points[lab] = cyc.center() if cyc.k != 0 else None
+        form = cyc.integer_form()
+        points[lab] = (None if cyc.k == 0 else cyc.center()
+                       if not form or form[2] else
+                       tuple([Fraction(-e * p, form[0][0])
+                              for e, p in zip(etap, form[0][1:-1])]))
     return NinePointResult(fig, conic, verdict, _conic_kind(conic), points)
 
 

@@ -14,10 +14,7 @@ quadratic takes needs one radical, not a nested one.
 branch rhs, and a nonzero rhs is signed.  Negating x maps the sign pattern
 sigma to -sigma; the demand is even in x and every signed rhs is odd, so
 -sigma gives the same projective cycles and only the patterns whose first
-signed row is +1 are solved.  ``build`` takes lam.  With an IsPoint
-present every rhs is 0 and so is the demand.  Solutions are checked back
-against every relation, deduplicated projectively and returned in a
-deterministic order.
+signed row is +1 are solved.  ``build`` takes lam.
 
 The coefficient rows do not depend on the signs, so every solve makes
 one elimination (:func:`linear_solve`): row i carries one rhs column per
@@ -77,7 +74,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import product as iproduct
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cycle import (Cycle, Metric, form_pairing, integer_form,
@@ -129,8 +126,8 @@ class Relation:
         """Does ``cycle`` hold?  The verdict is projective, and its sign
         tests read the signs of the canonical cycle, so callers pass any
         exact row over one radicand, or the canonical row of any other
-        cycle.  An exact row against rational data is decided on its
-        integer form in ints."""
+        cycle.  An exact row is decided on its integer form in ints: its
+        pairings with rational data, or its self pairing (:class:`IsPoint`)."""
         raise NotImplementedError
 
 
@@ -187,8 +184,8 @@ class IsOrthogonal(Relation):
         if not form or form[2]:
             return self.coeffs
         prim = form[0]
-        return (prim[-1], *[w * l for w, l in zip(self.ref.metric.weights,
-                                                  prim[1:-1])], prim[0])
+        return (prim[-1], *map(mul, self.ref.metric.weights, prim[1:]),
+                prim[0])
 
     @cached_property
     def ref_float(self) -> Cycle:
@@ -198,10 +195,12 @@ class IsOrthogonal(Relation):
 
     def satisfied_by(self, cycle, eps):
         # two exact rows over one radicand in one product metric: the int
-        # pairing of their forms is zero or not in its two parts
+        # pairing of their forms is zero or not in its parts (one if rational)
         fx = cycle.integer_form()
         fr = fx and self.ref.integer_form()
         if fr and cycle.metric.product_eta == self.ref.metric.product_eta:
+            if not (fx[2] or fr[2]):
+                return not integer_pairing(cycle.metric.weights, fx[0], fr[0])
             parts = form_pairing(cycle.metric.weights, fx, fr)
             if parts is not None:
                 return not any(parts)
@@ -244,7 +243,9 @@ class IsLobachevskyLine(IsOrthogonal):
 
 
 class IsPoint(Relation):
-    """Zero-radius demand <x,x> = 0; turns tangency-like rows into incidence."""
+    """Zero-radius demand <x,x> = 0; turns tangency-like rows into incidence.
+    An exact row holds when its self pairing (:meth:`Cycle.self_pairing`)
+    is zero in both parts; a float row by :func:`near_zero`."""
 
     demand = 0
 
@@ -252,6 +253,8 @@ class IsPoint(Relation):
         self.metric = metric
 
     def satisfied_by(self, cycle, eps):
+        if cycle.integer_form():
+            return not any(cycle.self_pairing())
         row = cycle.row()
         return near_zero(cycle.self_product(), eps, row, row)
 
@@ -1008,67 +1011,60 @@ def _binary_quadratic(Q, v1, v2, ar: Arithmetic):
 
 def solve(relations: Sequence[Relation], metric: Metric,
           arithmetic="exact") -> SolutionSet:
-    """Intersect all relations; enumerate sign branches; verify; order."""
-    point_mode = any(isinstance(r, IsPoint) for r in relations)
-    demands = {r.demand for r in relations if r.demand is not None}
-    if point_mode:
-        demands = {0}
-    elif len(demands) > 1:
-        return SolutionSet("infeasible",
-                           reason=f"conflicting demands {sorted(demands)}")
-    demand = next(iter(demands), None)
+    """Intersect the relations in one pass from them to the kept cycles.
 
+    One loop reads each relation's demand, row and row entry types; a
+    point demand (:class:`IsPoint`) makes every rhs and the demand 0, and
+    two others conflict.  Each row's rhs is built once, one elimination
+    holds a column per sign pattern, and each candidate of every pattern
+    is verified against every relation (an exact one on its integer form)
+    and deduplicated; the kept cycles come back in a deterministic order."""
     ar = (arithmetic.clone() if isinstance(arithmetic, Arithmetic)
           else Arithmetic(arithmetic))
     exact = ar.exact
-    coeffs = [r.row(exact) for r in relations]
-    lam = _square_class(relations, coeffs) if exact and demand else 1
-    rhs = [None if c is None else 0 if point_mode else r.build(ar, lam)
-           for r, c in zip(relations, coeffs)]
-    live = [i for i, c in enumerate(coeffs) if c is not None]
-    ring = float
-    if ar.exact:
-        # the one type scan: the ring of the rows and their rhs
-        ring = _ring({type(v) for i in live for v in coeffs[i]}
-                     | {type(rhs[i]) for i in live})
+    demands, live, kinds = set(), [], set()
+    for i, r in enumerate(relations):
+        if r.demand is not None:
+            demands.add(r.demand)
+        c = r.row(exact)
+        if c is not None:
+            live.append((i, r, c))
+            kinds.update(map(type, c))
+    if len(demands) > 1 and 0 not in demands:
+        return SolutionSet("infeasible",
+                           reason=f"conflicting demands {sorted(demands)}")
+    demand = 0 if 0 in demands else next(iter(demands), None)
+    lam = (_square_class(relations) if exact and demand
+           and kinds <= {int, Fraction} else 1)
+    rhs = [0 if demand == 0 else r.build(ar, lam) for _, r, _ in live]
+    kinds.update(map(type, rhs))
+    ring = _ring(kinds) if ar.exact else float
     if exact and ring is float:
         # a build demoted or the data has a float: the elimination runs
         # in floats on every row as its data gives it
-        coeffs = [r.row(False) for r in relations]
-    axes = [(None,) if v is None or v == 0 else (1, -1) for v in rhs]
-    signed = [i for i, axis in enumerate(axes) if axis[0] is not None]
+        live = [(i, r, r.row(False)) for i, r, _ in live]
+    signed = [i for (i, _, _), v in zip(live, rhs) if v]
     if 2 ** len(signed) > MAX_BRANCHES:
         raise BranchOverflow(
             f"{2 ** len(signed)}+ sign branches (cap {MAX_BRANCHES})")
-    if signed:
-        axes[signed[0]] = (1,)       # the twin -sigma gives the same cycles
+    axes = [(None,)] * len(relations)
+    for j, i in enumerate(signed):   # the twin -sigma gives the same cycles
+        axes[i] = (1, -1) if j else (1,)
     # one elimination: row i holds one rhs column per pattern, sigma_i r_i
     patterns = list(iproduct(*axes))
-    red = linear_solve([(coeffs[i], (rhs[i],) * len(patterns)
-                         if len(axes[i]) == 1 else
-                         tuple([rhs[i] if p[i] == 1 else -rhs[i]
-                                for p in patterns]))
-                        for i in live], metric.n + 2, ring)
+    red = linear_solve([(c, tuple([v if p[i] == 1 else -v for p in patterns])
+                         if v else (v,) * len(patterns))
+                        for (i, _, c), v in zip(live, rhs)], metric.n + 2, ring)
     if red.d:
         ar.adopt(red.d)              # a rhs over sqrt d: roots share it
-    bases: list = []
-    found: List[Tuple[Cycle, tuple]] = []
-    parametric = None
-    contexts = [ar]
+    contexts, bases, found, parametric = [ar], [], [], None
     for column, pattern in enumerate(patterns):
         if len(signed) > 1:
             contexts.append(ar.clone())
         sols, par = _solve_branch(metric, red, column, demand and demand * lam,
                                   contexts[-1], bases)
-        if par is not None and parametric is None:
-            pbase, pbasis, ps = par
-            parametric = (
-                Cycle.from_row(metric, pbase[0]) if pbase else None,
-                [Cycle.from_row(metric, b) for b in pbasis],
-                ps and demand,       # the demand's sign, not s * lam
-            )
-        for idx, srow in enumerate(sols or []):
-            found.append((srow, (pattern, idx)))
+        parametric = parametric or par
+        found += [(srow, (pattern, idx)) for idx, srow in enumerate(sols or ())]
     demoted = any(c.demoted for c in contexts)
     notes = [note for c in contexts for note in c.notes]
 
@@ -1107,26 +1103,27 @@ def solve(relations: Sequence[Relation], metric: Metric,
         return SolutionSet("finite", [c for c, _ in ordered],
                            [p for _, p in ordered], demoted=demoted, notes=notes)
     if parametric is not None:
-        base, span, resid = parametric
+        pbase, pbasis, ps = parametric
         note = notes + (["residual quadratic demand left unsolved"]
-                        if resid is not None else [])
-        return SolutionSet("parametric", base=base, span=span,
-                           residual_demand=resid, demoted=demoted, notes=note)
+                        if ps is not None else [])
+        return SolutionSet(
+            "parametric",
+            base=Cycle.from_row(metric, pbase[0]) if pbase else None,
+            span=[Cycle.from_row(metric, b) for b in pbasis],
+            residual_demand=ps and demand,  # the sign, not s * lam
+            demoted=demoted, notes=note)
     return SolutionSet("infeasible", reason="no cycle satisfies the relations",
                        demoted=demoted, notes=notes)
 
 
-def _square_class(relations: Sequence[Relation], coeffs: list) -> int:
-    """The scale lam of a solve's nonzero demand <x,x> = s lam: the
-    squarefree core of the first nonzero |<R,R>| of its references (read
-    off ``ref_self``, a rational square times <R,R>), when every
-    coefficient row, every |<R,R>| and every theta is rational; 1
-    otherwise.  The demand is projective, and each rhs theta sqrt(lam
+def _square_class(relations: Sequence[Relation]) -> int:
+    """The scale lam of a solve's nonzero demand <x,x> = s lam whose
+    coefficient rows are rational: the squarefree core of the first
+    nonzero |<R,R>| of its references (read off ``ref_self``, a rational
+    square times <R,R>), when every |<R,R>| and every theta is rational;
+    1 otherwise.  The demand is projective, and each rhs theta sqrt(lam
     |<R_i,R_i>|) is rational when the references share lam's square
     class."""
-    if not all(type(v) is int or type(v) is Fraction
-               for c in coeffs if c is not None for v in c):
-        return 1
     lam = 0
     for r in relations:
         if isinstance(r, InversiveDistance) and type(r.theta) is not Fraction:

@@ -807,6 +807,18 @@ class TestPencilsAndTriples:
 
 
 class TestNinePoint:
+    @staticmethod
+    def assert_centres(r):
+        # a reported point is its instance's centre() in value and type,
+        # however it was read; None for a flat instance
+        for lab, point in r.points.items():
+            cyc = r.figure.instances(lab)[0]
+            want = None if cyc.k == 0 else cyc.center()
+            assert point == want, lab
+            assert type(point) is type(want), lab
+            assert [type(v) for v in point or ()] == \
+                [type(v) for v in want or ()], lab
+
     def test_classical_circle(self):
         r = nine_point_figure((0, 0), (4, 0), (1, 3))
         assert r.verdict
@@ -837,11 +849,13 @@ class TestNinePoint:
         r = nine_point_figure((0, 0), (4, 0), (1, 3), n=(10, 10))
         assert r.verdict
         assert r.kind == "circle"
+        self.assert_centres(r)
 
     def test_finite_stand_in_hyperbolic(self):
         r = nine_point_figure((0, 0), (4, 0), (1, 2), n=(10, 3), metric=H2)
         assert r.verdict
         assert r.kind == "equilateral-hyperbola"
+        self.assert_centres(r)
 
     def test_null_product_axis_is_refused_before_solving(self, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -872,6 +886,7 @@ class TestNinePoint:
                 continue
             assert r.verdict, tri
             assert r.kind == "circle"
+            self.assert_centres(r)
             done += 1
 
     def test_random_rational_triangles_hyperbolic(self):
@@ -887,6 +902,7 @@ class TestNinePoint:
                 continue
             assert r.verdict, tri
             assert r.kind == "equilateral-hyperbola"
+            self.assert_centres(r)
             done += 1
 
     def test_float_arithmetic_agrees(self):

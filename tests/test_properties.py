@@ -701,9 +701,11 @@ def test_one_square_class_solves_exactly(rels):
 
 
 def _quadext_verdict(rel, can):
-    """The verdict of an InversiveDistance, IsTangent or SteinerPower on an
-    exact canonical cycle, in the exact arithmetic of its values: products
-    of QuadExts and Fractions through ``Cycle.product``."""
+    """The verdict of an InversiveDistance, IsTangent, SteinerPower or
+    IsPoint on an exact canonical cycle, in the exact arithmetic of its
+    values: products of QuadExts and Fractions through ``Cycle.product``."""
+    if isinstance(rel, IsPoint):
+        return can.self_product() == 0
     if isinstance(rel, SteinerPower):
         rk = rel.ref.scaled(1 / lift(rel.ref.k))
         lhs = rel.power * can.k - can.product(rk)
@@ -736,19 +738,23 @@ def test_form_verdicts_equal_the_quadext_reference(rels, a, b, radicand):
     # rational.  It is tangent to every reference, so the zero tests pass
     # and the sign tests decide: every tangency variant, theta of each
     # sign, and powers 0 (rational) and 2 <x,R_k>/k_x (mostly irrational,
-    # decided on the canonical cycle)
+    # decided on the canonical cycle).  Two cycles join the answers for
+    # IsPoint's form verdict: a zero-radius one at (a, b), and one whose
+    # <C,C> = -2 sqrt D has no rational part
     if a == 0 and b == 0:
         reject()
     refs = [rel.ref for rel in rels]
     eps = comparison_eps()
-    for c in solve(rels, E2).cycles:
+    for c in solve(rels, E2).cycles + [
+            Cycle.zero_radius_at(E2, (a, b)),
+            Cycle(E2, 1, (0, 0), QuadExt(0, -1, radicand))]:
         form = c.integer_form()
         D = form[2] or radicand
         factor = a + b * QuadExt(0, 1, D)
         x = Cycle.from_row(E2, [factor * v for v in c.row()])
         can = x.canonical()
-        checks = [IsTangent(R, v) for R in refs
-                  for v in ("both", "external", "internal")]
+        checks = [IsPoint(E2)] + [IsTangent(R, v) for R in refs
+                                  for v in ("both", "external", "internal")]
         checks += [InversiveDistance(R, t) for R in refs
                    for t in (1, -1, 0, Fraction(1, 2), Fraction(-3, 2))]
         for R in refs:
