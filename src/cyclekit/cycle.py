@@ -431,10 +431,14 @@ class Cycle:
         return abs(d) <= eps * scale * scale
 
     def center(self) -> Tuple[Scalar, ...]:
-        """Point-metric center -eta^p_i l_i / k; what the drawing shows."""
+        """Point-metric center -eta^p_i l_i / k; what the drawing shows.
+        A rational row with its form cached gives -eta^p_i P_i / P_0."""
         if self.k == 0:
             raise ZeroDivisionError("flat cycles have no center")
-        etap = self.metric.point_eta
+        etap, form = self.metric.point_eta, self._form
+        if form and not form[2]:
+            return tuple([Fraction(-e * p, form[0][0])
+                          for e, p in zip(etap, form[0][1:-1])])
         return tuple(lift((-etap[i]) * self.l[i]) / self.k for i in range(self.metric.n))
 
     def radius_sq(self) -> Scalar:

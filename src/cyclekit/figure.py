@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product as iproduct
 from math import acos, acosh, pi, sqrt as _fsqrt
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -210,11 +209,9 @@ def _set_row(node: FigureNode, row: Cycle) -> FigureNode:
 def _merge_contexts(contexts) -> Optional[Dict[str, int]]:
     out: Dict[str, int] = {}
     for ctx in contexts:
-        out.update(ctx)
-    # only an earlier context can lose an item: it mixes two branches
-    for ctx in contexts[:-1]:
-        if not ctx.items() <= out.items():
-            return None
+        for k, v in ctx.items():
+            if out.setdefault(k, v) != v:
+                return None   # would mix two branches of a shared ancestor
     return out
 
 
@@ -980,15 +977,10 @@ def nine_point_figure(a, b, c, n=None, metric: Optional[Metric] = None,
     on_conic, eps = IsOrthogonal(conic.canonical()), comparison_eps()
     verdict = all(on_conic.satisfied_by(fig.instances(lab)[0].canonical(), eps)
                   for lab in _NINE)
-    # a rational canonical cycle's centre is -eta_i P_i / P_0 off its form
-    etap, points = metric.point_eta, {}
+    points = {}
     for lab in _NINE + ("H",):
         cyc = fig.instances(lab)[0]
-        form = cyc.integer_form()
-        points[lab] = (None if cyc.k == 0 else cyc.center()
-                       if not form or form[2] else
-                       tuple([Fraction(-e * p, form[0][0])
-                              for e, p in zip(etap, form[0][1:-1])]))
+        points[lab] = cyc.center() if cyc.k != 0 else None
     return NinePointResult(fig, conic, verdict, _conic_kind(conic), points)
 
 

@@ -184,7 +184,7 @@ class IsOrthogonal(Relation):
         if not form or form[2]:
             return self.coeffs
         prim = form[0]
-        return (prim[-1], *map(mul, self.ref.metric.weights, prim[1:]),
+        return (prim[-1], *map(mul, self.ref.metric.weights, prim[1:-1]),
                 prim[0])
 
     @cached_property
@@ -195,12 +195,10 @@ class IsOrthogonal(Relation):
 
     def satisfied_by(self, cycle, eps):
         # two exact rows over one radicand in one product metric: the int
-        # pairing of their forms is zero or not in its parts (one if rational)
+        # pairing of their forms is zero or not in its two parts
         fx = cycle.integer_form()
         fr = fx and self.ref.integer_form()
         if fr and cycle.metric.product_eta == self.ref.metric.product_eta:
-            if not (fx[2] or fr[2]):
-                return not integer_pairing(cycle.metric.weights, fx[0], fr[0])
             parts = form_pairing(cycle.metric.weights, fx, fr)
             if parts is not None:
                 return not any(parts)

@@ -78,6 +78,20 @@ def test_center_radius_round_trip():
     assert hc.center() == (F(1), F(-2))
 
 
+@pytest.mark.parametrize("metric", [E, H, P])
+@pytest.mark.parametrize("row", [(3, 6, -9, 5), (F(-2, 3), F(1, 5), 0, 7),
+                                 (-4, 0, F(8, 3), F(1, 2))])
+def test_center_read_off_the_form_equals_the_row_read(metric, row):
+    # with its rational form cached, center() reads -eta_i P_i / P_0 off
+    # the form; the value and every type equal the read of the row
+    cached = Cycle.from_row(metric, row)
+    cached.integer_form()
+    for c in (cached, cached.canonical()):
+        got, want = c.center(), Cycle.from_row(metric, c.row()).center()
+        assert c._form and got == want
+        assert [type(v) for v in got] == [type(v) for v in want] == [F, F]
+
+
 def test_value_at_curve_equation():
     # k(u^2 - tau v^2) - 2 l u - 2 n v + m
     c = Cycle(P, 1, (F(0), F(1, 2)), 0)  # u^2 - v = 0
