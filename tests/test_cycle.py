@@ -92,6 +92,15 @@ def test_center_read_off_the_form_equals_the_row_read(metric, row):
         assert [type(v) for v in got] == [type(v) for v in want] == [F, F]
 
 
+
+def test_center_of_a_radical_row_is_read_off_the_row():
+    # a cached form over sqrt 2 has a radicand, so center() reads the row
+    from cyclekit.numerics import QuadExt
+    c = Cycle(E, 2, (QuadExt(0, 1, 2), 1), F(1, 3))
+    assert c.integer_form()[2] == 2
+    assert c.center() == (QuadExt(0, F(1, 2), 2), F(1, 2))
+
+
 def test_value_at_curve_equation():
     # k(u^2 - tau v^2) - 2 l u - 2 n v + m
     c = Cycle(P, 1, (F(0), F(1, 2)), 0)  # u^2 - v = 0
