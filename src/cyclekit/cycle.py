@@ -26,14 +26,12 @@ from .numerics import (Arithmetic, QuadExt, Scalar, _quad, canonical_row,
 Eta = Tuple[int, ...]
 
 
-def row_product(metric: Metric, x: Sequence[Scalar], y: Sequence[Scalar],
-                fx=None, fy=None) -> Scalar:
-    """The cycle pairing on raw coefficient rows (k, l.., m), given their
-    integer forms ``fx`` and ``fy`` when the caller has made them."""
-    if fx is None:
-        fx = integer_form(x)
-        fy = fx if y is x else fx and integer_form(y)
-    return _pairing(metric, fx, fx and fy, x[0], x[1:-1], x[-1],
+def row_product(metric: Metric, x: Sequence[Scalar],
+                y: Sequence[Scalar]) -> Scalar:
+    """The cycle pairing on raw coefficient rows (k, l.., m)."""
+    fx = integer_form(x)
+    fy = fx if y is x else fx and integer_form(y)
+    return _pairing(metric, fx, fy, x[0], x[1:-1], x[-1],
                     y[0], y[1:-1], y[-1])
 
 

@@ -35,16 +35,15 @@ trace check.  Each site keeps its own ``eps``; the only settings are
 ``eps``.  A system's data chooses its field: ``linear_solve`` (like
 ``_quad_roots``) works exactly unless its caller asks for floats or an
 entry is a float.  Every exact system is eliminated fraction-free, over
-Z[sqrt d] when a coefficient has a radical part and over the ints
-otherwise (a rhs over one radicand split into its rational part and its
-sqrt d coefficient), and read back by its caller as Fractions and
-QuadExts, except that a branch of ``solve``
-reads a column of int rows back in ints, in one read-back
-(``Reduced.integer_rows``).  An exact cycle row over one radicand has
-one integer form over Z[sqrt d] (``cycle.integer_form``): the cycle
-pairing sums in ints on it, and a rational cycle's canonical row and key
-read its primitive int row.  Chain validation reads a chain's rows into
-ints over Z[sqrt d] itself, with no primitive form.
+Z[sqrt d] when an entry, a rhs included, has a radical part and over the
+ints otherwise, and read back by its caller as Fractions and QuadExts,
+except that a branch of ``solve`` reads a column of int rows back in
+ints, in one read-back (``Reduced.integer_rows``).  An exact cycle row
+over one radicand has one integer form over Z[sqrt d]
+(``cycle.integer_form``): the cycle pairing sums in ints on it, and a
+rational cycle's canonical row and key read its primitive int row.
+Chain validation reads a chain's rows into ints over Z[sqrt d] itself,
+with no primitive form.
 """
 
 from __future__ import annotations
@@ -389,17 +388,13 @@ def near_zero(v: Scalar, eps: float, *rows) -> bool:
     """The floored zero test: ``v == 0`` for exact ``v``; for a float,
     ``|v| <= eps * max(1, S)`` with ``S`` the product of the rows'
     :func:`row_scale` (1 without rows).  A value quadratic in a row passes
-    that row twice.  Scales are computed only for floats, once per
-    distinct row object, and multiplied in the order given."""
+    that row twice.  Scales are computed only for floats, and multiplied
+    in the order given."""
     if is_exact(v):
         return v == 0
     scale = 1.0
-    scales = {}
     for row in rows:
-        s = scales.get(id(row))
-        if s is None:
-            s = scales[id(row)] = row_scale(row)
-        scale *= s
+        scale *= row_scale(row)
     return abs(to_float(v)) <= eps * max(1.0, scale)
 
 
@@ -491,11 +486,6 @@ class Arithmetic:
             return _quad(0, r, n * d, d)
         self.demote(f"second radicand {x} incompatible with {self.radicand}")
         return math.sqrt(to_float(x))
-
-    def is_zero(self, x: Scalar) -> bool:
-        """:func:`near_zero` at :func:`comparison_eps`; a float context
-        tests exact values as floats too."""
-        return near_zero(x if self.exact else to_float(x), comparison_eps())
 
 
 def private_context(ar: Optional[Arithmetic], mode: str = "exact") -> Arithmetic:

@@ -24,10 +24,10 @@ elimination would read it: the pivots depend on the coefficients alone,
 each column is eliminated entry by entry, and a row's signed rhs differ
 only in sign, so a float row keeps its largest magnitude and its floats
 round as they would alone.  A system over two radicands raises its
-RadicalClash in that elimination.  Rational rows with a Q(sqrt d) rhs are
-eliminated over the ints, each rhs column split into its rational part
-and its sqrt d coefficient; a context that holds no radicand then adopts
-d, so a root over another radicand demotes rather than clashes.
+RadicalClash in that elimination.  Rational rows with a rhs over one
+sqrt d are eliminated over Z[sqrt d]; a context that holds no radicand
+then adopts d, so a root over another radicand demotes rather than
+clashes.
 
 Exact work runs on each cycle's integer form (:meth:`Cycle.integer_form`):
 int rows ``P`` and ``Q`` with every entry ``(P_i + Q_i sqrt d)`` times one
@@ -43,8 +43,8 @@ the reduced system (:class:`Reduced`), and its callers read it back.  A
 branch of int rows reads its column in ints (:meth:`Reduced.integer_rows`):
 a basis row is a candidate as it is, and a line against a nonzero demand,
 or a pencil against a point demand, meets it in one integer quadratic
-over Z[sqrt d] (:func:`_line_candidates`); every other result reads back
-Fractions and QuadExts.  A rational candidate is deduplicated and
+(:func:`_line_candidates`); every other result reads back Fractions and
+QuadExts.  A rational candidate is deduplicated and
 verified on its primitive int row, a positive multiple of its canonical
 row; a Q(sqrt d) candidate is verified on its own row and form and
 deduplicated on its canonical cycle's form; only a kept one builds its
@@ -61,17 +61,15 @@ equation on two int parts, and each sign test takes the exact sign of an
 ``R + S sqrt d`` times the sign of the row's lead entry, so a row decides
 as its canonical cycle does (:func:`_form_parts`, :func:`_lead_sign`).  A reference or theta
 over a radicand is paired in the candidate's canonical values.  A float
-candidate pairs with a float copy of its relation's fixed reference row
-and self product, made once per relation: Python computes a float times a
-Fraction as the float times its float, so the bits are the ones the exact
-reference gives.
+candidate pairs with the relation's exact reference row and self product:
+Python computes a float times a Fraction, an int or a QuadExt as the float
+times its float.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from itertools import product as iproduct
 from operator import itemgetter, mul
@@ -187,12 +185,6 @@ class IsOrthogonal(Relation):
         return (prim[-1], *map(mul, self.ref.metric.weights, prim[1:-1]),
                 prim[0])
 
-    @cached_property
-    def ref_float(self) -> Cycle:
-        """The reference's float copy, which a float candidate pairs with
-        (see :meth:`InversiveDistance.reference`); made on first use."""
-        return self.ref.as_float()
-
     def satisfied_by(self, cycle, eps):
         # two exact rows over one radicand in one product metric: the int
         # pairing of their forms is zero or not in its two parts
@@ -202,8 +194,8 @@ class IsOrthogonal(Relation):
             parts = form_pairing(cycle.metric.weights, fx, fr)
             if parts is not None:
                 return not any(parts)
-        ref = self.ref_float if type(cycle.k) is float else self.ref
-        return near_zero(cycle.product(ref), eps, cycle.row(), ref.row())
+        return near_zero(cycle.product(self.ref), eps, cycle.row(),
+                         self.ref.row())
 
     def __repr__(self):
         return f"IsOrthogonal({self.ref!r})"
@@ -284,8 +276,6 @@ class InversiveDistance(Relation):
         self.ref = ref
         self.ref_canonical = ref.canonical()
         self.ref_self = self.ref_canonical.self_product()
-        self.ref_float = self.ref_canonical.as_float()
-        self.ref_self_float = float(self.ref_self)
         self.theta = lift(theta)
         self.coeffs = pairing_coeffs(ref.metric, ref)
         # <R,R> of the reference as given: build's rhs is a root of it
@@ -303,16 +293,6 @@ class InversiveDistance(Relation):
             return 0
         return self.theta * ar.sqrt(lam * self.ref_raw_self)
 
-    def reference(self, cycle: Cycle):
-        """The canonical reference and its self product as ``cycle`` pairs
-        with them: a float candidate (its canonical row is all floats) with
-        their float copies, made once in ``__init__``.  A float times a
-        Fraction, an int or a QuadExt is computed as the float times its
-        float, so the products keep their bits."""
-        if type(cycle.k) is float:
-            return self.ref_float, self.ref_self_float
-        return self.ref_canonical, self.ref_self
-
     def satisfied_by(self, cycle, eps):
         th = self.theta
         parts = _form_parts(cycle, self.ref.metric, self.ref_prim)
@@ -328,7 +308,7 @@ class InversiveDistance(Relation):
             return (quad_sign(R, S, d) * _lead_sign(cycle)
                     in (0, scalar_sign(th)))
         x = _canonical_if_radical(cycle)
-        r = self.reference(x)[0]
+        r = self.ref_canonical
         p, sx = x.product(r), x.self_product()
         lhs = p * p
         rhs = th * th * abs(sx) * abs(self.ref_self)
@@ -371,7 +351,7 @@ class IsTangent(InversiveDistance):
                 return True
             return quad_sign(R, S, d) * _lead_sign(cycle) == want
         x = _canonical_if_radical(cycle)
-        r, sr = self.reference(x)
+        r, sr = self.ref_canonical, self.ref_self
         p, sx = x.product(r), x.self_product()
         rows = x.row(), r.row()
         if not near_zero(p * p - sx * sr, eps, *rows, *rows):
@@ -403,10 +383,6 @@ class SteinerPower(Relation):
         self.power = lift(power)
         self.ref_k = ref.scaled(1 / lift(ref.k))
         self.ref_self = self.ref_k.self_product()
-        # the float copies a float candidate pairs with, as in
-        # InversiveDistance.reference
-        self.ref_float = self.ref_k.as_float()
-        self.ref_self_float = float(self.ref_self)
         base = pairing_coeffs(ref.metric, self.ref_k)
         self.coeffs = (self.power - base[0],) + tuple(-c for c in base[1:])
         fr = self.ref_k.integer_form()
@@ -436,8 +412,7 @@ class SteinerPower(Relation):
             return (cycle.k == 0
                     or quad_sign(tp, tq, d) * _lead_sign(cycle) >= 0)
         cycle = _canonical_if_radical(cycle)
-        r, sr = ((self.ref_float, self.ref_self_float)
-                 if type(cycle.k) is float else (self.ref_k, self.ref_self))
+        r, sr = self.ref_k, self.ref_self
         lhs = self.power * cycle.k - cycle.product(r)
         rhs_sq = cycle.self_product() * sr
         rows = cycle.row(), r.row()
@@ -464,11 +439,9 @@ class Reduced(NamedTuple):
     ``consistent`` has one flag per rhs column: is that column's system
     consistent?  ``rows`` is None when none is.  ``ring`` is the type the
     rows are kept in: ``int`` or ``QuadExt`` for a primitive row over the
-    ints or Z[sqrt d] with its pivot as the elimination left it, ``float``
-    for a row scaled to a unit pivot.  ``d`` is the radicand of split rhs
-    columns, 0 for none: int rows hold rhs column j's rational part in
-    rhs column j and its sqrt d coefficient k columns later, k the number
-    of rhs columns.  A column reads back over the field
+    ints or Z[sqrt d] (a rhs over sqrt d makes it Z[sqrt d]) with its pivot
+    as the elimination left it, ``float`` for a row scaled to a unit
+    pivot.  A column reads back over the field
     (:meth:`particular`, :meth:`basis`) or, from int rows, in ints over the
     lcm of the pivots (:meth:`integer_rows`).
     """
@@ -478,7 +451,6 @@ class Reduced(NamedTuple):
     nunk: int
     ring: type
     consistent: Tuple[bool, ...]
-    d: int
 
     def solution(self):
         """``(particular, basis)`` of rhs column 0 over the field: an
@@ -488,14 +460,11 @@ class Reduced(NamedTuple):
         return (None, None) if p is None else (p, self.basis())
 
     def _entry(self, r: int, col: int, j: int):
-        """Entry ``j`` of row ``r`` over its pivot in column ``col``; a
-        split rhs entry joins its sqrt d coefficient."""
+        """Entry ``j`` of row ``r`` over its pivot in column ``col``."""
         row = self.rows[r]
         if self.ring is float:
             return row[j]
-        b = self.d and j >= self.nunk and row[j + len(self.consistent)]
-        return _quad(row[j], b, row[col], self.d) if b else \
-            _quotient(row[j], row[col])
+        return _quotient(row[j], row[col])
 
     def particular(self, column: int = 0) -> Optional[tuple]:
         """The particular row of rhs column ``column``: each pivot column
@@ -537,12 +506,12 @@ class Reduced(NamedTuple):
 
     def integer_rows(self, column: int):
         """Rhs column ``column`` of int rows read back as ints ``(L, basis,
-        P, Q)``, ``L`` the lcm of ``|pivot|``: ``basis()`` is ``[V / L for V
-        in basis]`` and ``particular(column)`` is ``(P + Q sqrt d) / L``,
-        ``Q`` ``()`` with no radical part.  A basis row holds ``L`` in its
-        free column and ``-L`` times that column over the pivot in each
-        pivot column (:meth:`_scaled`).  None for rows that are not ints or
-        an inconsistent column."""
+        P)``, ``L`` the lcm of ``|pivot|``: ``basis()`` is ``[V / L for V
+        in basis]`` and ``particular(column)`` is ``P / L``.  A basis row
+        holds ``L`` in its free column and ``-L`` times that column over the
+        pivot in each pivot column (:meth:`_scaled`).  None for rows that
+        are not ints (a rhs over sqrt d makes them Z[sqrt d] rows) or an
+        inconsistent column."""
         if self.ring is not int or not self.consistent[column]:
             return None
         nunk = self.nunk
@@ -554,9 +523,7 @@ class Reduced(NamedTuple):
                 V = self._scaled(free, -L)
                 V[free] = L
                 basis.append(tuple(V))
-        j = nunk + column
-        Q = self.d and self._scaled(j + len(self.consistent), L)
-        return L, basis, self._scaled(j, L), Q if Q and any(Q) else ()
+        return L, basis, self._scaled(nunk + column, L)
 
 
 def linear_solve(rows: List[Row], nunk: int,
@@ -576,12 +543,9 @@ def linear_solve(rows: List[Row], nunk: int,
     ``ring`` None reads the ring off the entry types (:func:`_ring`);
     ``float`` forces the float loop.  An exact system is eliminated
     fraction-free (:func:`_fraction_free`) and kept in the ring it ran in:
-    the ints, or Z[sqrt d] when an entry is a ``QuadExt``.  When only the
-    rhs has radical parts, all over one radicand d, each rhs column is
-    split into its rational part and its sqrt d coefficient and the
-    elimination stays over the ints (``Reduced.d``).  Float rows
-    partial-pivot, rank-test against EPS_RANK times the original row
-    magnitude and are scaled to unit pivots.
+    the ints, or Z[sqrt d] when an entry is a ``QuadExt``, a rhs entry
+    included.  Float rows partial-pivot, rank-test against EPS_RANK times
+    the original row magnitude and are scaled to unit pivots.
     """
     full = [(*coeffs, *rhs) if type(rhs) is tuple else (*coeffs, rhs)
             for coeffs, rhs in rows]
@@ -591,21 +555,13 @@ def linear_solve(rows: List[Row], nunk: int,
     if ring is not float:
         cleared, primitive = _CLEARING[ring]
         A = [cleared(row) for row in full]
-        d = _split_radicand(A, nunk) if ring is QuadExt else 0
-        if d:
-            A = [[*row[:nunk], *[c.p if type(c) is QuadExt else c
-                                 for c in row[nunk:]],
-                  *[c.q if type(c) is QuadExt else 0 for c in row[nunk:]]]
-                 for row in A]
-            ring, primitive = int, _primitive
         A, pivots = _fraction_free(A, nunk, primitive)
         rest = A[len(pivots):]
-        consistent = tuple([not any(row[j] or d and row[j + ncols]
-                                    for row in rest)
+        consistent = tuple([not any(row[j] for row in rest)
                             for j in range(nunk, nunk + ncols)]) \
             if rest else (True,) * ncols
         return Reduced(A if any(consistent) else None, pivots, nunk,
-                       QuadExt if ring is QuadExt else int, consistent, d)
+                       QuadExt if ring is QuadExt else int, consistent)
     A = [[float(c) for c in row] for row in full]
     norms = [row_scale(row) for row in A]
     pivots: List[Tuple[int, int]] = []
@@ -632,7 +588,7 @@ def linear_solve(rows: List[Row], nunk: int,
                             for i in range(rank, len(A)))
                         for j in range(nunk, nunk + ncols)])
     return Reduced(A if any(consistent) else None, pivots, nunk, float,
-                   consistent, 0)
+                   consistent)
 
 
 def _fraction_free(A: list, nunk: int, primitive):
@@ -678,16 +634,6 @@ def _ring(kinds: set) -> type:
         return Fraction if Fraction in kinds else int
     exact = all(issubclass(t, (int, Fraction, QuadExt)) for t in kinds)
     return QuadExt if exact else float
-
-
-def _split_radicand(A: list, nunk: int) -> int:
-    """The radicand of the rhs of the cleared Z[sqrt d] rows ``A`` when
-    every coefficient is an int and the rhs's radical parts are all over
-    that one radicand; 0 otherwise."""
-    if any(type(c) is QuadExt for row in A for c in row[:nunk]):
-        return 0
-    ds = {c.d for row in A for c in row[nunk:] if type(c) is QuadExt}
-    return ds.pop() if len(ds) == 1 else 0
 
 
 def _integer_row(row):
@@ -821,33 +767,31 @@ def _solve_branch(metric, red: Reduced, column: int, demand,
     has read it: it is read when the field rows are read back, once.
 
     Returns (list of rows | None, parametric tuple | None).  A column of
-    int rows, its rhs rational or split over the context's radicand,
-    stays in ints from the elimination to the candidate rows
-    (:meth:`Reduced.integer_rows`): a single basis row is the candidate,
-    and a line against a nonzero demand, or a pencil against a point
-    demand, meets it in :func:`_line_candidates`.  It reads back the field
-    rows (:func:`_field_candidates`) only for a parametric result, a
-    homogeneous system with a nonzero demand, no free column with a
-    nonzero demand, and a split rhs over a radicand the context does not
-    hold; so do float eliminations and those over Z[sqrt d].
+    int rows, its rhs rational, stays in ints from the elimination to the
+    candidate rows (:meth:`Reduced.integer_rows`): a single basis row is
+    the candidate, and a line against a nonzero demand, or a pencil
+    against a point demand, meets it in :func:`_line_candidates`.  It
+    reads back the field rows (:func:`_field_candidates`) only for a
+    parametric result, a homogeneous system with a nonzero demand, and no
+    free column with a nonzero demand; so do float eliminations and those
+    over Z[sqrt d], rational rows with a rhs over sqrt d among them.
     """
     if not red.consistent[column]:
         return [], None
-    ints = (ar.exact and (not red.d or ar.radicand == red.d)
-            and red.integer_rows(column))
+    ints = ar.exact and red.integer_rows(column)
     if ints:
-        L, basis, P, Q = ints
+        L, basis, P = ints
         w, dim = metric.weights, len(basis)
-        homogeneous = not (Q or any(P))
+        homogeneous = not any(P)
         sols = None
         if dim < 2 and (demand is None or demand == 0 and homogeneous):
             ok = dim and (demand is None or not integer_pairing(
                 w, basis[0], basis[0]))
             return (basis if ok else []), None
         if demand == 0 and homogeneous and dim == 2:
-            sols = _line_candidates(w, L, *basis, (), 0, 0, ar)
+            sols = _line_candidates(w, L, *basis, 0, ar)
         elif demand and not homogeneous and dim == 1:
-            sols = _line_candidates(w, L, basis[0], P, Q, red.d, demand, ar)
+            sols = _line_candidates(w, L, basis[0], P, demand, ar)
         if sols is not None:
             return sols, None
     if not bases:
@@ -869,9 +813,7 @@ def _field_candidates(metric, p, basis, demand, ar: Arithmetic):
             return [basis[0]], None
         return None, (None, basis, None)
 
-    # the pairings of p, basis[0] and basis[1], each row's form made once
-    forms = {id(x): integer_form(x) for x in (p, *basis[:2])}
-    Q = lambda x, y: row_product(metric, x, y, forms[id(x)], forms[id(y)])
+    Q = lambda x, y: row_product(metric, x, y)
 
     if homogeneous:
         if dim == 0:
@@ -914,74 +856,57 @@ def _field_candidates(metric, p, basis, demand, ar: Arithmetic):
     return None, ((p,), basis, demand)
 
 
-def _line_candidates(w, L, V, P, Q, d, demand, ar: Arithmetic):
-    """:func:`_field_candidates` of the line ``p + t v``, ``p = (P + Q sqrt
-    d) / L``, ``v = V / L`` (:meth:`Reduced.integer_rows`), against the
-    demand ``<x,x> = demand``, in ints over Z[sqrt d]: ``a``, ``b``, ``c``
-    are ``L**2`` times the field rows'.  A point demand reads the pencil
-    spanned by two homogeneous rows, ``V`` and ``P`` (``Q`` empty), as
-    :func:`_binary_quadratic` does: ``V`` is then a root when isotropic.
+def _line_candidates(w, L, V, P, demand, ar: Arithmetic):
+    """:func:`_field_candidates` of the line ``p + t v``, ``p = P / L``,
+    ``v = V / L`` (:meth:`Reduced.integer_rows`), against the demand
+    ``<x,x> = demand``, in ints: ``a``, ``b``, ``c`` are ``L**2`` times the
+    field rows'.  A point demand reads the pencil spanned by two
+    homogeneous rows, ``V`` and ``P``, as :func:`_binary_quadratic` does:
+    ``V`` is then a root when isotropic.
 
     ``a = 0``, a zero discriminant and a perfect-square one are settled
     in ints (:func:`math.isqrt`).  Any other root is taken once, in
     ``ar``, on the field discriminant ``(b^2 - ac) / L^4``.  An exact root
-    ``(rp + rq sqrt D) / rn`` gives ``rn (a (P + Q sqrt d) - b V) -+ L^2
-    (rp + rq sqrt D) V``, a rational multiple of the field row, -root
-    first: an int row or a row of ``(x + y sqrt D)``.  A float root gives the field rows'
-    floats bit for bit, as ``float(QuadExt)`` gives them.  None when ``a``,
-    ``b`` and ``c`` are all 0, which the field rows take."""
+    ``(rp + rq sqrt D) / rn`` gives ``rn (a P - b V) -+ L^2 (rp + rq sqrt
+    D) V``, a rational multiple of the field row, -root first: a row of
+    ``(x + y sqrt D)``.  A float root gives the field rows' floats bit for
+    bit.  None when ``a``, ``b`` and ``c`` are all 0, which the field rows
+    take."""
     a = integer_pairing(w, V, V)
     L2 = L * L
-    bp, cp, bq, cq = (integer_pairing(w, P, V),
-                      integer_pairing(w, P, P) - demand * L2, 0, 0)
-    if Q:
-        bq = integer_pairing(w, Q, V)
-        cp += d * integer_pairing(w, Q, Q)
-        cq = 2 * integer_pairing(w, P, Q)
+    b, c = integer_pairing(w, P, V), integer_pairing(w, P, P) - demand * L2
     if not a:
         head = [V] if demand == 0 else []
-        if not (bp or bq):
-            return None if not (cp or cq) else head
-        # the one root t = -c / 2b, times 2n, n the norm of b: -c conj(b)
-        n = bp * bp - d * bq * bq
-        return head + [_root_row(2 * n, P, Q, d * cq * bq - cp * bp,
-                                 cp * bq - cq * bp, V, d)]
-    dp, dq = bp * bp + d * bq * bq - a * cp, 2 * bp * bq - a * cq
-    if dq:
-        disc = _quad(dp, dq, L2 * L2, d)
-        if scalar_sign(disc) < 0:
-            return []
-    elif dp < 0:
+        if not b:
+            return None if not c else head
+        # the one root t = -c / 2b, times 2 b^2: -c b
+        return head + [_root_row(2 * b * b, P, -c * b, 0, V, 0)]
+    disc = b * b - a * c
+    if disc < 0:
         return []
+    r = math.isqrt(disc)
+    if r * r == disc:
+        rp, rq, rn, M, D = r, 0, 1, 1, 0
     else:
-        r = math.isqrt(dp)
-        disc = None if r * r == dp else Fraction(dp, L2 * L2)
-    if disc is None:
-        rp, rq, rn, M, D = r, 0, 1, 1, d
-    else:
-        root = ar.sqrt(disc)
+        root = ar.sqrt(Fraction(disc, L2 * L2))
         if type(root) is float:
             # x / n is float(Fraction(x, n)): int / int rounds correctly
-            fl = lambda x, y, n: x / n + y / n * math.sqrt(d) if y else x / n
-            fa, fb = a / L2, fl(bp, bq, L2)
-            fp = [fl(x, y, L) for x, y in zip(P, Q or [0] * len(P))]
-            fv = [x / L for x in V]
+            fa, fb = a / L2, b / L2
+            fp, fv = [x / L for x in P], [x / L for x in V]
             return [_combine(fp, fv, t)
                     for t in sorted({(-fb - root) / fa, (-fb + root) / fa})]
         rp, rq, rn, M, D = root.p, root.q, root.n, L2, root.d
-    return [_root_row(rn * a, P, Q, s * rp - rn * bp, s * rq - rn * bq, V, D)
+    return [_root_row(rn * a, P, s * rp - rn * b, s * rq, V, D)
             for s in ((-M, M) if rp or rq else (0,))]
 
 
-def _root_row(k, P, Q, tp, tq, V, D):
-    """The row ``k (P + Q sqrt D) + (tp + tq sqrt D) V``: ints, or
-    ``(x + y sqrt D)`` entries when a ``y`` is nonzero."""
+def _root_row(k, P, tp, tq, V, D):
+    """The row ``k P + (tp + tq sqrt D) V``: ints, or ``(x + y sqrt D)``
+    entries when ``tq`` is nonzero."""
     xp = [k * x + tp * v for x, v in zip(P, V)]
-    if not (Q or tq):
+    if not tq:
         return tuple(xp)
-    xq = [k * y + tq * v for y, v in zip(Q or [0] * len(V), V)]
-    return (tuple([_quad(x, y, 1, D) for x, y in zip(xp, xq)]) if any(xq)
-            else tuple(xp))
+    return tuple([_quad(x, tq * v, 1, D) for x, v in zip(xp, V)])
 
 
 def _binary_quadratic(Q, v1, v2, ar: Arithmetic):
@@ -1032,8 +957,8 @@ def solve(relations: Sequence[Relation], metric: Metric,
         return SolutionSet("infeasible",
                            reason=f"conflicting demands {sorted(demands)}")
     demand = 0 if 0 in demands else next(iter(demands), None)
-    lam = (_square_class(relations) if exact and demand
-           and kinds <= {int, Fraction} else 1)
+    rational = kinds <= {int, Fraction}      # the coefficient rows
+    lam = _square_class(relations) if exact and demand and rational else 1
     rhs = [0 if demand == 0 else r.build(ar, lam) for _, r, _ in live]
     kinds.update(map(type, rhs))
     ring = _ring(kinds) if ar.exact else float
@@ -1053,8 +978,9 @@ def solve(relations: Sequence[Relation], metric: Metric,
     red = linear_solve([(c, tuple([v if p[i] == 1 else -v for p in patterns])
                          if v else (v,) * len(patterns))
                         for (i, _, c), v in zip(live, rhs)], metric.n + 2, ring)
-    if red.d:
-        ar.adopt(red.d)              # a rhs over sqrt d: roots share it
+    radicands = {v.d for v in rhs if type(v) is QuadExt}
+    if ring is QuadExt and rational and len(radicands) == 1:
+        ar.adopt(*radicands)         # a rhs over sqrt d: roots share it
     contexts, bases, found, parametric = [ar], [], [], None
     for column, pattern in enumerate(patterns):
         if len(signed) > 1:

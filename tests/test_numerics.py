@@ -202,13 +202,6 @@ class TestArithmetic:
     def test_float_mode(self):
         ar = Arithmetic("float")
         assert math.isclose(ar.sqrt(2), math.sqrt(2))
-        assert ar.is_zero(1e-12)
-        assert not ar.is_zero(1e-6)
-
-    def test_exact_is_zero_is_strict(self):
-        ar = Arithmetic("exact")
-        assert ar.is_zero(F(0))
-        assert not ar.is_zero(F(1, 10**12))
 
 
 def test_scalar_sign():

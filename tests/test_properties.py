@@ -7,7 +7,6 @@ The examples are drawn by hypothesis under the derandomized profile that
 ``conftest.py`` loads.
 """
 
-import copy
 import functools
 import math
 import operator
@@ -824,7 +823,7 @@ def test_integer_pencil_equals_the_field_roots(case, radicand):
     V, P = (tuple([int(x * L) for x in v]) for v in (v1, v2))
     Q = lambda x, y: cycle.row_product(metric, x, y)
     got = _branch_outcome(lambda ar: (relations._line_candidates(
-        metric.weights, L, V, P, (), 0, 0, ar), None), radicand)
+        metric.weights, L, V, P, 0, ar), None), radicand)
     want = _branch_outcome(lambda ar: (relations._binary_quadratic(
         Q, v1, v2, ar), None), radicand)
     assert got == want
@@ -1403,10 +1402,10 @@ def _pattern_rows(rows, signed, signs):
 
 
 @st.composite
-def split_systems(draw):
+def radical_rhs_systems(draw):
     """Rational coefficient rows whose rhs lie in Q(sqrt d), some with no
-    radical part: ``linear_solve`` splits each rhs column into its
-    rational part and its sqrt d coefficient."""
+    radical part: ``linear_solve`` eliminates them over Z[sqrt d] when a
+    rhs has a radical part, over the ints otherwise."""
     d = draw(st.sampled_from([2, 3, 5, 6]))
     quads = st.builds(lambda a, b: QuadExt(a, b, d), rationals, rationals)
     return draw(rational_systems(
@@ -1432,12 +1431,12 @@ def two_radicand_systems(draw):
 def signed_linear_systems(draw):
     """A system (zero, dependent and inconsistent rows included) with a
     signed rhs on some rows and rhs 0 on the others, and the ``ring`` to
-    eliminate it in: rational, radical, split or two-radicand rows
+    eliminate it in: rational, radical, radical-rhs or two-radicand rows
     exactly, float rows or exact rows in floats."""
     ring = draw(st.sampled_from([None, float]))
     floats = st.floats(-50, 50)
     rows, nunk = draw(st.one_of(
-        rational_systems(), radical_systems(), split_systems(),
+        rational_systems(), radical_systems(), radical_rhs_systems(),
         two_radicand_systems(),
         rational_systems(floats, floats, floats.filter(bool))))
     signed = sorted(draw(st.sets(st.sampled_from(range(len(rows))),
@@ -1470,7 +1469,8 @@ def _outcome_or_error(fn):
            ((2 + R2, R2, 1), 1 + R2)], [0, 1, 2], 3, None))
 # every signed rhs 0: the particular row cancels to zero
 @example(([((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0)], [0, 1], 4, None))
-# rational rows with sqrt 2 rhs, split; and the same rows in floats
+# rational rows with sqrt 2 rhs, over Z[sqrt 2]; and the same rows in
+# floats
 @example(([((1, 2, 0, 1), R2), ((0, 1, 1, 0), 3 * R2), ((2, 0, 1, 1), 1)],
           [0, 1], 4, None))
 @example(([((1, 2, 0, 1), R2), ((0, 1, 1, 0), 3 * R2), ((2, 0, 1, 1), 1)],
@@ -1508,15 +1508,15 @@ LINE_METRICS = {3: [Metric.from_signature(1)], 4: METRICS,
 
 @st.composite
 def line_systems(draw):
-    """A system from split_systems or signed_linear_systems with its sign
-    patterns, a metric, a demand +-1 and the radicand a solve's context
-    may hold.  Rational coefficient rows are topped up with random rows
-    (rhs over the system's radicand) towards one free column, where the
-    solution is a line."""
+    """A system from radical_rhs_systems or signed_linear_systems with its
+    sign patterns, a metric, a demand +-1 and the radicand a solve's
+    context may hold.  Rational coefficient rows are topped up with random
+    rows (rhs over the system's radicand) towards one free column, where
+    the solution is a line."""
     rows, signed, nunk, ring = draw(st.one_of(
-        split_systems().map(lambda s: (s[0], [i for i, (_, r) in
-                                              enumerate(s[0]) if r][:3],
-                                       s[1], None)),
+        radical_rhs_systems().map(lambda s: (s[0], [i for i, (_, r) in
+                                                    enumerate(s[0]) if r][:3],
+                                             s[1], None)),
         signed_linear_systems()))
     ds = {r.d for _, r in rows if type(r) is QuadExt and r.q}
     d = min(ds) if ds else None
@@ -1551,16 +1551,16 @@ def _line(rows, demand=-1, radicand=None):
 @example(_line((1, 0, 0)))                             # l_1 = +-sqrt(1/2)
 @example(_line((1, 0, 0), radicand=Fraction(2)))       # in the context's
 @example(_line((1, 0, Fraction(1, 4)), radicand=Fraction(2)))  # sqrt 3
-@example(_line((1, R2, 2), radicand=Fraction(2)))      # split, root sqrt 2
+@example(_line((1, R2, 2), radicand=Fraction(2)))      # rhs and root sqrt 2
 @example(_line((1, R2, 3 * R2), radicand=Fraction(2)))  # nested radical
-@example(_line((1, R2, 3 * R2)))       # split over a context with none
-# m is free: <v,v> = 0, one root; and the same over a split rhs, whose
+@example(_line((1, R2, 3 * R2)))       # sqrt 2 rhs, a context with none
+# m is free: <v,v> = 0, one root; and the same over a sqrt 2 rhs, whose
 # one root t = -c / 2b has b and c in Q(sqrt 2)
 @example((E2, [((1, 0, 0, 0), 1), ((0, 1, 0, 0), 0), ((0, 0, 1, 0), 0)],
           [], None, 1, None))
 @example((E2, [((1, 0, 0, 0), 1 + R2), ((0, 1, 0, 0), 2 - R2),
                ((0, 0, 1, 0), 0)], [], None, 1, Fraction(2)))
-# two sign patterns on a split rhs, and two on a rational one
+# two sign patterns on a sqrt 2 rhs, and two on a rational one
 @example((E2, [((1, 0, 0, 0), 1), ((0, 0, 1, 0), R2), ((0, 1, 0, 1), 3)],
           [1, 2], None, -1, Fraction(2)))
 @example((Metric.named("h"), [((1, 0, 0, 0), 2), ((0, 1, 0, 0), 1),
@@ -1592,16 +1592,16 @@ def test_integer_line_equals_the_field_candidates(system):
 
 
 @settings(max_examples=300)
-@given(st.one_of(rational_systems(), split_systems()), st.data())
-# sqrt 2 rhs on two signed rows of rational rows, split, and their
-# difference with its rhs: one of the four patterns is consistent
+@given(st.one_of(rational_systems(), radical_rhs_systems()), st.data())
+# sqrt 2 rhs on two signed rows of rational rows, and their difference
+# with its rhs: eliminated over Z[sqrt 2], with no int read-back
 @example(([((1, 2, 0, 1), R2), ((0, 1, 1, 0), 3 * R2), ((2, 0, 1, 1), 1),
            ((1, 1, -1, 1), -2 * R2)], 4), None)
 def test_integer_rows_equal_the_field_read_back(system, data):
     # every consistent rhs column of an int elimination reads back in
-    # ints (L, basis, P, Q) as the field rows read it, typed: basis() is
+    # ints (L, basis, P) as the field rows read it, typed: basis() is
     # [V / L] with L in each row's free column, and particular(j) is
-    # (P + Q sqrt d) / L, a Fraction where the radical part is 0
+    # P / L
     rows, nunk = system
     signed = [0, 1] if data is None else sorted(data.draw(st.sets(
         st.sampled_from(range(len(rows))), max_size=3)))
@@ -1611,8 +1611,8 @@ def test_integer_rows_equal_the_field_read_back(system, data):
         [(c, tuple([pattern[i][1] for pattern in patterns]))
          for i, (c, _) in enumerate(rows)], nunk)
     if red.ring is not int:
-        # a QuadExt rhs with no radical part keeps the elimination over
-        # Z[sqrt d], whose rows have no int read-back
+        # a rhs over sqrt d keeps the elimination over Z[sqrt d], whose
+        # rows have no int read-back
         assert all(red.integer_rows(j) is None
                    for j in range(len(patterns)))
         return
@@ -1622,66 +1622,13 @@ def test_integer_rows_equal_the_field_read_back(system, data):
         if not consistent:
             assert ints is None
             continue
-        L, basis, P, Q = ints
+        L, basis, P = ints
         assert L > 0
         assert [V[f] for V, f in zip(basis, free)] == [L] * len(free)
         assert _typed([tuple([Fraction(x, L) for x in V]) for V in basis]) \
             == _typed(red.basis())
-        want = red.particular(j)
-        assert _typed(tuple([
-            QuadExt(Fraction(x, L), Fraction(y, L), red.d) if y
-            else Fraction(x, L) for x, y in zip(P, Q or [0] * nunk)])) \
-            == _typed(want)
-        assert bool(Q) == any(type(v) is QuadExt for v in want)
-
-
-def _exact_twin(rel):
-    """A copy of ``rel`` whose float copies are its exact references, so a
-    float candidate pairs with the exact rows as it did before them."""
-    twin = copy.copy(rel)
-    if isinstance(rel, InversiveDistance):
-        twin.ref_float, twin.ref_self_float = rel.ref_canonical, rel.ref_self
-    elif isinstance(rel, SteinerPower):
-        twin.ref_float, twin.ref_self_float = rel.ref_k, rel.ref_self
-    else:
-        twin.ref_float = rel.ref
-    return twin
-
-
-@settings(max_examples=300)
-@given(st.sampled_from(METRICS), exact_rows, exact_rows, st.booleans(),
-       st.tuples(*[st.floats(-50, 50)] * 4),
-       st.sampled_from([0.0, 1e-15, 1e-9, 1e-3, 1.0]), rationals)
-def test_float_reference_pairs_bit_for_bit(metric, rrow, yrow, orthogonal,
-                                           noise, size, value):
-    # a float candidate near the reference, or near a cycle orthogonal to
-    # it, y <R,R> - <y,R> R, or far from both
-    ref = Cycle.from_row(metric, rrow)
-    if not any(rrow):
-        reject()
-    near = rrow
-    if orthogonal:
-        ss, yr = ref.self_product(), Cycle.from_row(metric, yrow).product(ref)
-        near = [a * ss - b * yr for a, b in zip(yrow, rrow)]
-    x = Cycle.from_row(metric, [float(v) + size * e for v, e in
-                                zip(near, noise)]).canonical()
-    if not any(x.row()):
-        reject()
-    rels = [IsTangent(ref, variant) for variant in
-            ("both", "external", "internal")]
-    rels += [InversiveDistance(ref, t) for t in (value, 0, 1)]
-    rels += [IsOrthogonal(ref)]
-    rels += [SteinerPower(ref, value)] if ref.k != 0 else []
-    eps = comparison_eps()
-    for rel in rels:
-        twin = _exact_twin(rel)
-        assert x.product(rel.ref_float).hex() == \
-            x.product(twin.ref_float).hex()
-        if not isinstance(rel, IsOrthogonal):
-            sx = x.self_product()
-            assert (sx * rel.ref_self_float).hex() == \
-                (sx * twin.ref_self_float).hex()
-        assert rel.satisfied_by(x, eps) == twin.satisfied_by(x, eps)
+        assert _typed(tuple([Fraction(x, L) for x in P])) \
+            == _typed(red.particular(j))
 
 
 def _ref_row_product(metric, x, y):

@@ -291,6 +291,39 @@ def test_a_rational_rhs_from_radicals_is_eliminated_over_the_ints(
         ["(0.7499999999999999, 1.0, -0.10551611250369013, 0.0)"]
 
 
+def test_a_rhs_over_one_radicand_is_eliminated_over_it_and_adopted(
+        monkeypatch):
+    # system 30 of test_a_radicand_from_the_data_demotes_a_second_one:
+    # rational rows whose rhs is over sqrt 3 are eliminated over Z[sqrt 3],
+    # and the context adopts 3 from the rhs, so each root over sqrt 5
+    # demotes with a note; the demoted rows and the notes are pinned
+    seen = []
+
+    def spy(rows, nunk, ring=None):
+        red = linear_solve(rows, nunk, ring)
+        seen.append(red.ring)
+        return red
+
+    monkeypatch.setattr(relations, "linear_solve", spy)
+    refs = [Cycle.circle(E, (F(0), F(-3)), F(18)),
+            Cycle.circle(E, (F(1), F(2)), F(2)),
+            Cycle.circle(E, (F(-3, 2), F(-3)), F(18))]
+    sol = solve([IsTangent(refs[0]), IsTangent(refs[1]),
+                 InversiveDistance(refs[2], QuadExt(0, F(1, 2), 3))], E)
+    assert seen == [QuadExt]
+    assert sol.demoted and sol.notes == [
+        "second radicand 5 incompatible with 3",
+        "second radicand 5 incompatible with 3",
+        "nested radical sqrt(QuadExt(433/9, -80/3, sqrt=3))",
+        "nested radical sqrt(QuadExt(433/9, 80/3, sqrt=3))"]
+    assert [repr(c.row()) for c in sol.cycles] == [
+        "(0.2811148983831685, -0.2718883367738444, 0.4828554550855609, 1.0)",
+        "(0.31665148512547603, 0.5764504096889891, 0.09021625697767757, 1.0)",
+        "(0.7424863616675849, -0.17920169209804046, 0.8458683587647071, 1.0)",
+        "(0.8031239501135529, 0.5752635515777575, 0.7224805440320778, 1.0)",
+        "(0.8887142961897686, 0.18381121158110578, 0.938555003440511, 1.0)"]
+
+
 def test_a_scaled_demand_is_reported_as_its_sign(monkeypatch):
     # a circle of radius 1 has <R,R> = -2, so an exact solve scales the
     # demand <x,x> = -1 to -2 and the tangency rhs sqrt(2 * 2) = 2 is
@@ -503,24 +536,7 @@ class TestVerificationReadsCanonicalRows:
 
 
 class TestVerificationCountsItsWork:
-    """The floored test scales each row once per call, and a single
-    solution is not keyed for sorting."""
-
-    def test_float_tangency_scales_each_row_once(self, monkeypatch):
-        calls = Counter()
-        row_scale = numerics.row_scale
-
-        def counted(row):
-            calls["row_scale"] += 1
-            return row_scale(row)
-
-        monkeypatch.setattr(numerics, "row_scale", counted)
-        # the circle about (2, 0) of radius 1 touches the unit circle; its
-        # float row makes the residual a float, tested against the rows
-        # (x, ref, x, ref)
-        rel = IsTangent(UNIT)
-        assert rel.satisfied_by(Cycle(E, 1.0, (2.0, 0.0), 3.0), 1e-9)
-        assert calls == {"row_scale": 2}
+    """A single solution is not keyed for sorting."""
 
     def test_one_solution_is_not_sort_keyed(self, monkeypatch):
         calls = Counter()
