@@ -5,7 +5,10 @@ generation 0, a relation-defined node lands one generation above its
 newest parent, and two predefined nodes exist from the start: the
 boundary line at generation REAL_LINE_GEN and the zero-radius cycle at
 infinity at INFINITY_GEN.  Point nodes keep their coordinates and
-re-derive the row from the metric.
+re-derive the row from the metric.  A reflection node is derived, not
+solved: its instances are the reflections X <C,C> - 2 <X,C> C of its
+parents' instances, the Moebius-Lie reflection of X in C, and an edit
+re-derives it in its cone as it re-solves a relation node.
 
 Quadratic relations produce solution pairs, so a node may carry several
 instances.  Children are solved once per combination of parent
@@ -156,7 +159,7 @@ class Instance:
 @dataclass
 class FigureNode:
     label: str
-    kind: str                 # predefined | cycle | point | rel | subfigure
+    kind: str     # predefined | cycle | point | rel | subfigure | reflection
     generation: int
     relations: Tuple[RelSpec, ...] = ()
     pins: Tuple[RelSpec, ...] = ()
@@ -166,6 +169,7 @@ class FigureNode:
     inner: Optional[dict] = None
     bindings: Tuple[Tuple[str, str], ...] = ()
     result: Optional[str] = None
+    mirror: Tuple[str, ...] = ()      # a reflection's (x, c) labels
     status: str = "pending"   # pending | solved | parametric | infeasible
     instances: List[Instance] = field(default_factory=list)
     reason: str = ""
@@ -181,6 +185,8 @@ class FigureNode:
                 if outer not in seen:
                     seen.append(outer)
             return tuple(seen)
+        if self.kind == "reflection":
+            return tuple(dict.fromkeys(self.mirror))
         seen = []
         for spec in self.relations + self.pins:
             if spec.parent is not None and spec.parent not in seen:
@@ -295,7 +301,7 @@ class Figure:
                     if on_parent else self.metric, *spec.args)
 
     def _generation_for(self, parents: Sequence[str]) -> int:
-        gens = [self._nodes[p].generation for p in parents]
+        gens = [self.node(p).generation for p in parents]
         return (max(gens) if gens else -1) + 1
 
     def add_cycle_rel(self, relations: Sequence[RelSpec], label: str,
@@ -337,6 +343,14 @@ class Figure:
         node = FigureNode(label, "subfigure", 0, inner=obj,
                           bindings=tuple(sorted(bindings.items())),
                           result=result)
+        node.generation = self._generation_for(node.parent_labels())
+        return self._install(node)
+
+    def add_reflection(self, x: str, c: str, label: str) -> str:
+        """Derived node: the reflection of ``x`` in ``c``, one instance per
+        consistent pair of their instances, computed and never solved."""
+        self._claim(label)
+        node = FigureNode(label, "reflection", 0, mirror=(x, c))
         node.generation = self._generation_for(node.parent_labels())
         return self._install(node)
 
@@ -392,6 +406,13 @@ class Figure:
                     reasons.append(sols.reason)
                     continue
                 cycles = sols.cycles
+            elif node.kind == "reflection":
+                image = self._reflect(node, by_label)
+                if image is None:
+                    reasons.append(f"{node.mirror[1]!r} has <C,C> = 0: "
+                                   "no reflection in it")
+                    continue
+                cycles = [image]
             else:
                 cycles = self._run_subfigure(node, by_label)
                 if cycles is None:
@@ -415,6 +436,18 @@ class Figure:
             node.status = "infeasible"
             node.reason = ("; ".join(r for r in reasons if r)
                            or "no parent combination produced instances")
+
+    @staticmethod
+    def _reflect(node, by_label) -> Optional[Cycle]:
+        """The reflection X <C,C> - 2 <X,C> C of the node's parents' X in C,
+        canonical; None when <C,C> is zero (:func:`near_zero`)."""
+        x, c = (by_label[lab].cycle for lab in node.mirror)
+        cc, row = c.self_product(), c.row()
+        if near_zero(cc, comparison_eps(), row, row):
+            return None
+        t = 2 * x.product(c)
+        return Cycle.from_row(x.metric, [cc * a - t * b for a, b in
+                                         zip(x.row(), row)]).canonical()
 
     def _filter_avoid(self, node, cycles, ctx):
         if not node.avoid:
@@ -475,12 +508,12 @@ class Figure:
         self._resolve(None)
 
     def _resolve(self, changed: Optional[Set[str]]):
-        """Re-solve derived nodes in insertion order (a topological order,
-        since parents must exist before their children): every one when
-        ``changed`` is None, else those downstream of any label in
-        ``changed`` and those left pending (by an unsolved parent, or by an
-        earlier walk that raised).  The union of the cones is one walk, so
-        a node below several changed labels is solved once.
+        """Re-solve derived nodes (re-derive a reflection) in insertion
+        order, a topological order since parents must exist before their
+        children: every one when ``changed`` is None, else those downstream
+        of any label in ``changed`` and those left pending (by an unsolved
+        parent, or by an earlier walk that raised).  The union of the cones
+        is one walk, so a node below several changed labels is solved once.
 
         A node that raises leaves itself and the rest of the walk pending
         with no instances, so no node keeps instances built from old data.
@@ -488,7 +521,7 @@ class Figure:
         cone = set(changed or ())
         walk = []
         for node in self._nodes.values():
-            if node.kind in ("rel", "subfigure") and (
+            if node.kind in ("rel", "subfigure", "reflection") and (
                     changed is None or node.status == "pending"
                     or cone.intersection(node.parent_labels())):
                 cone.add(node.label)
@@ -613,16 +646,23 @@ class Figure:
         return out
 
     def validate(self) -> List[str]:
-        """Residual sweep: instances must satisfy their defining relations."""
+        """Residual sweep: instances must satisfy their defining relations,
+        and a reflection's instances be its parents' reflections."""
         eps = comparison_eps()
         bad = []
         for node in self._nodes.values():
-            if node.kind != "rel" or node.status != "solved":
+            if (node.kind not in ("rel", "reflection")
+                    or node.status != "solved"):
                 continue
             direct = node.solve_parents()
             for inst in node.instances:
                 by_label = {p: self._nodes[p].instances[inst.context[p]]
                             for p in direct}
+                if node.kind == "reflection":
+                    if self._reflect(node, by_label) != inst.cycle:
+                        bad.append(f"{node.label}: not the reflection of "
+                                   "{!r} in {!r}".format(*node.mirror))
+                    continue
                 for spec in node.relations + node.pins:
                     rel = self._concrete(spec, by_label)
                     if not rel.satisfied_by(inst.cycle.canonical(), eps):
@@ -657,6 +697,8 @@ class Figure:
                     node.label,
                     pins=[self._transform_spec(s, M, sig) for s in node.pins],
                     avoid=node.avoid)
+            elif node.kind == "reflection":
+                out.add_reflection(*node.mirror, node.label)
             else:
                 out.add_subfigure(node.inner, dict(node.bindings),
                                   node.result, node.label)
@@ -688,6 +730,8 @@ class Figure:
                     entry["pins"] = [_spec_obj(s) for s in node.pins]
                 if node.avoid:
                     entry["avoid"] = list(node.avoid)
+            elif node.kind == "reflection":
+                entry["mirror"] = list(node.mirror)
             else:
                 entry["inner"] = node.inner
                 entry["bindings"] = {k: v for k, v in node.bindings}
@@ -727,6 +771,8 @@ class Figure:
             elif kind == "subfigure":
                 fig.add_subfigure(entry["inner"], dict(entry["bindings"]),
                                   entry["result"], label)
+            elif kind == "reflection":
+                fig.add_reflection(*entry["mirror"], label)
             else:
                 raise ValueError(f"unknown node kind {kind!r}")
         if obj.get("mode", "unfreeze") == "unfreeze":
@@ -905,11 +951,12 @@ def nine_point_figure(a, b, c, n=None, metric: Optional[Metric] = None,
     the triangle abc, with the conic fitted through the three feet.
 
     ``n`` replaces the point at infinity: every "line" becomes the cycle
-    through its two defining points and n.  Midpoints are the second
-    intersection of the base cycle with the cycle orthogonal to it and to
-    the one having the base pair as diameter.  The verdict reports whether
-    all nine points land on the fitted conic.  A null product axis is
-    refused before any solve: point cycles drop that coordinate.
+    through its two defining points and n.  The midpoint of p and q is the
+    reflection of n in the cycle orthogonal to p, q and their base cycle
+    (a reflection node, not a solve): that reflection maps the base to
+    itself, so it takes n to the base's second point.  The verdict reports
+    whether all nine points land on the fitted conic.  A null product axis
+    is refused before any solve: point cycles drop that coordinate.
     """
     metric = metric or Metric.named("e")
     if 0 in metric.product_eta:
@@ -944,13 +991,12 @@ def nine_point_figure(a, b, c, n=None, metric: Optional[Metric] = None,
         one(label)
 
     def midpoint(p: str, q: str, base: str, label: str) -> None:
-        diam, perp = "diam_" + label[4:], "perp_" + label[4:]
+        diam = "diam_" + label[4:]
         fig.add_cycle_rel([orthogonal(p), orthogonal(q), orthogonal(base)],
                           diam)
         one(diam)
-        fig.add_cycle_rel([orthogonal(base), orthogonal(diam), on_n], perp)
-        one(perp)
-        second_point(base, perp, label)
+        fig.add_reflection(nref, diam, label)
+        one(label)
 
     try:
         for (p, q), name in ((("A", "B"), "AB"), (("B", "C"), "BC"),

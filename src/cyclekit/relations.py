@@ -157,6 +157,12 @@ def _lead_sign(cycle: Cycle) -> int:
         if Q else 1
 
 
+def _flat(cycle: Cycle, eps: float) -> bool:
+    """k = 0: :func:`near_zero` at the row's scale, so a flat float
+    candidate with its k at rounding noise skips the sign tests too."""
+    return near_zero(cycle.k, eps, cycle.row())
+
+
 def _canonical_if_radical(cycle: Cycle) -> Cycle:
     """The canonical cycle of a Q(sqrt d) row, which a verdict on the
     row's values reads; ``cycle`` itself otherwise."""
@@ -315,7 +321,7 @@ class InversiveDistance(Relation):
         rows = x.row(), r.row()
         if not near_zero(lhs - rhs, eps, *rows, *rows):
             return False
-        if th == 0 or x.k == 0 or r.k == 0:
+        if th == 0 or _flat(x, eps) or _flat(r, eps):
             return True
         return scalar_sign(p) in (0, scalar_sign(th))
 
@@ -356,8 +362,8 @@ class IsTangent(InversiveDistance):
         rows = x.row(), r.row()
         if not near_zero(p * p - sx * sr, eps, *rows, *rows):
             return False
-        if (self.variant == "both" or x.k == 0 or r.k == 0 or sx == 0
-                or self.ref_self == 0):
+        if (self.variant == "both" or _flat(x, eps) or _flat(r, eps)
+                or sx == 0 or self.ref_self == 0):
             return True
         return scalar_sign(p) == want if is_exact(p) else (p > 0) == (want > 0)
 
@@ -418,7 +424,8 @@ class SteinerPower(Relation):
         rows = cycle.row(), r.row()
         if not near_zero(lhs * lhs - rhs_sq, eps, *rows, *rows):
             return False
-        return cycle.k == 0 or lhs >= 0 or near_zero(lhs, eps, *rows, *rows)
+        return (_flat(cycle, eps) or lhs >= 0
+                or near_zero(lhs, eps, *rows, *rows))
 
     def __repr__(self):
         return f"SteinerPower({self.ref!r}, {self.power})"

@@ -157,6 +157,22 @@ class TestFigureEval:
         assert code == 0
         assert "w: gen 1 solved" in out
 
+    def test_nine_point_reflection_nodes(self, capsys, tmp_path):
+        # a figure-v1 document carries each midpoint as a reflection node
+        fig = nine_point_figure((0, 0), (4, 0), (1, 3)).figure
+        path = tmp_path / "nine.json"
+        path.write_text(fig.to_json())
+        code, out, _ = run(capsys, "figure-eval", str(path),
+                           "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["violations"] == []
+        nodes = {n["label"]: n for n in report["nodes"]}
+        mid = nodes["mid_BC"]
+        assert (mid["kind"], mid["status"]) == ("reflection", "solved")
+        assert mid["instances"] == [["1", "5/2", "3/2", "17/2"]]   # (5/2, 3/2)
+        assert sum(n["kind"] == "reflection" for n in nodes.values()) == 6
+
 
 class TestFigureCheck:
     def test_touch_checks_both_true(self, capsys, tmp_path):

@@ -13,7 +13,7 @@ from cyclekit.cycle import Cycle, Metric
 from cyclekit.numerics import to_float
 from cyclekit.relations import BranchOverflow
 from cyclekit.figure import (INFINITY, REAL_LINE, Degenerate, DuplicateLabel,
-                             Figure, InvalidTriple, NotEvaluated,
+                             Figure, Instance, InvalidTriple, NotEvaluated,
                              TooManyInstances, UnknownNode, inversive,
                              is_point, loxodrome_triple_ok,
                              loxodrome_triples_equivalent, nine_point_figure,
@@ -284,9 +284,9 @@ class TestConeResolve:
     TRIANGLES = [((0, 0), (4, 0), (1, 3)), ((0, 0), (5, 0), (2, 4)),
                  ((1, 1), (6, 2), (3, 5)), ((-2, 0), (3, -1), (0, 4))]
 
-    def test_vertex_edit_resolves_one_nine_point_subfigure(self, monkeypatch):
-        # four nine-point subfigures of 32 relation nodes each, plus one
-        # node orthogonal to three of the conics
+    def four_subfigures(self):
+        # four nine-point subfigures of 20 relation nodes and 6 reflection
+        # nodes each, plus one node orthogonal to three of the conics
         fig = Figure()
         for sub, tri in enumerate(self.TRIANGLES):
             bindings = {corner: fig.add_point(pt, f"s{sub}_{corner}")
@@ -295,6 +295,10 @@ class TestConeResolve:
                               "conic", f"conic{sub}")
         fig.add_cycle_rel([orthogonal(f"conic{sub}") for sub in range(3)],
                           "linked")
+        return fig
+
+    def test_vertex_edit_resolves_one_nine_point_subfigure(self, monkeypatch):
+        fig = self.four_subfigures()
         calls = {"solve": 0, "from_obj": 0}
         real_solve, real_from_obj = figure.solve, Figure.from_obj
 
@@ -309,11 +313,11 @@ class TestConeResolve:
         monkeypatch.setattr(figure, "solve", counting_solve)
         monkeypatch.setattr(Figure, "from_obj",
                             staticmethod(counting_from_obj))
-        # a full re-solve makes 4 * 32 + 1 = 129 solves and 4 from_obj
-        # calls; moving A leaves the four nodes of the BC side chain
-        # (side, diam, perp and mid of BC) out of the inner cone
-        for vertex, point, solves in (("s0_A", (-1, -2), 28 + 1),
-                                      ("s3_C", (1, 5), 28)):
+        # a full re-solve makes 4 * 20 + 1 = 81 solves and 4 from_obj
+        # calls; moving A leaves the BC side chain (side, diam and mid of
+        # BC, of which mid is derived, not solved) out of the inner cone
+        for vertex, point, solves in (("s0_A", (-1, -2), 18 + 1),
+                                      ("s3_C", (1, 5), 18)):
             calls.update(solve=0, from_obj=0)
             fig.set_data(vertex, point)
             assert calls == {"solve": solves, "from_obj": 0}
@@ -322,6 +326,144 @@ class TestConeResolve:
         fresh = real_from_obj(fig.to_obj())
         assert all(fig.instances(lab) == fresh.instances(lab)
                    for lab in fig.labels())
+
+    def test_vertex_edits_leave_no_stale_inner_node(self):
+        # every node of the edited subfigure's kept inner figure, the
+        # derived midpoints included, equals a fresh nine-point figure of
+        # the moved triangle, in value and in scalar type
+        fig = self.four_subfigures()
+        tri = dict(zip("ABC", self.TRIANGLES[0]))
+        for corner, point in (("A", (-1, -2)), ("C", (F(1, 2), 4)),
+                              ("A", (0, 0))):
+            fig.set_data(f"s0_{corner}", point)
+            tri[corner] = point
+            kept = fig.node("conic0").kept
+            fresh = nine_point_figure(*tri.values()).figure
+            assert kept.labels() == fresh.labels()
+            assert sum(kept.node(lab).kind == "reflection"
+                       for lab in kept.labels()) == 6
+            typed = lambda node: [[(v, type(v)) for v in c.row()]
+                                  for c in node.cycles()]
+            for lab in fresh.labels():
+                got, want = kept.node(lab), fresh.node(lab)
+                assert got.status == want.status == "solved", lab
+                assert typed(got) == typed(want), lab
+            assert kept.validate() == []
+
+
+class TestReflection:
+    """A reflection node is derived from its parents, never solved."""
+
+    def test_reflection_in_a_circle_and_in_a_line(self):
+        fig = Figure()
+        fig.add_cycle(UNIT, "u")
+        fig.add_cycle((0, 1, 0, 2), "x1")            # the line x = 1
+        fig.add_point((2, 0), "P")
+        fig.add_point((3, 5), "Q")
+        fig.add_reflection("P", "u", "P'")
+        fig.add_reflection("Q", "x1", "Q'")
+        fig.add_reflection(INFINITY, "u", "O")
+        assert fig.generation("P'") == 1
+        assert fig.instances("P'")[0].center() == (F(1, 2), 0)
+        assert fig.instances("Q'")[0].center() == (-1, 5)
+        assert fig.instances("O")[0].row() == (1, 0, 0, 0)
+        assert all(fig.instances(lab)[0] == fig.instances(lab)[0].canonical()
+                   for lab in ("P'", "Q'", "O"))
+        assert fig.validate() == []
+
+    def test_one_instance_per_consistent_parent_pair(self):
+        fig = touch_figure()
+        fig.add_reflection("C", "l", "m")
+        assert len(fig.instances("m")) == 2
+        for inst in fig.node("m").instances:
+            assert inst.context["C"] == inst.context["l"]
+        # a touch point lies on its tangent line: the reflection fixes it
+        assert fig.instances("m") == [c.canonical()
+                                      for c in fig.instances("C")]
+
+    def test_edit_re_derives_the_reflection(self):
+        fig = Figure()
+        fig.add_cycle(UNIT, "u")
+        fig.add_point((2, 0), "P")
+        fig.add_reflection("P", "u", "R")
+        fig.set_data("P", (0, 4))
+        assert fig.instances("R")[0].center() == (0, F(1, 4))
+        fig.set_data("u", (1, 0, 0, -4))
+        assert fig.instances("R")[0].center() == (0, 1)
+
+    @pytest.mark.parametrize("arithmetic, mirror", [
+        ("exact", (1, 3, 4, 25)),            # the point (3, 4)
+        ("float", (1.0, 3.0, 4.0, 25.0 + 1e-14))])
+    def test_isotropic_mirror_is_infeasible(self, arithmetic, mirror):
+        fig = Figure(arithmetic=arithmetic)
+        fig.add_point((1, 2), "P")
+        fig.add_cycle(mirror, "c")
+        fig.add_reflection("P", "c", "R")
+        assert fig.status("R") == "infeasible"
+        assert "'c' has <C,C> = 0" in fig.node("R").reason
+        fig.set_data("c", UNIT)                 # the edit re-derives it
+        assert fig.status("R") == "solved"
+        assert fig.instances("R")[0].center() == (F(1, 5), F(2, 5))
+
+    def test_nine_point_isotropic_diameter_raises_degenerate(self,
+                                                            monkeypatch):
+        # with n at infinity an isotropic diam_ needs a light-like side,
+        # which fails earlier at its foot; swap in a point cycle to reach
+        # the reflection itself
+        real = Figure.add_cycle_rel
+
+        def isotropic_diam(self, relations, label, **kwargs):
+            if label == "diam_AB":
+                return self.add_point((5, 5), label)
+            return real(self, relations, label, **kwargs)
+
+        monkeypatch.setattr(Figure, "add_cycle_rel", isotropic_diam)
+        with pytest.raises(Degenerate, match="mid_AB: expected one instance,"
+                                             " got infeasible"):
+            nine_point_figure((0, 0), (4, 0), (1, 3))
+
+    def test_validate_reports_a_wrong_instance(self):
+        fig = Figure()
+        fig.add_cycle(UNIT, "u")
+        fig.add_point((2, 0), "P")
+        fig.add_reflection("P", "u", "R")
+        node = fig.node("R")
+        node.instances[0] = Instance(ec((1, 0, 0, 0)),
+                                     node.instances[0].context)
+        assert fig.validate() == ["R: not the reflection of 'P' in 'u'"]
+
+    def test_unknown_parent_rejected(self):
+        fig = Figure()
+        fig.add_point((2, 0), "P")
+        with pytest.raises(UnknownNode):
+            fig.add_reflection("P", "nope", "R")
+        assert "R" not in fig.labels()
+
+    @pytest.mark.parametrize("n", [None, (F(1, 3), F(-2, 5))])
+    def test_nine_point_round_trip(self, n):
+        fig = nine_point_figure((0, 0), (4, 0), (1, 3), n=n).figure
+        obj = json.loads(fig.to_json())
+        mids = [e for e in obj["nodes"] if e["kind"] == "reflection"]
+        nref = "N" if n else INFINITY
+        assert [e["mirror"] for e in mids] == [
+            [nref, "diam_" + e["label"][4:]] for e in mids]
+        assert len(mids) == 6
+        again = Figure.from_obj(obj)
+        assert again.to_json() == fig.to_json()
+        for lab in fig.labels():
+            assert again.node(lab) == fig.node(lab)
+
+    def test_nine_point_midpoints_are_covariant(self):
+        M = embed_real_moebius(((1, 2), (1, 3)), Signature(2))
+        fig = nine_point_figure((0, 0), (4, 0), (1, 3)).figure
+        moved = fig.transformed(M)
+        for lab in ("mid_AB", "mid_BC", "mid_CA", "mid_AH", "mid_BH",
+                    "mid_CH"):
+            assert moved.node(lab).kind == "reflection"
+            [got] = moved.instances(lab)
+            [orig] = fig.instances(lab)
+            assert got == orig.flt(M).canonical()
+        assert moved.validate() == []
 
 
 class TestBranching:

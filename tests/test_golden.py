@@ -45,9 +45,9 @@ RATIONAL_SOLVE_SHA = (
     "b40e96275ac44d02245ca2d9d2374a50b17c4cf2b4ef3fb8ab8b65a5d8088972")
 MIXED_SOLVE_SHA = {
     "exact":
-        "211dbbaf91147bbb159c5abaede4cfb7ec848122a7b42a88ea836c3adb359291",
+        "d44ae041a858cab5b979bb617681b6c981e77bcf0f84a15e8898949ce04ac1e0",
     "float":
-        "67d2b15274b6713e144bf92caa5f137ddbec1e73a47ae47daf6d96a024da9aca"}
+        "dea1bd13b00166d365ebe81047cb2bf26b9d44606cfa2991addc2c0bb888d7ad"}
 
 # (argv, sha256 of stdout, sha256 of the --svg side output or None);
 # SCRIPT and SVG are replaced by paths under tmp_path
@@ -55,11 +55,11 @@ RUNS = [
     (["ninepoint", "--triangle", "0,0", "4,0", "1,3", "--format", "json",
       "--svg", "SVG"],
      "5909051455b1b0d57d1b23aa2f0b80c8cfa62017f251091371caf1c4140ff3ac",
-     "19e732cd8a58c131f44185c38ea6ab2216095a29ca25b36a2ac5b8b4f8ef2c9b"),
+     "f550455b09f09ab7014ab8d03256abece83aa13662272a945baa9d4e9eccbddf"),
     (["ninepoint", "--triangle", "0,0", "4,0", "1,2", "--metric", "h",
       "--format", "json", "--svg", "SVG"],
      "4696ab5c4d5ef77db82cc2e1157b1b00eddad36e07dcc5fc36930804e348d5e7",
-     "4d9f98d79dde1edc04245aca2a1092198df66ade06d321a642f9614531d41f2b"),
+     "7df23101203cec750f7f002009723c3a06e309cbe5cfe0f6bda917ff23d11757"),
     (["contfrac", "--cf", CF, "--arrangement", "orthogonal",
       "--format", "json", "--svg", "SVG"],
      "b9a100199f1e5521bd7aea70524d46f77d2934d7a622f21cfcc164eac4928c46",
@@ -92,11 +92,11 @@ RUNS = [
      None),
     (["ninepoint", "--triangle", "0,0", "4,0", "1,3", "--arith", "float",
       "--format", "json"],
-     "53128fdec6cf6fe3d317dd66773e0d84a0cd835c3428b560da269260cc66837c",
+     "98b2051760497d04c5f5bf5fa563392c556888fc2eb0035d1a294680a88b7956",
      None),
     (["ninepoint", "--triangle", "0,0", "4,0", "1,2", "--metric", "h",
       "--arith", "float", "--format", "json"],
-     "0cf986822b1be1cfbb60fa912b727b3ac5a809aaa8aec448728c1ea0ff24e6f4",
+     "649089ab41bdb6d87996259bbd5f4599e7d0aa8a1ac49ea2d5c34545f37ccf8f",
      None),
     (["ninepoint", "--random", "8", "--seed", "3", "--arith", "float",
       "--format", "json"],

@@ -503,6 +503,43 @@ class TestToleranceIsReadForFloatCandidates:
                 solve(rels, E, mode)
 
 
+class TestFloatFlatCandidates:
+    """A flat float candidate carries k at rounding noise; the sign tests
+    of tangency, inversive distance and Steiner power skip it as they skip
+    an exact k = 0."""
+
+    SYSTEM = [IsTangent(Cycle.from_row(E, (1, F(1, 2), F(5, 2), F(5, 2))),
+                        "internal"),
+              IsTangent(Cycle.from_row(E, (1, F(5, 2), 3, F(-3, 4))),
+                        "external"),
+              IsTangent(Cycle.from_row(E, (1, F(7, 2), F(5, 2), F(-13, 2))),
+                        "both")]
+
+    def test_float_mode_keeps_the_line(self):
+        exact = solve(self.SYSTEM, E, "exact")
+        assert rows_of(exact)[0] == (0, 1, 0, -3)
+        floats = solve(self.SYSTEM, E, "float")
+        assert len(floats.cycles) == len(exact.cycles) == 2
+        for want, got in zip(exact.cycles, floats.cycles):
+            # projectively equal: each row over its largest entry
+            w, g = ([float(v) / max(c.row(), key=abs) for v in c.row()]
+                    for c in (want, got))
+            assert max(abs(a - b) for a, b in zip(w, g)) < 1e-9
+
+    @pytest.mark.parametrize("rel, line", [
+        (IsTangent(UNIT, "internal"), (1, 0, 2)),
+        (InversiveDistance(UNIT, F(-1, 2)), (1, 0, 1)),
+        (SteinerPower(UNIT, 1), (1, 0, 2))])
+    def test_noise_k_is_flat(self, rel, line):
+        # each line meets its relation's equation, and its pairing with the
+        # unit circle has the sign the relation's sign test refuses, so it
+        # holds only because a flat cycle skips that test
+        assert rel.satisfied_by(Cycle.from_row(E, (0,) + line), 1e-9)
+        line = tuple(map(float, line))
+        for k in (0.0, 3e-17, -3e-17):
+            assert rel.satisfied_by(Cycle.from_row(E, (k,) + line), 1e-9)
+
+
 class TestVerificationReadsCanonicalRows:
     """``satisfied_by`` takes the canonical cycle its caller made and
     canonicalises nothing itself; a reference is canonicalised once, when
