@@ -7,8 +7,9 @@ boundary line at generation REAL_LINE_GEN and the zero-radius cycle at
 infinity at INFINITY_GEN.  Point nodes keep their coordinates and
 re-derive the row from the metric.  A reflection node is derived, not
 solved: its instances are the reflections X <C,C> - 2 <X,C> C of its
-parents' instances, the Moebius-Lie reflection of X in C, and an edit
-re-derives it in its cone as it re-solves a relation node.
+parents' instances, the Moebius-Lie reflection of X in C, computed in
+ints on rational parents, and an edit re-derives it in its cone as it
+re-solves a relation node.
 
 Quadratic relations produce solution pairs, so a node may carry several
 instances.  Children are solved once per combination of parent
@@ -24,7 +25,8 @@ Continuous families are not enumerated.  When a solve leaves free
 parameters the node is marked parametric and blocks its children; the
 caller selects concrete representatives with ``pins`` (extra relations
 used only for selection) or discards known spurious roots with
-``avoid`` (labels whose instances are excluded projectively).
+``avoid`` (labels whose instances are excluded projectively; a float
+figure compares them as float rows, exact data included).
 
 ``_KINDS`` is the one list of relation kinds; spec checks, solves and the
 JSON codec all read it.
@@ -35,11 +37,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product as iproduct
-from math import acos, acosh, pi, sqrt as _fsqrt
+from math import acos, acosh, gcd, pi, sqrt as _fsqrt
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .clifford import Infinity, Mat2, Mv, mobius_apply
-from .cycle import Cycle, Metric, decode_scalar, encode_scalar, parse_metric
+from .cycle import (Cycle, Metric, decode_scalar, encode_scalar,
+                    integer_pairing, parse_metric)
 from .numerics import (Arithmetic, Scalar, comparison_eps, is_exact, lift,
                        near_zero, row_scale, to_float)
 from .relations import (InversiveDistance, IsOrthogonal, IsPoint, IsTangent,
@@ -440,8 +443,27 @@ class Figure:
     @staticmethod
     def _reflect(node, by_label) -> Optional[Cycle]:
         """The reflection X <C,C> - 2 <X,C> C of the node's parents' X in C,
-        canonical; None when <C,C> is zero (:func:`near_zero`)."""
+        canonical; None when <C,C> is zero (:func:`near_zero`).
+
+        The map is projective, so two rational parents reflect on their
+        primitive int rows, summed in ints and made primitive again; the
+        canonical cycle of that row is the one the scalar formula gives, in
+        value and type.  Rows over Q(sqrt d) and float rows take the
+        formula on their entries."""
         x, c = (by_label[lab].cycle for lab in node.mirror)
+        fx, fc = x.integer_form(), c.integer_form()
+        if fx and fc and not (fx[2] or fc[2]):
+            w, P, Q = x.metric.weights, fx[0], fc[0]
+            cc = integer_pairing(w, Q, Q)
+            if not cc:
+                return None
+            t = 2 * integer_pairing(w, P, Q)
+            row = [cc * a - t * b for a, b in zip(P, Q)]
+            g = gcd(*row)
+            if next(filter(None, row)) < 0:
+                g = -g
+            return Cycle.from_primitive(
+                x.metric, tuple([v // g for v in row])).canonical()
         cc, row = c.self_product(), c.row()
         if near_zero(cc, comparison_eps(), row, row):
             return None
@@ -450,11 +472,18 @@ class Figure:
                                          zip(x.row(), row)]).canonical()
 
     def _filter_avoid(self, node, cycles, ctx):
+        """Drop the candidates projectively equal to an instance of an
+        avoided node with a consistent context, compared by :meth:`Cycle.key`.
+        A float figure reads the avoided rows as floats first: an exact
+        row keys as its primitive int row, which no rounded float row of a
+        candidate equals, so an exact datum would never be avoided."""
         if not node.avoid:
             return cycles
         avoided = [inst.cycle for lab in node.avoid
                    for inst in self._nodes[lab].instances
                    if _consistent(inst.context, ctx)]
+        if self.arithmetic == "float":
+            avoided = [c.as_float() for c in avoided]
         banned = {c.key() for c in avoided}
         return [c for c in cycles if c.key() not in banned]
 
@@ -954,9 +983,13 @@ def nine_point_figure(a, b, c, n=None, metric: Optional[Metric] = None,
     through its two defining points and n.  The midpoint of p and q is the
     reflection of n in the cycle orthogonal to p, q and their base cycle
     (a reflection node, not a solve): that reflection maps the base to
-    itself, so it takes n to the base's second point.  The verdict reports
+    itself, so it takes n to the base's second point.  A side is the base
+    of its two vertices' midpoint, and the altitude ``alt_v`` that of v
+    and H: the altitudes meet at H, so ``alt_v`` is the line through v and
+    H.  A figure makes 17 solves and 6 reflections.  The verdict reports
     whether all nine points land on the fitted conic.  A null product axis
-    is refused before any solve: point cycles drop that coordinate.
+    is refused before any solve: point cycles drop that coordinate; a
+    right angle at v (H = v) leaves ``diam_vH`` parametric, a Degenerate.
     """
     metric = metric or Metric.named("e")
     if 0 in metric.product_eta:
@@ -1012,8 +1045,7 @@ def nine_point_figure(a, b, c, n=None, metric: Optional[Metric] = None,
                              (("C", "A"), "CA")):
             midpoint(p, q, "side_" + name, "mid_" + name)
         for v in "ABC":
-            line_through(v, "H", "line_" + v + "H")
-            midpoint(v, "H", "line_" + v + "H", "mid_" + v + "H")
+            midpoint(v, "H", "alt_" + v, "mid_" + v + "H")
         fig.add_cycle_rel([orthogonal("foot_A"), orthogonal("foot_B"),
                            orthogonal("foot_C")], "conic")
         conic = one("conic")

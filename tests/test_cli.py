@@ -360,6 +360,21 @@ class TestNinepoint:
         assert code == 0
         assert "verdict: True" in out
 
+    def test_float_finite_stand_in(self, capsys):
+        code, out, _ = run(capsys, "ninepoint", "--triangle",
+                           "0,0", "4,0", "1,3", "--n", "1/3,-2/5",
+                           "--arith", "float")
+        assert code == 0
+        assert "verdict: True" in out
+        assert "kind: circle" in out
+
+    def test_right_angle_exits_4_naming_diam_ah(self, capsys):
+        code, out, err = run(capsys, "ninepoint", "--triangle",
+                             "0,0", "4,0", "0,3")
+        assert code == 4
+        assert out == ""
+        assert "diam_AH: expected one instance" in err
+
     def test_random_is_seed_deterministic(self, capsys):
         args = ("ninepoint", "--random", "4", "--seed", "7",
                 "--format", "json")

@@ -285,7 +285,7 @@ class TestConeResolve:
                  ((1, 1), (6, 2), (3, 5)), ((-2, 0), (3, -1), (0, 4))]
 
     def four_subfigures(self):
-        # four nine-point subfigures of 20 relation nodes and 6 reflection
+        # four nine-point subfigures of 17 relation nodes and 6 reflection
         # nodes each, plus one node orthogonal to three of the conics
         fig = Figure()
         for sub, tri in enumerate(self.TRIANGLES):
@@ -313,11 +313,11 @@ class TestConeResolve:
         monkeypatch.setattr(figure, "solve", counting_solve)
         monkeypatch.setattr(Figure, "from_obj",
                             staticmethod(counting_from_obj))
-        # a full re-solve makes 4 * 20 + 1 = 81 solves and 4 from_obj
+        # a full re-solve makes 4 * 17 + 1 = 69 solves and 4 from_obj
         # calls; moving A leaves the BC side chain (side, diam and mid of
         # BC, of which mid is derived, not solved) out of the inner cone
-        for vertex, point, solves in (("s0_A", (-1, -2), 18 + 1),
-                                      ("s3_C", (1, 5), 18)):
+        for vertex, point, solves in (("s0_A", (-1, -2), 15 + 1),
+                                      ("s3_C", (1, 5), 15)):
             calls.update(solve=0, from_obj=0)
             fig.set_data(vertex, point)
             assert calls == {"solve": solves, "from_obj": 0}
@@ -585,6 +585,23 @@ class TestBranching:
                           "cross", avoid=("O",))
         assert [i.cycle.row() for i in fig.node("cross").instances] == [
             (0, 0, 0, 1)]
+
+    @pytest.mark.parametrize("arithmetic", ["exact", "float"])
+    def test_avoid_drops_an_exact_datum_in_either_mode(self, arithmetic):
+        # two cycles through N and P cross at N and P; a float figure
+        # compares N's float key with the float candidates, not its int row
+        fig = Figure(arithmetic=arithmetic)
+        fig.add_point((F(1, 3), F(-2, 5)), "N")
+        for lab, pt in (("P", (0, 0)), ("Q", (4, 0)), ("R", (1, 3))):
+            fig.add_point(pt, lab)
+        fig.add_cycle_rel([orthogonal("N"), orthogonal("P"),
+                           orthogonal("Q")], "a")
+        fig.add_cycle_rel([orthogonal("N"), orthogonal("P"),
+                           orthogonal("R")], "b")
+        fig.add_cycle_rel([orthogonal("a"), orthogonal("b"), is_point()],
+                          "X", avoid=("N",))
+        [x] = fig.instances("X")
+        assert x.center() == pytest.approx((0, 0), abs=1e-12)
 
     def test_parents_from_two_branches_of_one_ancestor_are_not_combined(
             self, monkeypatch):
@@ -1000,6 +1017,39 @@ class TestNinePoint:
         assert r.verdict
         assert r.kind == "equilateral-hyperbola"
         self.assert_centres(r)
+
+    def test_right_angle_at_a_degenerates_at_diam_ah(self):
+        # H = A: the cycle orthogonal to A, H and alt_A is not determined
+        with pytest.raises(Degenerate, match="^diam_AH: expected one "
+                                             "instance, got parametric"):
+            nine_point_figure((0, 0), (4, 0), (0, 3))
+
+    @pytest.mark.parametrize("n", [None, (F(1, 3), F(-2, 5))])
+    def test_lines_through_h_are_the_altitudes(self, n, monkeypatch):
+        # 17 solves and 6 reflections; diam_vH is orthogonal to v, H and
+        # alt_v, the line through v and H
+        solves = []
+        real = figure.solve
+        monkeypatch.setattr(figure, "solve",
+                            lambda *a, **k: solves.append(1) or real(*a, **k))
+        fig = nine_point_figure((0, 0), (4, 0), (1, 3), n=n).figure
+        assert len(solves) == 17
+        kinds = [fig.node(lab).kind for lab in fig.labels()]
+        assert kinds.count("rel") == 17 and kinds.count("reflection") == 6
+        assert not [lab for lab in fig.labels() if lab.startswith("line_")]
+        for v in "ABC":
+            assert fig.node("diam_" + v + "H").solve_parents() == (
+                v, "H", "alt_" + v)
+
+    def test_float_figure_with_a_finite_n(self):
+        n = (F(1, 3), F(-2, 5))
+        exact = nine_point_figure((0, 0), (4, 0), (1, 3), n=n)
+        r = nine_point_figure((0.0, 0.0), (4.0, 0.0), (1.0, 3.0), n=n,
+                              arithmetic="float")
+        assert r.verdict
+        assert r.kind == "circle"
+        for lab, point in exact.points.items():
+            assert r.points[lab] == pytest.approx(point, abs=1e-9), lab
 
     def test_null_product_axis_is_refused_before_solving(self, monkeypatch):
         def no_solve(*args, **kwargs):

@@ -27,9 +27,10 @@ import pytest
 
 from cyclekit.cli import main
 from cyclekit.cycle import Cycle, Metric
-from cyclekit.figure import (INFINITY, REAL_LINE, Figure, is_point,
-                             only_reals, orthogonal, tangent, through)
-from cyclekit.numerics import QuadExt
+from cyclekit.figure import (INFINITY, REAL_LINE, Degenerate, Figure,
+                             is_point, nine_point_figure, only_reals,
+                             orthogonal, tangent, through)
+from cyclekit.numerics import QuadExt, format_scalar
 from cyclekit.relations import (InversiveDistance, IsFlat,
                                 IsLobachevskyLine, IsOrthogonal, IsPoint,
                                 IsTangent, PassesThrough, SteinerPower, solve)
@@ -48,6 +49,8 @@ MIXED_SOLVE_SHA = {
         "d44ae041a858cab5b979bb617681b6c981e77bcf0f84a15e8898949ce04ac1e0",
     "float":
         "dea1bd13b00166d365ebe81047cb2bf26b9d44606cfa2991addc2c0bb888d7ad"}
+NINE_POINT_ROWS_SHA = (
+    "57c8d379b3b4d9fc6dc297d73789823b174966eb1a0405348c6af78ad01612c8")
 
 # (argv, sha256 of stdout, sha256 of the --svg side output or None);
 # SCRIPT and SVG are replaced by paths under tmp_path
@@ -55,11 +58,11 @@ RUNS = [
     (["ninepoint", "--triangle", "0,0", "4,0", "1,3", "--format", "json",
       "--svg", "SVG"],
      "5909051455b1b0d57d1b23aa2f0b80c8cfa62017f251091371caf1c4140ff3ac",
-     "f550455b09f09ab7014ab8d03256abece83aa13662272a945baa9d4e9eccbddf"),
+     "8558122642f7fe15378cbc39a04e51546eb0c4e681ff6fc8df03f08750306224"),
     (["ninepoint", "--triangle", "0,0", "4,0", "1,2", "--metric", "h",
       "--format", "json", "--svg", "SVG"],
      "4696ab5c4d5ef77db82cc2e1157b1b00eddad36e07dcc5fc36930804e348d5e7",
-     "7df23101203cec750f7f002009723c3a06e309cbe5cfe0f6bda917ff23d11757"),
+     "e2f0c4300f9cbc9a2ea933b8f7b6922055efd9c279a9198d48cdcd3172277453"),
     (["contfrac", "--cf", CF, "--arrangement", "orthogonal",
       "--format", "json", "--svg", "SVG"],
      "b9a100199f1e5521bd7aea70524d46f77d2934d7a622f21cfcc164eac4928c46",
@@ -419,3 +422,48 @@ def test_mixed_solve_output_is_byte_identical():
     assert kinds.count("finite") > 500 and kinds.count("parametric") > 100
     assert sum(o[3:4] == [True] for o in both) > 300    # demoted answers
     assert _mode_hashes(out) == MIXED_SOLVE_SHA
+
+
+def _nine_point_triangles():
+    rng = random.Random(32)
+    fixed = [((0, 0), (4, 0), (1, 3)), ((0, 0), (4, 0), (1, 2)),
+             ((0, 0), (4, 0), (0, 3)),           # right angle at A
+             ((1, 1), (4, 1), (4, 5)),           # right angle at B
+             ((0, 0), (1, 0), (2, 0)),           # collinear
+             ((0, 0), (1, 0), (0, 0))]           # repeated vertex
+    return fixed + [tuple((Fraction(rng.randint(-8, 8), rng.randint(1, 3)),
+                           Fraction(rng.randint(-8, 8), rng.randint(1, 3)))
+                          for _ in range(3)) for _ in range(30)]
+
+
+def nine_point_rows_digest() -> str:
+    """sha256 over every exact node row of the nine-point figures of
+    ``_nine_point_triangles`` in e and h, n at infinity and at (1/3,
+    -2/5): each entry's type and text, the verdict and the kind.  A
+    Degenerate outcome is hashed without its node label, the one part of
+    it that names a ``line_*`` node."""
+    h = hashlib.sha256()
+    for metric in (Metric.named("e"), Metric.named("h")):
+        for n in (None, (Fraction(1, 3), Fraction(-2, 5))):
+            for tri in _nine_point_triangles():
+                try:
+                    res = nine_point_figure(*tri, n=n, metric=metric)
+                except Degenerate as err:
+                    h.update(f"Degenerate {str(err).split(': ', 1)[1]}\n"
+                             .encode())
+                    continue
+                fig = res.figure
+                for lab in fig.labels():
+                    if lab.startswith("line_"):
+                        continue
+                    for c in fig.instances(lab):
+                        row = " ".join(f"{type(v).__name__}:{format_scalar(v)}"
+                                       for v in c.row())
+                        h.update(f"{lab} {row}\n".encode())
+                h.update(f"{res.verdict} {res.kind}\n".encode())
+    return h.hexdigest()
+
+
+def test_nine_point_rows_are_byte_identical():
+    # exact rows in value and entry type, across e and h and both n
+    assert nine_point_rows_digest() == NINE_POINT_ROWS_SHA

@@ -429,6 +429,76 @@ def test_figure_json_round_trip(fig):
     assert evaluation(again) == evaluation(fig)
 
 
+REFLECTION_METRICS = [E2, Metric.named("h"), Metric.from_signature(3)]
+
+
+@st.composite
+def reflection_pairs(draw):
+    """X and C over Q in e, h or 3-D; C is a point cycle (<C,C> = 0) in
+    about one draw of four."""
+    metric = draw(st.sampled_from(REFLECTION_METRICS))
+    entries = st.one_of(st.integers(-50, 50), rationals)
+    row = st.lists(entries, min_size=metric.n + 2,
+                   max_size=metric.n + 2).filter(any)
+    x = Cycle.from_row(metric, draw(row))
+    if draw(st.integers(0, 3)):
+        c = Cycle.from_row(metric, draw(row))
+    else:
+        c = Cycle.zero_radius_at(metric, draw(st.lists(
+            rationals, min_size=metric.n, max_size=metric.n)))
+    return x, c
+
+
+def _reflect(x, c):
+    node = figure.FigureNode("R", "reflection", 0, mirror=("x", "c"))
+    return Figure._reflect(node, {"x": figure.Instance(x, {}),
+                                  "c": figure.Instance(c, {})})
+
+
+def _scalar_reflection(x, c):
+    """The reflection X <C,C> - 2 <X,C> C on the entries, canonical."""
+    cc, t = c.self_product(), 2 * x.product(c)
+    return Cycle.from_row(x.metric, [cc * a - t * b for a, b in
+                                     zip(x.row(), c.row())]).canonical()
+
+
+@settings(max_examples=200)
+@given(reflection_pairs())
+@example((Cycle.from_row(E2, (1, 2, 3, 4)), Cycle.zero_radius_at(E2, (1, 2))))
+def test_int_reflection_equals_the_scalar_formula(pair):
+    x, c = pair
+    got = _reflect(x, c)
+    if c.self_product() == 0:
+        assert got is None
+        return
+    want = _scalar_reflection(x, c)
+    assert got.row() == want.row()
+    assert [type(v) for v in got.row()] == [type(v) for v in want.row()]
+    # the int row it keeps, which key() and verification read
+    assert got.integer_form() == want.integer_form()
+
+
+R2 = QuadExt(0, 1, 2)
+
+
+@pytest.mark.parametrize("x, c", [
+    ((R2, 1, 0, 3), (1, 0, 0, -1)),             # X over Q(sqrt 2)
+    ((1, 2, 3, 4), (1, R2, 0, -1)),             # C over Q(sqrt 2)
+    ((R2, 2 * R2, 0, R2), (1, 0, 0, -4)),       # sqrt 2 times a rational X
+    ((1.0, 2.0, 3.0, 4.5), (1, 0, 0, -1)),      # float X
+    ((1, 2, 3, 4), (1.0, 0.5, 0.0, -1.0))])     # float C
+def test_radical_and_float_parents_reflect_on_their_entries(x, c,
+                                                            monkeypatch):
+    def no_ints(*args):
+        raise AssertionError("reflected on int rows")
+
+    monkeypatch.setattr(figure, "integer_pairing", no_ints)
+    x, c = Cycle.from_row(E2, x), Cycle.from_row(E2, c)
+    got, want = _reflect(x, c), _scalar_reflection(x, c)
+    assert got.row() == want.row()
+    assert [type(v) for v in got.row()] == [type(v) for v in want.row()]
+
+
 @st.composite
 def signed_systems(draw):
     """Two to four tangent, inversive, power, orthogonal, through, point,
