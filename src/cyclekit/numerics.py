@@ -34,12 +34,15 @@ trace check.  Each site keeps its own ``eps``; the only settings are
 ``MOEBINV_EPS``, read by :func:`comparison_eps`, and ``relations.check``'s
 ``eps``.  A system's data chooses its field: ``linear_solve`` (like
 ``_quad_roots``) works exactly unless its caller asks for floats or an
-entry is a float.  Every exact system is eliminated fraction-free, over
-Z[sqrt d] when an entry, a rhs included, has a radical part and over the
-ints otherwise, and read back by its caller as Fractions and QuadExts,
-except that a branch of ``solve`` reads a column of int rows back in
-ints, in one read-back (``Reduced.integer_rows``).  An exact cycle row
-over one radicand has one integer form over Z[sqrt d]
+entry is a float.  Every exact system that is eliminated is eliminated
+fraction-free, over Z[sqrt d] when an entry, a rhs included, has a
+radical part and over the ints otherwise, and read back by its caller as
+Fractions and QuadExts, except that a branch of ``solve`` reads a column
+of int rows back in ints, in one read-back (``Reduced.integer_rows``).
+A homogeneous plane system of int rows that ``solve`` can answer off its
+minors (three rows, or two against a point demand) is not eliminated:
+its candidates are those same int rows, read off the minors.  An exact
+cycle row over one radicand has one integer form over Z[sqrt d]
 (``cycle.integer_form``): the cycle pairing sums in ints on it, and a
 rational cycle's canonical row and key read its primitive int row.
 Chain validation reads a chain's rows into ints over Z[sqrt d] itself,
@@ -108,8 +111,12 @@ def radical_parts(x: Rational):
     prime up to 100,000 divides core twice, and a core up to 10**15 is
     squarefree, so there equal radicals built from different inputs agree
     representation-wise; a larger core may keep the square of a larger
-    prime.  Trial division by 2 and the odd primes (:func:`_trial_primes`)
-    runs while the cube of the divisor is at most the cofactor left, and
+    prime.  Two such cores of one radical, d and d' with d d' a square,
+    still make one field: :class:`QuadExt` decides ``==`` and ``hash`` on
+    (a, b^2 d, sign b), and arithmetic reads the second operand over the
+    first one's core; only a non-square d d' raises :class:`RadicalClash`.
+    Trial division by 2 and the odd primes (:func:`_trial_primes`) runs
+    while the cube of the divisor is at most the cofactor left, and
     to 100,000 at most; a cofactor left over after the cube bound is 1, a
     prime, a product of two primes or a prime squared, and a square
     cofactor goes into coeff.  A square factor that stays in core only
@@ -173,9 +180,11 @@ class QuadExt:
     rational.
 
     ``a`` and ``b`` read back as Fractions.  Mixed arithmetic with ints and
-    Fractions lifts them; mixing two different radicands raises
-    :class:`RadicalClash` (the CLI exits 2 on it).  A float operand gives
-    the float result, as with a Fraction.
+    Fractions lifts them; mixing two radicands whose product is not a
+    square raises :class:`RadicalClash` (the CLI exits 2 on it), and two
+    cores of one radical compare and hash as one value
+    (:func:`radical_parts`).  A float operand gives the float result, as
+    with a Fraction.
     """
 
     __slots__ = ("p", "q", "n", "d")
@@ -208,9 +217,16 @@ class QuadExt:
         over self's radicand."""
         d = self.d
         if isinstance(other, QuadExt):
-            if other.d != d:
-                raise RadicalClash(f"sqrt({d}) vs sqrt({other.d})")
-            return self.p, self.q, self.n, other.p, other.q, other.n, d
+            if other.d == d:
+                return self.p, self.q, self.n, other.p, other.q, other.n, d
+            # two cores of one radical (a core above 10**15 may keep a
+            # square), d D = s^2: sqrt(D) = s sqrt(d) / d
+            D = other.d
+            s = math.isqrt(d * D)
+            if s * s != d * D:
+                raise RadicalClash(f"sqrt({d}) vs sqrt({D})")
+            return (self.p, self.q, self.n,
+                    other.p * d, other.q * s, other.n * d, d)
         if isinstance(other, (int, Fraction)):
             return (self.p, self.q, self.n,
                     other.numerator, 0, other.denominator, d)
@@ -286,9 +302,15 @@ class QuadExt:
         return quad_sign(self.p, self.q, self.d)
 
     def __eq__(self, other):
+        # decided on (a, b^2 d, sign b): one field's triples are unique
         if isinstance(other, QuadExt):
-            return (self.p == other.p and self.q == other.q
-                    and self.n == other.n and self.d == other.d)
+            if self.d == other.d:
+                return (self.p == other.p and self.q == other.q
+                        and self.n == other.n)
+            n, N = self.n, other.n
+            return (self.p * N == other.p * n and (self.q > 0) == (other.q > 0)
+                    and self.q * self.q * self.d * N * N
+                    == other.q * other.q * other.d * n * n)
         if isinstance(other, (int, Fraction)):
             return False                # a QuadExt is irrational
         if isinstance(other, float):
@@ -296,7 +318,8 @@ class QuadExt:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        return hash((self.a, Fraction(self.q * self.q * self.d,
+                                      self.n * self.n), self.q > 0))
 
     def _cmp(self, other):
         """A number whose sign is that of ``self - other``."""

@@ -16,10 +16,15 @@ sigma to -sigma; the demand is even in x and every signed rhs is odd, so
 -sigma gives the same projective cycles and only the patterns whose first
 signed row is +1 are solved.  ``build`` takes lam.
 
-The coefficient rows do not depend on the signs, so every solve makes
-one elimination (:func:`linear_solve`): row i carries one rhs column per
-sign pattern, sigma_i r_i, and each pattern reads its own column back
-(:func:`_solve_branch`).  A column reads back as the pattern's own
+The coefficient rows do not depend on the signs, so a solve makes at
+most one elimination (:func:`linear_solve`): row i carries one rhs column
+per sign pattern, sigma_i r_i, and each pattern reads its own column back
+(:func:`_solve_branch`).  A homogeneous system of int rows in the plane
+makes none when its minors answer it (:func:`_plane_candidates`): three
+rows meet in the cycle of their signed 3x3 minors, and two rows against a
+point demand span the pencil of their 2x2 minors, with the candidates the
+elimination would read back; a rank-deficient system or an isotropic
+pencil is eliminated.  A column reads back as the pattern's own
 elimination would read it: the pivots depend on the coefficients alone,
 each column is eliminated entry by entry, and a row's signed rhs differ
 only in sign, so a float row keeps its largest magnitude and its floats
@@ -945,10 +950,14 @@ def solve(relations: Sequence[Relation], metric: Metric,
 
     One loop reads each relation's demand, row and row entry types; a
     point demand (:class:`IsPoint`) makes every rhs and the demand 0, and
-    two others conflict.  Each row's rhs is built once, one elimination
-    holds a column per sign pattern, and each candidate of every pattern
-    is verified against every relation (an exact one on its integer form)
-    and deduplicated; the kept cycles come back in a deterministic order."""
+    two others conflict.  Each row's rhs is built once.  A homogeneous
+    plane system of int rows, three of them and no demand or two against
+    a point demand, reads its candidates off its minors
+    (:func:`_plane_candidates`); any other system, or one of those whose
+    minors are all 0, makes one elimination with a column per sign
+    pattern.  Each candidate of every pattern is verified against every
+    relation (an exact one on its integer form) and deduplicated, and the
+    kept cycles come back in a deterministic order (:func:`_kept`)."""
     ar = (arithmetic.clone() if isinstance(arithmetic, Arithmetic)
           else Arithmetic(arithmetic))
     exact = ar.exact
@@ -974,6 +983,14 @@ def solve(relations: Sequence[Relation], metric: Metric,
         # in floats on every row as its data gives it
         live = [(i, r, r.row(False)) for i, r, _ in live]
     signed = [i for (i, _, _), v in zip(live, rhs) if v]
+    if ring is int and not signed and metric.n == 2:
+        found = _plane_candidates([c for _, _, c in live], demand,
+                                  metric.weights, ar)
+        if found is not None:
+            pattern = (None,) * len(relations)
+            return _kept(relations, metric, [
+                (srow, (pattern, idx)) for idx, srow in enumerate(found)],
+                [ar], None, demand)
     if 2 ** len(signed) > MAX_BRANCHES:
         raise BranchOverflow(
             f"{2 ** len(signed)}+ sign branches (cap {MAX_BRANCHES})")
@@ -996,12 +1013,68 @@ def solve(relations: Sequence[Relation], metric: Metric,
                                   contexts[-1], bases)
         parametric = parametric or par
         found += [(srow, (pattern, idx)) for idx, srow in enumerate(sols or ())]
+    return _kept(relations, metric, found, contexts, parametric, demand)
+
+
+# the column pairs of a plane pencil's 2x2 minors, in the order in which
+# an elimination picks its pivot columns
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _plane_candidates(rows, demand, w, ar: Arithmetic):
+    """The candidates of a homogeneous plane system of int rows read off
+    its minors, as the elimination's one branch gives them
+    (:func:`_solve_branch`), or None when it must eliminate.
+
+    Three rows and no demand meet in the one cycle of their signed 3x3
+    minors, None when they are all 0 (rank below 3).  Two rows against a
+    point demand span a pencil, read off their 2x2 minors as
+    :meth:`Reduced.integer_rows` gives it: the pivots are the first pair
+    of columns with a nonzero minor ``m``, and the basis row of each free
+    column, in ascending order, holds ``|m|`` there, so ``|m|`` stands for
+    ``L`` and the field rows are the elimination's; :func:`_line_candidates`
+    meets it, None when every minor is 0 or the pencil is isotropic.  Any
+    other shape is None."""
+    if demand is None and len(rows) == 3:
+        a, (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+        p01, p02, p03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+        p12, p13, p23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+        x = (a[1] * p23 - a[2] * p13 + a[3] * p12,
+             a[2] * p03 - a[0] * p23 - a[3] * p02,
+             a[0] * p13 - a[1] * p03 + a[3] * p01,
+             a[1] * p02 - a[0] * p12 - a[2] * p01)
+        return [x] if any(x) else None
+    if demand != 0 or len(rows) != 2:
+        return None
+    a, b = rows
+    for i, j in _PAIRS:
+        m = a[i] * b[j] - a[j] * b[i]
+        if m:
+            break
+    else:
+        return None
+    s = 1 if m > 0 else -1
+    basis = []
+    for f in range(4):
+        if f != i and f != j:
+            V = [0] * 4
+            V[f] = s * m
+            V[i] = s * (a[j] * b[f] - a[f] * b[j])
+            V[j] = s * (a[f] * b[i] - a[i] * b[f])
+            basis.append(tuple(V))
+    return _line_candidates(w, s * m, *basis, 0, ar)
+
+
+def _kept(relations, metric, found, contexts, parametric,
+          demand) -> SolutionSet:
+    """The :class:`SolutionSet` of a solve's candidates ``found``, ``(row,
+    provenance)`` pairs: each is verified against every relation,
+    deduplicated and ordered; an exact verdict is projective and decided
+    on the candidate's form, and only a kept candidate builds its
+    canonical cycle.  With none kept, the ``parametric`` result of a
+    branch, or infeasible; ``contexts`` are the branches' arithmetic."""
     demoted = any(c.demoted for c in contexts)
     notes = [note for c in contexts for note in c.notes]
-
-    # verify, dedup and order; an exact verdict is projective and decided
-    # on the candidate's form, and only a kept candidate builds its
-    # canonical cycle
     kept, eps = {}, None
     for srow, prov in found:
         form = type(srow[0]) is not float and integer_form(srow)

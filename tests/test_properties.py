@@ -13,6 +13,7 @@ import operator
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as iproduct
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -1013,7 +1014,7 @@ class _RefQuadExt:
     def __hash__(self):
         if self.b == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.a, self.b * self.b * self.d, self.b > 0))
 
     def _cmp(self, other):
         o = self._coerce(other)
@@ -1110,6 +1111,32 @@ def test_radical_clash_raises_on_both_sides():
         (x, rx), (y, ry) = map(_quad_and_reference, (a, b))
         for op in (operator.add, operator.mul, operator.truediv, operator.lt):
             assert _outcome(op, x, y) == _outcome(op, rx, ry) == RadicalClash
+
+
+# primes past the trial division of radical_parts: a radicand with one
+# of them squared can keep the square in its core
+_BIG_PRIMES = [100_003, 100_019, 1_000_003, 1_000_000_007]
+
+
+@given(st.sampled_from(_BIG_PRIMES), st.sampled_from(_BIG_PRIMES),
+       st.sampled_from([1, 2, 3, 6]), rationals, nonzero_rationals,
+       nonzero_rationals)
+@example(1_000_003, 1_000_000_007, 1, Fraction(0), Fraction(1), Fraction(1))
+def test_two_cores_of_one_radical_are_one_value(p, q, t, a, b, c):
+    # a + b sqrt(p^2 q t) over its unreduced core and a + b p sqrt(q t)
+    # over the reduced one: equal, one hash, a Fraction difference and
+    # ordered as one value, whichever operand comes first
+    x, y = QuadExt(a, b, p * p * q * t), QuadExt(a, b * p, q * t)
+    assert x.d != y.d and math.isqrt(x.d * y.d) ** 2 == x.d * y.d
+    assert x == y and y == x and not x != y
+    assert hash(x) == hash(y)
+    assert x != -y and x != QuadExt(a + c, b * p, q * t)
+    for u, v in ((x, y), (y, x)):
+        assert _typed(u - v) == _typed(Fraction(0))
+        assert _typed(u + c - v) == _typed(c)
+        assert u <= v and u >= v and not u < v and not u > v
+        assert (u + c > v) == (c > 0) and (u + c < v) == (c < 0)
+        assert u * v == y * y and u / v == 1
 
 
 @given(quad_parts, st.integers(0, 4))
@@ -1699,6 +1726,108 @@ def test_integer_rows_equal_the_field_read_back(system, data):
             == _typed(red.basis())
         assert _typed(tuple([Fraction(x, L) for x in P])) \
             == _typed(red.particular(j))
+
+
+class _IntRow(relations.Relation):
+    """The row ``coeffs . x = 0`` of any int row, the zero row included,
+    verified on the candidate's own row."""
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+
+    def satisfied_by(self, cycle, eps):
+        return not sum(map(operator.mul, self.coeffs, cycle.row()))
+
+    def __repr__(self):
+        return f"_IntRow{self.coeffs}"
+
+
+@st.composite
+def plane_int_systems(draw):
+    """A homogeneous plane system of int rows in e, p or h: three rows and
+    no demand, or two rows against IsPoint, in any order, with OnlyReals
+    at times.  A row may be zero or a multiple of another, and up to two
+    columns may be zero in every row, so the rank may fall short.  Each
+    row is an _IntRow, or IsOrthogonal to an int reference cycle."""
+    metric = draw(st.sampled_from(METRICS))
+    nrows = draw(st.sampled_from([3, 2]))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(range(-5, 6))] * 4),
+                         min_size=nrows, max_size=nrows))
+    i, j = draw(st.permutations(range(nrows)))[:2]
+    shape = draw(st.sampled_from(["zero row", "repeated row", "zero column",
+                                  "zero columns"] + ["as drawn"] * 4))
+    if shape == "zero row":
+        rows[i] = (0, 0, 0, 0)
+    elif shape == "repeated row":
+        k = draw(st.sampled_from([-2, -1, 1, 2]))
+        rows[i] = tuple(k * v for v in rows[j])
+    elif shape != "as drawn":
+        zero = draw(st.sets(st.sampled_from(range(4)), min_size=1,
+                            max_size=1 if shape == "zero column" else 2))
+        rows = [tuple(0 if c in zero else v for c, v in enumerate(row))
+                for row in rows]
+    rels = [_IntRow(row) if draw(st.booleans()) else
+            IsOrthogonal(Cycle(metric, row[0], row[1:3], row[3]))
+            for row in rows]
+    rels += [IsPoint(metric)] if nrows == 2 else []
+    rels += [OnlyReals(metric)] if draw(st.booleans()) else []
+    return metric, draw(st.permutations(rels))
+
+
+def _eliminated(rels, metric):
+    """What ``solve`` answers through the one elimination: linear_solve
+    and the branch read-back on the rows it reads, then the shared tail."""
+    live = [c for c in (r.row(True) for r in rels) if c is not None]
+    demand = 0 if any(r.demand == 0 for r in rels) else None
+    red = relations.linear_solve([(c, (0,)) for c in live], 4, int)
+    ar = numerics.Arithmetic()
+    sols, par = relations._solve_branch(metric, red, 0, demand, ar, [])
+    pattern = (None,) * len(rels)
+    return relations._kept(rels, metric, [
+        (srow, (pattern, idx)) for idx, srow in enumerate(sols or ())],
+        [ar], par, demand)
+
+
+def _solution_digest(sol):
+    """Everything a SolutionSet holds, each row with its entry types."""
+    def rows(cycles):
+        return [_typed(c.row()) for c in cycles]
+    return (sol.status, rows(sol.cycles), sol.provenance,
+            sol.base and _typed(sol.base.row()), rows(sol.span),
+            sol.residual_demand, sol.reason, sol.demoted, sol.notes)
+
+
+@settings(max_examples=300)
+@given(plane_int_systems())
+# isotropic pencils in h and p: every minor path falls through
+@example((Metric.named("h"), [IsPoint(Metric.named("h")),
+                              _IntRow((0, 1, -1, 0)), _IntRow((0, 0, 0, 1))]))
+@example((Metric.named("p"), [_IntRow((0, 1, 0, 0)), _IntRow((0, 0, 0, 1)),
+                              IsPoint(Metric.named("p"))]))
+# a repeated reference: rank 2 of three rows
+@example((E2, [IsOrthogonal(Cycle(E2, 1, (0, 0), -1)), IsFlat(E2),
+               IsOrthogonal(Cycle(E2, 2, (0, 0), -2))]))
+# one point of a pencil over sqrt 2, and a rational pair
+@example((E2, [IsPoint(E2), _IntRow((1, 0, 0, -1)), _IntRow((0, 0, 1, 0))]))
+@example((E2, [IsPoint(E2), _IntRow((1, 0, 0, -2)), _IntRow((0, 0, 1, 0))]))
+def test_plane_minors_equal_the_elimination(system):
+    # a homogeneous plane system of int rows answers off its minors as the
+    # one elimination answers: status, cycles by value and entry type,
+    # provenance and notes; a rank-deficient system, or an isotropic
+    # pencil, makes the elimination and takes its answer
+    metric, rels = system
+    want = _eliminated(rels, metric)
+    with mock.patch.object(relations, "linear_solve",
+                           wraps=relations.linear_solve) as spy:
+        got = solve(rels, metric)
+    assert _solution_digest(got) == _solution_digest(want)
+    live = [c for c in (r.row(True) for r in rels) if c is not None]
+    full = len(relations.linear_solve([(c, 0) for c in live], 4).pivots) \
+        == len(live)
+    assert spy.call_count == (0 if full and want.status != "parametric"
+                              else 1)
+    if not full:
+        assert want.status in ("parametric", "infeasible")
 
 
 def _ref_row_product(metric, x, y):

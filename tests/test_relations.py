@@ -429,13 +429,39 @@ class TestBuildOncePerSolve:
         assert calls["linear_solve"] == 1
 
     def test_no_signed_row_is_one_branch(self, calls):
-        solve([IsOrthogonal(UNIT), IsFlat(E), IsOrthogonal(REAL)], E)
-        assert calls == {"build": 3, "linear_solve": 1}
+        # three homogeneous int rows in the plane: their 3x3 minors are the
+        # one candidate, with no elimination
+        sol = solve([IsOrthogonal(UNIT), IsFlat(E), IsOrthogonal(REAL)], E)
+        assert [pattern for pattern, _ in sol.provenance] == [(None,) * 3]
+        assert calls == {"build": 3}
+        assert calls["linear_solve"] == 0
 
     def test_point_mode_builds_nothing(self, calls):
+        # two int rows against the point demand: a pencil read off their
+        # 2x2 minors, with no elimination
         sol = solve([IsPoint(E), IsTangent(UNIT), IsOrthogonal(REAL)], E)
         assert len(sol.cycles) == 2
-        assert calls == {"linear_solve": 1}
+        assert calls["build"] == calls["linear_solve"] == 0
+
+    def test_the_same_relations_in_space_are_one_elimination(self, calls):
+        s3 = Metric.from_signature(3)
+        unit, real = Cycle(s3, 1, (0, 0, 0), -1), Cycle.real_line(s3)
+        solve([IsOrthogonal(unit), IsFlat(s3), IsOrthogonal(real)], s3)
+        assert calls["linear_solve"] == 1
+        sol = solve([IsPoint(s3), IsTangent(unit), IsOrthogonal(real)], s3)
+        assert sol.status == "parametric"
+        assert calls["linear_solve"] == 2
+
+    def test_rank_deficient_plane_rows_are_one_elimination(self, calls):
+        # a repeated reference leaves rank 2 of three rows, and rank 1 of
+        # two: every minor is 0, and the elimination answers
+        sol = solve([IsOrthogonal(UNIT), IsOrthogonal(UNIT.scaled(2)),
+                     IsFlat(E)], E)
+        assert sol.status == "parametric" and len(sol.span) == 2
+        assert calls["linear_solve"] == 1
+        sol = solve([IsPoint(E), IsOrthogonal(UNIT), IsOrthogonal(UNIT)], E)
+        assert sol.status == "parametric"
+        assert calls["linear_solve"] == 2
 
     def test_power_against_a_point_is_unsigned(self, calls):
         # <R_k,R_k> = 0 gives rhs 0: one pattern, not two
