@@ -9,6 +9,13 @@ cycle through both touch points; three parameter choices make the
 consecutive horocycles tangent, orthogonal, or orthogonal with the
 connecting cycle inclined at 45 degrees.  The same machine runs over
 R^n with Clifford-entry matrices.
+
+Every chain is checked exactly when its terms are exact.  A chain of int
+terms (a simple continued fraction) has int convergents, so its rows are
+ints over Z[sqrt 2] in closed form: it is built in those ints and checked
+on the same ints.  A chain of Fraction or QuadExt terms is built from the
+scalar closed forms and its rows are read back into ints to be checked;
+a chain with a float term is checked against the floored tolerance.
 """
 
 import math
@@ -18,7 +25,7 @@ from itertools import compress, repeat
 from operator import add, is_not
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .numerics import (Arithmetic, QuadExt, Scalar, comparison_eps,
+from .numerics import (Arithmetic, QuadExt, Scalar, _quad, comparison_eps,
                        is_exact, lift, near_zero, row_scale, scalar_sign,
                        to_float)
 from .cycle import Cycle, Metric
@@ -124,14 +131,22 @@ def advance(state: ConvergentState, a: Scalar, b: Scalar) -> ConvergentState:
                            state.q, b * state.q + a * state.q_prev)
 
 
-def convergent_states(cf: ContinuedFraction, N: Optional[int] = None) -> Iterator[ConvergentState]:
-    """States for n = 0..N; the step is stateless given the previous state."""
-    N = len(cf.terms) if N is None else N
+def _first_terms(cf: ContinuedFraction, N: Optional[int]):
+    """The first N terms, all of them for None; InvalidCF past the known
+    ones."""
+    if N is None:
+        return cf.terms
     if N > len(cf.terms):
         raise InvalidCF(f"only {len(cf.terms)} terms known, asked for {N}")
+    return cf.terms[:N]
+
+
+def convergent_states(cf: ContinuedFraction, N: Optional[int] = None) -> Iterator[ConvergentState]:
+    """States for n = 0..N; the step is stateless given the previous state."""
+    terms = _first_terms(cf, N)
     state = initial_state(cf)
     yield state
-    for a, b in cf.terms[:N]:
+    for a, b in terms:
         state = advance(state, a, b)
         yield state
 
@@ -236,10 +251,13 @@ class HorocycleChain:
         return self.horocycles + self.connecting
 
 
+_RT2 = Arithmetic(mode="exact").sqrt(2)
+
+
 def _arrangement_params(arrangement: str, exact: bool):
     if arrangement == "tangent":
         return 2, 2, 0
-    rt2 = Arithmetic(mode="exact").sqrt(2) if exact else math.sqrt(2.0)
+    rt2 = _RT2 if exact else math.sqrt(2.0)
     if arrangement == "orthogonal":
         return rt2, rt2, 0
     if arrangement == "ortho45":
@@ -254,16 +272,35 @@ def chain(cf: ContinuedFraction, N: int, arrangement: str) -> HorocycleChain:
     makes the arrangement residuals vanish identically even though the
     determinant alternates.  A zero Q_n step degenerates its horocycle
     to a line; the step index is recorded in flat_steps.
+
+    A chain whose terms are all ints (``b0`` None or an int), the simple
+    continued fractions of :meth:`ContinuedFraction.simple`, is built in
+    ints over Z[sqrt 2] straight from its convergents and checked by
+    :func:`_exact_failure` on those same ints (:func:`_int_chain`).  Any
+    other chain is built from the scalar closed forms and checked by
+    :func:`_validate_chain`.  A singular partial matrix (a float product
+    that underflows) and a failed check raise :class:`InvalidCF`.
     """
     if N < 1:
         raise InvalidCF("a chain needs at least one step")
+    terms = _first_terms(cf, N)
+    if (cf.b0 is None or type(cf.b0) is int) and all(
+            type(a) is int and type(b) is int for a, b in terms):
+        ch, d, rows, points = _int_chain(cf.b0, terms, arrangement)
+        failure = _exact_failure(ch, d, rows, points)
+        if failure is not None:
+            _refuse(ch, failure)
+        return ch
     states = list(convergent_states(cf, N))
     # the field is that of the terms the chain uses
-    exact = all(is_exact(a) and is_exact(b) for a, b in cf.terms[:N]) and \
+    exact = all(is_exact(a) and is_exact(b) for a, b in terms) and \
         (cf.b0 is None or is_exact(cf.b0))
     mpar, kpar, npar = _arrangement_params(arrangement, exact)
 
     mats = [s.matrix() for s in states[1:]]
+    for n, ((a, b), (c, d)) in enumerate(mats, start=1):
+        if a * d - b * c == 0:
+            raise InvalidCF(f"step {n}: partial matrix is singular")
     horos = [horocycle_images(mats[0], "first_col", mpar)]
     horos += [horocycle_images(m, "second_col", kpar) for m in mats]
     horos = [h.mirror() if scalar_sign(h.l[-1]) < 0 else h for h in horos]
@@ -276,6 +313,56 @@ def chain(cf: ContinuedFraction, N: int, arrangement: str) -> HorocycleChain:
     return ch
 
 
+def _int_chain(b0, terms, arrangement: str):
+    """The chain of int terms built in ints, as ``(chain, d, rows,
+    points)``: ``d``, ``rows`` and ``points`` are what :func:`_int_rows`
+    reads back from the chain, at scale 1, made before the cycles are.
+
+    The convergents are ints, so every row is the closed form of
+    :func:`horocycle_images` on the partial matrix [[x', x], [y', y]] of
+    the columns (x', y') = (P_{n-1}, Q_{n-1}) and (x, y) = (P_n, Q_n),
+    delta = x' y - x y', mirrored by delta -> |delta|.  For the tangent
+    value 2 (``d`` 0) the horocycle at the column (x, y) is the ints
+    (2 y^2, 2 x y, |delta|, 2 x^2); for the value sqrt 2 (``d`` 2) it is
+    (0, 0, |delta|, 0) + (y^2, x y, 0, x^2) sqrt 2.  The connecting cycle
+    is the ints (2 y y', x y' + y x', delta n, 2 x x') for the
+    arrangement's inclination n (0 or 1).  The cycles are made of these
+    ints: an entry with a radical part through :func:`_quad`, which gives
+    ``Fraction(0)`` where that part is 0, as ``int * sqrt 2`` does."""
+    value, _, n = _arrangement_params(arrangement, True)
+    d = 0 if type(value) is int else value.d
+    x, y, xp, yp = (0 if b0 is None else b0), 1, 1, 0
+    pairs = [(x, y)]
+    deltas = []
+    for a, b in terms:
+        xp, x, yp, y = x, b * x + a * xp, y, b * y + a * yp
+        pairs.append((x, y))
+        deltas.append(xp * y - x * yp)
+
+    horos, rows, points = [], [], []
+    pad = (0, 0, 0, 0) if d else ()     # the zero sqrt(d) parts of an int row
+    # horocycle 0 is the first column of the first partial matrix
+    for (x, y), delta in zip(pairs, deltas[:1] + deltas):
+        yy, xy, xx, l2 = y * y, x * y, x * x, abs(delta)
+        points.append((yy, xy, 0, xx) + pad if y else None)
+        if d:
+            rows.append((0, 0, l2, 0, yy, xy, 0, xx))
+            horos.append(Cycle(E2, _quad(0, yy, 1, d),
+                               (_quad(0, xy, 1, d), l2), _quad(0, xx, 1, d)))
+        else:
+            row = (2 * yy, 2 * xy, l2, 2 * xx)
+            rows.append(row)
+            horos.append(Cycle(E2, row[0], row[1:3], row[3]))
+    joins = []
+    for ((xp, yp), (x, y)), delta in zip(zip(pairs, pairs[1:]), deltas):
+        row = (2 * y * yp, x * yp + y * xp, delta * n, 2 * x * xp)
+        rows.append(row + pad)
+        joins.append(Cycle(E2, row[0], row[1:3], row[3]))
+    flats = [i for i, (_, y) in enumerate(pairs) if not y]
+    return (HorocycleChain(arrangement, horos, joins, pairs, flats), d, rows,
+            points)
+
+
 def _validate_chain(ch: HorocycleChain) -> None:
     """Check every step of a chain: the arrangement residual of the two
     horocycles, the connecting cycle through both quotients, and its
@@ -284,7 +371,11 @@ def _validate_chain(ch: HorocycleChain) -> None:
     one radicand is checked in ints over Z[sqrt d] on the rows
     :func:`_int_rows` reads (:func:`_exact_failure`); any other with
     :func:`near_zero` against the floored tolerance, scaled by the chain's
-    largest entry.  A failed check raises :class:`InvalidCF`."""
+    largest entry.  A failed check raises :class:`InvalidCF`.
+
+    :func:`chain` checks a chain of int terms on the ints it builds it
+    from instead; this serves the chains of Fraction, QuadExt and float
+    terms, and any chain built elsewhere."""
     read = _int_rows(ch)
     if read is not None:
         failure = _exact_failure(ch, *read)
@@ -292,15 +383,21 @@ def _validate_chain(ch: HorocycleChain) -> None:
         failure = _float_failure(ch, [v for cyc in ch.cycles
                                       for v in cyc.row()])
     if failure is not None:
-        i, what, pair = failure
-        if what == _ARRANGEMENT:
-            prev, here = ch.horocycles[i - 1], ch.horocycles[i]
-            res = tangency_residual(prev, here) if ch.arrangement == "tangent" \
-                else orthogonality_residual(prev, here)
-            what = f"arrangement residual {res!r} is not zero"
-        elif what == _MISSES:
-            what = f"connecting cycle misses quotient {quotient(pair)}"
-        raise InvalidCF(f"step {i}: {what}")
+        _refuse(ch, failure)
+
+
+def _refuse(ch: HorocycleChain, failure) -> None:
+    """Raise the :class:`InvalidCF` of a failed check ``(step, what,
+    pair)``."""
+    i, what, pair = failure
+    if what == _ARRANGEMENT:
+        prev, here = ch.horocycles[i - 1], ch.horocycles[i]
+        res = tangency_residual(prev, here) if ch.arrangement == "tangent" \
+            else orthogonality_residual(prev, here)
+        what = f"arrangement residual {res!r} is not zero"
+    elif what == _MISSES:
+        what = f"connecting cycle misses quotient {quotient(pair)}"
+    raise InvalidCF(f"step {i}: {what}")
 
 
 # what a failed check reports; the first two are filled in by _validate_chain

@@ -749,8 +749,9 @@ def _quad_roots(a, b, c, ar: Arithmetic):
     disc = b * b - a * c
     if not exact:
         # a discriminant at rounding-noise level is a double root, not a
-        # pair of spuriously split solutions
-        dscale = max(b * b, abs(a * c), 1e-300)
+        # pair of spuriously split solutions; c is floored at 1 as in
+        # near_zero, so b = 0 and c at noise do not leave the scale at noise
+        dscale = max(b * b, abs(a) * max(abs(c), 1.0), 1e-300)
         if disc <= 1e-12 * dscale:
             return [-b / a] if disc >= -1e-10 * dscale else []
         r = disc ** 0.5

@@ -379,6 +379,25 @@ class TestChains:
         ch.horocycles[0].product(ch.horocycles[1])
         assert calls
 
+    @pytest.mark.parametrize("arrangement", ["tangent", "orthogonal", "ortho45"])
+    def test_int_and_fraction_terms_give_equal_chains(self, arrangement):
+        # Fraction terms are built from the scalar closed forms and read
+        # back to be checked; int terms are built and checked in ints
+        read = chain(ContinuedFraction.parse("3;7,15,1,292"), 4, arrangement)
+        ints = chain(ContinuedFraction.simple(3, [7, 15, 1, 292]), 4,
+                     arrangement)
+        assert [c.row() for c in read.cycles] == [c.row() for c in ints.cycles]
+        assert read.pairs == ints.pairs
+        assert read.flat_steps == ints.flat_steps
+
+    def test_singular_partial_matrix_names_the_step(self):
+        # the float product of the second partial matrix has determinant
+        # 1e-200 - 1e-200 = 0
+        cf = ContinuedFraction(None, [(1e-200, 1.0), (1e-200, 1.0)])
+        with pytest.raises(InvalidCF) as err:
+            chain(cf, 2, "tangent")
+        assert str(err.value) == "step 2: partial matrix is singular"
+
     def test_refusal_message_names_the_residual(self):
         cf = ContinuedFraction.parse("2/1 3/1 1/2")
         with pytest.raises(InvalidCF) as err:

@@ -1,7 +1,8 @@
 """Property tests for the exact-or-float decision layer, the ``QuadExt``
 kernel against its Fraction-pair reference, the Moebius action on cycles,
-the solver, figure re-evaluation, the figure JSON round trip and chain
-validation against its scalar reference.
+the solver, figure re-evaluation, the figure JSON round trip, chain
+validation against its scalar reference and the int build of a chain
+against the scalar build.
 
 The examples are drawn by hypothesis under the derandomized profile that
 ``conftest.py`` loads.
@@ -2189,12 +2190,85 @@ def test_chain_validation_equals_the_scalar_reference(case):
     cf, n, arrangement, mutation = case
     try:
         ch = contfrac.chain(cf, n, arrangement)
-    except ValueError as err:
+    except InvalidCF as err:
         # float rounding can cancel the determinant of a long product
-        if str(err) != "matrix is degenerate":
+        if not str(err).endswith(": partial matrix is singular"):
             raise
         reject()
     assert _verdict(_ref_validate_chain, ch) is None
     moved = _perturbed(ch, mutation)
     assert _verdict(contfrac._validate_chain, moved) == \
         _verdict(_ref_validate_chain, moved)
+
+
+def _ref_chain(cf, n, arrangement):
+    """The scalar build every chain had before a chain of int terms was
+    built in ints, kept as the reference: the closed forms of
+    ``horocycle_images`` on the partial matrices, each horocycle mirrored
+    when its l_2 is negative, then ``_validate_chain``."""
+    rt2 = numerics.Arithmetic("exact").sqrt(2)
+    value, inclination = {"tangent": (2, 0), "orthogonal": (rt2, 0),
+                          "ortho45": (rt2, 1)}[arrangement]
+    states = list(contfrac.convergent_states(cf, n))
+    mats = [s.matrix() for s in states[1:]]
+    horos = [contfrac.horocycle_images(mats[0], "first_col", value)]
+    horos += [contfrac.horocycle_images(m, "second_col", value) for m in mats]
+    horos = [h.mirror() if numerics.scalar_sign(h.l[-1]) < 0 else h
+             for h in horos]
+    joins = [contfrac.horocycle_images(m, "connecting", inclination)
+             for m in mats]
+    ch = HorocycleChain(arrangement, horos, joins,
+                        [s.pair() for s in states],
+                        [i for i, h in enumerate(horos) if h.k == 0])
+    contfrac._validate_chain(ch)
+    return ch
+
+
+def _typed_chain(build, *args):
+    """A chain's rows, pairs and flat steps with every entry's type, or
+    the InvalidCF it raised."""
+    try:
+        ch = build(*args)
+    except InvalidCF as err:
+        return "InvalidCF", str(err)
+    typed = lambda values: [(type(v), v) for v in values]
+    return ([typed(c.row()) for c in ch.horocycles],
+            [typed(c.row()) for c in ch.connecting],
+            [typed(p) for p in ch.pairs], ch.flat_steps)
+
+
+@st.composite
+def int_chain_cases(draw):
+    """Int terms: a_1 any nonzero int, and a_j after it +-1 or, in about
+    half the fractions, any nonzero int (so validation fails); b_j zero
+    and negative too (flat steps, mirrored horocycles); b0 None or an
+    int; and an arrangement."""
+    n = draw(st.integers(1, 12))
+    nonzero = st.integers(-9, 9).filter(bool)
+    later = nonzero if draw(st.booleans()) else st.sampled_from([1, -1])
+    a = [draw(nonzero)] + [draw(later) for _ in range(n - 1)]
+    terms = [(aj, draw(st.integers(-9, 9))) for aj in a]
+    b0 = draw(st.one_of(st.none(), st.integers(-9, 9)))
+    return (ContinuedFraction(b0, terms), n,
+            draw(st.sampled_from(contfrac.ARRANGEMENTS)))
+
+
+@settings(max_examples=400)
+@given(int_chain_cases())
+@example((ContinuedFraction(None, [(1, 1), (-1, 1), (1, 1)]), 3, "tangent"))
+@example((ContinuedFraction(2, [(1, -3), (1, 0), (-1, 2)]), 3, "ortho45"))
+@example((ContinuedFraction(None, [(2, 1), (3, 1), (1, 2)]), 3, "orthogonal"))
+def test_int_chain_equals_the_scalar_build(case):
+    # a chain of int terms is built in ints and checked on them, with no
+    # read-back: every entry equals the scalar build's in value and type,
+    # and a refused chain raises the same message; the rows the build
+    # checked are the ones _int_rows reads back from its cycles
+    cf, n, arrangement = case
+    with mock.patch.object(contfrac, "_int_rows",
+                           side_effect=AssertionError("read back")):
+        got = _typed_chain(contfrac.chain, cf, n, arrangement)
+    assert got == _typed_chain(_ref_chain, cf, n, arrangement)
+    ch, d, rows, points = contfrac._int_chain(cf.b0, cf.terms, arrangement)
+    assert contfrac._int_rows(ch) == (d, rows, points)
+    assert (got[0] == "InvalidCF") == \
+        (contfrac._exact_failure(ch, d, rows, points) is not None)

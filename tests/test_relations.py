@@ -566,6 +566,34 @@ class TestFloatFlatCandidates:
             assert rel.satisfied_by(Cycle.from_row(E, (k,) + line), 1e-9)
 
 
+class TestFloatDoubleRoot:
+    """A float discriminant at rounding noise is a double root, also when
+    b = 0 and c is noise, so that b^2 and a c are noise too: the scale of
+    the test floors c at 1, as near_zero floors its scale."""
+
+    def test_noise_c_is_a_double_root(self):
+        ar = numerics.Arithmetic("float")
+        assert relations._quad_roots(-2.0, 0.0, -2.220446049250313e-16,
+                                     ar) == [0.0]
+        # a split above the noise stays split
+        assert relations._quad_roots(1.0, 0.0, -1e-8, ar) == \
+            pytest.approx([-1e-4, 1e-4])
+
+    def test_three_tangent_circles_in_float_mode(self):
+        # mutually tangent unit circles; two sign patterns meet their
+        # quadratic with a = -2, b = 0 and c at noise, and their double
+        # roots are the two references on the real axis
+        refs = [Cycle(E, 1, (1, 0), 0), Cycle(E, 1, (-1, 0), 0),
+                Cycle(E, 1, (0, QuadExt(0, 1, 3)), 2)]
+        rels = [IsTangent(c) for c in refs]
+        sol = solve(rels, E, "float")
+        assert len(sol.cycles) == 5
+        assert all(check(rels, c) for c in sol.cycles)
+        for ref in refs:
+            assert any(c.same_cycle(ref.as_float(), digits=9)
+                       for c in sol.cycles)
+
+
 class TestVerificationReadsCanonicalRows:
     """``satisfied_by`` takes the canonical cycle its caller made and
     canonicalises nothing itself; a reference is canonicalised once, when
