@@ -251,7 +251,8 @@ class HorocycleChain:
         return self.horocycles + self.connecting
 
 
-_RT2 = Arithmetic(mode="exact").sqrt(2)
+# sqrt 2 as Arithmetic("exact").sqrt(2) gives it, with no factoring at import
+_RT2 = _quad(0, 1, 1, 2)
 
 
 def _arrangement_params(arrangement: str, exact: bool):

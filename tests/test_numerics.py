@@ -1,6 +1,9 @@
 import copy
 import math
+import os
 import pickle
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -153,6 +156,19 @@ def test_radical_parts_past_1e15_is_never_wrong():
     # factor may stay in core, but coeff**2 * core is still the input
     coeff, core = numerics.radical_parts(P ** 2 * Q)
     assert coeff ** 2 * core == P ** 2 * Q and core.denominator == 1
+
+
+def test_import_sieves_no_primes():
+    # the trial primes are sieved on the first radical_parts, so a run
+    # that takes no root never pays for them; a fresh interpreter shows it
+    code = ("from cyclekit import cli, contfrac, figure, poincare, render\n"
+            "from cyclekit.numerics import _trial_primes\n"
+            "print(_trial_primes.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(numerics.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ,
+                                                     "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
 
 
 class TestArithmetic:
