@@ -25,9 +25,8 @@ from itertools import compress, repeat
 from operator import add, is_not
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .numerics import (Arithmetic, QuadExt, Scalar, _quad, comparison_eps,
-                       is_exact, lift, near_zero, row_scale, scalar_sign,
-                       to_float)
+from .numerics import (QuadExt, Scalar, _quad, comparison_eps, is_exact,
+                       lift, near_zero, row_scale, scalar_sign, to_float)
 from .cycle import Cycle, Metric
 from .clifford import (INFINITY, Infinity, Mat2, Mv, Point, euclidean,
                        identity_map, mobius_apply)
