@@ -10,23 +10,23 @@ consecutive horocycles tangent, orthogonal, or orthogonal with the
 connecting cycle inclined at 45 degrees.  The same machine runs over
 R^n with Clifford-entry matrices.
 
-Every chain is checked exactly when its terms are exact.  A chain of int
-terms (a simple continued fraction) has int convergents, so its rows are
-ints over Z[sqrt 2] in closed form: it is built in those ints and checked
-on the same ints.  A chain of Fraction or QuadExt terms is built from the
-scalar closed forms and its rows are read back into ints to be checked;
-a chain with a float term is checked against the floored tolerance.
+Every chain is checked once, exactly when its terms are exact.  A chain
+of int terms (a simple continued fraction) has int convergents, so its
+rows are ints, some times sqrt 2, in closed form: it is built from four
+ints per row and checked on the same ints.  Any other chain is built from
+the scalar closed forms and checked on its scalars with :func:`near_zero`,
+which is the zero test for exact values and the floored tolerance for
+floats.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import add, is_not
+from operator import add
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .numerics import (QuadExt, Scalar, _quad, comparison_eps, is_exact,
-                       lift, near_zero, row_scale, scalar_sign, to_float)
+from .numerics import (Scalar, _quad, comparison_eps, is_exact, lift,
+                       near_zero, row_scale, scalar_sign, to_float)
 from .cycle import Cycle, Metric
 from .clifford import (INFINITY, Infinity, Mat2, Mv, Point, euclidean,
                        identity_map, mobius_apply)
@@ -131,10 +131,12 @@ def advance(state: ConvergentState, a: Scalar, b: Scalar) -> ConvergentState:
 
 
 def _first_terms(cf: ContinuedFraction, N: Optional[int]):
-    """The first N terms, all of them for None; InvalidCF past the known
-    ones."""
+    """The first N terms, all of them for None; InvalidCF for a negative N
+    and past the known ones."""
     if N is None:
         return cf.terms
+    if N < 0:
+        raise InvalidCF(f"step count {N} is negative")
     if N > len(cf.terms):
         raise InvalidCF(f"only {len(cf.terms)} terms known, asked for {N}")
     return cf.terms[:N]
@@ -274,8 +276,8 @@ def chain(cf: ContinuedFraction, N: int, arrangement: str) -> HorocycleChain:
     to a line; the step index is recorded in flat_steps.
 
     A chain whose terms are all ints (``b0`` None or an int), the simple
-    continued fractions of :meth:`ContinuedFraction.simple`, is built in
-    ints over Z[sqrt 2] straight from its convergents and checked by
+    continued fractions of :meth:`ContinuedFraction.simple`, is built
+    straight from its convergents in four ints per row and checked by
     :func:`_exact_failure` on those same ints (:func:`_int_chain`).  Any
     other chain is built from the scalar closed forms and checked by
     :func:`_validate_chain`.  A singular partial matrix (a float product
@@ -286,8 +288,8 @@ def chain(cf: ContinuedFraction, N: int, arrangement: str) -> HorocycleChain:
     terms = _first_terms(cf, N)
     if (cf.b0 is None or type(cf.b0) is int) and all(
             type(a) is int and type(b) is int for a, b in terms):
-        ch, d, rows, points = _int_chain(cf.b0, terms, arrangement)
-        failure = _exact_failure(ch, d, rows, points)
+        ch, rows, points = _int_chain(cf.b0, terms, arrangement)
+        failure = _exact_failure(ch, rows, points)
         if failure is not None:
             _refuse(ch, failure)
         return ch
@@ -314,23 +316,23 @@ def chain(cf: ContinuedFraction, N: int, arrangement: str) -> HorocycleChain:
 
 
 def _int_chain(b0, terms, arrangement: str):
-    """The chain of int terms built in ints, as ``(chain, d, rows,
-    points)``: ``d``, ``rows`` and ``points`` are what :func:`_int_rows`
-    reads back from the chain, at scale 1, made before the cycles are.
+    """The chain of int terms built in ints, as ``(chain, rows, points)``:
+    ``rows[i]`` holds the four ints the i-th cycle is made of, and
+    ``points[j]`` is the zero-radius cycle at the j-th quotient x/y times
+    y^2, ``(y^2, x y, 0, x^2)``, or None when y is 0.
 
     The convergents are ints, so every row is the closed form of
     :func:`horocycle_images` on the partial matrix [[x', x], [y', y]] of
     the columns (x', y') = (P_{n-1}, Q_{n-1}) and (x, y) = (P_n, Q_n),
     delta = x' y - x y', mirrored by delta -> |delta|.  For the tangent
-    value 2 (``d`` 0) the horocycle at the column (x, y) is the ints
-    (2 y^2, 2 x y, |delta|, 2 x^2); for the value sqrt 2 (``d`` 2) it is
-    (0, 0, |delta|, 0) + (y^2, x y, 0, x^2) sqrt 2.  The connecting cycle
-    is the ints (2 y y', x y' + y x', delta n, 2 x x') for the
-    arrangement's inclination n (0 or 1).  The cycles are made of these
-    ints: an entry with a radical part through :func:`_quad`, which gives
-    ``Fraction(0)`` where that part is 0, as ``int * sqrt 2`` does."""
+    value 2 the horocycle at the column (x, y) is the ints (2 y^2, 2 x y,
+    |delta|, 2 x^2).  For the value sqrt 2 it is (0, 0, |delta|, 0) +
+    (y^2, x y, 0, x^2) sqrt 2, kept as the ints (y^2, x y, |delta|, x^2);
+    its entries but l_2 are made through :func:`_quad`, which gives
+    ``Fraction(0)`` where the int is 0, as ``int * sqrt 2`` does.  The
+    connecting cycle is the ints (2 y y', x y' + y x', delta n, 2 x x')
+    for the arrangement's inclination n (0 or 1)."""
     value, _, n = _arrangement_params(arrangement, True)
-    d = 0 if type(value) is int else value.d
     x, y, xp, yp = (0 if b0 is None else b0), 1, 1, 0
     pairs = [(x, y)]
     deltas = []
@@ -340,48 +342,38 @@ def _int_chain(b0, terms, arrangement: str):
         deltas.append(xp * y - x * yp)
 
     horos, rows, points = [], [], []
-    pad = (0, 0, 0, 0) if d else ()     # the zero sqrt(d) parts of an int row
     # horocycle 0 is the first column of the first partial matrix
     for (x, y), delta in zip(pairs, deltas[:1] + deltas):
         yy, xy, xx, l2 = y * y, x * y, x * x, abs(delta)
-        points.append((yy, xy, 0, xx) + pad if y else None)
-        if d:
-            rows.append((0, 0, l2, 0, yy, xy, 0, xx))
-            horos.append(Cycle(E2, _quad(0, yy, 1, d),
-                               (_quad(0, xy, 1, d), l2), _quad(0, xx, 1, d)))
-        else:
+        points.append((yy, xy, 0, xx) if y else None)
+        if type(value) is int:
             row = (2 * yy, 2 * xy, l2, 2 * xx)
-            rows.append(row)
             horos.append(Cycle(E2, row[0], row[1:3], row[3]))
+        else:
+            row = (yy, xy, l2, xx)
+            horos.append(Cycle(E2, _quad(0, yy, 1, 2),
+                               (_quad(0, xy, 1, 2), l2), _quad(0, xx, 1, 2)))
+        rows.append(row)
     joins = []
     for ((xp, yp), (x, y)), delta in zip(zip(pairs, pairs[1:]), deltas):
         row = (2 * y * yp, x * yp + y * xp, delta * n, 2 * x * xp)
-        rows.append(row + pad)
+        rows.append(row)
         joins.append(Cycle(E2, row[0], row[1:3], row[3]))
     flats = [i for i, (_, y) in enumerate(pairs) if not y]
-    return (HorocycleChain(arrangement, horos, joins, pairs, flats), d, rows,
-            points)
+    return HorocycleChain(arrangement, horos, joins, pairs, flats), rows, points
 
 
 def _validate_chain(ch: HorocycleChain) -> None:
     """Check every step of a chain: the arrangement residual of the two
     horocycles, the connecting cycle through both quotients, and its
     shape (45 degrees in ortho45; vertical and orthogonal to both
-    horocycles otherwise).  A chain whose values are exact over at most
-    one radicand is checked in ints over Z[sqrt d] on the rows
-    :func:`_int_rows` reads (:func:`_exact_failure`); any other with
-    :func:`near_zero` against the floored tolerance, scaled by the chain's
-    largest entry.  A failed check raises :class:`InvalidCF`.
+    horocycles otherwise), on its scalars (:func:`_scalar_failure`).  A
+    failed check raises :class:`InvalidCF`.
 
     :func:`chain` checks a chain of int terms on the ints it builds it
     from instead; this serves the chains of Fraction, QuadExt and float
     terms, and any chain built elsewhere."""
-    read = _int_rows(ch)
-    if read is not None:
-        failure = _exact_failure(ch, *read)
-    else:
-        failure = _float_failure(ch, [v for cyc in ch.cycles
-                                      for v in cyc.row()])
+    failure = _scalar_failure(ch)
     if failure is not None:
         _refuse(ch, failure)
 
@@ -400,7 +392,7 @@ def _refuse(ch: HorocycleChain, failure) -> None:
     raise InvalidCF(f"step {i}: {what}")
 
 
-# what a failed check reports; the first two are filled in by _validate_chain
+# what a failed check reports; the first two are filled in by _refuse
 _ARRANGEMENT = "arrangement residual"
 _MISSES = "connecting cycle misses a quotient"
 _NOT_45 = "connecting cycle is not at 45 degrees"
@@ -408,13 +400,16 @@ _TILTS = "connecting cycle tilts off vertical"
 _NOT_ORTHOGONAL = "connecting cycle not orthogonal"
 
 
-def _float_failure(ch: HorocycleChain, entries):
-    """The first failed check of a chain with a float value, or with
-    QuadExt entries over two radicands, as ``(step, what, pair)``, or None;
-    ``entries`` are those of all rows."""
+def _scalar_failure(ch: HorocycleChain):
+    """The first failed check of a chain on its scalars, as ``(step, what,
+    pair)``, or None.  Each residual is tested with :func:`near_zero`:
+    exactly for an exact value, and for a float against the floored
+    tolerance scaled by the chain's largest entry."""
     eps = comparison_eps()
-    # the one-entry row scales like all the rows: row_scale((S,)) == S
-    scale = (row_scale(entries),)
+    entries = [v for cyc in ch.cycles for v in cyc.row()]
+    # the one-entry row scales like all the rows: row_scale((S,)) == S; an
+    # exact chain needs no scale, and its entries may overflow a float
+    scale = () if all(map(is_exact, entries)) else (row_scale(entries),)
     tangent = ch.arrangement == "tangent"
     for i in range(1, len(ch.horocycles)):
         prev, here = ch.horocycles[i - 1], ch.horocycles[i]
@@ -445,72 +440,18 @@ def _float_failure(ch: HorocycleChain, entries):
     return None
 
 
-def _int_rows(ch: HorocycleChain):
-    """The chain read into ints over one Z[sqrt d], as ``(d, rows,
-    points)``, or None when a value is not exact or two radicands meet.
+def _exact_failure(ch: HorocycleChain, rows, points):
+    """The first failed check of a chain of int terms, as ``(step, what,
+    pair)``, or None, on the ``rows`` and ``points`` of :func:`_int_chain`.
+    Every check but the tilt is an E2 pairing written out with E2's
+    weights (:func:`_pairs_to_zero`, :func:`_square_is_zero`); the tilt
+    tests l_2.  The chain's cycles are rows of E2, whose point and product
+    metrics agree.
 
-    Every value, the cycles' entries and the quotients' P and Q alike, is
-    multiplied by the lcm of all their denominators, so ``rows[i]`` is the
-    i-th cycle's row ``(k, l_1, l_2, m)`` times that one positive scale,
-    followed by the sqrt(d) parts of the four when ``d`` is nonzero.
-    ``points[j]`` is the zero-radius cycle at the j-th quotient x/y times
-    y^2, ``(y^2, xy, 0, x^2)``, in the same layout and times the square of
-    that scale; None when y is 0.  Its pairing with a cycle is k x^2 - 2
-    l_1 x y + m y^2, the value at x/y times y^2.  A zero test does not see
-    a nonzero scale, so no row is made primitive."""
-    values = [v for cyc in ch.cycles for v in cyc.row()]
-    end = len(values)
-    values += [v for pair in ch.pairs for v in pair]
-    size = len(values)
-    qs, dens = [0] * size, [1] * size
-    d = 0
-    # an int reads as itself: only the other values need a look
-    for j in compress(range(size), map(is_not, map(type, values), repeat(int))):
-        v = values[j]
-        kind = type(v)
-        if kind is Fraction:
-            values[j], dens[j] = v.numerator, v.denominator
-        elif kind is QuadExt:
-            if v.d != d:
-                if d:
-                    return None
-                d = v.d
-            values[j], qs[j], dens[j] = v.p, v.q, v.n
-        else:
-            return None
-    den = math.lcm(*set(dens))
-    if den != 1:
-        values = [p * (den // n) for p, n in zip(values, dens)]
-        if d:
-            qs = [q * (den // n) for q, n in zip(qs, dens)]
-    # zip over one iterator four times takes four entries per row
-    ps = iter(values[:end])
-    if d:
-        rq = iter(qs[:end])
-        rows = list(zip(*[ps] * 4, *[rq] * 4))
-    else:
-        rows = list(zip(*[ps] * 4))
-    points = []
-    for x, y, xq, yq in zip(values[end::2], values[end + 1::2],
-                            qs[end::2], qs[end + 1::2]):
-        if not (y or yq):
-            points.append(None)
-        elif d:
-            points.append((y * y + d * yq * yq, x * y + d * xq * yq, 0,
-                           x * x + d * xq * xq, 2 * y * yq, x * yq + xq * y,
-                           0, 2 * x * xq))
-        else:
-            points.append((y * y, x * y, 0, x * x))
-    return d, rows, points
-
-
-def _exact_failure(ch: HorocycleChain, d: int, rows, points):
-    """The first failed check of an exact chain, as ``(step, what,
-    pair)``, or None, on the ``rows`` and ``points`` of :func:`_int_rows`
-    over Z[sqrt d].  Every check but the tilt is an E2 pairing written
-    out with E2's weights (:func:`_pairs_to_zero`,
-    :func:`_square_is_zero`); the tilt tests l_2.  The chain's cycles are
-    rows of E2, whose point and product metrics agree."""
+    A sqrt 2 horocycle kept as the ints (k, x, y, m) pairs with another as
+    2 (m K + M k - 2 x X) - 2 y Y.  Every other pairing meets an l_2 of 0
+    (points have none, and the tilt is checked first), so it is the int
+    pairing times sqrt 2, or equal to it."""
     n = len(ch.horocycles)
     horos, joins = rows[:n], rows[n:]
     tangent = ch.arrangement == "tangent"
@@ -520,54 +461,42 @@ def _exact_failure(ch: HorocycleChain, d: int, rows, points):
         if tangent:
             # det C = -<C, C>/2 for the summed row C: both rows share
             # their scale
-            if not _square_is_zero(map(add, prev, here), d, 1):
+            if not _square_is_zero(map(add, prev, here), 1):
                 return i, _ARRANGEMENT, None
-        elif not _pairs_to_zero(prev, here, d):
+        elif not _pairs_to_zero(prev, here, 1):
             return i, _ARRANGEMENT, None
         for j in (i - 1, i):
-            if points[j] is not None and not _pairs_to_zero(join, points[j], d):
+            if points[j] is not None and not _pairs_to_zero(join, points[j]):
                 return i, _MISSES, ch.pairs[j]
         if ortho45:
             # 2 n^2 - det = <C, mirror C>/2: at 45 degrees to the real
             # line a cycle meets its mirror image at right angles
-            if not _square_is_zero(join, d, -1):
+            if not _square_is_zero(join, -1):
                 return i, _NOT_45, None
         else:
-            if join[2] or (d and join[6]):
+            if join[2]:
                 return i, _TILTS, None
-            if not (_pairs_to_zero(join, prev, d)
-                    and _pairs_to_zero(join, here, d)):
+            if not (_pairs_to_zero(join, prev) and _pairs_to_zero(join, here)):
                 return i, _NOT_ORTHOGONAL, None
     return None
 
 
-def _pairs_to_zero(a, b, d: int) -> bool:
-    """Whether the E2 pairing m k' + m' k - 2 (l_1 l_1' + l_2 l_2') of two
-    rows of :func:`_int_rows` is zero: its rational part and, over a
-    radicand d, its sqrt(d) part."""
-    if not d:
-        k, x, y, m = a
-        K, X, Y, M = b
-        return m * K + M * k == 2 * (x * X + y * Y)
-    k, x, y, m, kq, xq, yq, mq = a
-    K, X, Y, M, Kq, Xq, Yq, Mq = b
-    return (m * K + M * k - 2 * (x * X + y * Y)
-            + d * (mq * Kq + Mq * kq - 2 * (xq * Xq + yq * Yq)) == 0
-            and m * Kq + mq * K + M * kq + Mq * k
-            == 2 * (x * Xq + xq * X + y * Yq + yq * Y))
+def _pairs_to_zero(a, b, w: int = 2) -> bool:
+    """Whether m K + M k == 2 x X + w y Y for two int rows (k, x, y, m) and
+    (K, X, Y, M): the E2 pairing m K + M k - 2 (x X + y Y) is zero for w =
+    2, and that of two sqrt 2 horocycles of :func:`_int_chain` for w =
+    1."""
+    k, x, y, m = a
+    K, X, Y, M = b
+    return m * K + M * k == 2 * x * X + w * y * Y
 
 
-def _square_is_zero(a, d: int, s: int) -> bool:
-    """Whether m k - l_1^2 - s l_2^2 is zero for a row of :func:`_int_rows`:
+def _square_is_zero(a, s: int) -> bool:
+    """Whether m k - x^2 - s y^2 is zero for an int row (k, x, y, m):
     <a, a>/2 for s = 1, and <a, mirror a>/2 for s = -1, the mirror
     negating l_2."""
-    if not d:
-        k, x, y, m = a
-        return m * k == x * x + s * y * y
-    k, x, y, m, kq, xq, yq, mq = a
-    return (m * k - x * x - s * y * y
-            + d * (mq * kq - xq * xq - s * yq * yq) == 0
-            and m * kq + mq * k == 2 * (x * xq + s * y * yq))
+    k, x, y, m = a
+    return m * k == x * x + s * y * y
 
 
 def reconstruct_horocycles(points: Sequence[Scalar], n0: Scalar,

@@ -45,9 +45,8 @@ its candidates are those same int rows, read off the minors.  An exact
 cycle row over one radicand has one integer form over Z[sqrt d]
 (``cycle.integer_form``): the cycle pairing sums in ints on it, and a
 rational cycle's canonical row and key read its primitive int row.
-A chain of int terms is built in ints over Z[sqrt 2] and checked on
-them; any other exact chain's validation reads its rows into ints over
-Z[sqrt d] itself, with no primitive form.
+A chain of int terms is built in four ints per row, some times sqrt 2,
+and checked on them; any other chain is checked on its scalars.
 """
 
 from __future__ import annotations

@@ -228,10 +228,16 @@ def inclined_interval_form(x: Scalar, y: Scalar, tau: int) -> Cycle:
 
 def angle_to_real_line(c: Cycle, ar: Optional[Arithmetic] = None) -> Scalar:
     """Cosine of the intersection angle with the boundary:
-    -l_2 / sqrt|l_1^2 + l_2^2 - k m|."""
+    -l_2 / sqrt|l_1^2 + l_2^2 - k m|.  A zero-radius cycle, whose radicand
+    is zero (under the floored tolerance for floats), meets the boundary at
+    no angle: ValueError."""
     ar = private_context(ar)
-    k, l1, l2, m = (lift(v) for v in c.row())
-    return -l2 / ar.sqrt(l1 * l1 + l2 * l2 - k * m)
+    row = c.row()
+    k, l1, l2, m = (lift(v) for v in row)
+    rad = l1 * l1 + l2 * l2 - k * m
+    if near_zero(rad, comparison_eps(), row, row):
+        raise ValueError("a zero-radius cycle has no angle to the real line")
+    return -l2 / ar.sqrt(rad)
 
 
 # ---------------------------------------------------------------------------

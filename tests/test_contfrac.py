@@ -5,7 +5,8 @@ import pytest
 
 from cyclekit import cycle, poincare
 from cyclekit.clifford import INFINITY, Mat2, Mv, euclidean, identity_map, mobius_apply
-from cyclekit.contfrac import (ContinuedFraction, InvalidCF, advance, chain,
+from cyclekit.contfrac import (ContinuedFraction, HorocycleChain, InvalidCF,
+                               _validate_chain, advance, chain,
                                clifford_cf_step, clifford_convergents,
                                convergent_states, convergents,
                                embed_real_moebius, endpoints,
@@ -17,11 +18,13 @@ from cyclekit.contfrac import (ContinuedFraction, InvalidCF, advance, chain,
 from cyclekit.cycle import Cycle, Metric
 from cyclekit.numerics import (Arithmetic, QuadExt, RadicalClash, is_exact,
                                scalar_sign)
+from test_properties import _ref_validate_chain
 
 E2 = Metric.named("e")
 
 PI_BS = [7, 15, 1, 292, 1, 1, 1, 2, 1, 3]
 E_BS = [1, 2, 1, 1, 4, 1, 1, 6, 1, 1]
+TINY = F(1, 10**40)
 
 
 def pi_cf():
@@ -94,6 +97,14 @@ class TestConvergents:
     def test_too_many_steps_rejected(self):
         with pytest.raises(InvalidCF):
             convergents(pi_cf(), 11)
+
+    def test_negative_steps_rejected(self):
+        # a negative count is not a slice from the end of the terms
+        cf = ContinuedFraction.simple(3, [7, 15, 1, 292])
+        with pytest.raises(InvalidCF, match="^step count -1 is negative$"):
+            convergents(cf, -1)
+        with pytest.raises(InvalidCF, match="^step count -2 is negative$"):
+            list(convergent_states(cf, -2))
 
     def test_zero_q_quotient_is_infinite(self):
         cf = ContinuedFraction(None, [(1, 1), (-1, 1)])
@@ -356,7 +367,7 @@ class TestChains:
     @pytest.mark.parametrize("arrangement", ["tangent", "orthogonal", "ortho45"])
     def test_exact_validation_pairs_no_integer_form(self, arrangement,
                                                     monkeypatch):
-        # an exact chain is checked on ints read once from its rows: no
+        # a chain of int terms is checked on the ints it is built from: no
         # integer form is made and no form pairing summed
         calls = []
 
@@ -381,14 +392,49 @@ class TestChains:
 
     @pytest.mark.parametrize("arrangement", ["tangent", "orthogonal", "ortho45"])
     def test_int_and_fraction_terms_give_equal_chains(self, arrangement):
-        # Fraction terms are built from the scalar closed forms and read
-        # back to be checked; int terms are built and checked in ints
+        # Fraction terms are built from the scalar closed forms and checked
+        # on those scalars; int terms are built and checked in ints
         read = chain(ContinuedFraction.parse("3;7,15,1,292"), 4, arrangement)
         ints = chain(ContinuedFraction.simple(3, [7, 15, 1, 292]), 4,
                      arrangement)
         assert [c.row() for c in read.cycles] == [c.row() for c in ints.cycles]
         assert read.pairs == ints.pairs
         assert read.flat_steps == ints.flat_steps
+
+    @pytest.mark.parametrize("cf, arrangement, index, entry, by", [
+        (ContinuedFraction.parse("3;7,15,1,292"), "tangent", 2, 0, TINY),
+        (ContinuedFraction.parse("3;7,15,1,292"), "orthogonal", 1, 1, TINY),
+        (ContinuedFraction.parse("3;7,15,1,292"), "ortho45", 6, 3, TINY),
+        (ContinuedFraction.simple(1, [QuadExt(1, 1, 3), 3]), "tangent", 1, 3,
+         QuadExt(0, TINY, 3)),
+        (ContinuedFraction.simple(1, [QuadExt(1, 1, 3), 3]), "tangent", 3, 1,
+         QuadExt(0, TINY, 3)),
+    ])
+    def test_exact_checks_stay_exact(self, cf, arrangement, index, entry, by):
+        # an exact chain is checked exactly on its scalars: an entry moved by
+        # 1/10^40 or sqrt(3)/10^40, far below any float tolerance, is
+        # refused with the scalar reference's message
+        ch = chain(cf, len(cf), arrangement)
+        cycles = ch.cycles
+        row = list(cycles[index].row())
+        row[entry] += by
+        cycles[index] = Cycle.from_row(E2, row)
+        n = len(ch.horocycles)
+        moved = HorocycleChain(arrangement, cycles[:n], cycles[n:], ch.pairs,
+                               ch.flat_steps)
+        with pytest.raises(InvalidCF) as ref:
+            _ref_validate_chain(moved)
+        with pytest.raises(InvalidCF) as err:
+            _validate_chain(moved)
+        assert str(err.value) == str(ref.value)
+
+    @pytest.mark.parametrize("arrangement", ["tangent", "orthogonal", "ortho45"])
+    def test_exact_chain_past_float_range(self, arrangement):
+        # entries near 10^800 are checked exactly, never turned into floats
+        cf = ContinuedFraction.simple(F(10**400, 3), [F(10**300, 7), 3])
+        ch = chain(cf, 2, arrangement)
+        assert ch.pairs[-1] == (F(10**700, 7) + 3 + F(10**400, 3),
+                                F(3 * 10**300, 7) + 1)
 
     def test_singular_partial_matrix_names_the_step(self):
         # the float product of the second partial matrix has determinant

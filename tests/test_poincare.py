@@ -217,6 +217,17 @@ class TestInclinedForms:
         c = angle_to_real_line(tilted, Arithmetic("exact"))
         assert c * c == F(1, 2)
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_angle_to_real_line_refuses_zero_radius(self, mode):
+        # a point cycle at (1/2, 3) and the all-zero row have no angle; the
+        # division by their zero root used to raise a bare ZeroDivisionError
+        point = Cycle(E2, 2, (1, 6), F(37, 2))
+        for c in (point, Cycle(E2, 0, (0, 0), 0)):
+            if mode == "float":
+                c = c.as_float()
+            with pytest.raises(ValueError, match="zero-radius cycle"):
+                angle_to_real_line(c, Arithmetic(mode))
+
     def test_subgroup_parameter_moves_x_to_y(self):
         rng = random.Random(23)
         for tau in (-1, 0, 1):

@@ -2259,16 +2259,23 @@ def int_chain_cases(draw):
 @example((ContinuedFraction(2, [(1, -3), (1, 0), (-1, 2)]), 3, "ortho45"))
 @example((ContinuedFraction(None, [(2, 1), (3, 1), (1, 2)]), 3, "orthogonal"))
 def test_int_chain_equals_the_scalar_build(case):
-    # a chain of int terms is built in ints and checked on them, with no
-    # read-back: every entry equals the scalar build's in value and type,
-    # and a refused chain raises the same message; the rows the build
-    # checked are the ones _int_rows reads back from its cycles
+    # a chain of int terms is built from four ints per row and checked on
+    # them alone, never on its scalars: every entry equals the scalar
+    # build's in value and type, and a refused chain raises the same
+    # message; the rows the build checked are the ints its cycles are made
+    # of, the sqrt 2 horocycles' entries but l_2 times sqrt 2
     cf, n, arrangement = case
-    with mock.patch.object(contfrac, "_int_rows",
-                           side_effect=AssertionError("read back")):
+    with mock.patch.object(contfrac, "_scalar_failure",
+                           side_effect=AssertionError("scalar check")):
         got = _typed_chain(contfrac.chain, cf, n, arrangement)
     assert got == _typed_chain(_ref_chain, cf, n, arrangement)
-    ch, d, rows, points = contfrac._int_chain(cf.b0, cf.terms, arrangement)
-    assert contfrac._int_rows(ch) == (d, rows, points)
+    ch, rows, points = contfrac._int_chain(cf.b0, cf.terms[:n], arrangement)
+    root = 1 if arrangement == "tangent" else numerics.Arithmetic("exact").sqrt(2)
+    horos, joins = rows[:len(ch.horocycles)], rows[len(ch.horocycles):]
+    assert [c.row() for c in ch.horocycles] == \
+        [(k * root, x * root, y, m * root) for k, x, y, m in horos]
+    assert [c.row() for c in ch.connecting] == joins
+    assert points == [(y * y, x * y, 0, x * x) if y else None
+                      for x, y in ch.pairs]
     assert (got[0] == "InvalidCF") == \
-        (contfrac._exact_failure(ch, d, rows, points) is not None)
+        (contfrac._exact_failure(ch, rows, points) is not None)
